@@ -145,8 +145,8 @@ def strong_repair(rel: Rel, x: Value) -> Optional[Value]:
                 repaired.append(fixed)
         current = CVSet(repaired)
         for _ in range(64):
-            image = rel._maximal_right(current, None)
-            closure = rel._maximal_left(image, None)
+            image = rel.maximal_image(current)
+            closure = rel.maximal_preimage(image)
             if closure == current:
                 break
             current = closure

@@ -16,6 +16,12 @@ Each type constructor has an associated *mapping constructor*:
   analogue of the set modes plus multiplicity preservation for strong
   (documented as a substitution in DESIGN.md).
 
+Both set modes are decided from the inner relation's images and
+preimages when their counts can be read without enumerating them
+(:class:`Mapping` and :class:`IdentityRel` leaves, and products of
+these) and add up to at most ``|R1|*|R2|``.  Otherwise the pairwise
+:func:`_rel_condition` runs; it is also the test oracle.
+
 :func:`extend_family` lifts a family of base mappings along a type
 expression (the ``H^rel`` / ``H^strong`` of Section 2.2): type variables
 take the assigned mappings, base-type leaves take identities (with
@@ -25,7 +31,7 @@ take the assigned mappings, base-type leaves take identities (with
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Mapping as TMapping, Optional
+from typing import Callable, Iterator, Mapping as TMapping, Optional
 
 from ..types.ast import (
     BOOL,
@@ -41,7 +47,7 @@ from ..types.ast import (
     TypeVar,
 )
 from ..types.values import CVBag, CVList, CVSet, Tup, Value
-from .mapping import Budget, IdentityRel, Rel, Unenumerable
+from .mapping import Budget, IdentityRel, Mapping, Rel, Unenumerable
 
 __all__ = [
     "ProductRel",
@@ -154,7 +160,7 @@ class ListRel(Rel):
 
 
 def _rel_condition(inner: Rel, r1: CVSet, r2: CVSet) -> bool:
-    """The two-way cover condition of Definition 2.5(1)."""
+    """The two-way cover condition of Definition 2.5(1), pairwise."""
     for x in r1:
         if not any(inner.holds(x, y) for y in r2):
             return False
@@ -164,6 +170,78 @@ def _rel_condition(inner: Rel, r1: CVSet, r2: CVSet) -> bool:
     return True
 
 
+def _counter(rel: Rel, forward: bool) -> Optional[Callable[[Value], int]]:
+    """A function giving the number of images (``forward``) or preimages
+    of a value under ``rel`` without enumerating them; ``None`` unless
+    ``rel`` is a :class:`Mapping`, an :class:`IdentityRel` or a product
+    of these."""
+    if isinstance(rel, Mapping):
+        lookup = rel.image_set if forward else rel.preimage_set
+        return lambda v: len(lookup(v))
+    if isinstance(rel, IdentityRel):
+        carrier = rel.carrier
+        if carrier is None:
+            return lambda v: 1
+        return lambda v: int(v in carrier)
+    if isinstance(rel, ProductRel):
+        parts = [_counter(c, forward) for c in rel.components]
+        if any(part is None for part in parts):
+            return None
+        arity = len(parts)
+
+        def count(v: Value) -> int:
+            if not isinstance(v, Tup) or len(v.items) != arity:
+                return 0
+            n = 1
+            for part, vi in zip(parts, v.items):
+                n *= part(vi)
+            return n
+
+        return count
+    return None
+
+
+_Counts = tuple[Callable[[Value], int], Callable[[Value], int]]
+
+
+def _counters(inner: Rel) -> Optional[_Counts]:
+    """The image and preimage counters of ``inner``, or ``None`` when
+    its counts cannot be read without enumerating."""
+    images = _counter(inner, True)
+    return None if images is None else (images, _counter(inner, False))
+
+
+def _images_cheaper(counts: Optional[_Counts], r1: CVSet, r2: CVSet) -> bool:
+    """True when the images of ``r1`` and preimages of ``r2`` are
+    countable and number at most ``|r1|*|r2|``, the ``holds`` calls of
+    :func:`_rel_condition`."""
+    if counts is None:
+        return False
+    count_images, count_preimages = counts
+    limit = len(r1) * len(r2)
+    total = sum(map(count_images, r1))
+    return total <= limit and total + sum(map(count_preimages, r2)) <= limit
+
+
+def _covers(inner: Rel, r1: CVSet, r2: CVSet) -> bool:
+    """Definition 2.5(1) from images: every ``x`` in ``r1`` has an image
+    in ``r2`` and every ``y`` in ``r2`` a preimage in ``r1``."""
+    left, right = r1.frozen(), r2.frozen()
+    return all(not right.isdisjoint(inner.images(x)) for x in left) and all(
+        not left.isdisjoint(inner.preimages(y)) for y in right
+    )
+
+
+def _rel_holds(
+    inner: Rel, counts: Optional[_Counts], r1: CVSet, r2: CVSet
+) -> bool:
+    """``{K}^rel(r1, r2)``: from images when that is cheaper, else
+    pairwise."""
+    if _images_cheaper(counts, r1, r2):
+        return _covers(inner, r1, r2)
+    return _rel_condition(inner, r1, r2)
+
+
 class SetRelExt(Rel):
     """``{K}^rel`` — the unrestricted-homomorphism set extension."""
 
@@ -171,11 +249,12 @@ class SetRelExt(Rel):
         self.inner = inner
         self.source = SetType(inner.source)
         self.target = SetType(inner.target)
+        self._counts = _counters(inner)
 
     def holds(self, x: Value, y: Value) -> bool:
         if not (isinstance(x, CVSet) and isinstance(y, CVSet)):
             return False
-        return _rel_condition(self.inner, x, y)
+        return _rel_holds(self.inner, self._counts, x, y)
 
     def images(self, x: Value, budget: Optional[Budget] = None) -> Iterator[Value]:
         """All ``R2`` with ``{K}^rel(x, R2)``.
@@ -240,44 +319,92 @@ class SetStrongExt(Rel):
     ``R2``.  Proposition 2.8(ii): on set types the strong extension is
     injective, i.e. each side determines the other — which is what makes
     images/preimages computable here.
+
+    The two maximality equalities already imply the cover of Def
+    2.5(1): ``maximal_image(R1) == R2`` gives every ``y`` in ``R2`` a
+    preimage in ``R1``, and ``maximal_preimage(R2) == R1`` every ``x``
+    in ``R1`` an image in ``R2``.  So when the inner counts are cheap
+    and the maximal sets are memoized or cost at most the pairwise
+    check, that check is skipped.  Maximal sets are memoized per
+    ``(set, budget)`` on the instance; a budget is part of the key so
+    that the memo never changes which calls raise :class:`Unenumerable`.
     """
 
     def __init__(self, inner: Rel) -> None:
         self.inner = inner
         self.source = SetType(inner.source)
         self.target = SetType(inner.target)
+        self._counts = _counters(inner)
+        self._image_memo: dict[tuple[CVSet, Optional[Budget]], CVSet] = {}
+        self._preimage_memo: dict[tuple[CVSet, Optional[Budget]], CVSet] = {}
 
-    def _maximal_left(self, r2: CVSet, budget: Optional[Budget]) -> CVSet:
-        out: set = set()
-        for y in r2:
-            out.update(self.inner.preimages(y, budget))
-        return CVSet(out)
+    def maximal_image(self, r1: CVSet, budget: Optional[Budget] = None) -> CVSet:
+        """Every image of an element of ``r1``: the only ``R2`` that can
+        be maximal w.r.t. ``r1``."""
+        key = (r1, budget)
+        out = self._image_memo.get(key)
+        if out is None:
+            found: set = set()
+            for x in r1:
+                found.update(self.inner.images(x, budget))
+            out = self._image_memo[key] = CVSet(found)
+        return out
 
-    def _maximal_right(self, r1: CVSet, budget: Optional[Budget]) -> CVSet:
-        out: set = set()
-        for x in r1:
-            out.update(self.inner.images(x, budget))
-        return CVSet(out)
+    def maximal_preimage(self, r2: CVSet, budget: Optional[Budget] = None) -> CVSet:
+        """Every preimage of an element of ``r2``: the only ``R1`` that
+        can be maximal w.r.t. ``r2``."""
+        key = (r2, budget)
+        out = self._preimage_memo.get(key)
+        if out is None:
+            found: set = set()
+            for y in r2:
+                found.update(self.inner.preimages(y, budget))
+            out = self._preimage_memo[key] = CVSet(found)
+        return out
+
+    def _maximality_decides(
+        self, x: CVSet, y: CVSet, budget: Optional[Budget]
+    ) -> bool:
+        """True when the maximality equalities alone may decide
+        ``holds(x, y)``: the inner counts are cheap, and both maximal
+        sets are memoized or cost at most the pairwise cover check."""
+        if self._counts is None:
+            return False
+        if (x, budget) in self._image_memo and (y, budget) in self._preimage_memo:
+            return True
+        return _images_cheaper(self._counts, x, y)
 
     def holds(self, x: Value, y: Value, budget: Optional[Budget] = None) -> bool:
         if not (isinstance(x, CVSet) and isinstance(y, CVSet)):
             return False
-        if not _rel_condition(self.inner, x, y):
-            return False
-        return self._maximal_left(y, budget) == x and self._maximal_right(x, budget) == y
+        if not self._maximality_decides(x, y, budget):
+            if not _rel_condition(self.inner, x, y):
+                return False
+        return (
+            self.maximal_preimage(y, budget) == x
+            and self.maximal_image(x, budget) == y
+        )
 
     def images(self, x: Value, budget: Optional[Budget] = None) -> Iterator[Value]:
         if not isinstance(x, CVSet):
             return
-        candidate = self._maximal_right(x, budget)
-        if self.holds(x, candidate, budget):
+        candidate = self.maximal_image(x, budget)
+        if self._counts is not None:
+            related = self.maximal_preimage(candidate, budget) == x
+        else:
+            related = self.holds(x, candidate, budget)
+        if related:
             yield candidate
 
     def preimages(self, y: Value, budget: Optional[Budget] = None) -> Iterator[Value]:
         if not isinstance(y, CVSet):
             return
-        candidate = self._maximal_left(y, budget)
-        if self.holds(candidate, y, budget):
+        candidate = self.maximal_preimage(y, budget)
+        if self._counts is not None:
+            related = self.maximal_image(candidate, budget) == y
+        else:
+            related = self.holds(candidate, y, budget)
+        if related:
             yield candidate
 
     def pairs(self, budget: Optional[Budget] = None) -> Iterator[tuple[Value, Value]]:
@@ -306,11 +433,14 @@ class BagRelExt(Rel):
         self.inner = inner
         self.source = BagType(inner.source)
         self.target = BagType(inner.target)
+        self._counts = _counters(inner)
 
     def holds(self, x: Value, y: Value) -> bool:
         if not (isinstance(x, CVBag) and isinstance(y, CVBag)):
             return False
-        return _rel_condition(self.inner, CVSet(x.support()), CVSet(y.support()))
+        return _rel_holds(
+            self.inner, self._counts, CVSet(x.support()), CVSet(y.support())
+        )
 
 
 class BagStrongExt(Rel):
@@ -322,12 +452,14 @@ class BagStrongExt(Rel):
         self.inner = inner
         self.source = BagType(inner.source)
         self.target = BagType(inner.target)
+        self._supports = SetStrongExt(inner)
 
     def holds(self, x: Value, y: Value, budget: Optional[Budget] = None) -> bool:
         if not (isinstance(x, CVBag) and isinstance(y, CVBag)):
             return False
-        strong = SetStrongExt(self.inner)
-        if not strong.holds(CVSet(x.support()), CVSet(y.support()), budget):
+        if not self._supports.holds(
+            CVSet(x.support()), CVSet(y.support()), budget
+        ):
             return False
         return len(x) == len(y)
 

@@ -42,13 +42,15 @@ class Unenumerable(Exception):
     """Raised when a relation cannot be enumerated within the budget."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Budget:
     """Bounds for enumerating extension relations.
 
     ``max_list_len`` bounds list lengths, ``max_set_size`` set/bag
     cardinalities, and ``max_pairs`` the total number of pairs any
-    single enumeration may produce.
+    single enumeration may produce.  Frozen, so that a budget can key
+    the maximal-set memo of
+    :class:`~repro.mappings.extensions.SetStrongExt`.
     """
 
     max_list_len: int = 3

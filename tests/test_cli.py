@@ -1,7 +1,29 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
 
 from repro.cli import OPERATION_CATALOG, build_parser, main
+from repro.experiments.registry import EXPERIMENTS
+
+EXPERIMENTS_MD = Path(__file__).resolve().parents[1] / "EXPERIMENTS.md"
+
+
+def text_blocks(markdown: str) -> dict[str, list[str]]:
+    """The ```` ```text ```` blocks of a writeup, in order, keyed by the
+    ``##`` section they appear in: an experiment id, or ``Figures``."""
+    blocks: dict[str, list[str]] = {}
+    section = ""
+    lines = markdown.splitlines()
+    i = 0
+    while i < len(lines):
+        if lines[i].startswith("## "):
+            section = lines[i][3:].partition(" — ")[0]
+        elif lines[i] == "```text":
+            end = lines.index("```", i + 1)
+            blocks.setdefault(section, []).append("\n".join(lines[i + 1:end]))
+            i = end
+        i += 1
+    return blocks
 
 
 class TestList:
@@ -127,7 +149,15 @@ class TestWriteup:
         assert main(["writeup", str(target)]) == 0
         text = target.read_text()
         assert "paper vs. measured" in text
-        assert "E-2.2" in text
+        assert "32/32 claims reproduce" in text
+        # Every table and figure is byte-identical to the checked-in
+        # record; only timings may differ between runs.
+        expected = text_blocks(EXPERIMENTS_MD.read_text())
+        measured = text_blocks(text)
+        assert set(expected) == set(EXPERIMENTS) | {"Figures"}
+        assert set(measured) == set(expected)
+        for section, blocks in expected.items():
+            assert measured[section] == blocks, section
 
 
 class TestParser:
