@@ -23,7 +23,7 @@ from repro.mappings.generators import (
     random_mapping_in_class,
     random_relation_value,
 )
-from repro.engine.exec import execute_streaming
+from repro.engine.exec import execute_compiled
 from repro.engine.workload import random_database, random_plan
 from repro.optimizer.plan import (
     Difference,
@@ -141,13 +141,14 @@ def test_plan_execution_scaling(benchmark, size):
 
 
 @pytest.mark.parametrize("size", [100, 400, 1600])
-def test_streaming_executor_scaling(benchmark, size):
-    """Streaming executor (cold, uncached) on the HR workload."""
+def test_compiled_executor_scaling(benchmark, size):
+    """Compiled executor (cold, uncached, no artifact memo) on the HR
+    workload: every call lowers the plan afresh."""
     db = hr_database(random.Random(4), employees=size, students=size // 2,
                      overlap=size // 4)
     plan = Project((0,), Difference(Scan("employees"), Scan("students")))
     result = benchmark(
-        lambda: execute_streaming(plan, db.relations)
+        lambda: execute_compiled(plan, db.relations)
     )
     reference = execute_reference(plan, db.relations)
     assert result.value == reference.value
@@ -172,7 +173,7 @@ def test_hash_join_build_probe(benchmark, size):
     db = random_database(rng, ("a", "b"), arity=2, domain_size=size // 4,
                          max_rows=size)
     plan = Join(((0, 0), (1, 1)), Scan("a"), Scan("b"))
-    result = benchmark(lambda: execute_streaming(plan, db))
+    result = benchmark(lambda: execute_compiled(plan, db))
     assert result.value == execute_reference(plan, db).value
 
 
@@ -192,7 +193,7 @@ def test_random_plan_equivalence_throughput(benchmark):
     def check():
         for plan, db in pairs:
             assert (
-                execute_streaming(plan, db).value
+                execute_compiled(plan, db).value
                 == execute_reference(plan, db).value
             )
 

@@ -7,7 +7,7 @@ in-repo use:
 
     PYTHONPATH=src python benchmarks/run_bench.py [--skip-eperf] [--quick]
 
-Writes ``BENCH_PR7.json`` by default; see ``repro.bench --help`` for
+Writes ``BENCH_PR13.json`` by default; see ``repro.bench --help`` for
 the full option list and ``benchmarks/compare_bench.py`` for the
 regression gate over two such files.
 """

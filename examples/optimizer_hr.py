@@ -10,7 +10,7 @@ a social-security-style key — and shows:
 * the rewriter declining the same rewrite for a keyless relation, and
   the random-instance verifier catching the rewrite if forced;
 * measured work savings as data scales;
-* the streaming executor vs the reference interpreter, cold and with a
+* the compiled executor vs the reference interpreter, cold and with a
   warm result cache (docs/EXECUTION.md).
 
 Run with:  python examples/optimizer_hr.py
@@ -20,7 +20,7 @@ import random
 import statistics
 import time
 
-from repro.engine import execute_streaming, hr_database, random_database
+from repro.engine import hr_database, random_database
 from repro.optimizer import (
     Difference,
     Project,
@@ -86,7 +86,7 @@ def main() -> None:
         print("   contractors=", counterexample["contractors"])
 
     # How the plans actually run: the reference interpreter vs the
-    # streaming engine, cold and with Database.run's warm result cache.
+    # compiled engine, cold and with Database.run's warm result cache.
     def med(fn, repeats=5):
         samples = []
         for _ in range(repeats):
@@ -99,12 +99,14 @@ def main() -> None:
     print("executor wall-clock (median of 5), employees=200:")
     plan = plans["pi_ssn(employees - students)"]
     reference_s = med(lambda: execute_reference(plan, db.relations))
-    streaming_s = med(lambda: execute_streaming(plan, db.relations))
+    # Result-cache-cold; the compiled artifact is memoized after the
+    # first run.
+    compiled_s = med(lambda: db.run(plan, use_cache=False))
     db.run(plan)  # warm the result cache
     warm_s = med(lambda: db.run(plan))
     assert db.run(plan).value == execute_reference(plan, db.relations).value
     print(f"  reference interpreter : {reference_s * 1e6:8.1f} us")
-    print(f"  streaming (cold)      : {streaming_s * 1e6:8.1f} us")
+    print(f"  compiled (cold)       : {compiled_s * 1e6:8.1f} us")
     print(f"  Database.run (warm)   : {warm_s * 1e6:8.1f} us  "
           f"({reference_s / max(warm_s, 1e-9):.0f}x)")
 

@@ -2,13 +2,13 @@
 
 Importable as :mod:`repro.bench` (``python -m repro bench``) with
 ``benchmarks/run_bench.py`` kept as a thin path-setting shim.  Writes
-``BENCH_PR10.json`` at the repo root by default.
+``BENCH_PR13.json`` at the repo root by default.
 
 Measurements:
 
-* **plan execution** — reference interpreter vs streaming (cold) vs
-  batch (cold) vs compiled (cold, memoized program) vs cost-driven
-  ``auto`` vs warm result cache, on the HR workload at growing sizes;
+* **plan execution** — reference interpreter vs compiled (cold,
+  memoized program) vs ``Database.run``'s default path vs warm result
+  cache, on the HR workload at growing sizes;
 * **deep pipeline / hash join** — the same executors on a 6-operator
   pipeline and a multi-column join;
 * **cache hit ratio** — the invariance-style sweep access pattern;
@@ -21,9 +21,6 @@ Measurements:
   the rendered output;
 * **parallel fuzz** — differential fuzz seeds, serial vs sharded, with
   a report-identity check;
-* **sharded execution** — partition-parallel ``execute_sharded`` vs
-  serial streaming on a probe-heavy co-partitioned join, with the
-  merged value/work/ledger byte-compared against the serial run;
 * **durability** — the write-ahead-log tax and the recovery path:
   per-mutation insert latency with the WAL attached (append + commit
   + apply) vs plain in-memory inserts, on-demand checkpoint cost, and
@@ -54,12 +51,7 @@ import time
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .engine.exec import (
-    PlanCache,
-    execute_batch,
-    execute_compiled,
-    execute_streaming,
-)
+from .engine.exec import PlanCache, execute_compiled
 from .engine.fuzz import run_fuzz
 from .engine.workload import hr_database, random_database, random_plan
 from .optimizer.plan import (
@@ -111,8 +103,8 @@ def _time(fn, repeats: int = _REPEATS) -> float:
 
 
 def bench_plan_execution(sizes=(100, 400, 1600)) -> dict:
-    """HR workload: reference vs streaming/batch/compiled (cold) vs
-    cost-driven auto vs warm result cache.
+    """HR workload: reference vs compiled (cold) vs the default
+    ``Database.run`` path vs warm result cache.
 
     "Cold" means result-cache-cold throughout.  The compiled row times
     repeated cold execution — the artifact is memoized in the plan
@@ -127,30 +119,14 @@ def bench_plan_execution(sizes=(100, 400, 1600)) -> dict:
                                         Scan("students")))
         reference = execute_reference(plan, db.relations)
         reference_s = _time(lambda: execute_reference(plan, db.relations))
-        streaming_s = _time(
-            lambda: execute_streaming(plan, db.relations)
-        )
-        # Warm the maintained per-relation stats once (the Database
-        # keeps them incrementally across mutations; computing them is
-        # not part of a per-execution cold path).
-        batch = execute_batch(plan, db.relations,
-                              relation_stats=db.relation_stats)
-        assert batch.value == reference.value
-        batch_s = _time(
-            lambda: execute_batch(plan, db.relations,
-                                  relation_stats=db.relation_stats)
-        )
         compiled = db.run(plan, mode="compiled", use_cache=False)
         assert compiled.value == reference.value
         assert compiled.work == reference.work
         compiled_s = _time(
             lambda: db.run(plan, mode="compiled", use_cache=False)
         )
-        auto = db.run(plan, mode="auto", use_cache=False)
-        assert auto.value == reference.value
-        auto_s = _time(lambda: db.run(plan, mode="auto", use_cache=False))
-        # Disabled-injection robustness path: the same streaming cold
-        # run, routed through Database.run's degradation chain with no
+        # Disabled-injection robustness path: the default cold run,
+        # routed through Database.run's degradation chain with no
         # injector attached — what the fault hooks cost when off.
         chaos = db.run(plan, use_cache=False)
         assert chaos.value == reference.value
@@ -177,24 +153,18 @@ def bench_plan_execution(sizes=(100, 400, 1600)) -> dict:
             "size": size,
             "repeats": _REPEATS,
             "reference_s": reference_s,
-            "streaming_cold_s": streaming_s,
-            "batch_cold_s": batch_s,
             "compiled_cold_s": compiled_s,
-            "auto_s": auto_s,
             "chaos_overhead_s": chaos_s,
             "cached_warm_s": warm_s,
             "maintained_warm_s": maintained_warm_s,
-            "streaming_speedup": reference_s / max(streaming_s, 1e-9),
-            "batch_speedup": reference_s / max(batch_s, 1e-9),
             "compiled_speedup": reference_s / max(compiled_s, 1e-9),
-            "auto_speedup": reference_s / max(auto_s, 1e-9),
             "warm_speedup": reference_s / max(warm_s, 1e-9),
         })
     return {"name": "hr_plan_execution", "rows": rows}
 
 
 def bench_deep_pipeline(sizes=(400, 1600)) -> dict:
-    """A 6-operator pipeline: per-tuple frames vs operator-at-a-time."""
+    """A 6-operator pipeline: interpreter walk vs one compiled function."""
     rows = []
     for size in sizes:
         db = hr_database(random.Random(8), employees=size,
@@ -213,13 +183,6 @@ def bench_deep_pipeline(sizes=(400, 1600)) -> dict:
             ),
         )
         reference_s = _time(lambda: execute_reference(plan, db.relations))
-        streaming_s = _time(
-            lambda: execute_streaming(plan, db.relations)
-        )
-        batch_s = _time(
-            lambda: execute_batch(plan, db.relations,
-                                  relation_stats=db.relation_stats)
-        )
         store = PlanCache()
         execute_compiled(plan, db.relations, compile_store=store,
                          relation_stats=db.relation_stats)
@@ -232,11 +195,7 @@ def bench_deep_pipeline(sizes=(400, 1600)) -> dict:
             "size": size,
             "repeats": _REPEATS,
             "reference_s": reference_s,
-            "streaming_cold_s": streaming_s,
-            "batch_cold_s": batch_s,
             "compiled_cold_s": compiled_s,
-            "streaming_speedup": reference_s / max(streaming_s, 1e-9),
-            "batch_speedup": reference_s / max(batch_s, 1e-9),
             "compiled_speedup": reference_s / max(compiled_s, 1e-9),
         })
     return {"name": "deep_pipeline", "rows": rows}
@@ -251,8 +210,6 @@ def bench_hash_join(sizes=(200, 800, 2000)) -> dict:
                              domain_size=max(size // 4, 4), max_rows=size)
         plan = Join(((0, 0), (1, 1)), Scan("a"), Scan("b"))
         reference_s = _time(lambda: execute_reference(plan, db))
-        streaming_s = _time(lambda: execute_streaming(plan, db))
-        batch_s = _time(lambda: execute_batch(plan, db))
         store = PlanCache()
         execute_compiled(plan, db, compile_store=store)
         compiled_s = _time(
@@ -262,58 +219,10 @@ def bench_hash_join(sizes=(200, 800, 2000)) -> dict:
             "size": size,
             "repeats": _REPEATS,
             "reference_s": reference_s,
-            "streaming_s": streaming_s,
-            "batch_s": batch_s,
             "compiled_s": compiled_s,
-            "speedup": reference_s / max(streaming_s, 1e-9),
-            "batch_speedup": reference_s / max(batch_s, 1e-9),
             "compiled_speedup": reference_s / max(compiled_s, 1e-9),
         })
     return {"name": "hash_join_build_probe", "rows": rows}
-
-
-def bench_sharded_execution(sizes=(100, 400, 1600), shards: int = 4) -> dict:
-    """Partition-parallel ``execute_sharded`` vs serial streaming.
-
-    The workload is a probe-heavy multi-column join whose children
-    co-partition on the first join column, so every shard's hash join
-    probes only co-located rows and the probe work divides across the
-    pool.  Byte-identity of the merged (value, work, ledger) against
-    the serial streaming run is asserted in the harness at every size
-    — including ``shards=1`` (the degenerate single-shard path) — so
-    the speedup claim never outruns the correctness claim.  The fixed
-    cost of spinning up the process pool is charged to every sharded
-    sample; small sizes honestly lose to serial streaming, and the
-    recorded ``cpu_count`` says whether a win was possible at all."""
-    from .engine.exec import execute_sharded
-
-    rows_out = []
-    for size in sizes:
-        rng = random.Random(33)
-        db = random_database(rng, ("a", "b"), arity=3,
-                             domain_size=max(size // 130, 4), max_rows=size)
-        plan = Join(((0, 0), (1, 1)), Scan("a"), Scan("b"))
-        want = execute_streaming(plan, db)
-        for check_shards in (1, shards):
-            got = execute_sharded(plan, db, shards=check_shards)
-            assert got.value == want.value
-            assert got.work == want.work
-            assert got.per_node == want.per_node
-        streaming_s = _time(lambda: execute_streaming(plan, db))
-        sharded_s = _time(
-            lambda: execute_sharded(plan, db, shards=shards)
-        )
-        rows_out.append({
-            "size": size,
-            "shards": shards,
-            "cpu_count": os.cpu_count(),
-            "repeats": _REPEATS,
-            "streaming_cold_s": streaming_s,
-            "sharded_cold_s": sharded_s,
-            "sharded_speedup": streaming_s / max(sharded_s, 1e-9),
-            "byte_identical": True,  # asserted above, recorded here
-        })
-    return {"name": "sharded_execution", "rows": rows_out}
 
 
 def bench_durability(sizes=(100, 400, 1600)) -> dict:
@@ -522,11 +431,7 @@ def bench_equivalence_spotcheck(pairs: int = 50) -> dict:
                              max_rows=10)
         plan = random_plan(rng, ("r", "s", "t"), depth=3)
         assert (
-            execute_streaming(plan, db).value
-            == execute_reference(plan, db).value
-        )
-        assert (
-            execute_batch(plan, db).value
+            execute_compiled(plan, db).value
             == execute_reference(plan, db).value
         )
     return {
@@ -596,32 +501,31 @@ def bench_observability(size: int = 800) -> dict:
     """Tracer overhead + per-operator EXPLAIN breakdowns.
 
     Two claims, measured: the *disabled* path (``tracer=None``) is the
-    PR 3 code path — its cost shows up in every other suite, gated by
-    ``compare_bench.py`` — and the *enabled* path costs a bounded,
+    untraced code path — its cost shows up in every other suite, gated
+    by ``compare_bench.py`` — and the *enabled* path costs a bounded,
     reported overhead.  The per-operator breakdowns are cold uncached
-    runs of the HR plan in every executor mode, ``compiled`` and
-    cost-driven ``auto`` included (deterministic modulo wall time, so
-    the JSON doubles as an EXPLAIN fixture)."""
-    from .obs import Tracer, explain
+    runs of the HR plan in both executor modes (deterministic modulo
+    wall time, so the JSON doubles as an EXPLAIN fixture)."""
+    from .obs import MODES, Tracer, explain
 
     db = hr_database(random.Random(4), employees=size,
                      students=size // 2, overlap=size // 4)
     plan = Project((0,), Difference(Scan("employees"), Scan("students")))
-    untraced_s = _time(lambda: execute_streaming(plan, db.relations))
+    untraced_s = _time(lambda: db.run(plan, use_cache=False))
     traced_s = _time(
-        lambda: execute_streaming(plan, db.relations, tracer=Tracer())
+        lambda: db.run(plan, use_cache=False, tracer=Tracer())
     )
     breakdowns = {
         mode: explain(plan, db, mode=mode, use_cache=False).to_dict(
             wall=False
         )
-        for mode in ("reference", "stream", "batch", "compiled", "auto")
+        for mode in MODES
     }
     return {
         "name": "observability",
         "size": size,
-        "untraced_stream_s": untraced_s,
-        "traced_stream_s": traced_s,
+        "untraced_compiled_s": untraced_s,
+        "traced_compiled_s": traced_s,
         "tracer_overhead": traced_s / max(untraced_s, 1e-9),
         "per_operator": breakdowns,
     }
@@ -657,14 +561,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--jobs", type=int, default=0,
                         help="workers for the parallel suites "
                              "(0 = all cores)")
-    parser.add_argument("--out", default="BENCH_PR10.json")
+    parser.add_argument("--out", default="BENCH_PR13.json")
     args = parser.parse_args(argv)
     jobs = args.jobs if args.jobs > 0 else default_jobs()
 
     sizes = (100, 400) if args.quick else (100, 400, 1600)
     results = {
-        "pr": 10,
-        "title": "write-ahead-logged durability with crash recovery",
+        "pr": 13,
+        "title": "two executors: compiled and reference",
         "cpu_count": os.cpu_count(),
         "benchmarks": [],
     }
@@ -673,7 +577,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         lambda: bench_deep_pipeline(sizes[-2:]),
         lambda: bench_hash_join((200, 800) if args.quick
                                 else (200, 800, 2000)),
-        lambda: bench_sharded_execution(sizes),
         lambda: bench_durability(sizes),
         bench_cache_invariance_sweep,
         lambda: bench_interleave(sizes),
@@ -705,9 +608,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     inter = next(b for b in results["benchmarks"]
                  if b["name"] == "interleave_maintenance")
     inter_largest = inter["rows"][-1]
-    sharded = next(b for b in results["benchmarks"]
-                   if b["name"] == "sharded_execution")
-    sharded_largest = sharded["rows"][-1]
     durability = next(b for b in results["benchmarks"]
                       if b["name"] == "durability")
     durability_largest = durability["rows"][-1]
@@ -715,16 +615,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "tracer_overhead_when_enabled": obs["tracer_overhead"],
         "hr_largest_size": largest["size"],
         "hr_warm_speedup_vs_reference": largest["warm_speedup"],
-        "hr_streaming_cold_speedup_vs_reference":
-            largest["streaming_speedup"],
-        "hr_batch_cold_speedup_vs_reference": largest["batch_speedup"],
         "hr_compiled_cold_speedup_vs_reference":
             largest["compiled_speedup"],
-        "hr_auto_speedup_vs_reference": largest["auto_speedup"],
-        "auto_within_10pct_of_best": all(
-            row["auto_s"] <= 1.1 * min(
-                row["reference_s"], row["streaming_cold_s"],
-                row["batch_cold_s"], row["compiled_cold_s"],
+        # The default ``Database.run`` cold path against the faster of
+        # the two executors called directly.
+        "default_within_10pct_of_best": all(
+            row["chaos_overhead_s"] <= 1.1 * min(
+                row["reference_s"], row["compiled_cold_s"],
             )
             for row in hr_rows
         ),
@@ -736,16 +633,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             inter_largest["maintained_speedup"] >= 5.0,
         "interleave_byte_identical": all(
             row["byte_identical"] for row in inter["rows"]
-        ),
-        "sharded_largest_size": sharded_largest["size"],
-        "sharded_shards": sharded_largest["shards"],
-        # Hardware-dependent (see the suite's honest-numbers note): on
-        # a single-core host process sharding cannot beat serial and
-        # the recorded value says so; byte-identity is the claim.
-        "sharded_speedup_vs_streaming_cold":
-            sharded_largest["sharded_speedup"],
-        "sharded_byte_identical": all(
-            row["byte_identical"] for row in sharded["rows"]
         ),
         "durability_largest_size": durability_largest["size"],
         "durability_wal_insert_overhead_vs_plain":

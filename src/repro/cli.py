@@ -16,9 +16,8 @@
 
 ``explain`` runs a plan on the demo HR database under the tracer and
 prints an EXPLAIN ANALYZE-style per-operator tree (rows, work, cache
-activity, index/bulk shortcuts, wall time) for one executor mode
-(including ``compiled`` and cost-model-driven ``auto``) or all of them
-side by side; ``--json`` emits the same trees as JSON and
+activity, index shortcuts, wall time) for one executor mode
+(``compiled`` or ``reference``) or both side by side; ``--json`` emits the same trees as JSON and
 ``--warm N`` pre-runs the plan N times so cache hits show up.
 
 ``recover`` rebuilds a database from a write-ahead-logged durability
@@ -209,7 +208,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         db.run(plan)
     modes = MODES if args.mode == "all" else (args.mode,)
     reports = [
-        explain(plan, db, mode=mode, shards=args.shards) for mode in modes
+        explain(plan, db, mode=mode) for mode in modes
     ]
     if args.json:
         explains = [r.to_dict() for r in reports]
@@ -353,16 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explain_parser.add_argument(
         "--mode",
-        choices=(
-            "all", "reference", "stream", "batch", "compiled", "sharded",
-            "auto",
-        ),
+        choices=("all", "reference", "compiled"),
         default="all",
         help="executor mode, or 'all' for every mode (default)",
-    )
-    explain_parser.add_argument(
-        "--shards", type=int, default=None,
-        help="shard count for mode=sharded (default: executor default)",
     )
     explain_parser.add_argument("--size", type=int, default=60)
     explain_parser.add_argument("--seed", type=int, default=0)
@@ -382,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fuzz_parser = sub.add_parser(
         "fuzz",
-        help="differentially fuzz the streaming engine vs the reference",
+        help="differentially fuzz the compiled engine vs the reference",
     )
     fuzz_parser.add_argument("--seeds", type=int, default=50)
     fuzz_parser.add_argument("--base-seed", type=int, default=0)

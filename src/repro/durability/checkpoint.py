@@ -19,8 +19,7 @@ so the window is harmless by construction.
 ``generation`` pins the database's mutation counter.  Rebuilding a
 snapshot replays inserts (each bumping the counter), so without the
 recorded value a recovered database would disagree with the original
-on every generation-derived memo; :func:`load_checkpoint` restores it
-explicitly.
+on its generation; :func:`load_checkpoint` restores it explicitly.
 """
 
 from __future__ import annotations

@@ -12,8 +12,7 @@ Record format — one JSON object per line, sorted keys, no whitespace::
   records, ``"commit"`` for the marker that makes a data record
   durable (``payload = {"of": lsn}``);
 * ``gen`` — the database generation the mutation produces when
-  applied, so replay can verify it rebuilt the *exact* state
-  (generation-derived memos included);
+  applied, so replay can verify it rebuilt the *exact* state;
 * ``crc`` — ``zlib.crc32`` over the canonical JSON of the other four
   fields.  A record whose bytes changed after it was written — torn
   write, bit rot, truncation mid-line — fails the check and ends the

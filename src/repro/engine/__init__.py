@@ -5,7 +5,7 @@ from .exec import (
     CacheEntry,
     CacheInvariantError,
     PlanCache,
-    execute_streaming,
+    execute_compiled,
     plan_structural_hash,
     relation_fingerprint,
     result_cache_key,

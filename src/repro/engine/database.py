@@ -16,52 +16,44 @@ replacement via ``db[name] = ...``):
   keying the plan-result cache;
 * **atom sets** per relation, so :meth:`active_domain` is a union of
   cached frozensets instead of a full value walk;
-* a :class:`~repro.engine.exec.PlanCache` of plan results, invalidated
-  per relation on every mutation.
+* a :class:`~repro.engine.exec.PlanCache` of plan results, maintained
+  or invalidated per relation on every mutation.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
+from ..obs.trace import Span
 from ..optimizer.constraints import Catalog, RelationInfo
 from ..optimizer.plan import (
     ExecutionResult,
     Plan,
+    Scan,
     execute_reference,
     tuple_weight,
 )
 from ..types.signatures import Signature, standard_signature
 from ..types.values import CVSet, Tup, Value, atoms_of
 from .exec import (
-    MAX_PIPELINE_DEPTH,
-    NotPartitionable,
+    CacheEntry,
     PlanCache,
     execute_compiled,
-    execute_sharded,
-    execute_streaming,
-    plan_depth,
-    plan_partitioning,
+    node_label,
     relation_fingerprint,
+    semantic_cache_key,
 )
 
-__all__ = ["Database", "SchemaError", "MODE_CHAIN", "SHARDED_CHAIN"]
+__all__ = ["Database", "SchemaError", "MODE_CHAIN"]
 
 _EMPTY = CVSet()
 
 #: Degradation order for :meth:`Database.run`: on executor failure,
 #: fall back one step right.  The reference interpreter is the
-#: injection-free terminal fallback — it has no cache, no compiler and
-#: no fault hooks, so the chain always terminates with an answer (or
-#: re-raises if even the reference fails, which no injected fault can
-#: cause).
-MODE_CHAIN = ("compiled", "batch", "stream", "reference")
-
-#: Degradation order when entering at ``mode="sharded"``: a lost
-#: worker or partition failure drops straight to the single-process
-#: batch executor — recompiling or re-partitioning cannot recover a
-#: fault the shard layer already hit.
-SHARDED_CHAIN = ("sharded", "batch", "stream", "reference")
+#: injection-free terminal fallback — it has no compiler and no fault
+#: hooks, so the chain always terminates with an answer (or re-raises
+#: if even the reference fails, which no injected fault can cause).
+MODE_CHAIN = ("compiled", "reference")
 
 
 class SchemaError(Exception):
@@ -87,24 +79,14 @@ class Database:
         self._atoms: dict[str, frozenset] = {}
         self._weights: dict[str, int] = {}
         #: ``name -> uniform element len`` (or None when mixed/atoms);
-        #: lets the batch executor compute intermediate weights as
+        #: lets the compiled executor compute intermediate weights as
         #: ``count * width`` instead of per-tuple sums.
         self._widths: dict[str, Optional[int]] = {}
         #: ``name -> {column -> distinct count}`` for the cost model.
         self._distincts: dict[str, dict[int, int]] = {}
-        #: Backing value sets for ``_distincts`` (``name -> {column ->
-        #: set of values}``), maintained incrementally on insert so a
-        #: write updates distinct counts in O(batch) instead of
-        #: discarding them; dropped on wholesale replacement.
-        self._distinct_sets: dict[str, dict[int, set]] = {}
-        #: Bumped on every mutation; keys the stats/mode-decision memos
-        #: below, so a stale catalog can never drive a mode choice.
+        #: Bumped on every mutation; the write-ahead log records it and
+        #: recovery restores it.
         self._generation = 0
-        self._stats_memo: Optional[tuple[int, object]] = None
-        #: ``id(plan) -> (generation, plan, decision)``.  The strong
-        #: plan reference pins the id against reuse; bounded, cleared
-        #: wholesale when full.
-        self._mode_memo: dict[int, tuple[int, Plan, object]] = {}
         #: Optional :class:`~repro.robustness.faults.FaultInjector`;
         #: see the ``fault_injector`` property.
         self._fault_injector = None
@@ -142,8 +124,8 @@ class Database:
             # Seed the width cache with the declared arity: computing
             # the width of an empty relation yields ``None`` (no rows
             # to measure), and a cached ``None`` would defeat the
-            # batch/compiled executors' O(1) count*width accounting
-            # for the relation's whole life.
+            # compiled executor's O(1) count*width accounting for the
+            # relation's whole life.
             self._widths[name] = arity
         if self._durability is not None:
             self._durability.mutation_applied(self)
@@ -204,22 +186,8 @@ class Database:
             # widthless forever).  Otherwise a differing cached width
             # means the relation is genuinely mixed-width.
             self._widths[name] = info.arity if not current else None
-        sets = self._distinct_sets.get(name)
-        if sets is not None:
-            for t in new_rows:
-                try:
-                    items = tuple(t)
-                except TypeError:
-                    continue
-                for i, v in enumerate(items):
-                    sets.setdefault(i, set()).add(v)
-            self._distincts[name] = {
-                i: len(vals) for i, vals in sets.items()
-            }
-        else:
-            self._distincts.pop(name, None)
+        self._distincts.pop(name, None)
         self._generation += 1
-        self._refresh_stats_memo(name)
         # Semi-naive maintenance instead of wholesale invalidation:
         # maintainable cached entries absorb the delta and stay live;
         # the rest (and all compiled artifacts for this relation)
@@ -267,7 +235,7 @@ class Database:
 
         Created lazily, maintained incrementally by :meth:`insert`,
         dropped on wholesale replacement.  Shared by key validation and
-        by the streaming executor's join build sides.
+        by the compiled executor's join build sides.
         """
         cols = tuple(columns)
         if name not in self.relations:
@@ -323,17 +291,15 @@ class Database:
         return width
 
     def relation_stats(self, name: str) -> tuple[int, Optional[int]]:
-        """The batch executor's ``relation_stats`` hook: cached
+        """The compiled executor's ``relation_stats`` hook: cached
         ``(scan weight, uniform width)`` for one relation."""
         return (self.relation_weight(name), self.relation_width(name))
 
     def column_distincts(self, name: str) -> dict[int, int]:
         """Cached per-column distinct value counts of one relation
         (atom elements contribute nothing — they have no columns).
-
-        The first call walks the relation once; the backing value sets
-        are kept (``_distinct_sets``) so later inserts refresh the
-        counts in O(batch) instead of discarding them."""
+        Computed in one pass on first use and dropped whenever the
+        relation changes."""
         cached = self._distincts.get(name)
         if cached is None:
             columns: dict[int, set] = {}
@@ -345,98 +311,8 @@ class Database:
                 for i, v in enumerate(items):
                     columns.setdefault(i, set()).add(v)
             cached = {i: len(vals) for i, vals in columns.items()}
-            self._distinct_sets[name] = columns
             self._distincts[name] = cached
         return cached
-
-    def current_stats(self):
-        """A :class:`~repro.optimizer.cost.Stats` catalog reflecting the
-        live contents, memoized per mutation generation.
-
-        Inserts refresh the memo *incrementally* (see
-        :meth:`_refresh_stats_memo`): the full ``Stats.from_database``
-        pass runs at most once per wholesale replacement, not once per
-        write."""
-        memo = self._stats_memo
-        if memo is not None and memo[0] == self._generation:
-            return memo[1]
-        from ..optimizer.cost import Stats
-
-        stats = Stats.from_database(self)
-        self._stats_memo = (self._generation, stats)
-        return stats
-
-    def _refresh_stats_memo(self, name: str) -> None:
-        """Re-memoize :meth:`current_stats` after an insert into
-        ``name`` by updating that one relation's row count, width and
-        distincts in a shallow copy of the memoized catalog — O(1)
-        plus the (incrementally maintained) distincts lookup, instead
-        of a full ``Stats.from_database`` pass over every relation.
-
-        A cold memo stays cold: stats are only assembled when a
-        cost-based decision first asks for them."""
-        memo = self._stats_memo
-        if memo is None:
-            return
-        from ..optimizer.cost import Stats
-
-        old = memo[1]
-        rows = dict(old.rows)
-        widths = dict(old.widths)
-        distincts = dict(old.distincts)
-        relation = self.relations.get(name, _EMPTY)
-        rows[name] = len(relation)
-        width = self.relation_width(name)
-        if width is None:
-            width = max(
-                (len(t) for t in relation if hasattr(t, "__len__")),
-                default=1,
-            )
-        widths[name] = max(width, 1)
-        distincts[name] = self.column_distincts(name)
-        self._stats_memo = (
-            self._generation,
-            Stats(rows, widths, distincts),
-        )
-
-    def plan_mode(self, plan: Plan):
-        """The cost model's executor choice for ``plan`` (a
-        :class:`~repro.optimizer.cost.ModeDecision`), memoized per
-        (plan identity, mutation generation).
-
-        Plans deeper than ``MAX_PIPELINE_DEPTH`` never choose the
-        compiled path — its codegen is meant for pipelines, not
-        thousand-operator chains."""
-        entry = self._mode_memo.get(id(plan))
-        if (
-            entry is not None
-            and entry[0] == self._generation
-            and entry[1] is plan
-        ):
-            return entry[2]
-        from ..optimizer.cost import choose_mode
-
-        candidates = ("reference", "stream", "batch", "compiled")
-        if plan_depth(plan) > MAX_PIPELINE_DEPTH:
-            candidates = ("reference", "stream", "batch")
-        else:
-            try:
-                plan_partitioning(plan)
-            except NotPartitionable:
-                pass
-            else:
-                # Partition-parallel execution is only a candidate when
-                # the plan actually admits a ledger-preserving partition
-                # — its MODE_COST overhead keeps it out until estimated
-                # work dwarfs the process-pool spin-up.
-                candidates = candidates + ("sharded",)
-        decision = choose_mode(
-            plan, self.current_stats(), candidates=candidates
-        )
-        if len(self._mode_memo) >= 1024:
-            self._mode_memo.clear()
-        self._mode_memo[id(plan)] = (self._generation, plan, decision)
-        return decision
 
     def atoms_in(self, name: str) -> frozenset:
         """Cached atom set of one relation."""
@@ -454,7 +330,6 @@ class Database:
         self._weights.pop(name, None)
         self._widths.pop(name, None)
         self._distincts.pop(name, None)
-        self._distinct_sets.pop(name, None)
         self._eq_indexes.pop(name, None)
         self._generation += 1
         self.plan_cache.invalidate(name)
@@ -548,54 +423,24 @@ class Database:
 
         Rebuilding a snapshot replays inserts, each bumping the
         counter; recovery must land on the *original* database's
-        generation or every generation-derived memo would disagree.
-        The stats/mode memos are dropped — they were keyed by the
-        rebuild-time counter, and a recovered database recomputes them
-        from (identical) content on first use."""
+        generation, which the write-ahead log records with every
+        mutation."""
         self._generation = generation
-        self._stats_memo = None
-        self._mode_memo.clear()
 
-    def _run_mode(
-        self, plan: Plan, mode: str, use_cache: bool, tracer,
-        shards=None,
+    def _execute(
+        self, plan: Plan, mode: str, info: dict, tracer
     ) -> ExecutionResult:
-        """Dispatch one executor attempt (no fallback)."""
-        if mode == "sharded":
-            return execute_sharded(
-                plan,
-                self.relations,
-                shards=shards,
-                cache=self.plan_cache if use_cache else None,
-                key_index=self._join_index,
-                relation_stats=self.relation_stats,
-                tracer=tracer,
-                fault_injector=self._fault_injector,
-            )
+        """One executor attempt (no fallback, no result cache)."""
         if mode == "reference":
-            # The terminal fallback: no cache, no compiler, no fault
-            # hooks — an injected fault can never reach it.
+            # The terminal fallback: no compiler, no fault hooks — an
+            # injected fault can never reach it.
             return execute_reference(plan, self.relations, tracer=tracer)
-        if mode == "compiled":
-            # The artifact memo is a *program* cache, not a result
-            # cache: it stays on even when ``use_cache=False`` asks for
-            # result-cold execution.
-            return execute_compiled(
-                plan,
-                self.relations,
-                cache=self.plan_cache if use_cache else None,
-                compile_store=self.plan_cache,
-                key_index=self._join_index,
-                relation_stats=self.relation_stats,
-                tracer=tracer,
-                fault_injector=self._fault_injector,
-            )
-        return execute_streaming(
+        return execute_compiled(
             plan,
             self.relations,
-            cache=self.plan_cache if use_cache else None,
+            compile_store=self.plan_cache,
+            info=info,
             key_index=self._join_index,
-            mode=mode,
             relation_stats=self.relation_stats,
             tracer=tracer,
             fault_injector=self._fault_injector,
@@ -606,38 +451,32 @@ class Database:
         plan: Plan,
         *,
         use_cache: bool = True,
-        mode: str = "stream",
+        mode: str = "compiled",
         tracer=None,
-        shards=None,
     ) -> ExecutionResult:
         """Execute a plan (cached by default).
 
-        Every mode returns the identical value/work/ledger.
-        ``mode="batch"`` uses the operator-at-a-time batch executor —
-        fastest one-shot cold path; ``mode="compiled"`` lowers the plan
-        to a specialized function memoized in the plan cache's artifact
-        table — fastest repeated cold path; ``mode="reference"`` runs
-        the tuple-at-a-time interpreter.  ``mode="sharded"`` hash-
-        partitions the base relations per the plan's equality keys and
-        evaluates shard-by-shard on a process pool (``shards=N``; see
-        :mod:`repro.engine.exec.shard`), merging a result byte-identical
-        to streaming; non-partitionable plans run single-shard.
-        ``mode="auto"`` derives a
-        cost catalog from the live contents (:meth:`current_stats`),
-        scores every candidate executor (:func:`~repro.optimizer.cost.
-        choose_mode`) and runs the cheapest; the decision is memoized
-        per (plan, mutation generation) and surfaced on the root span's
-        ``meta`` when tracing.  See docs/EXECUTION.md.
+        ``mode="compiled"`` (the default) lowers the plan to a
+        specialized function memoized in the plan cache's artifact
+        table; plans deeper than
+        :data:`~repro.engine.exec.MAX_PIPELINE_DEPTH` run on the
+        reference interpreter instead.  ``mode="reference"`` runs the
+        tuple-at-a-time interpreter.  Both return the identical
+        value/work/ledger.  See docs/EXECUTION.md.
 
-        **Graceful degradation**: if an executor fails mid-query (an
+        The result cache wraps whichever executor runs: a hit returns
+        the stored answer without executing, and a miss stores the
+        root result with its plan, so :meth:`insert` can maintain the
+        entry in place.  ``use_cache=False`` bypasses the result cache
+        (compiled artifacts are still memoized).  Bare scans are never
+        cached.
+
+        **Graceful degradation**: if the compiled executor fails (an
         injected fault, a compile error, any unexpected exception), the
-        engine falls back down :data:`MODE_CHAIN` — compiled → batch →
-        stream → reference — starting from the requested mode
-        (``mode="sharded"`` enters at :data:`SHARDED_CHAIN`: sharded →
-        batch → stream → reference), and
-        re-runs on the next-simpler executor.  Executor parity
-        guarantees the fallback answer is the answer (identical value,
-        work, ledger).  Every degradation event bumps the
+        engine falls back down :data:`MODE_CHAIN` — compiled →
+        reference — and re-runs on the reference interpreter.  Executor
+        parity guarantees the fallback answer is the answer (identical
+        value, work, ledger).  Every degradation event bumps the
         ``robustness.degraded`` metrics counters and is annotated on
         the root span's ``meta["degraded"]`` so EXPLAIN/tracing show
         why a mode was not used; see docs/ROBUSTNESS.md.  The reference
@@ -646,26 +485,31 @@ class Database:
 
         ``tracer`` (a :class:`~repro.obs.trace.Tracer`) records a span
         tree for the execution; see docs/OBSERVABILITY.md."""
-        decision = None
-        if mode == "auto":
-            decision = self.plan_mode(plan)
-            mode = decision.mode
-        if mode == "sharded":
-            chain: tuple = SHARDED_CHAIN
-        elif mode in MODE_CHAIN:
-            chain = MODE_CHAIN[MODE_CHAIN.index(mode):]
-        else:
+        if mode not in MODE_CHAIN:
             raise ValueError(
-                f"mode must be 'auto', 'reference', 'stream', 'batch', "
-                f"'compiled' or 'sharded', got {mode!r}"
+                f"mode must be 'compiled' or 'reference', got {mode!r}"
             )
+        info = self.plan_cache.annotate(plan)
+        key = None
+        if use_cache and not isinstance(plan, Scan):
+            token, relations = info[id(plan)]
+            key = semantic_cache_key(token, relations, self.relations)
+            entry = self.plan_cache.get(key)
+            if entry is not None:
+                if tracer is not None:
+                    span = Span(node_label(plan))
+                    span.rows = len(entry.value)
+                    span.work = entry.work
+                    span.cache = "hit"
+                    tracer.record(span)
+                return ExecutionResult(
+                    entry.value, entry.work, list(entry.entries)
+                )
+        chain = MODE_CHAIN[MODE_CHAIN.index(mode):]
         degraded: list[dict] = []
-        result: Optional[ExecutionResult] = None
         for step, attempt in enumerate(chain):
             try:
-                result = self._run_mode(
-                    plan, attempt, use_cache, tracer, shards
-                )
+                result = self._execute(plan, attempt, info, tracer)
                 break
             except Exception as exc:
                 if step == len(chain) - 1:
@@ -681,15 +525,21 @@ class Database:
                         "error": f"{type(exc).__name__}: {exc}",
                     }
                 )
-        meta: dict = {}
-        if decision is not None:
-            meta["auto"] = decision.to_dict()
-        if degraded:
-            meta["degraded"] = degraded
-        if meta and tracer is not None and tracer.last is not None:
+        if key is not None:
+            self.plan_cache.put(
+                key,
+                CacheEntry(
+                    result.value,
+                    result.work,
+                    tuple(result.per_node),
+                    relations,
+                ),
+                plan=plan,
+            )
+        if degraded and tracer is not None and tracer.last is not None:
             # Merge, never clobber: the executor may have attached its
             # own meta to the root span already.
-            tracer.last.merge_meta(meta)
+            tracer.last.merge_meta({"degraded": degraded})
         return result
 
     def run_reference(self, plan: Plan, *, tracer=None) -> ExecutionResult:

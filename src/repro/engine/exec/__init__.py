@@ -1,15 +1,21 @@
-"""Physical execution layer: pipelined operators, hash joins, CSE and a
+"""Physical execution layer: the plan compiler, delta maintenance and a
 semantically-keyed result cache.
 
-See ``docs/EXECUTION.md`` for the operator set, the cache keying and
-invalidation rules (including the callable registry that enforces the
-predicate-name invariant), deep-plan safety, and how work accounting
-maps onto the Section 4.4 cost model.
+See ``docs/EXECUTION.md`` for the two executors (compiled and
+reference), the cache keying and invalidation rules (including the
+callable registry that enforces the predicate-name invariant), the
+depth rule, and how work accounting maps onto the Section 4.4 cost
+model.
 """
 
-from .batch import execute_batch
 from .cache import CacheEntry, CacheInvariantError, PlanCache, entry_seal
-from .compile import CompiledPlan, compile_plan, execute_compiled, plan_depth
+from .compile import (
+    MAX_PIPELINE_DEPTH,
+    CompiledPlan,
+    compile_plan,
+    execute_compiled,
+    plan_depth,
+)
 from .delta import (
     DeltaError,
     MaintainabilityReport,
@@ -17,7 +23,6 @@ from .delta import (
     analyze_plan as analyze_maintainability,
     classify as classify_maintainability,
 )
-from .executor import MAX_PIPELINE_DEPTH, execute_streaming, subtree_counts
 from .fingerprint import (
     annotate_plan,
     callable_identity,
@@ -26,8 +31,7 @@ from .fingerprint import (
     result_cache_key,
     semantic_cache_key,
 )
-from .operators import Frame, collect_frame, node_label
-from .shard import NotPartitionable, execute_sharded, plan_partitioning
+from .operators import node_label
 
 __all__ = [
     "CacheEntry",
@@ -37,22 +41,14 @@ __all__ = [
     "MAX_PIPELINE_DEPTH",
     "CompiledPlan",
     "compile_plan",
-    "execute_batch",
     "execute_compiled",
-    "execute_streaming",
-    "NotPartitionable",
-    "execute_sharded",
-    "plan_partitioning",
     "plan_depth",
-    "subtree_counts",
     "annotate_plan",
     "callable_identity",
     "plan_structural_hash",
     "relation_fingerprint",
     "result_cache_key",
     "semantic_cache_key",
-    "Frame",
-    "collect_frame",
     "node_label",
     "DeltaError",
     "MaintainabilityReport",

@@ -19,10 +19,10 @@ invariant" (a name identifies its semantics).  Two policies:
   raises :class:`CacheInvariantError`, for callers that want the old
   invariant actually checked.
 
-Cached entries store the answer **and** the work ledger the streaming
-executor would have produced, so a cache hit reports costs as if the
-plan had run: the Section 4.4 cost model (``optimizer/cost.py``, the
-E-OPT experiments) keeps its meaning regardless of cache state.
+Cached entries store the answer **and** the work ledger the executors
+produced, so a cache hit reports costs as if the plan had run: the
+Section 4.4 cost model (``optimizer/cost.py``, the E-OPT experiments)
+keeps its meaning regardless of cache state.
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
-"""Plan-to-closure compilation: the specialized cold path.
+"""Plan-to-closure compilation: the engine's fast path.
 
-The reference interpreter and both physical executors share one cost:
-they *walk the plan tree at execution time*, dispatching per operator
-(and, for the streaming engine, resuming a generator frame per tuple).
+The reference interpreter walks the plan tree at execution time,
+dispatching per operator and materializing a ``CVSet`` at every node.
 The paper's Section 4.4 reading is that genericity metadata makes a
 plan's behaviour uniform across instantiations, so nothing about the
 walk depends on the data — which means the walk can happen **once**,
@@ -10,8 +9,8 @@ ahead of time.  This module lowers an annotated physical plan into a
 single specialized Python function:
 
 * every operator becomes a straight-line comprehension (or a hash-probe
-  loop) in one generated code object — no per-node dispatch, no
-  interpreter stack, no generator pipeline;
+  loop) in one generated code object — no per-node dispatch and no
+  interpreter stack;
 * ``Scan`` binds directly to the relation's underlying ``frozenset``
   (bound as a default argument of the generated function, so reads are
   local loads), and set operations compile to C-level ``|``/``-``/``&``;
@@ -19,28 +18,30 @@ single specialized Python function:
   is constructed at *compile* time when the build side is a bare scan
   (or borrowed from the database's maintained secondary index via the
   ``key_index`` hook), so per-execution cost is probe-only;
-* weight/ledger accounting is hoisted out of the per-tuple loop using
-  the same ``relation_stats`` width-propagation rules as
-  :mod:`repro.engine.exec.batch`: scan weights are compile-time
-  constants, and intermediate weights are ``len(v) * width`` arithmetic
-  whenever the width is statically known;
+* weight/ledger accounting is hoisted out of the per-tuple loop: scan
+  weights are bound constants (from the ``relation_stats`` hook when
+  given), and intermediate weights are ``len(v) * width`` arithmetic
+  whenever the tuple width is statically known;
 * repeated subtrees (CSE) execute once; later occurrences replay their
   ledger segment with a constant-index ``_L.extend(_L[s:e])`` — every
   ledger position is known at compile time.
 
-The contract is unchanged from the other executors: identical ``CVSet``
-answer, identical total work, identical per-node postorder ledger as
+The contract: identical ``CVSet`` answer, identical total work,
+identical per-node postorder ledger as
 :func:`repro.optimizer.plan.execute_reference`, for every plan over
-every database, in every cache state.  Compiled artifacts are memoized
-in the :class:`~repro.engine.exec.cache.PlanCache` under the existing
+every database.  Compiled artifacts are memoized in a
+:class:`~repro.engine.exec.cache.PlanCache` side table under the
 semantic keys (token + base-relation fingerprints, so callable aliasing
 keys apart exactly like results do) and are invalidated per relation —
 a mutated relation both changes the fingerprint (stale artifacts become
-unreachable) and drops the artifact (space stays bounded).
+unreachable) and drops the artifact (space stays bounded).  The
+generated source binds all data as default arguments, so recompiling
+a plan after an insert reuses its code object (:func:`_code_for`).
+Results are not cached here: :meth:`~repro.engine.database.Database.run`
+owns the result cache, around whichever executor runs.
 
-Plans deeper than :data:`~repro.engine.exec.executor.MAX_PIPELINE_DEPTH`
-fall back to the streaming engine rather than generating pathological
-source; the fallback preserves the full contract.
+Plans deeper than :data:`MAX_PIPELINE_DEPTH` run on the reference
+interpreter instead; the fallback preserves the full contract.
 
 One deliberate asymmetry with the reference: projection reads tuple
 components as ``t.items[i]`` instead of ``t.project(...)``.  On every
@@ -52,6 +53,7 @@ the *exception type* raised (``TypeError`` here), never in a value.
 
 from __future__ import annotations
 
+import functools
 import time
 from collections import Counter
 from typing import Mapping as TMapping, Optional
@@ -69,17 +71,31 @@ from ...optimizer.plan import (
     Scan,
     Select,
     Union,
+    execute_reference,
     tuple_weight,
 )
 from ...types.values import CVSet, Tup
-from .cache import CacheEntry, PlanCache
-from .executor import MAX_PIPELINE_DEPTH
+from .cache import PlanCache
 from .fingerprint import annotate_plan, semantic_cache_key
 from .operators import node_label
 
-__all__ = ["CompiledPlan", "compile_plan", "execute_compiled", "plan_depth"]
+__all__ = [
+    "CompiledPlan",
+    "MAX_PIPELINE_DEPTH",
+    "compile_plan",
+    "execute_compiled",
+    "plan_depth",
+]
 
 _EMPTY = CVSet()
+
+#: Deepest plan :func:`execute_compiled` lowers; deeper plans run on
+#: the reference interpreter.  Each operator emits a few lines into
+#: one generated function, so the generated source grows with the
+#: plan, and compiling thousand-operator sources costs more than the
+#: interpreter it replaces.  128 covers every plan the rewriter and
+#: the workloads produce short of the deliberate deep chains.
+MAX_PIPELINE_DEPTH = 128
 
 _TUP_NEW = Tup.__new__
 _SET = object.__setattr__
@@ -114,29 +130,20 @@ def plan_depth(plan: Plan) -> int:
 class CompiledPlan:
     """A plan lowered to one specialized function.
 
-    ``run()`` returns ``(root_values, ledger, cse_values)`` where
-    ``root_values`` is an iterable of distinct result rows, ``ledger``
-    is the reference-identical per-node log, and ``cse_values`` holds
-    the materialized value of every shared (CSE) subtree, aligned with
-    :attr:`cse`.
+    ``run()`` returns ``(root_values, ledger)`` where ``root_values``
+    is an iterable of distinct result rows and ``ledger`` is the
+    reference-identical per-node log.
     """
 
-    __slots__ = ("run", "source", "relations", "cse", "span_program")
+    __slots__ = ("run", "relations", "span_program")
 
-    def __init__(self, run, source, relations, cse, span_program) -> None:
+    def __init__(self, run, relations, span_program) -> None:
         self.run = run
-        self.source = source
         self.relations = relations
-        #: ``(token, relations, ledger_start, ledger_end)`` per shared
-        #: subtree, in the postorder the executors populate caches in.
-        self.cse = cse
         self.span_program = span_program
 
     def __repr__(self) -> str:
-        return (
-            f"CompiledPlan(relations={sorted(self.relations)}, "
-            f"cse={len(self.cse)})"
-        )
+        return f"CompiledPlan(relations={sorted(self.relations)})"
 
 
 _VISIT, _COMBINE = 0, 1
@@ -147,13 +154,14 @@ _SET_OP_SYMBOL = {Union: "|", Difference: "-", Intersect: "&"}
 class _Res:
     """Compile-time state of one emitted (sub)result variable."""
 
-    __slots__ = ("var", "width", "weight", "wvar", "rows")
+    __slots__ = ("var", "width", "wvar", "rows")
 
-    def __init__(self, var, width, weight=None, rows=None) -> None:
+    def __init__(self, var, width, rows=None) -> None:
         self.var = var
         self.width = width
-        self.weight = weight  # compile-time constant, when known
-        self.wvar = None  # runtime weight variable, emitted on demand
+        #: Name of the weight: a bound constant for scans, otherwise a
+        #: runtime variable emitted on demand.
+        self.wvar = None
         self.rows = rows  # known only for scans
 
 
@@ -209,8 +217,6 @@ def compile_plan(
     def weight_expr(res: _Res) -> str:
         """An expression for ``res``'s total tuple weight, hoisting the
         per-tuple sum into O(1) arithmetic when the width is known."""
-        if res.weight is not None:
-            return str(res.weight)
         if res.wvar is None:
             res.wvar = fresh("_w")
             if res.width is not None:
@@ -253,15 +259,14 @@ def compile_plan(
                 elif n != width:
                     width = None
                 weight += max(n, 1) if n is not None else 1
-        res = _Res(const("_s", values), width, weight, rows=len(values))
+        res = _Res(const("_s", values), width, rows=len(values))
+        res.wvar = const("_n", weight)
         scan_res[node.relation] = res
         return res
 
     pos = 0  # next ledger index — every append below is compile-time static
     # token -> (res, ledger segment) for emitted subtrees (CSE replay).
     done: dict[int, tuple[_Res, int, int]] = {}
-    cse_meta: list[tuple[int, frozenset, int, int]] = []
-    cse_vars: list[str] = []
     out: list[tuple[_Res, tuple]] = []  # (result, span template)
     stack: list[tuple] = [(_VISIT, plan, None, None)]
 
@@ -402,16 +407,10 @@ def compile_plan(
             raise TypeError(f"unknown plan node: {node!r}")
 
         done[token] = (res, seg_start, pos)
-        if shared:
-            cse_meta.append((token, info[id(node)][1], seg_start, pos))
-            cse_vars.append(res.var)
         out.append((res, template))
 
     root_res, root_template = out.pop()
-    cse_tuple = (
-        "(" + ", ".join(cse_vars) + ("," if cse_vars else "") + ")"
-    )
-    emit(f"return {root_res.var}, _L, {cse_tuple}")
+    emit(f"return {root_res.var}, _L")
 
     params = ", ".join(f"{name}={name}" for name in consts)
     body = "\n".join("    " + line for line in lines)
@@ -422,14 +421,23 @@ def compile_plan(
         f"{body}\n"
     )
     namespace = dict(consts)
-    exec(compile(source, "<plan-compile>", "exec"), namespace)
+    exec(_code_for(source), namespace)
     return CompiledPlan(
         namespace["_run"],
-        source,
         info[id(plan)][1],
-        tuple(cse_meta),
         root_template,
     )
+
+
+@functools.lru_cache(maxsize=64)
+def _code_for(source: str):
+    """The code object of one generated source.  Sources carry no data
+    (relation contents, weights and indexes are bound as default
+    arguments), so a plan recompiled after an insert dropped its
+    artifact reuses the code and only rebinds the data.  64 entries
+    cover a hot set of plans re-run between writes; live artifacts
+    share their code with this memo, so it adds little memory."""
+    return compile(source, "<plan-compile>", "exec")
 
 
 def _emit_join(
@@ -440,7 +448,7 @@ def _emit_join(
 
     Work parity with the reference's first-column probe count: one unit
     per candidate pair sharing the first join column, plus both input
-    weights — exactly :func:`repro.engine.exec.batch._batch_join`.
+    weights.
     """
     on = node.on
 
@@ -450,6 +458,7 @@ def _emit_join(
         (left, left_span) = inputs[0]
         wl = weight_expr(left)
         index, right_w = prebuilt
+        right_w = const("_n", right_w)
         emit(f"_a(({str(node.right)!r}, 0))")
         right_idx = pos
         pos += 1
@@ -491,7 +500,7 @@ def _emit_join(
             try:
                 rows = [tuple(b) for b in consts[right.var]]
                 rows_expr = const("_r", rows)
-                rows_len = str(len(rows))
+                rows_len = const("_n", len(rows))
             except Exception:
                 rows_expr = None
         if rows_expr is None:
@@ -633,8 +642,8 @@ def execute_compiled(
     plan: Plan,
     db: TMapping[str, CVSet],
     *,
-    cache: Optional[PlanCache] = None,
     compile_store: Optional[PlanCache] = None,
+    info: Optional[dict] = None,
     key_index=None,
     relation_stats=None,
     tracer: Optional[Tracer] = None,
@@ -645,67 +654,32 @@ def execute_compiled(
     Returns an :class:`ExecutionResult` identical (value, work,
     per-node ledger) to :func:`repro.optimizer.plan.execute_reference`.
 
-    ``cache`` is the result cache: consulted at the root before
-    running, populated with the root and every CSE subtree after —
-    entries interoperate with the streaming/batch executors.
-    ``compile_store`` holds memoized :class:`CompiledPlan` artifacts
-    (defaults to ``cache``); artifacts live in the cache's side table,
-    keyed semantically and invalidated per relation, so disabling the
-    *result* cache does not force recompilation.  Plans deeper than
-    :data:`~repro.engine.exec.executor.MAX_PIPELINE_DEPTH` fall back to
-    the streaming engine (identical contract, no giant generated
-    source).
+    ``compile_store`` memoizes :class:`CompiledPlan` artifacts in its
+    side table, keyed semantically and invalidated per relation;
+    without one, every call compiles afresh.  ``info`` is
+    ``compile_store.annotate(plan)`` when the caller already has it
+    (:meth:`~repro.engine.database.Database.run` annotates once for
+    its result cache and the artifact memo both).  Plans deeper than
+    :data:`MAX_PIPELINE_DEPTH` run on the reference interpreter.
 
     ``fault_injector`` draws a seeded ``"compile"`` fault before plan
     lowering and an ``"operator"`` fault before the compiled function
-    runs; a cache hit skips both draws (a stored answer involves no
-    compilation and no operators).
+    runs.
     """
     if plan_depth(plan) > MAX_PIPELINE_DEPTH:
-        from .executor import execute_streaming
+        return execute_reference(plan, db, tracer=tracer)
 
-        return execute_streaming(
-            plan,
-            db,
-            cache=cache,
-            key_index=key_index,
-            relation_stats=relation_stats,
-            tracer=tracer,
-            fault_injector=fault_injector,
-        )
-
-    store = compile_store if compile_store is not None else cache
-    # Tokens must be stable across calls to make keys meaningful; the
-    # interning table lives on whichever cache object is available.
-    annotator = cache if cache is not None else store
-    if annotator is not None:
-        info = annotator.annotate(plan)
-    else:
-        info = annotate_plan(plan, {}, lambda name, fn: (name, id(fn)))
-    token, relations = info[id(plan)]
-
-    if cache is not None and not isinstance(plan, Scan):
-        entry = cache.get(semantic_cache_key(token, relations, db))
-        if entry is not None:
-            if tracer is not None:
-                span = Span(node_label(plan))
-                span.rows = len(entry.value)
-                span.work = entry.work
-                span.cache = "hit"
-                tracer.record(span)
-            return ExecutionResult(
-                entry.value, entry.work, list(entry.entries)
-            )
+    if info is None:
+        if compile_store is not None:
+            info = compile_store.annotate(plan)
+        else:
+            info = annotate_plan(plan, {}, lambda name, fn: (name, id(fn)))
 
     compiled = None
     store_key = None
-    if store is not None:
-        if store is annotator:
-            store_info = info
-        else:
-            store_info = store.annotate(plan)
-        store_key = semantic_cache_key(*store_info[id(plan)], db)
-        compiled = store.get_compiled(store_key)
+    if compile_store is not None:
+        store_key = semantic_cache_key(*info[id(plan)], db)
+        compiled = compile_store.get_compiled(store_key)
     if compiled is None:
         if fault_injector is not None:
             fault_injector.maybe_raise("compile", node_label(plan))
@@ -716,39 +690,16 @@ def execute_compiled(
             key_index=key_index,
             relation_stats=relation_stats,
         )
-        if store is not None:
-            store.put_compiled(store_key, compiled)
+        if compile_store is not None:
+            compile_store.put_compiled(store_key, compiled)
 
     if fault_injector is not None:
         fault_injector.maybe_raise("operator", node_label(plan))
     start = time.perf_counter() if tracer is not None else 0.0
-    values, log, cse_values = compiled.run()
+    values, log = compiled.run()
     value = CVSet(values)
     elapsed = time.perf_counter() - start if tracer is not None else 0.0
     work_total = sum(w for _, w in log)
-
-    if cache is not None:
-        for (cse_token, cse_relations, s, e), vals in zip(
-            compiled.cse, cse_values
-        ):
-            cache.put(
-                semantic_cache_key(cse_token, cse_relations, db),
-                CacheEntry(
-                    CVSet(vals),
-                    sum(w for _, w in log[s:e]),
-                    tuple(log[s:e]),
-                    cse_relations,
-                ),
-            )
-        if not isinstance(plan, Scan):
-            # ``plan=`` registers the root entry for delta maintenance;
-            # the CSE segment entries above have no plan node handy, so
-            # they stay invalidate-only.
-            cache.put(
-                semantic_cache_key(token, relations, db),
-                CacheEntry(value, work_total, tuple(log), relations),
-                plan=plan,
-            )
 
     if tracer is not None:
         root_span = _build_spans(compiled.span_program, log)

@@ -31,7 +31,7 @@ reference interpreter by construction — and every later delta is
 incremental.  :meth:`MaintainedView.result` regenerates the value,
 total work, and the *exact reference postorder ledger* from that state,
 so a maintained entry is indistinguishable from a cold recomputation:
-the engine's four-way value/work/ledger parity contract extends to
+the engine's value/work/ledger parity contract extends to
 maintained entries (enforced by the ``delta`` fuzz scenario and the
 property tests in ``tests/engine/test_delta.py``).
 

@@ -1,32 +1,12 @@
-"""Pipelined physical operators.
+"""Ledger labels for plan nodes.
 
-Each operator is a generator over the *distinct* tuples of its output —
-the dedup-on-emit discipline is what lets a pipeline stream while
-preserving set semantics, and it is also what keeps work accounting
-identical to the reference interpreter (which materializes a ``CVSet``
-at every node, so downstream operators only ever see distinct tuples).
-
-Work is charged to a mutable :class:`Frame` as input is consumed; the
-totals equal the reference interpreter's per-node numbers exactly:
-
-* ``Project``/``Select``/``MapNode`` pay the width-weight of every input
-  tuple;
-* ``Union``/``Difference``/``Intersect`` pay the weight of both inputs;
-* ``Product`` pays ``|L| * weight(R) + weight(L)``;
-* ``Join`` pays ``weight(L) + weight(R)`` plus one unit per candidate
-  pair sharing the *first* join column — the reference's probe count —
-  even though the physical operator hashes on **all** join columns and
-  never examines non-matching candidates.
-
-Pipeline breakers (build sides of ``Difference``/``Intersect``/
-``Product``/``Join``, both for hashing) materialize internally; unary
-operators and ``Union`` stream.
+Every executor logs one ``(label, work)`` entry per plan-node
+occurrence; :func:`node_label` is the label the reference interpreter
+uses, so the compiled path, delta maintenance and tracing spans all
+produce ledgers that compare equal to the reference's.
 """
 
 from __future__ import annotations
-
-import time
-from typing import Callable, Iterator, Optional
 
 from ...optimizer.plan import (
     Difference,
@@ -39,88 +19,9 @@ from ...optimizer.plan import (
     Scan,
     Select,
     Union,
-    tuple_weight,
 )
-from ...types.values import Tup, Value
 
-__all__ = ["Frame", "collect_frame", "node_label", "traced_gen"]
-
-
-class Frame:
-    """Per-node work accumulator; mirrors one plan-node occurrence.
-
-    ``spliced`` is set when the node's result came from the CSE memo or
-    the result cache: it carries the (work, per-node entries) the
-    subtree *would* have produced, so ledgers stay identical to an
-    uncached run.
-    """
-
-    __slots__ = ("label", "work", "children", "spliced")
-
-    def __init__(self, label: str) -> None:
-        self.label = label
-        self.work = 0
-        self.children: list["Frame"] = []
-        self.spliced: Optional[tuple[int, tuple]] = None
-
-
-def collect_frame(frame: Frame) -> tuple[int, list[tuple[str, int]]]:
-    """Total work and postorder per-node ledger under ``frame`` —
-    the same order the reference interpreter logs in.
-
-    Explicit-stack traversal: frame trees mirror plan trees, which can
-    be thousands of levels deep."""
-    total = 0
-    entries: list[tuple[str, int]] = []
-    stack: list[tuple[Frame, bool]] = [(frame, False)]
-    while stack:
-        f, ready = stack.pop()
-        if f.spliced is not None:
-            work, spliced_entries = f.spliced
-            total += work
-            entries.extend(spliced_entries)
-            continue
-        if not ready:
-            stack.append((f, True))
-            for child in reversed(f.children):
-                stack.append((child, False))
-            continue
-        total += f.work
-        entries.append((f.label, f.work))
-    return total, entries
-
-
-def traced_gen(gen: Iterator[Value], span) -> Iterator[Value]:
-    """Tracing-mode wrapper around a pipelined operator's output.
-
-    Counts the rows the operator emits and accumulates the wall time
-    spent producing them into ``span`` (a
-    :class:`~repro.obs.trace.Span`).  The measured time is *inclusive*
-    of upstream producers — pulling a row through a pipelined operator
-    runs the whole chain below it; that is the pipeline's nature, and
-    the number EXPLAIN reports for a pipelined node.  Pure
-    pass-through otherwise: values, order, work charging and partial
-    consumption are untouched, so a traced run is observationally
-    identical to an untraced one.  Only ever attached when a tracer is
-    present — the disabled path never pays the wrapper frame.
-    """
-    clock = time.perf_counter
-    rows = 0
-    wall = 0.0
-    try:
-        while True:
-            start = clock()
-            try:
-                row = next(gen)
-            except StopIteration:
-                return
-            finally:
-                wall += clock() - start
-            rows += 1
-            yield row
-    finally:
-        span.rows = rows
-        span.wall_s += wall
+__all__ = ["node_label"]
 
 
 def node_label(node: Plan) -> str:
@@ -144,268 +45,3 @@ def node_label(node: Plan) -> str:
     if isinstance(node, Join):
         return f"join{node.on}"
     raise TypeError(f"unknown plan node: {node!r}")
-
-
-def project_gen(
-    child: Iterator[Value],
-    columns: tuple[int, ...],
-    frame: Frame,
-    dedup: bool = True,
-) -> Iterator[Value]:
-    tw = tuple_weight
-    work = 0
-    try:
-        if dedup:
-            seen: set = set()
-            add = seen.add
-            for t in child:
-                work += tw(t)
-                out = t.project(columns)
-                if out not in seen:
-                    add(out)
-                    yield out
-        else:
-            for t in child:
-                work += tw(t)
-                yield t.project(columns)
-    finally:
-        frame.work += work
-
-
-def select_gen(
-    child: Iterator[Value], predicate: Callable[[Value], bool], frame: Frame
-) -> Iterator[Value]:
-    tw = tuple_weight
-    work = 0
-    try:
-        for t in child:
-            work += tw(t)
-            if predicate(t):
-                yield t
-    finally:
-        frame.work += work
-
-
-def map_gen(
-    child: Iterator[Value],
-    fn: Callable[[Value], Value],
-    frame: Frame,
-    dedup: bool = True,
-) -> Iterator[Value]:
-    tw = tuple_weight
-    work = 0
-    try:
-        if dedup:
-            seen: set = set()
-            add = seen.add
-            for t in child:
-                work += tw(t)
-                out = fn(t)
-                if out not in seen:
-                    add(out)
-                    yield out
-        else:
-            for t in child:
-                work += tw(t)
-                yield fn(t)
-    finally:
-        frame.work += work
-
-
-def union_gen(
-    left: Iterator[Value],
-    right: Iterator[Value],
-    frame: Frame,
-    dedup: bool = True,
-) -> Iterator[Value]:
-    tw = tuple_weight
-    work = 0
-    try:
-        if dedup:
-            seen: set = set()
-            add = seen.add
-            for source in (left, right):
-                for t in source:
-                    work += tw(t)
-                    if t not in seen:
-                        add(t)
-                        yield t
-        else:
-            for source in (left, right):
-                for t in source:
-                    work += tw(t)
-                    yield t
-    finally:
-        frame.work += work
-
-
-def difference_gen(
-    left: Iterator[Value], right: Iterator[Value], frame: Frame
-) -> Iterator[Value]:
-    tw = tuple_weight
-    work = 0
-    try:
-        build: set = set()
-        add = build.add
-        for t in right:
-            work += tw(t)
-            add(t)
-        for t in left:
-            work += tw(t)
-            if t not in build:
-                yield t
-    finally:
-        frame.work += work
-
-
-def intersect_gen(
-    left: Iterator[Value], right: Iterator[Value], frame: Frame
-) -> Iterator[Value]:
-    tw = tuple_weight
-    work = 0
-    try:
-        build: set = set()
-        add = build.add
-        for t in right:
-            work += tw(t)
-            add(t)
-        for t in left:
-            work += tw(t)
-            if t in build:
-                yield t
-    finally:
-        frame.work += work
-
-
-def product_gen(
-    left: Iterator[Value],
-    right: Iterator[Value],
-    frame: Frame,
-    dedup: bool = True,
-) -> Iterator[Value]:
-    tw = tuple_weight
-    work = 0
-    try:
-        rows: list[tuple] = []
-        right_weight = 0
-        for b in right:
-            rows.append(tuple(b))
-            right_weight += tw(b)
-        seen: set = set()
-        for a in left:
-            work += tw(a) + right_weight
-            head = tuple(a)
-            if dedup:
-                for b in rows:
-                    out = Tup(head + b)
-                    if out not in seen:
-                        seen.add(out)
-                        yield out
-            else:
-                for b in rows:
-                    yield Tup(head + b)
-    finally:
-        frame.work += work
-
-
-def join_gen(
-    on: tuple[tuple[int, int], ...],
-    left: Iterator[Value],
-    right: Iterator[Value],
-    frame: Frame,
-    prebuilt: Optional[tuple[dict, int]] = None,
-    dedup: bool = True,
-) -> Iterator[Value]:
-    """Multi-column hash join.
-
-    ``prebuilt`` optionally supplies ``(index, right_weight)`` from a
-    database-maintained secondary index (single-pair joins over a bare
-    scan), skipping the build phase entirely.
-    """
-    tw = tuple_weight
-    work = 0
-    try:
-        if not on:
-            # Degenerate join: every pair is a candidate, one probe
-            # unit each.
-            rows = []
-            for b in right:
-                work += tw(b)
-                rows.append(tuple(b))
-            n = len(rows)
-            seen: set = set()
-            for a in left:
-                work += tw(a) + n
-                head = tuple(a)
-                if dedup:
-                    for b in rows:
-                        out = Tup(head + b)
-                        if out not in seen:
-                            seen.add(out)
-                            yield out
-                else:
-                    for b in rows:
-                        yield Tup(head + b)
-            return
-
-        left_cols = tuple(i for i, _ in on)
-        right_cols = tuple(j for _, j in on)
-        i0, j0 = on[0]
-        multi = len(on) > 1
-        first_counts: dict = {}
-        if prebuilt is not None:
-            index, right_weight = prebuilt
-            work += right_weight
-            # Defensive: the prebuilt path is only used for
-            # single-pair joins.
-            if multi:
-                for bucket in index.values():
-                    for b in bucket:
-                        key0 = b[j0]
-                        first_counts[key0] = first_counts.get(key0, 0) + 1
-        else:
-            index = {}
-            for b in right:
-                work += tw(b)
-                index.setdefault(
-                    tuple(b[j] for j in right_cols), []
-                ).append(b)
-                if multi:
-                    key0 = b[j0]
-                    first_counts[key0] = first_counts.get(key0, 0) + 1
-        seen = set()
-        get_bucket = index.get
-        if multi:
-            # Work parity with the reference, which probes a
-            # first-column index and pays one unit per candidate; the
-            # full-key hash does strictly less physical comparison work.
-            fc = first_counts.get
-            for a in left:
-                work += tw(a) + fc(a[i0], 0)
-                bucket = get_bucket(tuple(a[i] for i in left_cols))
-                if bucket:
-                    head = tuple(a)
-                    for b in bucket:
-                        out = Tup(head + tuple(b))
-                        if not dedup:
-                            yield out
-                        elif out not in seen:
-                            seen.add(out)
-                            yield out
-        else:
-            for a in left:
-                bucket = get_bucket((a[i0],))
-                if bucket:
-                    work += tw(a) + len(bucket)
-                    head = tuple(a)
-                    for b in bucket:
-                        out = Tup(head + tuple(b))
-                        if not dedup:
-                            yield out
-                        elif out not in seen:
-                            seen.add(out)
-                            yield out
-                else:
-                    work += tw(a)
-    finally:
-        frame.work += work

@@ -1,6 +1,6 @@
-"""Differential fuzzing of the streaming engine against the reference.
+"""Differential fuzzing of the compiled engine against the reference.
 
-The streaming executor's contract is *bit-for-bit agreement* with the
+The compiled executor's contract is *bit-for-bit agreement* with the
 reference interpreter — same ``CVSet`` answer, same total work, same
 per-node postorder ledger — for every plan over every database, in
 every cache state.  The property tests pin that contract on curated
@@ -9,43 +9,43 @@ plans; this harness hammers it with generated ones:
 * **random** — random plans over random tuple databases;
 * **nested** — the same plans over databases whose components are
   nested complex values (tuples, sets, lists);
-* **atoms** — set-operation trees over relations of bare atoms, the
-  inputs that once crashed the bulk path's inline ``len(t)`` weighting;
+* **atoms** — set-operation trees over relations of bare atoms;
 * **alias** — one ``predicate_name`` bound to *different* closures
   across (and within) plans sharing a cache — the cache-poisoning
   repro, generalized;
-* **deep** — unary chains hundreds to thousands of operators deep
-  (recursion-safety, pipeline-depth cutting);
+* **deep** — unary chains hundreds to thousands of operators deep,
+  past :data:`~repro.engine.exec.MAX_PIPELINE_DEPTH`, so they run on
+  the reference interpreter and are cached at the root;
 * **mutation** — a live :class:`~repro.engine.database.Database`
   mutated between runs (inserts and wholesale replacement), checking
-  that invalidation keeps the shared cache honest;
+  that maintenance and invalidation keep its cache honest;
 * **delta** — random insert/query interleavings against a live
   database, differentially checking semi-naive *delta maintenance* of
   cached entries (``engine/exec/delta.py``): after every insert, warm
-  cached answers across streaming/batch/compiled modes must be
-  byte-identical to cold recomputation — value, work, and per-node
-  ledger — whether an entry was patched in place or invalidated;
+  cached answers in both modes must be byte-identical to cold
+  recomputation — value, work, and per-node ledger — whether an entry
+  was patched in place or invalidated;
+* **durability** — a WAL-attached database recovered after its
+  mutations must equal the live one;
 * **compiled** — the plan compiler hammered directly: artifact-store
   reuse across calls, aliased predicates sharing one cache, nested
-  databases, cost-driven ``mode="auto"`` on a live database, and the
-  deep-chain fallback to streaming;
-* **trace** — every plan run traced in streaming *and* batch mode:
-  results must still match the reference (observer effect zero), each
-  span tree's work must sum to the executor's ledger total, and the
-  two executors' span trees must agree node-for-node on rows, work and
-  cache annotations (:meth:`repro.obs.trace.Span.structure`) — shared
-  subplans served by CSE included.  Trace checks also exercise the
-  metrics registry, whose totals ``run_fuzz(jobs=N)`` merges across
-  worker processes.
+  databases, a live database cold and warm, and the deep-chain
+  fallback to the reference;
+* **trace** — every plan run traced on the reference and the compiled
+  executor: results must still match the reference (observer effect
+  zero), each span tree's work must sum to the executor's ledger
+  total, and on plans without shared subtrees the two span trees must
+  agree node-for-node on labels, work and shape.  Trace checks also
+  exercise the metrics registry, whose totals ``run_fuzz(jobs=N)``
+  merges across worker processes.
 
-Every generated plan is executed in up to nine modes — cold (no
-cache), fresh cache (cold run then warm re-run), and a cache shared
-across the whole scenario, for each of the streaming, batch and
-compiled executors (the shared runs all probe the *same* cache, so
-cross-executor cache interop — including results a compiled run
-materialized being served to a streaming run — is fuzzed too) — and
-each run is compared against the reference.  Any mismatch is recorded
-as a :class:`Divergence`.
+Every generated plan is executed in up to three modes — ``cold``
+(``execute_compiled`` with no artifact memo), ``fresh`` (a new
+``Database`` holding the same relations: compiled without the result
+cache, then a result-cache miss, then a hit) and ``shared`` (one
+``Database`` for the whole scenario, so its artifact memo and result
+cache are shared across plans) — and each run is compared against the
+reference.  Any mismatch is recorded as a :class:`Divergence`.
 
 Seeds are independent by construction: every scenario derives its rng
 as ``derive_rng(base_seed, i, scenario)``, so seed ``i`` plays the same
@@ -65,11 +65,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping as TMapping, Optional
 
 from ..obs.metrics import counter, observe
-from ..obs.trace import Tracer
+from ..obs.trace import Span, Tracer
 from ..optimizer.plan import (
     Difference,
     Intersect,
-    Join,
     MapNode,
     Plan,
     Scan,
@@ -79,13 +78,7 @@ from ..optimizer.plan import (
 )
 from ..types.values import CVSet, Tup, Value
 from .database import Database
-from .exec import (
-    PlanCache,
-    execute_batch,
-    execute_compiled,
-    execute_sharded,
-    execute_streaming,
-)
+from .exec import PlanCache, execute_compiled
 from .workload import (
     deep_chain_plan,
     derive_rng,
@@ -100,7 +93,7 @@ __all__ = ["Divergence", "FuzzReport", "run_fuzz", "SCENARIOS"]
 
 @dataclass(frozen=True)
 class Divergence:
-    """One disagreement between streaming and reference execution."""
+    """One disagreement between engine and reference execution."""
 
     seed: int
     scenario: str
@@ -149,17 +142,40 @@ class FuzzReport:
 def _describe_mismatch(got, want) -> Optional[str]:
     if got.value != want.value:
         return (
-            f"value mismatch: streaming {len(got.value)} rows, "
+            f"value mismatch: engine {len(got.value)} rows, "
             f"reference {len(want.value)} rows"
         )
     if got.work != want.work:
-        return f"work mismatch: streaming {got.work}, reference {want.work}"
+        return f"work mismatch: engine {got.work}, reference {want.work}"
     if got.per_node != want.per_node:
         return (
-            f"ledger mismatch: streaming {len(got.per_node)} entries, "
+            f"ledger mismatch: engine {len(got.per_node)} entries, "
             f"reference {len(want.per_node)}"
         )
     return None
+
+
+def _load(db: Database, relations: TMapping[str, CVSet]) -> Database:
+    """Make ``db`` hold exactly ``relations``.  Only relations that
+    differ are replaced, so a scenario that reuses one mapping keeps
+    its cached entries warm across plans."""
+    for name in list(db.relations):
+        if name not in relations:
+            db[name] = CVSet()
+    for name, relation in relations.items():
+        if db.relations.get(name) is not relation:
+            db[name] = relation
+    return db
+
+
+def _span_shape(root: Span) -> tuple:
+    """Preorder ``(label, work, cache, child count)`` per span: what
+    the compiled and reference span trees share (compiled interior
+    spans carry no row counts)."""
+    return tuple(
+        (span.label, span.work, span.cache, len(span.children))
+        for span in root.walk()
+    )
 
 
 class _Checker:
@@ -169,7 +185,8 @@ class _Checker:
         self.report = report
         self.seed = seed
         self.scenario = scenario
-        self.shared = PlanCache()
+        #: The scenario-wide database of the ``shared`` mode.
+        self.shared = Database()
 
     def _record(self, mode: str, detail: str) -> None:
         self.report.divergences.append(
@@ -194,20 +211,7 @@ class _Checker:
         if not ok:
             self._record(mode, detail)
 
-    #: Streaming, batch and compiled variants of every cache state.
-    #: The shared runs all probe the same cache the other executors
-    #: populate, so the modes also fuzz cross-executor cache interop.
-    ALL_MODES = (
-        "cold",
-        "fresh",
-        "shared",
-        "batch-cold",
-        "batch-fresh",
-        "batch-shared",
-        "compiled-cold",
-        "compiled-fresh",
-        "compiled-shared",
-    )
+    ALL_MODES = ("cold", "fresh", "shared")
 
     def check(
         self,
@@ -218,87 +222,37 @@ class _Checker:
     ) -> None:
         reference = execute_reference(plan, db)
         if "cold" in modes:
-            self._compare("cold", execute_streaming(plan, db), reference)
+            self._compare("cold", execute_compiled(plan, db), reference)
         if "fresh" in modes:
-            fresh = PlanCache()
+            fresh = _load(Database(), db)
             self._compare(
-                "fresh-cold",
-                execute_streaming(plan, db, cache=fresh),
-                reference,
+                "fresh-compile", fresh.run(plan, use_cache=False), reference
             )
-            self._compare(
-                "fresh-warm",
-                execute_streaming(plan, db, cache=fresh),
-                reference,
-            )
+            self._compare("fresh-cold", fresh.run(plan), reference)
+            self._compare("fresh-warm", fresh.run(plan), reference)
         if "shared" in modes:
             self._compare(
-                "shared",
-                execute_streaming(plan, db, cache=self.shared),
-                reference,
-            )
-        if "batch-cold" in modes:
-            self._compare("batch-cold", execute_batch(plan, db), reference)
-        if "batch-fresh" in modes:
-            fresh = PlanCache()
-            self._compare(
-                "batch-fresh-cold",
-                execute_batch(plan, db, cache=fresh),
-                reference,
-            )
-            self._compare(
-                "batch-fresh-warm",
-                execute_batch(plan, db, cache=fresh),
-                reference,
-            )
-        if "batch-shared" in modes:
-            self._compare(
-                "batch-shared",
-                execute_batch(plan, db, cache=self.shared),
-                reference,
-            )
-        if "compiled-cold" in modes:
-            self._compare(
-                "compiled-cold", execute_compiled(plan, db), reference
-            )
-        if "compiled-fresh" in modes:
-            fresh = PlanCache()
-            self._compare(
-                "compiled-fresh-cold",
-                execute_compiled(plan, db, cache=fresh),
-                reference,
-            )
-            self._compare(
-                "compiled-fresh-warm",
-                execute_compiled(plan, db, cache=fresh),
-                reference,
-            )
-        if "compiled-shared" in modes:
-            self._compare(
-                "compiled-shared",
-                execute_compiled(plan, db, cache=self.shared),
-                reference,
+                "shared", _load(self.shared, db).run(plan), reference
             )
 
     def check_trace(self, plan: Plan, db: TMapping[str, CVSet]) -> None:
-        """Cross-check streaming vs batch span trees on one cold plan.
+        """Cross-check compiled vs reference span trees on one plan.
 
         Traced runs must still match the reference bit-for-bit (the
         tracer has no observer effect on results), every span tree's
-        work must sum to its executor's ledger total, and the two
-        executors' trees must agree node-for-node — labels, row counts,
-        work, cache annotations — at every subplan, shared (CSE-served)
-        occurrences included.
+        work must sum to its executor's ledger total, and where the
+        compiled run served no subtree from its CSE memo the two trees
+        must agree node-for-node on labels, work and shape.
         """
         reference = execute_reference(plan, db)
-        ts, tb = Tracer(), Tracer()
-        streamed = execute_streaming(plan, db, tracer=ts)
-        batched = execute_batch(plan, db, tracer=tb)
-        self._compare("trace-stream", streamed, reference)
-        self._compare("trace-batch", batched, reference)
+        tr, tc = Tracer(), Tracer()
+        traced_reference = execute_reference(plan, db, tracer=tr)
+        compiled = execute_compiled(plan, db, tracer=tc)
+        self._compare("trace-reference", traced_reference, reference)
+        self._compare("trace-compiled", compiled, reference)
         for mode, tracer, result in (
-            ("trace-stream", ts, streamed),
-            ("trace-batch", tb, batched),
+            ("trace-reference", tr, traced_reference),
+            ("trace-compiled", tc, compiled),
         ):
             root = tracer.last
             self._check(
@@ -313,14 +267,15 @@ class _Checker:
                 f"root span rows {root.rows} != "
                 f"result rows {len(result.value)}",
             )
-        self._check(
-            "trace-structure",
-            ts.last.structure() == tb.last.structure(),
-            "stream and batch span trees disagree "
-            f"({ts.last.span_count()} vs {tb.last.span_count()} spans)",
-        )
+        if all(span.cache != "cse" for span in tc.last.walk()):
+            self._check(
+                "trace-structure",
+                _span_shape(tc.last) == _span_shape(tr.last),
+                "compiled and reference span trees disagree "
+                f"({tc.last.span_count()} vs {tr.last.span_count()} spans)",
+            )
         counter("fuzz.trace.plans")
-        observe("fuzz.trace.spans", ts.last.span_count())
+        observe("fuzz.trace.spans", tc.last.span_count())
 
 
 # ----------------------------------------------------------------------
@@ -419,10 +374,8 @@ def _scenario_deep(rng: random.Random, check: _Checker) -> None:
     db = random_database(rng, _NAMES)
     depth = rng.randint(600, 1500)
     plan = deep_chain_plan(rng, rng.choice(_NAMES), depth)
-    # Deep chains are expensive; skip the redundant fresh-cache pairs.
-    # batch-cold rides along to pin the batch executor's explicit-stack
-    # depth safety.
-    check.check(plan, db, modes=("cold", "shared", "batch-cold"))
+    # Deep chains are expensive; skip the redundant fresh-cache runs.
+    check.check(plan, db, modes=("cold", "shared"))
 
 
 def _scenario_mutation(rng: random.Random, check: _Checker) -> None:
@@ -440,9 +393,6 @@ def _scenario_mutation(rng: random.Random, check: _Checker) -> None:
     for _ in range(3):
         plan = random_plan(rng, _NAMES, depth=rng.randint(1, 3))
         check._compare("db-warmup", db.run(plan), db.run_reference(plan))
-        check._compare(
-            "db-batch", db.run(plan, mode="batch"), db.run_reference(plan)
-        )
         victim = rng.choice(_NAMES)
         if rng.random() < 0.5:
             db.insert(
@@ -456,11 +406,6 @@ def _scenario_mutation(rng: random.Random, check: _Checker) -> None:
                 for _ in range(rng.randint(0, 6))
             )
         check._compare("db-mutated", db.run(plan), db.run_reference(plan))
-        check._compare(
-            "db-mutated-batch",
-            db.run(plan, mode="batch"),
-            db.run_reference(plan),
-        )
 
 
 def _scenario_durability(rng: random.Random, check: _Checker) -> None:
@@ -535,8 +480,7 @@ def _scenario_delta(rng: random.Random, check: _Checker) -> None:
     A live database serves a fixed plan set warm; between rounds, rows
     are inserted into random relations, so cached entries are patched
     in place by ``PlanCache.maintain`` (or invalidated when not
-    maintainable).  Every answer — streaming, batch, compiled, auto —
-    is compared byte-for-byte against the reference interpreter over
+    maintainable).  Every answer, in both modes, is compared byte-for-byte against the reference interpreter over
     the post-insert contents.  A second pass runs the same plans on a
     maintenance-disabled twin database fed the same inserts, pinning
     maintained results to the legacy invalidate-and-recompute answers.
@@ -557,10 +501,10 @@ def _scenario_delta(rng: random.Random, check: _Checker) -> None:
         random_plan(rng, _NAMES, depth=rng.randint(1, 4))
         for _ in range(rng.randint(2, 3))
     ]
-    modes = ("stream", "batch", "compiled", "auto")
+    modes = ("compiled", "reference")
     for plan in plans:  # populate both caches
         db.run(plan, mode=rng.choice(modes))
-        legacy.run(plan, mode="stream")
+        legacy.run(plan)
     for _ in range(3):
         victim = rng.choice(_NAMES)
         batch = [
@@ -576,9 +520,7 @@ def _scenario_delta(rng: random.Random, check: _Checker) -> None:
                     f"delta-{mode}", db.run(plan, mode=mode), want
                 )
             # Maintained warm answer == legacy invalidate+recompute.
-            check._compare(
-                "delta-legacy", legacy.run(plan, mode="stream"), want
-            )
+            check._compare("delta-legacy", legacy.run(plan), want)
     # The maintained cache must actually have maintained something on
     # most seeds; assert the counters stay coherent either way.
     stats = db.plan_cache.stats()
@@ -591,8 +533,8 @@ def _scenario_delta(rng: random.Random, check: _Checker) -> None:
 
 
 def _scenario_compiled(rng: random.Random, check: _Checker) -> None:
-    """Plan-compiler hammering: artifact reuse, aliasing, nesting,
-    auto-mode on a live database, and the deep-chain fallback."""
+    """Plan-compiler hammering: artifact reuse, aliasing, nesting, a
+    live database, and the deep-chain fallback."""
     db = random_database(rng, _NAMES)
     store = PlanCache()
     for _ in range(2):
@@ -613,7 +555,7 @@ def _scenario_compiled(rng: random.Random, check: _Checker) -> None:
     check.check(
         random_plan(rng, _NAMES, depth=rng.randint(1, 3)),
         ndb,
-        modes=("compiled-cold", "compiled-fresh"),
+        modes=("cold", "fresh"),
     )
     # One predicate name over different closures against one shared
     # cache: artifact keys must alias apart exactly like result keys.
@@ -623,7 +565,7 @@ def _scenario_compiled(rng: random.Random, check: _Checker) -> None:
         check.check(
             Select("thresh", _threshold_pred(k), base),
             db,
-            modes=("compiled-shared",),
+            modes=("shared",),
         )
     check.check(
         Union(
@@ -631,9 +573,9 @@ def _scenario_compiled(rng: random.Random, check: _Checker) -> None:
             Select("thresh", _threshold_pred(k2), base),
         ),
         db,
-        modes=("compiled-cold", "compiled-shared"),
+        modes=("cold", "shared"),
     )
-    # Live database: compiled cold/warm and cost-driven auto dispatch.
+    # Live database: compiled cold and warm.
     live = Database()
     for name in _NAMES:
         live.create(name, 2)
@@ -655,91 +597,9 @@ def _scenario_compiled(rng: random.Random, check: _Checker) -> None:
         check._compare(
             "db-compiled-warm", live.run(plan, mode="compiled"), want
         )
-        check._compare(
-            "db-auto-cold",
-            live.run(plan, mode="auto", use_cache=False),
-            want,
-        )
-        check._compare("db-auto-warm", live.run(plan, mode="auto"), want)
-    # Past MAX_PIPELINE_DEPTH the compiler must fall back to streaming.
+    # Past MAX_PIPELINE_DEPTH the compiler falls back to the reference.
     plan = deep_chain_plan(rng, rng.choice(_NAMES), rng.randint(200, 400))
-    check.check(plan, db, modes=("compiled-cold",))
-
-
-def _scenario_sharded(rng: random.Random, check: _Checker) -> None:
-    """Sharded-vs-streaming twin: one plan, shard counts 1/2/4.
-
-    Random plans exercise the analysis fallback (non-partitionable
-    plans must collapse to single-shard and still match); the forced
-    co-partitioned join and atom set-op trees pin the genuinely
-    partitioned paths.  Twin runs use ``jobs=1`` so fuzz workers never
-    nest process pools — the partition/merge accounting is identical
-    either way — while the live-database pass goes through
-    ``Database.run(mode="sharded")`` end to end.
-    """
-    db = random_database(rng, _NAMES)
-    for _ in range(2):
-        plan = random_plan(rng, _NAMES, depth=rng.randint(1, 4))
-        want = execute_streaming(plan, db)
-        for shards in (1, 2, 4):
-            check._compare(
-                f"sharded-{shards}",
-                execute_sharded(plan, db, shards=shards, jobs=1),
-                want,
-            )
-    # A guaranteed co-partitioned equi-join (cross-shard probes vanish).
-    join = Join(
-        ((rng.randrange(2), rng.randrange(2)),),
-        Scan(rng.choice(_NAMES)),
-        Scan(rng.choice(_NAMES)),
-    )
-    want = execute_streaming(join, db)
-    for shards in (2, 4):
-        check._compare(
-            f"sharded-join-{shards}",
-            execute_sharded(join, db, shards=shards, jobs=1),
-            want,
-        )
-    # Atom relations: column keys are impossible, so set-op trees run
-    # on whole-tuple hash and bare scans on round-robin.
-    adb = random_atom_database(rng, _NAMES)
-    atom_plan = _random_atom_plan(rng, rng.randint(1, 3))
-    want = execute_streaming(atom_plan, adb)
-    for shards in (1, 2, 4):
-        check._compare(
-            f"sharded-atoms-{shards}",
-            execute_sharded(atom_plan, adb, shards=shards, jobs=1),
-            want,
-        )
-    # Live database end to end: cache on, degradation chain wired, and
-    # picklable plans really cross the process pool.
-    live = Database()
-    for name in _NAMES:
-        live.create(name, 2)
-        live.insert(
-            name,
-            {
-                (rng.randrange(5), rng.randrange(5))
-                for _ in range(rng.randint(0, 8))
-            },
-        )
-    for _ in range(2):
-        plan = random_plan(rng, _NAMES, depth=rng.randint(1, 3))
-        want = live.run_reference(plan)
-        check._compare(
-            "db-sharded-cold",
-            live.run(
-                plan,
-                mode="sharded",
-                shards=rng.choice((2, 4)),
-                use_cache=False,
-            ),
-            want,
-        )
-        check._compare(
-            "db-sharded-warm", live.run(plan, mode="sharded", shards=2),
-            want,
-        )
+    check.check(plan, db, modes=("cold",))
 
 
 SCENARIOS: dict[str, Callable[[random.Random, _Checker], None]] = {
@@ -751,7 +611,6 @@ SCENARIOS: dict[str, Callable[[random.Random, _Checker], None]] = {
     "delta": _scenario_delta,
     "durability": _scenario_durability,
     "compiled": _scenario_compiled,
-    "sharded": _scenario_sharded,
     "trace": _scenario_trace,
     "deep": _scenario_deep,
 }

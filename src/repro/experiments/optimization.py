@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 
-from ..engine.exec import PlanCache
 from ..engine.workload import hr_database, random_database
 from ..optimizer.plan import Difference, MapNode, Project, Scan, Union
 from ..optimizer.rewriter import Rewriter, verify_equivalence
@@ -70,16 +69,11 @@ def opt_4_4(seed: int = 0, verification_dbs: int = 60) -> ExperimentResult:
     plan4 = Project((0,), Difference(Scan("employees"), Scan("contractors")))
     cases.append(("project-through-diff (no key)", plan4, False, random_dbs))
 
-    # One result cache across all verification sweeps: the cases share
-    # sub-plans and databases, so identical sub-plan executions are
-    # computed once (fingerprint keys keep it sound across databases).
-    cache = PlanCache(capacity=4096)
     for label, plan, expect_fire, verification in cases:
         rewriter = Rewriter(db.catalog)
         optimized = rewriter.optimize(plan)
         fired = bool(rewriter.trace)
-        counterexample = verify_equivalence(plan, optimized, verification,
-                                            cache=cache)
+        counterexample = verify_equivalence(plan, optimized, verification)
         equivalent = counterexample is None
         result.add(label, fired, equivalent, "fires" if expect_fire else "skips")
         result.require(fired == expect_fire, f"{label}: rule firing")
@@ -90,8 +84,7 @@ def opt_4_4(seed: int = 0, verification_dbs: int = 60) -> ExperimentResult:
         Project((0,), Scan("employees")),
         Project((0,), Scan("contractors")),
     )
-    counterexample = verify_equivalence(plan4, unsound, random_dbs,
-                                        cache=cache)
+    counterexample = verify_equivalence(plan4, unsound, random_dbs)
     result.add("unsound diff-push detected", "forced", counterexample is not None,
                "caught")
     result.require(counterexample is not None,
@@ -125,12 +118,8 @@ def opt_cost_sweep(seed: int = 0, sizes=(50, 100, 200, 400)) -> ExperimentResult
         for name, plan in plans.items():
             rewriter = Rewriter(db.catalog)
             optimized = rewriter.optimize(plan)
-            # mode="auto": the work ledger is executor-invariant, so
-            # letting the cost model pick the engine exercises the
-            # adaptive path while leaving the measured numbers (and the
-            # writeup tables) untouched.
-            before = db.run(plan, mode="auto")
-            after = db.run(optimized, mode="auto")
+            before = db.run(plan)
+            after = db.run(optimized)
             result.require(before.value == after.value,
                            f"{name}@{size}: answers differ")
             speedup = before.work / after.work if after.work else float("inf")

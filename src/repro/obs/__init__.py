@@ -4,7 +4,7 @@ Three pieces (see ``docs/OBSERVABILITY.md``):
 
 * :mod:`~repro.obs.trace` — hierarchical per-operator spans; attach a
   :class:`Tracer` via the ``tracer=`` kwarg on ``execute_reference``,
-  ``execute_streaming``, ``execute_batch`` or ``Database.run``.
+  ``execute_compiled`` or ``Database.run``.
   Zero overhead when not attached; zero observer effect when attached.
 * :mod:`~repro.obs.metrics` — a process-wide :class:`MetricsRegistry`
   (counters, gauges, fixed-bucket histograms) whose snapshots merge

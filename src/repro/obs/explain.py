@@ -1,24 +1,22 @@
 """EXPLAIN ANALYZE: render a completed trace as a per-operator tree.
 
 :func:`explain` executes a plan under a :class:`~repro.obs.trace.Tracer`
-in one of the executor modes (``"reference"``, ``"stream"``,
-``"batch"``, ``"compiled"``, partition-parallel ``"sharded"``, or
-cost-model-driven ``"auto"``) and
+in one of the executor modes (``"compiled"`` or ``"reference"``) and
 packages the result as an :class:`ExplainReport` — the answer, the span
-tree, the cache activity the execution caused, and (for ``"auto"``) the
-mode decision with its per-candidate score table.
-Rendered as text (a tree with per-operator rows/work/cache/source
-annotations, wall time optional) or as JSON (``to_dict``, with
-``wall=False`` for byte-deterministic output).
+tree, and the cache activity the execution caused.  Rendered as text (a
+tree with per-operator rows/work/cache/source annotations, wall time
+optional) or as JSON (``to_dict``, with ``wall=False`` for
+byte-deterministic output).
 
 ``db`` may be a plain relation mapping or a
-:class:`~repro.engine.database.Database`; a ``Database`` contributes
-its result cache (so EXPLAIN shows real hits and misses — pass
-``use_cache=False`` for a pure cold run), its maintained join indexes,
-and its relation statistics, exactly as ``Database.run`` would.
+:class:`~repro.engine.database.Database`.  A ``Database`` runs through
+``Database.run``, so EXPLAIN sees its result cache (real hits and
+misses — pass ``use_cache=False`` for a pure cold run), its maintained
+join indexes and any graceful-degradation fallbacks.  A plain mapping
+carries none of that and runs on the reference interpreter.
 
-CLI: ``python -m repro explain [PLAN] [--mode all|reference|stream|
-batch] [--json] [--warm N]`` (see :mod:`repro.cli`).
+CLI: ``python -m repro explain [PLAN] [--mode all|compiled|reference]
+[--json] [--warm N]`` (see :mod:`repro.cli`).
 """
 
 from __future__ import annotations
@@ -31,9 +29,7 @@ from .trace import Span, Tracer
 __all__ = ["MODES", "ExplainReport", "explain", "render_span_tree"]
 
 #: Executor modes :func:`explain` understands, in canonical order.
-#: ``"compiled"`` runs the plan compiler; ``"auto"`` lets the cost
-#: model pick the executor (the report carries the decision).
-MODES = ("reference", "stream", "batch", "compiled", "sharded", "auto")
+MODES = ("reference", "compiled")
 
 
 def _span_line(span: Span, *, wall: bool) -> str:
@@ -84,9 +80,6 @@ class ExplainReport:
     work: int
     root: Span
     cache_stats: Optional[dict] = None
-    #: ``mode="auto"`` only: the cost model's decision —
-    #: ``{"mode", "estimated_work", "scores"}``.
-    decision: Optional[dict] = None
     #: Graceful-degradation events (``Database.run`` fallbacks), each
     #: ``{"mode", "to", "error"}`` — why a mode was not used.
     degraded: Optional[list] = None
@@ -101,8 +94,6 @@ class ExplainReport:
         }
         if self.cache_stats is not None:
             out["cache"] = self.cache_stats
-        if self.decision is not None:
-            out["decision"] = self.decision
         if self.degraded is not None:
             out["degraded"] = self.degraded
         return out
@@ -133,16 +124,6 @@ class ExplainReport:
                     header += (
                         f" ({fallback} fell back to invalidation)"
                     )
-        if self.decision is not None:
-            scores = " ".join(
-                f"{m}={s:g}"
-                for m, s in sorted(self.decision["scores"].items())
-            )
-            header += (
-                f"\nauto: chose {self.decision['mode']}"
-                f" (est work {self.decision['estimated_work']:g};"
-                f" scores {scores})"
-            )
         if self.degraded:
             for event in self.degraded:
                 header += (
@@ -152,90 +133,34 @@ class ExplainReport:
         return header + "\n" + render_span_tree(self.root, wall=wall)
 
 
-def explain(plan, db, mode: str = "stream", *, use_cache: bool = True,
-            shards: Optional[int] = None,
+def explain(plan, db, mode: str = "compiled", *, use_cache: bool = True,
             tracer: Optional[Tracer] = None) -> ExplainReport:
     """Execute ``plan`` over ``db`` with tracing on; return the report.
 
-    ``db`` is a relation mapping or a ``Database``.  ``use_cache``
-    only matters for a ``Database`` (plain mappings carry no cache):
-    with it, stream/batch runs go through the database's plan cache
-    and the report carries the get/put/evict counter delta.  ``shards``
-    only matters for ``mode="sharded"`` (default: the executor's
-    ``DEFAULT_SHARDS``).  Pass your own ``tracer`` to keep the raw span
-    for further inspection.
+    ``db`` is a relation mapping or a ``Database``.  A ``Database``
+    runs the plan through ``Database.run(plan, mode=mode)``; with
+    ``use_cache`` the report carries the get/put/evict counter delta
+    of its plan cache.  A plain mapping has no cache and no compiler
+    state, so it runs on the reference interpreter and the report says
+    ``mode="reference"``.  Pass your own ``tracer`` to keep the raw
+    span for further inspection.
     """
-    # Imported here so `repro.obs` stays import-light (no engine
-    # dependency at module import time).
-    from ..engine.exec import execute_streaming
-    from ..optimizer.plan import execute_reference
-
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     tracer = tracer if tracer is not None else Tracer()
 
-    relations = getattr(db, "relations", db)
     cache = None
-    key_index = None
-    relation_stats = None
-    if hasattr(db, "plan_cache"):
-        key_index = db._join_index
-        relation_stats = db.relation_stats
-        if use_cache:
-            cache = db.plan_cache
-
-    before = cache.stats() if cache is not None else None
-    decision = None
     if hasattr(db, "run"):
-        # A ``Database`` executes through ``Database.run``, so EXPLAIN
-        # sees exactly what production sees: the auto-mode decision
-        # *and* any graceful-degradation fallbacks, both merged onto
-        # the root span's meta by ``run`` itself.
-        result = db.run(plan, mode=mode, use_cache=use_cache,
-                        shards=shards, tracer=tracer)
-        if mode == "auto":
-            decision = db.plan_mode(plan)  # memoized: same decision
+        cache = db.plan_cache if use_cache else None
+        before = cache.stats() if cache is not None else None
+        result = db.run(plan, mode=mode, use_cache=use_cache, tracer=tracer)
     else:
-        run_mode = mode
-        if mode == "auto":
-            from ..engine.exec import MAX_PIPELINE_DEPTH, plan_depth
-            from ..optimizer.cost import Stats, choose_mode
+        # Imported here so `repro.obs` stays import-light (no engine
+        # dependency at module import time).
+        from ..optimizer.plan import execute_reference
 
-            candidates = ("reference", "stream", "batch", "compiled")
-            if plan_depth(plan) > MAX_PIPELINE_DEPTH:
-                candidates = ("reference", "stream", "batch")
-            decision = choose_mode(
-                plan, Stats.of_database(relations), candidates=candidates
-            )
-            run_mode = decision.mode
-        if run_mode == "reference":
-            result = execute_reference(plan, relations, tracer=tracer)
-        elif run_mode == "sharded":
-            from ..engine.exec import execute_sharded
-
-            result = execute_sharded(
-                plan,
-                relations,
-                shards=shards,
-                cache=cache,
-                key_index=key_index,
-                relation_stats=relation_stats,
-                tracer=tracer,
-            )
-        else:
-            result = execute_streaming(
-                plan,
-                relations,
-                cache=cache,
-                key_index=key_index,
-                mode=run_mode,
-                relation_stats=relation_stats,
-                tracer=tracer,
-            )
-        if decision is not None and tracer.last is not None:
-            # Merge, never clobber — the executor may have attached
-            # meta of its own.
-            tracer.last.merge_meta({"auto": decision.to_dict()})
+        mode = "reference"
+        result = execute_reference(plan, db, tracer=tracer)
     degraded = None
     if tracer.last is not None and tracer.last.meta is not None:
         degraded = tracer.last.meta.get("degraded")
@@ -259,6 +184,5 @@ def explain(plan, db, mode: str = "stream", *, use_cache: bool = True,
         work=result.work,
         root=tracer.last,
         cache_stats=cache_stats,
-        decision=decision.to_dict() if decision is not None else None,
         degraded=degraded,
     )

@@ -4,7 +4,7 @@ A **span** mirrors one plan-node occurrence in one execution: its
 operator label (the reference interpreter's ledger label), the rows it
 produced, the work it was charged, wall time, whether it was served by
 the result cache or the CSE memo, and which physical shortcut (index
-reuse, bulk set op) evaluated it.  Span trees mirror the executor's
+reuse) evaluated it.  Span trees mirror the executor's
 frame/ledger structure exactly — a subtree served from the cache is a
 single childless span carrying the subtree's as-if work, just as the
 ledger splices the stored entries.
@@ -23,12 +23,10 @@ and the ``trace`` fuzz scenario:
   identical across runs, serial or sharded.
 
 Wall-time attribution is best-effort and executor-specific: the
-reference and batch executors report per-operator compute time
-(children excluded); the streaming executor reports time spent pulling
-rows through a pipelined operator, which *includes* its upstream
-producers (that is what a pipeline is), and exact materialization time
-at pipeline breakers.  Use ``work``/``rows`` for cross-executor
-comparisons; ``wall_s`` for profiling one executor.
+reference interpreter reports per-operator compute time (children
+excluded); the compiled executor runs the whole plan as one generated
+function, so only its root span carries wall time.  Use ``work`` for
+cross-executor comparisons; ``wall_s`` for profiling one executor.
 
 All tree walks are explicit-stack: span trees mirror plan trees, which
 can be thousands of levels deep.
@@ -52,7 +50,7 @@ class Span:
     total work.  ``cache`` is ``None`` (not applicable), ``"hit"``,
     ``"miss"``, or ``"cse"`` (served by the in-plan subtree memo).
     ``source`` marks physical shortcuts: ``"index"`` (database index
-    reuse) or ``"bulk"`` (frozenset fast path).
+    reuse).
     """
 
     __slots__ = ("label", "work", "rows", "wall_s", "cache", "source",
@@ -66,15 +64,15 @@ class Span:
         self.cache: Optional[str] = None
         self.source: Optional[str] = None
         self.children: list["Span"] = []
-        #: Free-form deterministic annotations (e.g. the auto-mode
-        #: decision on a root span); ``None`` stays out of ``to_dict``
+        #: Free-form deterministic annotations (e.g. the degradation
+        #: record on a root span); ``None`` stays out of ``to_dict``
         #: and is never part of ``structure()``.
         self.meta: Optional[dict] = None
 
     def merge_meta(self, updates: dict) -> None:
         """Merge ``updates`` into ``meta`` without clobbering keys some
-        other layer already attached (the executor, the auto-mode
-        decision, a degradation record — all coexist on the root)."""
+        other layer already attached (the executor's own annotations
+        and a degradation record coexist on the root)."""
         if self.meta is None:
             self.meta = dict(updates)
         else:
@@ -104,10 +102,9 @@ class Span:
         recursion limit just being compared or hashed.
 
         Excludes ``wall_s`` (nondeterministic) and ``source`` (a
-        physical shortcut annotation — the streaming engine's bulk
-        fast path has no batch counterpart, but produces the same
-        rows/work), so two executors that agree observationally have
-        equal structures.
+        physical shortcut annotation — an index-served join produces
+        the same rows and work as a hash-built one), so two runs that
+        agree observationally have equal structures.
         """
         return tuple(
             (span.label, span.rows, span.work, span.cache,
@@ -149,8 +146,8 @@ class Span:
 class Tracer:
     """Collects one root span per traced execution.
 
-    Pass a ``Tracer`` to ``execute_reference``/``execute_streaming``/
-    ``execute_batch``/``Database.run`` via the ``tracer=`` kwarg; the
+    Pass a ``Tracer`` to ``execute_reference``/``execute_compiled``/
+    ``Database.run`` via the ``tracer=`` kwarg; the
     executor records the finished span tree here.  A single tracer can
     observe many executions (``traces`` keeps them in order); ``last``
     is the most recent root span.

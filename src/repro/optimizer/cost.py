@@ -35,9 +35,6 @@ __all__ = [
     "estimate",
     "Estimate",
     "choose_plan",
-    "MODE_COST",
-    "ModeDecision",
-    "choose_mode",
 ]
 
 #: Default selectivity guesses (classical System R style).
@@ -87,9 +84,8 @@ class Stats:
 
         Cardinalities and widths come from the database's maintained
         physical state (O(#relations)); distinct counts are one pass
-        per relation and are expected to be memoized by the caller
-        (:meth:`Database.current_stats` caches per mutation
-        generation)."""
+        per relation, cached by :meth:`Database.column_distincts` until
+        the relation next changes."""
         rows = {}
         widths = {}
         distincts = {}
@@ -139,8 +135,7 @@ class Estimate:
 
 def estimate(plan: Plan, stats: Stats) -> Estimate:
     """Bottom-up cost estimation mirroring the executor's work model
-    (explicit stack, any depth — ``mode="auto"`` must cost the same
-    deep chains the executors are stack-safe on)."""
+    (explicit stack, any depth)."""
     memo: dict[int, Estimate] = {}
     stack: list[tuple[Plan, bool]] = [(plan, False)]
     while stack:
@@ -263,78 +258,3 @@ def choose_plan(
         else plan
     )
     return chosen, original_estimate, rewritten_estimate
-
-
-# ----------------------------------------------------------------------
-# Adaptive execution-mode choice (``Database.run(mode="auto")``).
-
-#: Per-mode ``(work factor, fixed overhead)`` calibrated against the
-#: BENCH_PR4/PR6 cold-path measurements: the factor scales the
-#: estimated work (per-unit cost relative to the reference
-#: interpreter), the overhead is the mode's fixed per-execution cost in
-#: the same work units (plan annotation, pipeline setup, artifact
-#: lookup).  Batch beats streaming cold; the compiled path has the
-#: lowest per-unit cost but the highest fixed cost, so tiny plans still
-#: run on the reference interpreter.
-MODE_COST: dict[str, tuple[float, float]] = {
-    "reference": (1.0, 0.0),
-    "stream": (1.05, 30.0),
-    "batch": (0.60, 60.0),
-    "compiled": (0.25, 90.0),
-    # Partition-parallel streaming over a 4-shard process pool: the
-    # per-unit cost divides across workers (plus partition/merge and
-    # result pickling), but the pool spin-up is a fixed cost orders of
-    # magnitude above any in-process overhead — only plans whose
-    # estimated work dwarfs it should ever shard.  ``Database.plan_mode``
-    # additionally gates the candidate on partitionability.
-    "sharded": (0.40, 200_000.0),
-}
-
-
-@dataclass(frozen=True)
-class ModeDecision:
-    """Outcome of :func:`choose_mode`: the chosen executor plus the
-    per-candidate score table (estimated work × factor + overhead) that
-    produced it, for ``explain``/tracing surfacing."""
-
-    mode: str
-    estimated_work: float
-    scores: dict[str, float]
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "estimated_work": round(self.estimated_work, 3),
-            "scores": {
-                mode: round(score, 3)
-                for mode, score in self.scores.items()
-            },
-        }
-
-
-def choose_mode(
-    plan: Plan,
-    stats: Stats,
-    *,
-    candidates: tuple[str, ...] = (
-        "reference",
-        "stream",
-        "batch",
-        "compiled",
-    ),
-) -> ModeDecision:
-    """Pick the cheapest execution mode for ``plan`` under ``stats``.
-
-    Engine-free: callers restrict ``candidates`` to encode engine
-    constraints (e.g. plans deeper than ``MAX_PIPELINE_DEPTH`` exclude
-    ``"compiled"``, whose codegen would be pathological).  Ties break
-    toward the earlier candidate."""
-    if not candidates:
-        raise ValueError("choose_mode needs at least one candidate mode")
-    est = estimate(plan, stats)
-    scores = {}
-    for mode in candidates:
-        factor, overhead = MODE_COST[mode]
-        scores[mode] = est.work * factor + overhead
-    chosen = min(candidates, key=scores.__getitem__)
-    return ModeDecision(chosen, est.work, scores)

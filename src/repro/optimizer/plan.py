@@ -268,9 +268,10 @@ class MapNode(Plan):
 def tuple_weight(t: Value) -> int:
     """Per-tuple width weight: atoms consumed when reading one tuple.
 
-    The streaming executor (:mod:`repro.engine.exec`) charges this per
-    consumed tuple, matching :func:`_weight` below so both executors
-    report costs under the identical work model."""
+    The compiled executor (:mod:`repro.engine.exec`) charges this per
+    tuple when it cannot hoist weights to ``count * width``, matching
+    :func:`_weight` below so both executors report costs under the
+    identical work model."""
     try:
         return max(len(t), 1)
     except TypeError:  # atoms produced by map(f) weigh 1

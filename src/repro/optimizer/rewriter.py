@@ -19,7 +19,7 @@ from typing import Mapping as TMapping, Optional, Sequence
 
 from ..types.values import CVSet
 from .constraints import Catalog
-from .plan import Plan
+from .plan import Plan, execute_reference
 from .rules import DEFAULT_RULES, RewriteRule
 
 __all__ = ["RewriteTrace", "Rewriter", "verify_equivalence"]
@@ -122,23 +122,15 @@ def verify_equivalence(
     original: Plan,
     rewritten: Plan,
     databases: Sequence[TMapping[str, CVSet]],
-    cache=None,
 ) -> Optional[TMapping[str, CVSet]]:
     """Check both plans agree on every database; return the first
     disagreeing database (a counterexample) or ``None``.
 
-    Runs on the streaming executor; pass a shared
-    :class:`~repro.engine.exec.PlanCache` so sub-plans common to both
-    plans (and to other verification sweeps over the same databases)
-    execute once.
+    Runs on the reference interpreter, the engine's oracle.
     """
-    # Imported lazily: repro.engine imports this module at package
-    # init, so a top-level import would be circular.
-    from ..engine.exec import execute_streaming
-
     for db in databases:
-        original_value = execute_streaming(original, db, cache=cache).value
-        rewritten_value = execute_streaming(rewritten, db, cache=cache).value
+        original_value = execute_reference(original, db).value
+        rewritten_value = execute_reference(rewritten, db).value
         if original_value != rewritten_value:
             return db
     return None

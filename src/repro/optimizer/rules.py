@@ -46,10 +46,6 @@ __all__ = [
     "SEMI_MAINTAINABLE",
     "OPAQUE",
     "NODE_MONOTONICITY",
-    "HASH_PARTITIONABLE",
-    "ROUND_ROBIN_SAFE",
-    "NON_PARTITIONABLE",
-    "NODE_PARTITIONABILITY",
 ]
 
 # ----------------------------------------------------------------------
@@ -120,90 +116,6 @@ NODE_MONOTONICITY: dict[type, tuple[str, str]] = {
         "difference is generic only w.r.t. injective mappings and "
         "anti-monotone in its right input: left deltas propagate as "
         "dL - R, right deltas retract derived rows and force recompute",
-    ),
-}
-
-
-# ----------------------------------------------------------------------
-# Partitionability classes (sharded partition-parallel execution).
-#
-# The genericity story also licenses *horizontal* decomposition: a
-# mapping generic under domain permutations commutes with any disjoint
-# repartitioning of its inputs, so shard-by-shard evaluation followed
-# by a union merge computes the same query (Section 3; the uniformity
-# argument is Reynolds-style parametricity).  The classes below say
-# *which* partition function each operator tolerates while keeping the
-# per-shard work ledgers summable to the serial ledger — the contract
-# ``engine/exec/shard.py`` consumes as its source of truth.
-
-#: The node tolerates hash partitioning when its inputs are
-#: co-partitioned on an equality key (a join column, or the whole
-#: tuple for set operations); per-shard outputs stay disjoint and
-#: aligned, so downstream weights and probe counts sum exactly.
-HASH_PARTITIONABLE = "hash-partitionable"
-#: Monotone and key-free: the node distributes over *any* disjoint
-#: partition of its input (round-robin suffices), but its output
-#: partition is unaligned — usable below weight-charging parents only
-#: while outputs remain disjoint (e.g. injective maps).
-ROUND_ROBIN_SAFE = "round-robin-safe"
-#: No partition function preserves the work ledger (cross products
-#: replicate a whole side per shard); the plan runs single-shard.
-NON_PARTITIONABLE = "non-partitionable"
-
-#: ``plan node type -> (class, justification in the paper's terms)``.
-#: Node types absent from the table are :data:`NON_PARTITIONABLE`.
-NODE_PARTITIONABILITY: dict[type, tuple[str, str]] = {
-    Scan: (
-        HASH_PARTITIONABLE,
-        "a base relation accepts any disjoint partition; the partition "
-        "key is chosen by the equality demands of the operators above",
-    ),
-    Select: (
-        HASH_PARTITIONABLE,
-        "sigma : forall X.(X->bool)->{X}->{X} is parametric: it "
-        "preserves whatever partition its input carries, key or not",
-    ),
-    Project: (
-        HASH_PARTITIONABLE,
-        "pi commutes with union, and a partition on a *surviving* "
-        "column keeps projected duplicates in one shard, so dedup per "
-        "shard equals serial dedup (key-preserving projections only; "
-        "other projections are safe only at the plan root)",
-    ),
-    MapNode: (
-        ROUND_ROBIN_SAFE,
-        "map(f) commutes with union for arbitrary f, so any disjoint "
-        "split works; only an *injective* f keeps shard outputs "
-        "disjoint, and no column key survives an opaque f",
-    ),
-    Union: (
-        HASH_PARTITIONABLE,
-        "union is fully generic/parametric: whole-tuple co-partition "
-        "gives (L U R) restricted to each shard; unaligned disjoint "
-        "inputs are still safe at the plan root",
-    ),
-    Intersect: (
-        HASH_PARTITIONABLE,
-        "membership is decided per tuple, so whole-tuple co-partition "
-        "localizes every probe: L_i & R_i = (L & R)_i",
-    ),
-    Difference: (
-        HASH_PARTITIONABLE,
-        "difference is generic w.r.t. injective mappings, and a "
-        "whole-tuple co-partition is injective per shard: "
-        "L_i - R_i = (L - R)_i",
-    ),
-    Join: (
-        HASH_PARTITIONABLE,
-        "equi-join co-partitioned on the first join pair keeps every "
-        "candidate pair in one shard, so cross-shard probes vanish and "
-        "probe counts sum to the serial ledger; a key-free join is a "
-        "product and falls to single-shard",
-    ),
-    Product: (
-        NON_PARTITIONABLE,
-        "|L_i| x weight(R) per shard would replicate R's weight "
-        "charge; no disjoint split of both sides preserves the ledger",
     ),
 }
 

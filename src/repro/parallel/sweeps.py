@@ -23,10 +23,10 @@ cell's task tuple.
 
 :func:`sweep_mode_agreement` applies the same harness to the executor
 contract: each cell rebuilds a random plan/database pair from
-:func:`~repro.engine.workload.derive_rng` scalars and checks one
-executor mode (``stream``/``batch``/``compiled``) against the
-reference interpreter on value, work, and per-node ledger — the
-differential-fuzz invariant, sharded across processes.
+:func:`~repro.engine.workload.derive_rng` scalars and checks the
+compiled executor against the reference interpreter on value, work,
+and per-node ledger — the differential-fuzz invariant, sharded across
+processes.
 """
 
 from __future__ import annotations
@@ -158,7 +158,7 @@ def sweep_invariance(
 ModeAgreementTask = tuple[int, int, str]
 
 #: Executor modes the agreement sweep checks against the reference.
-AGREEMENT_MODES = ("stream", "batch", "compiled")
+AGREEMENT_MODES = ("compiled",)
 
 
 @dataclass(frozen=True)
@@ -184,7 +184,11 @@ def run_mode_agreement_cell(task: ModeAgreementTask) -> ModeAgreementVerdict:
     task scalars alone — serial and sharded runs replay byte-identical
     cells."""
     base_seed, index, mode = task
-    from ..engine.exec import execute_compiled, execute_streaming
+    if mode not in AGREEMENT_MODES:
+        raise ValueError(
+            f"mode must be one of {AGREEMENT_MODES}, got {mode!r}"
+        )
+    from ..engine.exec import execute_compiled
     from ..engine.workload import derive_rng, random_database, random_plan
     from ..optimizer.plan import execute_reference
 
@@ -195,10 +199,7 @@ def run_mode_agreement_cell(task: ModeAgreementTask) -> ModeAgreementVerdict:
     )
     plan = random_plan(rng, names, depth=rng.randint(1, 4))
     reference = execute_reference(plan, db)
-    if mode == "compiled":
-        result = execute_compiled(plan, db)
-    else:
-        result = execute_streaming(plan, db, mode=mode)
+    result = execute_compiled(plan, db)
     agree = (
         result.value == reference.value
         and result.work == reference.work

@@ -3,12 +3,11 @@
 Each seed builds a live :class:`~repro.engine.database.Database`,
 draws per-site fault rates from its seeded rng, attaches a
 :class:`~repro.robustness.faults.FaultInjector`, and runs random plans
-through every executor mode — stream, batch, compiled, auto, sharded
-(partition-parallel, under ``shard`` faults that must degrade down
-``SHARDED_CHAIN``), warm-cache repeats, and post-mutation re-runs.  The oracle is the reference
-interpreter, which sits outside the fault surface (no cache, no
-compiler, no injection hooks), so its answer is always the fault-free
-truth.  Two invariants, checked per execution:
+through both executor modes — compiled and reference — plus
+warm-cache repeats and post-mutation re-runs.  The oracle is
+``Database.run_reference``, which sits outside the fault surface (no
+cache, no compiler, no injection hooks), so its answer is always the
+fault-free truth.  Two invariants, checked per execution:
 
 * **zero semantic divergences** — whatever faults fired, the answer the
   engine returns (possibly after degrading down the executor chain)
@@ -62,7 +61,7 @@ from .faults import FaultInjector, FaultPlan, InjectedFault, WorkerCrash
 __all__ = ["ChaosReport", "run_chaos"]
 
 _NAMES = ("r", "s", "t")
-_MODES = ("stream", "batch", "compiled", "auto")
+_MODES = ("compiled", "reference")
 
 #: Per-site rate menu each seed draws from.  Zero keeps the disabled
 #: path honest; 1.0 forces full-chain degradation down to the
@@ -173,11 +172,10 @@ def _check_seed(report: ChaosReport, base_seed: int, seed: int) -> None:
         cache_rate=rng.choice(_RATES),
         compile_rate=rng.choice(_RATES),
         maintenance_rate=rng.choice(_RATES),
-        shard_rate=rng.choice(_RATES),
     )
     injector = FaultInjector(fault_plan)
 
-    def check(plan, mode: str, use_cache: bool, shards=None) -> None:
+    def check(plan, mode: str, use_cache: bool) -> None:
         # The oracle runs with injection detached; run_reference never
         # touches the cache or the injector, but detaching makes the
         # fault-free contract explicit and keeps draw sequences tied to
@@ -187,7 +185,7 @@ def _check_seed(report: ChaosReport, base_seed: int, seed: int) -> None:
         db.fault_injector = injector
         report.checks += 1
         try:
-            got = db.run(plan, mode=mode, use_cache=use_cache, shards=shards)
+            got = db.run(plan, mode=mode, use_cache=use_cache)
         except Exception as exc:  # noqa: BLE001 — escapes are the finding
             report.escapes.append(
                 ChaosFailure(
@@ -204,13 +202,9 @@ def _check_seed(report: ChaosReport, base_seed: int, seed: int) -> None:
     for plan in plans:
         for mode in _MODES:
             check(plan, mode, use_cache=False)
-        # Sharded tier: ``shard`` faults fire in the parent before
-        # dispatch and must degrade down SHARDED_CHAIN
-        # (sharded -> batch -> stream -> reference), never escape.
-        check(plan, "sharded", use_cache=False, shards=rng.choice((2, 4)))
         # Warm path: first run populates, second must revalidate any
         # tampered entry instead of serving it.
-        check(plan, "stream", use_cache=True)
+        check(plan, "compiled", use_cache=True)
         check(plan, rng.choice(_MODES), use_cache=True)
 
     # Mutate and re-check: delta maintenance + degradation interplay.
@@ -234,7 +228,7 @@ def _check_seed(report: ChaosReport, base_seed: int, seed: int) -> None:
             )
         )
     for plan in plans[:1]:
-        check(plan, "stream", use_cache=True)
+        check(plan, "compiled", use_cache=True)
         check(plan, rng.choice(_MODES), use_cache=True)
 
     report.corruptions_caught += db.plan_cache.corruptions
@@ -244,9 +238,8 @@ def _check_seed(report: ChaosReport, base_seed: int, seed: int) -> None:
 
 def _recovery_digest(db: Database) -> tuple:
     """Everything recovery must get byte-identical: relation contents
-    + schema (canonical JSON), the mutation generation (which keys the
-    stats/mode memos), and every relation fingerprint (which keys the
-    plan-result cache)."""
+    + schema (canonical JSON), the mutation generation, and every
+    relation fingerprint (which keys the plan-result cache)."""
     return (
         json.dumps(database_to_json(db), sort_keys=True),
         db._generation,

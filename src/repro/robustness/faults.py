@@ -1,16 +1,15 @@
 """Deterministic fault injection: :class:`FaultPlan` and
 :class:`FaultInjector`.
 
-The engine's core invariant is four-way executor parity (value, work,
-ledger).  This module supplies the *adversary* for that invariant: a
+The engine's core invariant is executor parity (value, work, ledger)
+between the compiled path and the reference interpreter.  This module supplies the *adversary* for that invariant: a
 seeded, reproducible source of component failures threaded through the
-executors, the :class:`~repro.engine.exec.cache.PlanCache`, the
-write-ahead log, and the parallel harness via optional hooks.  Seven
+compiled executor, the :class:`~repro.engine.exec.cache.PlanCache`,
+the write-ahead log, and the parallel harness via optional hooks.  Six
 fault sites:
 
-* ``"operator"`` — a physical operator raises mid-execution (streaming
-  and batch executors draw once per compiled operator; the compiled
-  executor draws once per artifact run);
+* ``"operator"`` — the compiled plan raises mid-execution (drawn once
+  per artifact run);
 * ``"cache"`` — a result-cache entry comes back corrupted from
   ``PlanCache.get`` (value, work, or ledger tampered, seal left stale —
   the model of a poisoned/bit-flipped entry);
@@ -23,10 +22,6 @@ fault sites:
   fails mid-patch (drawn once per maintainable entry inside
   ``PlanCache.maintain``); the cache must degrade to
   invalidate-then-recompute, never serve a half-patched entry;
-* ``"shard"`` — a shard worker is lost mid-shard (drawn once per shard,
-  in shard order, before ``execute_sharded`` dispatches the partition);
-  the fault escapes into ``Database.run``'s sharded degradation chain
-  (``sharded -> batch -> stream -> reference``);
 * ``"durability"`` — the write-ahead log misbehaves: an append is torn
   mid-record (a crash during the write — only a byte prefix reaches
   disk), a full record is silently bit-flipped in place (media
@@ -66,8 +61,7 @@ __all__ = [
 
 #: Fault sites an injector understands, in documentation order.
 FAULT_SITES = (
-    "operator", "cache", "compile", "worker", "maintenance", "shard",
-    "durability",
+    "operator", "cache", "compile", "worker", "maintenance", "durability",
 )
 
 
@@ -105,7 +99,6 @@ class FaultPlan:
     compile_rate: float = 0.0
     worker_rate: float = 0.0
     maintenance_rate: float = 0.0
-    shard_rate: float = 0.0
     durability_rate: float = 0.0
 
     def rate_for(self, site: str) -> float:

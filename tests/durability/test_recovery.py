@@ -162,9 +162,6 @@ class TestRecoverEndToEnd:
         recovered, _ = recover(state)
         assert recovered._generation == live._generation
         assert recovered.fingerprint("r") == live.fingerprint("r")
-        # Generation-derived memos start clean, not poisoned.
-        assert recovered._stats_memo is None
-        assert recovered._mode_memo == {}
 
     def test_warm_plans_ride_delta_maintenance(self, state):
         live = durable_db(state)

@@ -1,12 +1,12 @@
 """Plan-compiler parity and artifact-lifecycle tests.
 
-``execute_compiled`` carries the exact contract of every other
-executor — identical ``CVSet`` answer, identical total work, identical
-per-node ledger as the reference interpreter — while lowering the plan
-to one generated function.  On top of parity, these tests pin the
-artifact lifecycle: memoization under semantic keys, per-relation
-invalidation on mutation, the deep-plan fallback, and interop of the
-result-cache entries it writes with the streaming engine.
+``execute_compiled`` carries the engine's contract — identical
+``CVSet`` answer, identical total work, identical per-node ledger as the
+reference interpreter — while lowering the plan to one generated
+function.  On top of parity, these tests pin the artifact lifecycle:
+memoization under semantic keys, per-relation invalidation on mutation,
+the deep-plan fallback to the reference, and ``Database.run``'s result
+cache serving both executors.
 """
 
 import random
@@ -17,7 +17,6 @@ from repro.engine.exec import (
     PlanCache,
     compile_plan,
     execute_compiled,
-    execute_streaming,
     plan_depth,
 )
 from repro.engine.workload import (
@@ -44,9 +43,8 @@ from tests.conftest import NAMES, assert_equivalent
 
 class TestCompiledEquivalence:
     def test_random_plans_match_reference(self, plan_pair):
-        """200 random plan/db pairs: compiled cold, artifact-warm and
-        result-warm all agree with the reference, work and ledger
-        included."""
+        """200 random plan/db pairs: compiled cold and artifact-warm
+        agree with the reference, work and ledger included."""
         for seed in range(200):
             plan, db = plan_pair(20260808 + seed)
             store = PlanCache()
@@ -55,7 +53,6 @@ class TestCompiledEquivalence:
                 execute_compiled(plan, db),
                 execute_compiled(plan, db, compile_store=store),
                 execute_compiled(plan, db, compile_store=store),  # memo
-                execute_compiled(plan, db, cache=store),  # result-warm
             )
 
     def test_nested_value_databases(self):
@@ -125,7 +122,7 @@ class TestCompiledEquivalence:
 
 
 class TestDeepPlanFallback:
-    def test_deep_chain_falls_back_to_streaming(self):
+    def test_deep_chain_falls_back_to_reference(self):
         rng = random.Random(73)
         plan = deep_chain_plan(rng, "r", 5000)
         assert plan_depth(plan) > MAX_PIPELINE_DEPTH
@@ -215,43 +212,52 @@ class TestArtifactLifecycle:
         db = {"r": CVSet({Tup((1, 2))})}
         compiled = compile_plan(Project((0,), Scan("r")), db)
         db["r"] = CVSet({Tup((7, 8))})
-        values, _, _ = compiled.run()
+        values, _ = compiled.run()
         assert CVSet(values) == CVSet({Tup((1,))})
 
 
 class TestCacheInterop:
-    def test_compiled_writes_streaming_hits(self):
-        db = {"r": CVSet(Tup((i, i)) for i in range(5))}
+    """``Database.run`` keeps one result cache around both executors,
+    so an entry either one stores is a hit for the other."""
+
+    def _db(self):
+        db = Database()
+        db.create("r", 2)
+        db.insert("r", [(i, i) for i in range(5)])
+        return db
+
+    def test_compiled_writes_reference_hits(self):
+        db = self._db()
         plan = Project((0,), Scan("r"))
-        cache = PlanCache()
-        execute_compiled(plan, db, cache=cache)
-        cache.reset_stats()
-        result = execute_streaming(plan, db, cache=cache)
-        assert cache.hits >= 1
+        db.run(plan, mode="compiled")
+        db.plan_cache.reset_stats()
+        result = db.run(plan, mode="reference")
+        assert db.plan_cache.hits == 1
         assert_equivalent(plan, db, result)
 
-    def test_streaming_writes_compiled_hits(self):
-        db = {"r": CVSet(Tup((i, i)) for i in range(5))}
+    def test_reference_writes_compiled_hits(self):
+        db = self._db()
         plan = Project((0,), Scan("r"))
-        cache = PlanCache()
-        execute_streaming(plan, db, cache=cache)
-        cache.reset_stats()
-        result = execute_compiled(plan, db, cache=cache)
-        assert cache.hits >= 1
+        db.run(plan, mode="reference")
+        db.plan_cache.reset_stats()
+        result = db.run(plan, mode="compiled")
+        assert db.plan_cache.hits == 1
+        assert db.plan_cache.compiled_stats()["puts"] == 0
         assert_equivalent(plan, db, result)
 
     def test_predicate_aliasing_keeps_keys_distinct(self):
         """Two same-named predicates with different behavior must not
         collide in either the result cache or the artifact store."""
-        db = {"r": CVSet(Tup((i,)) for i in range(6))}
+        db = Database()
+        db["r"] = CVSet(Tup((i,)) for i in range(6))
         low = Select("cut", lambda t: t.items[0] < 2, Scan("r"))
         high = Select("cut", lambda t: t.items[0] >= 2, Scan("r"))
-        cache = PlanCache()
-        a = execute_compiled(low, db, cache=cache)
-        b = execute_compiled(high, db, cache=cache)
+        a = db.run(low)
+        b = db.run(high)
         assert_equivalent(low, db, a)
         assert_equivalent(high, db, b)
         assert a.value != b.value
+        assert db.plan_cache.compiled_stats()["puts"] == 2
 
 
 class TestDatabaseCompiledRun:
@@ -285,6 +291,20 @@ class TestDatabaseCompiledRun:
         assert stats["puts"] == 1 and stats["hits"] == 1
         assert db.plan_cache.stats()["puts"] == 0
 
+    def test_stats_survive_mutation(self):
+        """Insert + wholesale replacement keep the cached weights and
+        widths the compiler hoists honest."""
+        db = Database()
+        db.create("r", 2)
+        db.insert("r", [(i, i) for i in range(6)])
+        plan = Union(Scan("r"), Scan("r"))
+        assert_equivalent(plan, db, db.run(plan, use_cache=False))
+        db.insert("r", [(9, 9), (10, 10)])
+        assert_equivalent(plan, db, db.run(plan, use_cache=False))
+        db["r"] = CVSet({Tup((1,)), Tup((1, 2, 3)), "atom"})
+        assert db.relation_width("r") is None
+        assert_equivalent(plan, db, db.run(plan, use_cache=False))
+
 
 class TestCompiledTracing:
     def test_span_tree_work_matches_result(self, hr_db):
@@ -311,12 +331,12 @@ class TestCompiledTracing:
         assert tracer.last.total_work() == result.work
 
     def test_result_cache_hit_is_a_single_span(self):
-        db = {"r": CVSet(Tup((i, i)) for i in range(5))}
+        db = Database()
+        db["r"] = CVSet(Tup((i, i)) for i in range(5))
         plan = Project((0,), Scan("r"))
-        cache = PlanCache()
-        execute_compiled(plan, db, cache=cache)
+        db.run(plan)
         tracer = Tracer()
-        result = execute_compiled(plan, db, cache=cache, tracer=tracer)
+        result = db.run(plan, tracer=tracer)
         assert_equivalent(plan, db, result)
         assert tracer.last.cache == "hit"
         assert tracer.last.children == []

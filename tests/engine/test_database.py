@@ -119,6 +119,12 @@ class TestIncrementalMaintenance:
         db.insert("people", [(3, "cyd")])
         assert db.fingerprint("people") != before
 
+    def test_distincts_refreshed_on_insert(self, small_db):
+        db = small_db
+        assert db.column_distincts("r") == {0: 3, 1: 3}
+        db.insert("r", [(9, 2)])  # new col-0 value, old col-1 value
+        assert db.column_distincts("r") == {0: 4, 1: 3}
+
     def test_relation_weight_incremental(self, db):
         assert db.relation_weight("people") == 4
         db.insert("people", [(3, "cyd")])
@@ -231,25 +237,10 @@ class TestUnknownRelationIndexProbe:
 
 class TestWholesaleReplacement:
     """``db[name] = ...`` must drop every memo keyed on the relation:
-    stats, mode decisions, widths, distincts, compiled artifacts."""
+    widths, distincts, cached results, compiled artifacts."""
 
     def _plan(self):
         return Project((0,), Scan("people"))
-
-    def test_stats_memo_invalidated(self, db):
-        first = db.current_stats()
-        assert db.current_stats() is first  # memoized within generation
-        db["people"] = cvset(tup(9, "zoe"))
-        second = db.current_stats()
-        assert second is not first
-        assert second.rows["people"] == 1
-
-    def test_mode_memo_invalidated(self, db):
-        plan = self._plan()
-        decision = db.plan_mode(plan)
-        assert db.plan_mode(plan) is decision  # memoized within generation
-        db["people"] = cvset(tup(9, "zoe"))
-        assert db.plan_mode(plan) is not decision
 
     def test_widths_recomputed_from_new_contents(self, db):
         assert db.relation_width("people") == 2
@@ -288,42 +279,3 @@ class TestWholesaleReplacement:
         db["people"] = cvset(tup(9, "zoe"))
         db["people"] = cvset(tup(8, "amy"))
         assert db._generation == generation + 2
-
-
-class TestPlanModeMemo:
-    """The per-(plan identity, generation) executor-choice memo is
-    keyed by ``id(plan)`` — safe only because each entry pins the plan
-    object it was computed for.  These pin the two halves of that
-    guard against regression."""
-
-    def _plan(self):
-        return Project((0,), Scan("people"))
-
-    def test_id_reuse_cannot_serve_a_stale_decision(self, db):
-        # Simulate CPython reusing a freed plan's id for a new plan:
-        # the memo slot holds a *different* object than the probe.
-        plan = self._plan()
-        other = self._plan()
-        sentinel = object()
-        db._mode_memo[id(plan)] = (db._generation, other, sentinel)
-        decision = db.plan_mode(plan)
-        assert decision is not sentinel
-        # The recomputation also fixed the slot to pin the right plan.
-        assert db._mode_memo[id(plan)][1] is plan
-
-    def test_memo_entry_keeps_the_plan_alive(self, db):
-        # The identity guard only works if a memoized plan cannot be
-        # garbage-collected (freeing its id for reuse) while its entry
-        # is live: the entry must hold a strong reference.
-        plan = self._plan()
-        db.plan_mode(plan)
-        entry = db._mode_memo[id(plan)]
-        assert entry[1] is plan
-
-    def test_generation_bump_invalidates(self, db):
-        plan = self._plan()
-        first = db.plan_mode(plan)
-        assert db.plan_mode(plan) is first  # memo hit
-        db.insert("people", [(7, "gus")])
-        db.plan_mode(plan)  # recomputed, not served stale
-        assert db._mode_memo[id(plan)][0] == db._generation

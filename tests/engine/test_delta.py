@@ -3,9 +3,8 @@
 Covers the maintainability analyzer (genericity classes), in-place
 patching of ``PlanCache`` entries on insert (re-keying, fresh seals,
 counters), the Difference right-delta forced invalidation, the
-maintenance fault site's degradation contract, the byte-identity
-property over random insert sequences, and the incremental stats-memo
-satellite (``mode="auto"`` no longer recomputes full stats per write).
+maintenance fault site's degradation contract, and the byte-identity
+property over random insert sequences in both executor modes.
 """
 
 import random
@@ -37,7 +36,7 @@ from repro.optimizer.plan import (
     Union,
 )
 from repro.robustness import FaultInjector, FaultPlan
-from repro.types.values import cvset, tup
+from repro.types.values import tup
 from tests.conftest import NAMES as _NAMES
 
 
@@ -49,7 +48,7 @@ def _swap(t):
     return tup(t[1], t[0])
 
 
-def _assert_parity(db, plan, mode="stream"):
+def _assert_parity(db, plan, mode="compiled"):
     got = db.run(plan, mode=mode)
     want = db.run_reference(plan)
     assert got.value == want.value
@@ -317,7 +316,7 @@ class TestByteIdentityProperty:
     """After any insert sequence, a maintained cached value is
     byte-identical to cold recomputation, in every executor mode."""
 
-    @pytest.mark.parametrize("mode", ["stream", "batch", "compiled", "auto"])
+    @pytest.mark.parametrize("mode", ["compiled", "reference"])
     def test_random_insert_sequences(self, mode):
         rng = random.Random(hash(mode) % 10_000)
         for trial in range(5):
@@ -349,57 +348,3 @@ class TestByteIdentityProperty:
                 for plan in plans:
                     _assert_parity(db, plan, mode=mode)
             assert db.plan_cache.maintain_fallback == 0
-
-
-class TestIncrementalStats:
-    def test_stats_not_recomputed_per_insert(self, small_db, monkeypatch):
-        """``mode="auto"`` must not pay a full ``Stats.from_database``
-        pass after every write: the stats memo is refreshed in place."""
-        from repro.optimizer import cost
-
-        db = small_db
-        calls = {"n": 0}
-        original = cost.Stats.from_database.__func__
-
-        def counting(cls, database):
-            calls["n"] += 1
-            return original(cls, database)
-
-        monkeypatch.setattr(
-            cost.Stats, "from_database", classmethod(counting)
-        )
-        plan = Join(((0, 0),), Scan("r"), Scan("s"))
-        db.run(plan, mode="auto")
-        assert calls["n"] == 1
-        for i in range(5):
-            db.insert("r", [(20 + i, i)])
-            db.run(plan, mode="auto")
-        assert calls["n"] == 1  # never recomputed wholesale
-
-    def test_incremental_stats_match_cold_stats(self, small_db):
-        from repro.optimizer.cost import Stats
-
-        db = small_db
-        db.run(Scan("r"), mode="auto")  # warm the memo
-        db.insert("r", [(11, 12), (11, 13)])
-        db.insert("s", [(0, 0)])
-        incremental = db.current_stats()
-        cold = Stats.from_database(db)
-        assert incremental.rows == cold.rows
-        assert incremental.widths == cold.widths
-        assert incremental.distincts == cold.distincts
-
-    def test_wholesale_replacement_still_recomputes(self, small_db):
-        db = small_db
-        first = db.current_stats()
-        db["r"] = cvset(tup(1, 1))
-        second = db.current_stats()
-        assert second is not first
-        assert second.rows["r"] == 1
-
-    def test_distincts_maintained_incrementally(self, small_db):
-        db = small_db
-        assert db.column_distincts("r") == {0: 3, 1: 3}
-        db.insert("r", [(9, 2)])  # new col-0 value, old col-1 value
-        assert db.column_distincts("r") == {0: 4, 1: 3}
-        assert db._distincts["r"] == {0: 4, 1: 3}  # refreshed, not dropped

@@ -1,9 +1,10 @@
 """Executor equivalence and caching tests.
 
-The streaming executor's contract: for every plan over every database,
-identical ``CVSet`` answer, identical total work, and identical
-per-node ledger as the reference interpreter — cold, with a cold cache,
-and with a warm cache.
+The engine's contract: for every plan over every database,
+``Database.run`` returns the identical ``CVSet`` answer, identical
+total work, and identical per-node ledger as the reference interpreter
+— cold, warm from the result cache, and after inserts that maintain or
+invalidate the cached entry.
 """
 
 import random
@@ -12,11 +13,13 @@ import pytest
 
 from repro.engine.database import Database
 from repro.engine.exec import (
+    MAX_PIPELINE_DEPTH,
     PlanCache,
-    execute_streaming,
+    execute_compiled,
     relation_fingerprint,
     result_cache_key,
 )
+from repro.engine.workload import deep_chain_plan
 from repro.optimizer.plan import (
     Difference,
     Intersect,
@@ -28,32 +31,59 @@ from repro.optimizer.plan import (
     execute_reference,
 )
 from repro.types.values import CVSet, Tup, cvset, tup
-from tests.conftest import assert_equivalent
+from tests.conftest import NAMES, assert_equivalent
+
+
+def _live(relations, arity=None) -> Database:
+    """A ``Database`` holding ``relations``: declared with ``arity``
+    and inserted (so inserts are validated and maintained), or, for
+    ``arity=None``, assigned wholesale (any element shape)."""
+    db = Database()
+    for name, relation in relations.items():
+        if arity is None:
+            db[name] = relation
+        else:
+            db.create(name, arity)
+            db.insert(name, relation)
+    return db
 
 
 class TestEquivalenceProperty:
     def test_random_plans_match_reference(self, plan_pair):
-        """≥200 random plan/database pairs: streaming, cached-cold and
-        cached-warm all agree with the reference, including work."""
+        """≥200 random plan/database pairs through ``Database.run`` in
+        its default mode: cold, warm, and after an insert that the
+        cache maintains or invalidates all agree with the reference,
+        including work and ledger."""
         pairs_checked = 0
         nodes_seen = set()
+        maintained = invalidated = 0
         for seed in range(220):
-            plan, db = plan_pair(20260806 + seed)
+            plan, relations = plan_pair(20260806 + seed)
             stack = [plan]
             while stack:
                 node = stack.pop()
                 nodes_seen.add(type(node).__name__)
                 stack.extend(node.children())
-            cache = PlanCache()
-            streaming = execute_streaming(plan, db)
-            cached_cold = execute_streaming(plan, db, cache=cache)
-            cached_warm = execute_streaming(plan, db, cache=cache)
-            assert_equivalent(
-                plan, db, streaming, cached_cold, cached_warm
+            db = _live(relations, arity=2)
+            cold = db.run(plan)
+            warm = db.run(plan)
+            assert_equivalent(plan, db, cold, warm)
+            rng = random.Random(seed)
+            before = db.plan_cache.stats()
+            db.insert(
+                rng.choice(NAMES),
+                [(rng.randrange(6), rng.randrange(6))
+                 for _ in range(rng.randint(1, 3))],
             )
+            after = db.plan_cache.stats()
+            maintained += after["maintained"] - before["maintained"]
+            invalidated += after["invalidations"] - before["invalidations"]
+            assert_equivalent(plan, db, db.run(plan))
             pairs_checked += 1
         assert pairs_checked >= 200
-        # The generator must actually exercise the whole operator set.
+        # Both insert outcomes occur, and the generator exercises the
+        # whole operator set.
+        assert maintained > 0 and invalidated > 0
         assert nodes_seen >= {
             "Scan", "Project", "Select", "MapNode", "Union",
             "Difference", "Intersect", "Product", "Join",
@@ -65,12 +95,16 @@ class TestEquivalenceProperty:
         empty = Join((), Scan("r"), Scan("s"))
         dup_pairs = Join(((0, 0), (0, 0)), Scan("r"), Scan("s"))
         for plan in (multi, empty, dup_pairs):
-            assert_equivalent(plan, db, execute_streaming(plan, db))
+            assert_equivalent(
+                plan, db, execute_compiled(plan, db), _live(db).run(plan)
+            )
 
     def test_missing_relation_reads_empty(self):
         plan = Union(Scan("ghost"), Scan("r"))
         db = {"r": cvset(tup(1, 2))}
-        assert_equivalent(plan, db, execute_streaming(plan, db))
+        assert_equivalent(
+            plan, db, execute_compiled(plan, db), _live(db).run(plan)
+        )
 
 
 class TestCSE:
@@ -89,12 +123,12 @@ class TestCSE:
         )
         reference = execute_reference(plan, db)
         reference_calls, calls = calls, 0
-        streaming = execute_streaming(plan, db)
+        compiled = execute_compiled(plan, db)
         assert calls == 10
         assert reference_calls == 20
-        assert streaming.value == reference.value
-        assert streaming.work == reference.work
-        assert streaming.per_node == reference.per_node
+        assert compiled.value == reference.value
+        assert compiled.work == reference.work
+        assert compiled.per_node == reference.per_node
 
 
 class TestPlanCache:
@@ -106,60 +140,42 @@ class TestPlanCache:
             calls += 1
             return True
 
-        db = {"r": CVSet(Tup((i,)) for i in range(5))}
+        db = _live({"r": CVSet(Tup((i,)) for i in range(5))})
         plan = Select("counting", counting, Scan("r"))
-        cache = PlanCache()
-        first = execute_streaming(plan, db, cache=cache)
+        first = db.run(plan)
         assert calls == 5
-        second = execute_streaming(plan, db, cache=cache)
+        second = db.run(plan)
         assert calls == 5  # served from cache
         assert second.value == first.value
         assert second.work == first.work  # as-if-executed work
-        assert cache.hits >= 1
+        assert db.plan_cache.hits >= 1
 
     def test_fingerprint_mismatch_prevents_stale_hit(self):
         plan = Project((0,), Scan("r"))
-        db1 = {"r": cvset(tup(1, 2))}
-        db2 = {"r": cvset(tup(3, 4))}
-        cache = PlanCache()
-        first = execute_streaming(plan, db1, cache=cache)
-        second = execute_streaming(plan, db2, cache=cache)
+        db = _live({"r": cvset(tup(1, 2))})
+        first = db.run(plan)
+        # Swap the relation behind the cache's back (no invalidation):
+        # the fingerprint in the key alone must keep the stale entry
+        # unreachable.
+        db.relations["r"] = cvset(tup(3, 4))
+        second = db.run(plan)
         assert first.value != second.value
-        assert second.value == execute_reference(plan, db2).value
-
-    def test_subplan_hit_across_different_roots(self):
-        db = {"r": CVSet(Tup((i, i)) for i in range(6)),
-              "s": CVSet(Tup((i, 0)) for i in range(3))}
-        shared = Union(Scan("r"), Scan("s"))
-        cache = PlanCache()
-        execute_streaming(Difference(Scan("r"), shared), db, cache=cache)
-        cache.reset_stats()
-        result = execute_streaming(
-            Intersect(Scan("r"), shared), db, cache=cache
-        )
-        # `shared` was materialized as a build side in the first query
-        # and is served from cache in the second.
-        assert cache.hits >= 1
-        assert_equivalent(
-            Intersect(Scan("r"), shared), db, result
-        )
+        assert second.value == execute_reference(plan, db.relations).value
 
     def test_lru_eviction_bounds_entries(self):
-        cache = PlanCache(capacity=4)
-        db = {"r": CVSet(Tup((i,)) for i in range(4))}
+        db = Database(cache_capacity=4)
+        db["r"] = CVSet(Tup((i,)) for i in range(4))
         for c in range(10):
-            execute_streaming(Project((0,) * (c + 1), Scan("r")), db,
-                              cache=cache)
-        assert len(cache) <= 4
+            db.run(Project((0,) * (c + 1), Scan("r")))
+        assert len(db.plan_cache) <= 4
 
     def test_invalidate_by_relation(self):
-        db = {"r": cvset(tup(1, 2)), "s": cvset(tup(3, 4))}
-        cache = PlanCache()
-        execute_streaming(Project((0,), Scan("r")), db, cache=cache)
-        execute_streaming(Project((0,), Scan("s")), db, cache=cache)
-        assert len(cache) == 2
-        cache.invalidate("r")
-        assert len(cache) == 1
+        db = _live({"r": cvset(tup(1, 2)), "s": cvset(tup(3, 4))})
+        db.run(Project((0,), Scan("r")))
+        db.run(Project((0,), Scan("s")))
+        assert len(db.plan_cache) == 2
+        db.plan_cache.invalidate("r")
+        assert len(db.plan_cache) == 1
 
     def test_key_includes_fingerprints(self):
         plan = Project((0,), Scan("r"))
@@ -219,6 +235,21 @@ class TestDatabaseExecution:
         db.run(plan, use_cache=False)
         assert len(db.plan_cache) == 0
 
+    @pytest.mark.parametrize("mode", ["stream", "batch", "auto", "sharded"])
+    def test_only_two_modes(self, mode):
+        db = _live({"r": cvset(tup(1, 2))})
+        with pytest.raises(ValueError):
+            db.run(Project((0,), Scan("r")), mode=mode)
+
+    def test_reference_mode_uses_the_result_cache(self):
+        db = _live({"r": cvset(tup(1, 2))})
+        plan = Project((0,), Scan("r"))
+        first = db.run(plan, mode="reference")
+        second = db.run(plan)
+        assert db.plan_cache.hits == 1
+        assert db.plan_cache.compiled_stats()["puts"] == 0
+        assert_equivalent(plan, db, first, second)
+
 
 class TestSemanticCacheKeys:
     """A predicate/function name rebound to a different callable must
@@ -228,14 +259,13 @@ class TestSemanticCacheKeys:
         # The original poisoning repro: same name, two predicates, one
         # shared cache.  A structurally-keyed cache returned the first
         # answer for both.
-        db = {"p": CVSet(Tup((i,)) for i in range(5))}
-        cache = PlanCache()
+        db = _live({"p": CVSet(Tup((i,)) for i in range(5))})
         plan1 = Select("p", lambda t: t[0] == 1, Scan("p"))
         plan2 = Select("p", lambda t: t[0] == 2, Scan("p"))
-        first = execute_streaming(plan1, db, cache=cache)
-        second = execute_streaming(plan2, db, cache=cache)
-        assert first.value == execute_reference(plan1, db).value
-        assert second.value == execute_reference(plan2, db).value
+        first = db.run(plan1)
+        second = db.run(plan2)
+        assert first.value == db.run_reference(plan1).value
+        assert second.value == db.run_reference(plan2).value
         assert first.value != second.value
 
     def test_aliased_predicates_within_one_plan(self):
@@ -249,22 +279,24 @@ class TestSemanticCacheKeys:
         )
         assert_equivalent(
             plan, db,
-            execute_streaming(plan, db),
-            execute_streaming(plan, db, cache=PlanCache()),
+            execute_compiled(plan, db),
+            execute_compiled(plan, db, compile_store=PlanCache()),
+            _live(db).run(plan),
         )
 
     def test_on_alias_error_raises(self):
         from repro.engine.exec import CacheInvariantError
 
         db = {"p": CVSet(Tup((i,)) for i in range(3))}
-        cache = PlanCache(on_alias="error")
-        execute_streaming(
-            Select("p", lambda t: t[0] == 1, Scan("p")), db, cache=cache
+        store = PlanCache(on_alias="error")
+        execute_compiled(
+            Select("p", lambda t: t[0] == 1, Scan("p")), db,
+            compile_store=store,
         )
         with pytest.raises(CacheInvariantError):
-            execute_streaming(
+            execute_compiled(
                 Select("p", lambda t: t[0] == 2, Scan("p")), db,
-                cache=cache,
+                compile_store=store,
             )
 
     def test_recreated_closure_still_hits(self):
@@ -274,21 +306,14 @@ class TestSemanticCacheKeys:
         def make(k):
             return lambda t: t[0] == k
 
-        db = {"p": CVSet(Tup((i,)) for i in range(5))}
-        cache = PlanCache()
-        first = execute_streaming(
-            Select("eq", make(2), Scan("p")), db, cache=cache
-        )
-        cache.reset_stats()
-        second = execute_streaming(
-            Select("eq", make(2), Scan("p")), db, cache=cache
-        )
-        assert cache.hits >= 1
+        db = _live({"p": CVSet(Tup((i,)) for i in range(5))})
+        first = db.run(Select("eq", make(2), Scan("p")))
+        db.plan_cache.reset_stats()
+        second = db.run(Select("eq", make(2), Scan("p")))
+        assert db.plan_cache.hits >= 1
         assert second.value == first.value
         # ...while a *different* capture keys apart.
-        third = execute_streaming(
-            Select("eq", make(3), Scan("p")), db, cache=cache
-        )
+        third = db.run(Select("eq", make(3), Scan("p")))
         assert third.value == cvset(tup(3))
 
     def test_put_refreshes_existing_entry(self):
@@ -319,20 +344,20 @@ class TestSemanticCacheKeys:
         assert cache.get("k2") is None
 
     def test_zero_capacity_disables_caching_without_churn(self):
-        db = {"p": CVSet(Tup((i,)) for i in range(4))}
         plan = Select("small", lambda t: t[0] < 2, Scan("p"))
         for capacity in (0, -1):
-            cache = PlanCache(capacity)
-            result = execute_streaming(plan, db, cache=cache)
-            execute_streaming(plan, db, cache=cache)
-            assert result.value == execute_reference(plan, db).value
-            assert len(cache) == 0  # put is a no-op: no entry churn
-            assert cache.hits == 0
+            db = Database(cache_capacity=capacity)
+            db["p"] = CVSet(Tup((i,)) for i in range(4))
+            result = db.run(plan)
+            db.run(plan)
+            assert result.value == db.run_reference(plan).value
+            assert len(db.plan_cache) == 0  # put is a no-op: no churn
+            assert db.plan_cache.hits == 0
 
 
 class TestAtomRelations:
     """Relations of bare atoms flow through every operator, including
-    the bulk scan-scan fast path (PR 2 regression: the bulk path
+    set operations over two bare scans (PR 2 regression: a bulk path
     charged ``len(t)`` inline and raised ``TypeError`` on atoms)."""
 
     def test_bulk_set_ops_over_atom_relations(self):
@@ -341,8 +366,8 @@ class TestAtomRelations:
             plan = op(Scan("a"), Scan("b"))
             assert_equivalent(
                 plan, db,
-                execute_streaming(plan, db),
-                execute_streaming(plan, db, cache=PlanCache()),
+                execute_compiled(plan, db),
+                _live(db).run(plan),
             )
 
     def test_nested_set_ops_over_atom_relations(self):
@@ -350,7 +375,7 @@ class TestAtomRelations:
               "c": CVSet([3, "z"])}
         plan = Difference(Union(Scan("a"), Scan("b")),
                           Intersect(Scan("b"), Scan("c")))
-        assert_equivalent(plan, db, execute_streaming(plan, db))
+        assert_equivalent(plan, db, execute_compiled(plan, db))
 
 
 class TestDeepPlans:
@@ -359,20 +384,18 @@ class TestDeepPlans:
 
     DEPTH = 5000
 
-    def _chain(self):
-        from repro.engine.workload import deep_chain_plan
-
-        return deep_chain_plan(random.Random(7), "r", self.DEPTH)
+    def _chain(self, depth=DEPTH):
+        return deep_chain_plan(random.Random(7), "r", depth)
 
     def test_deep_chain_executes_with_parity(self):
-        db = {"r": CVSet(Tup((i, i + 1)) for i in range(6))}
+        relations = {"r": CVSet(Tup((i, i + 1)) for i in range(6))}
         plan = self._chain()
-        cache = PlanCache()
+        db = _live(relations)
         assert_equivalent(
-            plan, db,
-            execute_streaming(plan, db),
-            execute_streaming(plan, db, cache=cache),
-            execute_streaming(plan, db, cache=cache),  # warm
+            plan, relations,
+            execute_compiled(plan, relations),
+            db.run(plan),
+            db.run(plan),  # warm
         )
 
     def test_deep_chain_optimizes(self):
@@ -382,7 +405,7 @@ class TestDeepPlans:
         plan = self._chain()
         optimized = Rewriter(Catalog()).optimize(plan)
         db = {"r": CVSet(Tup((i, i + 1)) for i in range(4))}
-        assert (execute_streaming(optimized, db).value
+        assert (execute_compiled(optimized, db).value
                 == execute_reference(plan, db).value)
 
     def test_deep_plan_hash_and_eq_are_iterative(self):
@@ -390,3 +413,22 @@ class TestDeepPlans:
         other = self._chain()  # same seed: structurally identical
         assert hash(plan) == hash(other)
         assert plan == other
+
+    def test_too_deep_plan_runs_on_reference_cached_and_maintained(self):
+        """Past ``MAX_PIPELINE_DEPTH`` the compiled mode runs the
+        reference interpreter (nothing is compiled), the root result is
+        still cached, and an insert patches it in place."""
+        db = _live({"r": [(i, i + 1) for i in range(8)]}, arity=2)
+        plan = self._chain(MAX_PIPELINE_DEPTH + 20)
+        cold = db.run(plan)
+        assert db.plan_cache.compiled_stats()["puts"] == 0
+        assert len(db.plan_cache) == 1
+        warm = db.run(plan)
+        assert db.plan_cache.hits == 1
+        assert_equivalent(plan, db, cold, warm)
+        db.insert("r", [(20, 21), (21, 20)])
+        assert db.plan_cache.maintained == 1
+        patched = db.run(plan)
+        assert db.plan_cache.hits == 2
+        assert db.plan_cache.compiled_stats()["puts"] == 0
+        assert_equivalent(plan, db, patched)

@@ -45,16 +45,31 @@ class TestExplain:
             assert report.work == reference.work
             assert report.root.total_work() == reference.work
             assert report.plan == str(plan)
-        # Cold stream and batch trees are structurally identical.
-        stream, batch = reports[1], reports[2]
-        assert stream.root.structure() == batch.root.structure()
+        # No shared subtrees here, so the cold compiled tree has the
+        # reference's labels, work and shape.
+        reference_report, compiled = reports
+
+        def shape(root):
+            return [
+                (s.label, s.work, len(s.children)) for s in root.walk()
+            ]
+
+        assert shape(compiled.root) == shape(reference_report.root)
+
+    def test_explain_compiled_mode(self, plan, db):
+        report = explain(plan, db, mode="compiled", use_cache=False)
+        reference = db.run_reference(plan)
+        assert report.mode == "compiled"
+        assert report.rows == len(reference.value)
+        assert report.work == reference.work
+        assert report.root.rows == len(reference.value)
 
     def test_cache_stats_delta_shows_miss_then_hit(self, plan, db):
-        cold = explain(plan, db, mode="stream")
+        cold = explain(plan, db, mode="compiled")
         assert cold.cache_stats["misses"] >= 1
         assert cold.cache_stats["hits"] == 0
         assert cold.cache_stats["puts"] >= 1
-        warm = explain(plan, db, mode="stream")
+        warm = explain(plan, db, mode="compiled")
         assert warm.cache_stats["hits"] == 1
         assert warm.cache_stats["misses"] == 0
         assert warm.cache_stats["puts"] == 0
@@ -65,7 +80,7 @@ class TestExplain:
         self, plan, db
     ):
         before = db.plan_cache.stats()
-        report = explain(plan, db, mode="batch", use_cache=False)
+        report = explain(plan, db, mode="compiled", use_cache=False)
         assert report.cache_stats is None
         assert db.plan_cache.stats() == before
 
@@ -73,8 +88,9 @@ class TestExplain:
         relations = hr_database(
             random.Random(0), employees=30, students=20
         ).relations
-        report = explain(plan, relations, mode="stream")
+        report = explain(plan, relations)
         assert report.cache_stats is None
+        assert report.mode == "reference"
         assert report.rows >= 0
 
     def test_invalid_mode_raises(self, plan, db):
@@ -82,8 +98,8 @@ class TestExplain:
             explain(plan, db, mode="vectorized")
 
     def test_to_dict_without_wall_is_byte_deterministic(self, plan, db):
-        first = explain(plan, db, mode="batch", use_cache=False)
-        second = explain(plan, db, mode="batch", use_cache=False)
+        first = explain(plan, db, mode="compiled", use_cache=False)
+        second = explain(plan, db, mode="compiled", use_cache=False)
         assert (
             json.dumps(first.to_dict(wall=False))
             == json.dumps(second.to_dict(wall=False))
@@ -123,21 +139,21 @@ class TestRendering:
         assert "wall=" in render_span_tree(span, wall=True)
 
     def test_report_render_header(self, plan, db):
-        report = explain(plan, db, mode="stream")
+        report = explain(plan, db, mode="compiled")
         text = report.render(wall=False)
         assert text.startswith(
-            f"EXPLAIN ANALYZE (mode=stream) {report.plan}"
+            f"EXPLAIN ANALYZE (mode=compiled) {report.plan}"
         )
         assert f"rows={report.rows} work={report.work}" in text
         assert "cache[hits=" in text
         plain = ExplainReport(
-            mode="batch", plan="p", rows=1, work=2, root=Span("p")
+            mode="reference", plan="p", rows=1, work=2, root=Span("p")
         )
         assert "cache[" not in plain.render()
 
     def test_maintained_entries_render_in_the_header(self):
         report = ExplainReport(
-            mode="stream", plan="p", rows=1, work=2, root=Span("p"),
+            mode="compiled", plan="p", rows=1, work=2, root=Span("p"),
             cache_stats={
                 "hits": 1, "misses": 0, "puts": 0,
                 "maintained": 1, "maintain_fallback": 0,
@@ -149,7 +165,7 @@ class TestRendering:
 
     def test_maintain_fallback_renders_in_the_header(self):
         report = ExplainReport(
-            mode="stream", plan="p", rows=3, work=4, root=Span("p"),
+            mode="compiled", plan="p", rows=3, work=4, root=Span("p"),
             cache_stats={
                 "hits": 2, "misses": 1, "puts": 1,
                 "maintained": 2, "maintain_fallback": 1,
@@ -160,12 +176,12 @@ class TestRendering:
         assert "(1 fell back to invalidation)" in text
 
     def test_degraded_events_surface_in_render_and_dict(self):
-        events = [{"mode": "sharded", "to": "batch", "error": "X: boom"}]
+        events = [{"mode": "compiled", "to": "reference", "error": "X: boom"}]
         report = ExplainReport(
-            mode="sharded", plan="p", rows=1, work=2, root=Span("p"),
+            mode="compiled", plan="p", rows=1, work=2, root=Span("p"),
             degraded=events,
         )
-        assert "degraded: sharded -> batch (X: boom)" in report.render(
+        assert "degraded: compiled -> reference (X: boom)" in report.render(
             wall=False
         )
         assert report.to_dict()["degraded"] == events
@@ -181,26 +197,16 @@ class TestPlainMapping:
         assert report.work == want.work
         assert report.cache_stats is None
 
-    def test_sharded_mode(self, plan, db):
-        report = explain(plan, db.relations, mode="sharded", shards=2)
+    def test_compiled_mode_runs_on_the_reference(self, plan, db):
+        """A bare mapping has no compiler state: every mode runs the
+        reference interpreter, and the report says so."""
+        report = explain(plan, db.relations, mode="compiled")
         want = db.run_reference(plan)
+        assert report.mode == "reference"
         assert report.rows == len(want.value)
         assert report.work == want.work
-        assert report.root.meta["sharded"]["shards"] == 2
-
-    def test_auto_restricts_candidates_on_deep_plans(self):
-        from repro.engine.exec import MAX_PIPELINE_DEPTH
-        from repro.engine.workload import deep_chain_plan
-        from repro.types.values import CVSet, Tup
-
-        deep = deep_chain_plan(
-            random.Random(4), "r", MAX_PIPELINE_DEPTH + 10
-        )
-        relations = {"r": CVSet({Tup((i, i)) for i in range(8)})}
-        report = explain(deep, relations, mode="auto")
-        assert report.decision is not None
-        assert report.decision["mode"] != "compiled"
-        assert "compiled" not in report.decision["scores"]
+        # Reference spans count rows at every node.
+        assert all(span.rows is not None for span in report.root.walk())
 
 
 class TestCli:
@@ -214,17 +220,17 @@ class TestCli:
 
     def test_explain_json_single_mode(self, capsys):
         assert main([
-            "explain", PLAN_TEXT, "--mode", "batch", "--json",
+            "explain", PLAN_TEXT, "--mode", "compiled", "--json",
             "--size", "30",
         ]) == 0
         reports = json.loads(capsys.readouterr().out)
-        assert [r["mode"] for r in reports] == ["batch"]
+        assert [r["mode"] for r in reports] == ["compiled"]
         assert reports[0]["plan"]
         assert reports[0]["tree"]["op"]
 
     def test_explain_warm_run_shows_cache_hit(self, capsys):
         assert main([
-            "explain", PLAN_TEXT, "--mode", "stream", "--warm", "1",
+            "explain", PLAN_TEXT, "--mode", "compiled", "--warm", "1",
             "--size", "30",
         ]) == 0
         assert "cache=hit" in capsys.readouterr().out

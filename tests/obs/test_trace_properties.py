@@ -2,17 +2,17 @@
 
 Three pinned guarantees, each over randomized plans/databases:
 
-* **work conservation** — for every traced execution, in all three
-  executor modes, the span works sum *exactly* to the executor's
-  ledger total (cache/CSE-served spans carry their subtree's as-if
-  work, so the identity holds in every cache state);
+* **work conservation** — for every traced execution, on the reference
+  interpreter, the compiled executor and ``Database.run``, the span
+  works sum *exactly* to the executor's ledger total (cache/CSE-served
+  spans carry their subtree's as-if work, so the identity holds in
+  every cache state);
 * **observer effect zero** — a traced run returns identical values,
   work and ledgers as an untraced run, and leaves a cache in an
   identical state (same keys, same stats, same stored values);
-* **cross-executor agreement** — cold streaming and batch runs of the
-  same plan produce span trees with identical
-  :meth:`~repro.obs.trace.Span.structure` (labels, rows, work, cache
-  annotations, shape).
+* **cross-executor agreement** — on plans without shared subtrees,
+  the compiled and reference span trees agree node-for-node on labels,
+  work, cache annotations and shape.
 
 Randomness is derived per-case via ``derive_rng``, so every case is
 reproducible in isolation.
@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine.exec import PlanCache, execute_batch, execute_streaming
+from repro.engine.database import Database
+from repro.engine.exec import execute_compiled
 from repro.engine.workload import (
     deep_chain_plan,
     derive_rng,
@@ -31,12 +32,18 @@ from repro.engine.workload import (
     random_plan,
 )
 from repro.obs import Span, Tracer
-from repro.optimizer.plan import Join, Project, Scan, execute_reference
+from repro.optimizer.plan import (
+    Join,
+    Project,
+    Scan,
+    Select,
+    execute_reference,
+)
 
 _NAMES = ("r", "s", "t")
 
 #: 200 random plans, as the tracing contract demands; split across the
-#: three executors by round-robin so the full set covers each.
+#: three entry points by round-robin so the full set covers each.
 N_PLANS = 200
 
 
@@ -49,20 +56,38 @@ def _case(i: int, scenario: str):
     return plan, db
 
 
+def _live(relations) -> Database:
+    """A ``Database`` holding ``relations`` (any element shape)."""
+    db = Database()
+    for name, relation in relations.items():
+        db[name] = relation
+    return db
+
+
+def _shape(root: Span) -> tuple:
+    """Preorder ``(label, work, cache, child count)`` per span: the
+    structure compiled and reference trees share (compiled interior
+    spans carry no row counts)."""
+    return tuple(
+        (span.label, span.work, span.cache, len(span.children))
+        for span in root.walk()
+    )
+
+
 class TestWorkConservation:
     """Span works sum exactly to the executor's ledger total."""
 
     @pytest.mark.parametrize("i", range(N_PLANS))
     def test_span_work_sums_to_ledger_total(self, i):
         plan, db = _case(i, "worksum")
-        mode = ("reference", "stream", "batch")[i % 3]
+        mode = ("reference", "compiled", "database")[i % 3]
         tracer = Tracer()
         if mode == "reference":
             result = execute_reference(plan, db, tracer=tracer)
-        elif mode == "stream":
-            result = execute_streaming(plan, db, tracer=tracer)
+        elif mode == "compiled":
+            result = execute_compiled(plan, db, tracer=tracer)
         else:
-            result = execute_batch(plan, db, tracer=tracer)
+            result = _live(db).run(plan, tracer=tracer)
         root = tracer.last
         assert root.total_work() == result.work
         assert root.rows == len(result.value)
@@ -78,11 +103,11 @@ class TestWorkConservation:
         """Warm runs splice as-if work into hit spans; totals still hold."""
         plan, db = _case(i, "worksum-cache")
         reference = execute_reference(plan, db)
-        for executor in (execute_streaming, execute_batch):
-            cache = PlanCache()
+        for mode in ("compiled", "reference"):
+            live = _live(db)
             for _ in range(3):  # cold, warm, warm
                 tracer = Tracer()
-                result = executor(plan, db, cache=cache, tracer=tracer)
+                result = live.run(plan, mode=mode, tracer=tracer)
                 assert result.work == reference.work
                 assert tracer.last.total_work() == reference.work
                 assert tracer.last.rows == len(reference.value)
@@ -94,18 +119,19 @@ class TestObserverEffectZero:
     @pytest.mark.parametrize("i", range(0, N_PLANS, 4))
     def test_traced_and_untraced_runs_are_identical(self, i):
         plan, db = _case(i, "observer")
-        for executor in (execute_streaming, execute_batch):
-            traced_cache, plain_cache = PlanCache(), PlanCache()
+        for mode in ("compiled", "reference"):
+            traced_db, plain_db = _live(db), _live(db)
             for _ in range(2):  # cold then warm
-                traced = executor(
-                    plan, db, cache=traced_cache, tracer=Tracer()
-                )
-                plain = executor(plan, db, cache=plain_cache)
+                traced = traced_db.run(plan, mode=mode, tracer=Tracer())
+                plain = plain_db.run(plan, mode=mode)
                 assert traced.value == plain.value
                 assert traced.work == plain.work
                 assert traced.per_node == plain.per_node
             # Identical cache state: same counters, same keys, same
             # stored answers.
+            traced_cache, plain_cache = (
+                traced_db.plan_cache, plain_db.plan_cache
+            )
             assert traced_cache.stats() == plain_cache.stats()
             assert set(traced_cache._entries) == set(plain_cache._entries)
             for key, entry in traced_cache._entries.items():
@@ -125,39 +151,47 @@ class TestObserverEffectZero:
 
 
 class TestCrossExecutorAgreement:
-    """Cold streaming and batch span trees agree node-for-node."""
+    """Compiled and reference span trees agree node-for-node."""
 
     @pytest.mark.parametrize("i", range(0, N_PLANS, 2))
-    def test_stream_and_batch_structures_match(self, i):
+    def test_compiled_and_reference_same_shape(self, i):
         plan, db = _case(i, "structure")
-        ts, tb = Tracer(), Tracer()
-        execute_streaming(plan, db, tracer=ts)
-        execute_batch(plan, db, tracer=tb)
-        assert ts.last.structure() == tb.last.structure()
-
-    def test_reference_matches_streaming_without_cse(self):
-        """On a plan with no repeated subtrees (no CSE splicing), all
-        three executors produce the same structure."""
-        plan, db = _case(3, "structure-ref")
-        tr, ts, tb = Tracer(), Tracer(), Tracer()
+        tc, tr = Tracer(), Tracer()
+        execute_compiled(plan, db, tracer=tc)
         execute_reference(plan, db, tracer=tr)
-        execute_streaming(plan, db, tracer=ts)
-        execute_batch(plan, db, tracer=tb)
-        if "cse" not in {s.cache for s in ts.last.walk()}:
-            assert tr.last.structure() == ts.last.structure()
-        assert ts.last.structure() == tb.last.structure()
+        assert tc.last.total_work() == tr.last.total_work()
+        if all(span.cache != "cse" for span in tc.last.walk()):
+            assert _shape(tc.last) == _shape(tr.last)
+
+    def test_reference_matches_compiled_without_cse(self):
+        """On a plan with no repeated subtrees, the compiled tree —
+        directly and through ``Database.run``, whose index-served join
+        only adds a ``source`` annotation — has the reference's shape."""
+        _, db = _case(3, "structure-ref")
+        plan = Project(
+            (0, 3),
+            Join(((0, 0),), Scan("r"),
+                 Select("all", lambda t: True, Scan("s"))),
+        )
+        tr, tc, td = Tracer(), Tracer(), Tracer()
+        execute_reference(plan, db, tracer=tr)
+        execute_compiled(plan, db, tracer=tc)
+        _live(db).run(plan, use_cache=False, tracer=td)
+        assert _shape(tc.last) == _shape(tr.last)
+        assert _shape(td.last) == _shape(tr.last)
 
     def test_deep_chain_structures_match_without_recursion(self):
         rng = derive_rng(2024, 0, "structure-deep")
         db = random_database(rng, _NAMES)
         plan = deep_chain_plan(rng, "r", 900)
-        ts, tb = Tracer(), Tracer()
-        rs = execute_streaming(plan, db, tracer=ts)
-        rb = execute_batch(plan, db, tracer=tb)
-        assert rs.value == rb.value
-        assert ts.last.structure() == tb.last.structure()
-        assert ts.last.span_count() == 901
-        assert hash(ts.last.structure()) == hash(tb.last.structure())
+        tr, td = Tracer(), Tracer()
+        rr = execute_reference(plan, db, tracer=tr)
+        # Too deep to compile: Database.run traces the reference run.
+        rd = _live(db).run(plan, tracer=td)
+        assert rr.value == rd.value
+        assert tr.last.structure() == td.last.structure()
+        assert tr.last.span_count() == 901
+        assert hash(tr.last.structure()) == hash(td.last.structure())
 
 
 class TestAnnotations:
@@ -165,10 +199,10 @@ class TestAnnotations:
 
     def test_cache_hit_span_is_childless_with_asif_work(self):
         plan, db = _case(1, "annotations")
-        cache = PlanCache()
-        cold = execute_streaming(plan, db, cache=cache)
+        live = _live(db)
+        cold = live.run(plan)
         tracer = Tracer()
-        warm = execute_streaming(plan, db, cache=cache, tracer=tracer)
+        warm = live.run(plan, tracer=tracer)
         assert warm.value == cold.value
         root = tracer.last
         assert root.cache == "hit"
@@ -192,30 +226,15 @@ class TestAnnotations:
             )
         plan = Join(left=Scan("a"), right=Scan("b"), on=((0, 0),))
         reference = db.run_reference(plan)
-        for mode in ("stream", "batch"):
-            tracer = Tracer()
-            result = db.run(plan, use_cache=False, mode=mode, tracer=tracer)
-            assert result.value == reference.value
-            root = tracer.last
-            assert root.source == "index"
-            # The never-re-read build side: logged, rows unknowable.
-            right = root.children[1]
-            assert right.label == "b"
-            assert right.rows is None and right.work == 0
-
-    def test_bulk_set_op_is_annotated(self):
-        from repro.optimizer.plan import Union
-
-        rng = derive_rng(2024, 9, "annotations-bulk")
-        db = random_database(rng, _NAMES)
-        plan = Union(Scan("r"), Scan("s"))
         tracer = Tracer()
-        result = execute_streaming(plan, db, tracer=tracer)
+        result = db.run(plan, use_cache=False, tracer=tracer)
+        assert result.value == reference.value
         root = tracer.last
-        assert root.source == "bulk"
-        assert root.rows == len(result.value)
-        assert [c.label for c in root.children] == ["r", "s"]
-        assert root.children[0].rows == len(db["r"])
+        assert root.source == "index"
+        # The never-re-read build side: logged, rows unknowable.
+        right = root.children[1]
+        assert right.label == "b"
+        assert right.rows is None and right.work == 0
 
     def test_span_repr_and_tracer_bookkeeping(self):
         span = Span("scan")
@@ -230,24 +249,26 @@ class TestAnnotations:
 
 
 class TestMetaMerge:
-    """Root-span ``meta`` is shared by several layers (auto-mode
-    decision, degradation record); ``merge_meta`` must preserve what an
-    earlier layer attached."""
+    """Root-span ``meta`` may be written by several layers (the
+    executor, the degradation record); ``merge_meta`` must preserve
+    what an earlier layer attached."""
 
     def test_merge_into_empty_meta_copies(self):
         span = Span("root")
-        updates = {"auto": {"mode": "batch"}}
+        updates = {"executor": {"note": "x"}}
         span.merge_meta(updates)
         assert span.meta == updates
         assert span.meta is not updates  # defensive copy
 
     def test_merge_preserves_existing_keys(self):
         span = Span("root")
-        span.merge_meta({"auto": {"mode": "compiled"}})
-        span.merge_meta({"degraded": [{"mode": "compiled", "to": "batch"}]})
+        span.merge_meta({"executor": {"note": "x"}})
+        span.merge_meta(
+            {"degraded": [{"mode": "compiled", "to": "reference"}]}
+        )
         assert span.meta == {
-            "auto": {"mode": "compiled"},
-            "degraded": [{"mode": "compiled", "to": "batch"}],
+            "executor": {"note": "x"},
+            "degraded": [{"mode": "compiled", "to": "reference"}],
         }
 
     def test_merge_overwrites_only_named_keys(self):
@@ -256,10 +277,9 @@ class TestMetaMerge:
         span.merge_meta({"b": 3})
         assert span.meta == {"a": 1, "b": 3}
 
-    def test_run_auto_under_faults_keeps_decision_and_degradations(self):
-        """End-to-end regression for the meta-clobber bug: an auto run
-        that degrades must surface both records in ``to_dict``."""
-        from repro.engine.database import Database
+    def test_run_under_faults_surfaces_the_degradation(self):
+        """End to end: a run that degrades carries its degradation
+        record in the root span's ``to_dict``."""
         from repro.robustness import FaultInjector, FaultPlan
 
         db = Database()
@@ -271,12 +291,10 @@ class TestMetaMerge:
             columns=(0, 2),
             child=Join(left=Scan("r"), right=Scan("s"), on=((1, 0),)),
         )
-        assert db.plan_mode(plan).mode != "reference"
         db.fault_injector = FaultInjector(
             FaultPlan(seed=13, operator_rate=1.0, compile_rate=1.0)
         )
         tracer = Tracer()
-        db.run(plan, mode="auto", use_cache=False, tracer=tracer)
+        db.run(plan, use_cache=False, tracer=tracer)
         meta = tracer.last.to_dict(wall=False)["meta"]
-        assert set(meta) >= {"auto", "degraded"}
         assert meta["degraded"][-1]["to"] == "reference"

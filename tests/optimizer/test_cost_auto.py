@@ -1,50 +1,23 @@
-"""Cost-driven adaptive mode choice (``Database.run(mode="auto")``).
+"""Cost statistics drawn from a live database.
 
-Pins the PR-6 cost-model surface: live-catalog statistics
-(``Stats.from_database`` with real cardinalities and per-column
-distinct counts), selectivity clamping on degenerate catalogs,
-``choose_mode`` scoring, the database-side decision memo and its
-invalidation on mutation, and the EXPLAIN/tracing surfacing of the
-decision.
+Pins ``Stats.from_database`` (real cardinalities, cached widths and
+per-column distinct counts) and selectivity clamping on degenerate
+catalogs, which keeps ``estimate`` finite and non-negative.
 """
 
-import random
-
 from repro.engine.database import Database
-from repro.engine.exec import MAX_PIPELINE_DEPTH
-from repro.engine.workload import deep_chain_plan
-from repro.obs import explain
-from repro.obs.trace import Tracer
 from repro.optimizer.cost import (
-    MODE_COST,
     Stats,
     _clamp_selectivity,
-    choose_mode,
     estimate,
 )
 from repro.optimizer.plan import (
     Difference,
     Join,
-    Project,
     Scan,
     Union,
 )
 from repro.types.values import CVSet, Tup
-
-
-import pytest
-
-
-@pytest.fixture()
-def hr(hr_db):
-    """The file's HR workload shape, any size: seed 3, 2:1:0.25 ratio."""
-    def make(size=40):
-        return hr_db(seed=3, employees=size, students=size // 2,
-                     overlap=size // 4)
-    return make
-
-
-HR_PLAN = Project((0,), Difference(Scan("employees"), Scan("students")))
 
 
 class TestStatsFromDatabase:
@@ -117,137 +90,3 @@ class TestSelectivityClamp:
         plan = Difference(Union(Scan("r"), Scan("s")), Scan("r"))
         est = estimate(plan, stats)
         assert est.rows >= 0 and est.work >= 0
-
-
-class TestChooseMode:
-    def test_tiny_plans_stay_on_the_reference_interpreter(self):
-        """Zero-work plans cannot amortize any fixed overhead."""
-        stats = Stats({"r": 1}, {"r": 1})
-        decision = choose_mode(Scan("r"), stats)
-        assert decision.mode == "reference"
-
-    def test_large_plans_choose_compiled(self):
-        stats = Stats({"r": 100_000, "s": 50_000}, {"r": 2, "s": 2})
-        plan = Project((0,), Difference(Scan("r"), Scan("s")))
-        decision = choose_mode(plan, stats)
-        assert decision.mode == "compiled"
-
-    def test_scores_cover_every_candidate(self):
-        stats = Stats({"r": 100}, {"r": 2})
-        decision = choose_mode(Project((0,), Scan("r")), stats)
-        # "sharded" is costed but not a default candidate: the caller
-        # (``Database.plan_mode``) must gate it on partitionability
-        # before offering it.
-        assert set(decision.scores) == set(MODE_COST) - {"sharded"}
-        assert decision.scores[decision.mode] == min(
-            decision.scores.values()
-        )
-
-    def test_candidate_restriction_is_honored(self):
-        stats = Stats({"r": 100_000}, {"r": 2})
-        plan = Project((0,), Scan("r"))
-        decision = choose_mode(
-            plan, stats, candidates=("reference", "stream", "batch")
-        )
-        assert decision.mode != "compiled"
-        assert "compiled" not in decision.scores
-
-    def test_empty_candidates_rejected(self):
-        import pytest
-
-        with pytest.raises(ValueError, match="candidate"):
-            choose_mode(Scan("r"), Stats(), candidates=())
-
-    def test_to_dict_round_trips_the_decision(self):
-        stats = Stats({"r": 100}, {"r": 2})
-        decision = choose_mode(Project((0,), Scan("r")), stats)
-        d = decision.to_dict()
-        assert d["mode"] == decision.mode
-        assert set(d["scores"]) == set(decision.scores)
-
-
-class TestDatabaseAuto:
-    def test_auto_matches_reference_results(self, hr):
-        db = hr()
-        auto = db.run(HR_PLAN, use_cache=False, mode="auto")
-        reference = db.run_reference(HR_PLAN)
-        assert auto.value == reference.value
-        assert auto.work == reference.work
-        assert auto.per_node == reference.per_node
-
-    def test_deep_plans_never_choose_compiled(self):
-        db = Database()
-        db.create("r", 2)
-        db.insert("r", [(i, i) for i in range(500)])
-        plan = deep_chain_plan(random.Random(5), "r", 1000)
-        decision = db.plan_mode(plan)
-        assert decision.mode != "compiled"
-        assert "compiled" not in decision.scores
-        result = db.run(plan, use_cache=False, mode="auto")
-        reference = db.run_reference(plan)
-        assert result.value == reference.value
-
-    def test_shallow_plan_keeps_compiled_candidate(self, hr):
-        db = hr()
-        assert "compiled" in db.plan_mode(HR_PLAN).scores
-        assert (
-            deep_chain_plan(random.Random(5), "employees", 1000).children
-        )  # sanity: the deep plan above really was the deep case
-        assert MAX_PIPELINE_DEPTH < 1000
-
-    def test_decision_memoized_per_generation(self, hr):
-        db = hr()
-        first = db.plan_mode(HR_PLAN)
-        assert db.plan_mode(HR_PLAN) is first  # memo hit
-        db.insert("employees", [(999_001, "zz", 9)])
-        second = db.plan_mode(HR_PLAN)
-        assert second is not first  # mutation invalidated the memo
-
-    def test_current_stats_memoized_per_generation(self, hr):
-        db = hr()
-        first = db.current_stats()
-        assert db.current_stats() is first
-        db.insert("employees", [(999_002, "zz", 9)])
-        second = db.current_stats()
-        assert second is not first
-        assert (
-            second.rows["employees"] == first.rows["employees"] + 1
-        )
-
-    def test_tracer_surfaces_the_decision(self, hr):
-        db = hr()
-        tracer = Tracer()
-        db.run(HR_PLAN, use_cache=False, mode="auto", tracer=tracer)
-        meta = tracer.last.meta
-        assert meta is not None and "auto" in meta
-        assert meta["auto"]["mode"] in MODE_COST
-        assert set(meta["auto"]["scores"]) <= set(MODE_COST)
-
-
-class TestExplainAutoAndCompiled:
-    def test_explain_compiled_mode(self, hr):
-        db = hr()
-        report = explain(HR_PLAN, db, mode="compiled", use_cache=False)
-        reference = db.run_reference(HR_PLAN)
-        assert report.rows == len(reference.value)
-        assert report.work == reference.work
-        assert report.decision is None
-
-    def test_explain_auto_carries_decision(self, hr):
-        db = hr()
-        report = explain(HR_PLAN, db, mode="auto", use_cache=False)
-        assert report.mode == "auto"
-        assert report.decision is not None
-        assert report.decision["mode"] in MODE_COST
-        rendered = report.render()
-        assert "auto: chose" in rendered
-        assert report.to_dict()["decision"] == report.decision
-
-    def test_explain_auto_on_plain_mapping(self, hr):
-        """No Database attached: the decision is derived from a
-        snapshot ``Stats`` instead of ``plan_mode``."""
-        db = hr()
-        report = explain(HR_PLAN, db.relations, mode="auto")
-        assert report.decision is not None
-        reference = db.run_reference(HR_PLAN)
-        assert report.work == reference.work

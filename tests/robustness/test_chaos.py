@@ -38,7 +38,7 @@ class TestRunChaos:
         clean = run_chaos(3, crash_every=0)
         assert "zero semantic divergences" in clean.summary()
         clean.divergences.append(
-            ChaosFailure(0, "divergence", "batch", "value mismatch")
+            ChaosFailure(0, "divergence", "compiled", "value mismatch")
         )
         assert not clean.ok
         assert "DIVERGENCE" in clean.summary()

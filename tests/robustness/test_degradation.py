@@ -34,7 +34,7 @@ def _delta(after, before, key):
 
 
 class TestDegradationChain:
-    @pytest.mark.parametrize("mode", ["compiled", "batch", "stream"])
+    @pytest.mark.parametrize("mode", ["compiled"])
     def test_operator_fault_degrades_with_identical_result(self, mode):
         db = _db()
         plan = _plan()
@@ -48,8 +48,8 @@ class TestDegradationChain:
         assert got.value == want.value
         assert got.work == want.work
         assert got.per_node == want.per_node
-        # Every mode from the requested one down to batch/stream fails
-        # (rate 1.0), so the full remaining chain is walked.
+        # Every mode before the reference fails (rate 1.0), so the full
+        # remaining chain is walked.
         expected_steps = len(MODE_CHAIN) - 1 - MODE_CHAIN.index(mode)
         assert _delta(after, before, "robustness.degraded") == expected_steps
         assert _delta(after, before, f"robustness.degraded.{mode}") == 1
@@ -67,7 +67,7 @@ class TestDegradationChain:
         db = _db()
         bad = Project((9,), Scan("r"))  # out-of-range column everywhere
         with pytest.raises(IndexError):
-            db.run(bad, mode="stream", use_cache=False)
+            db.run(bad, mode="compiled", use_cache=False)
 
     def test_invalid_mode_still_value_error(self):
         with pytest.raises(ValueError, match="mode must be"):
@@ -91,44 +91,23 @@ class TestDegradationObservability:
         tracer = Tracer()
         db.run(_plan(), mode="compiled", use_cache=False, tracer=tracer)
         events = tracer.last.meta["degraded"]
-        assert [e["mode"] for e in events] == ["compiled", "batch", "stream"]
-        assert [e["to"] for e in events] == ["batch", "stream", "reference"]
+        assert [e["mode"] for e in events] == ["compiled"]
+        assert [e["to"] for e in events] == ["reference"]
         assert all("InjectedFault" in e["error"] for e in events)
-
-    def test_auto_and_degraded_meta_coexist(self):
-        """The regression for the meta-clobber bug: the auto decision
-        must not erase (or be erased by) the degradation record."""
-        # Large enough that the auto decision picks an injectable mode
-        # (the tiny fixture would choose reference, which never fails).
-        db = Database()
-        db.create("r", 2)
-        db.insert("r", [(i, i + 1) for i in range(120)])
-        db.create("s", 2)
-        db.insert("s", [(i, i * 10) for i in range(0, 240, 2)])
-        assert db.plan_mode(_plan()).mode != "reference"
-        db.fault_injector = FaultInjector(
-            FaultPlan(seed=4, operator_rate=1.0, compile_rate=1.0)
-        )
-        tracer = Tracer()
-        db.run(_plan(), mode="auto", use_cache=False, tracer=tracer)
-        meta = tracer.last.meta
-        assert "auto" in meta and "degraded" in meta
-        assert meta["auto"]["mode"] in MODE_CHAIN
-        assert meta["degraded"][-1]["to"] == "reference"
 
     def test_explain_surfaces_degradation(self):
         db = _db()
         db.fault_injector = FaultInjector(
             FaultPlan(seed=5, operator_rate=1.0)
         )
-        report = explain(_plan(), db, mode="stream", use_cache=False)
+        report = explain(_plan(), db, mode="compiled", use_cache=False)
         assert report.degraded is not None
-        assert report.degraded[0]["mode"] == "stream"
-        assert "degraded: stream -> reference" in report.render()
+        assert report.degraded[0]["mode"] == "compiled"
+        assert "degraded: compiled -> reference" in report.render()
         assert "degraded" in report.to_dict(wall=False)
 
     def test_explain_clean_run_has_no_degraded_block(self):
-        report = explain(_plan(), _db(), mode="stream")
+        report = explain(_plan(), _db(), mode="compiled")
         assert report.degraded is None
         assert "degraded:" not in report.render()
 

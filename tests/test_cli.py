@@ -214,7 +214,7 @@ class TestRecover:
         state = self._seed_state(tmp_path)
         code = main([
             "explain", "pi[1](employees - students)",
-            "--mode", "stream", "--wal", state,
+            "--mode", "compiled", "--wal", state,
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -227,13 +227,13 @@ class TestRecover:
 
         state = self._seed_state(tmp_path)
         code = main([
-            "explain", "employees", "--mode", "stream",
+            "explain", "employees", "--mode", "compiled",
             "--wal", state, "--json",
         ])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["recovery"]["replayed"] == 4
-        assert payload["explains"][0]["mode"] == "stream"
+        assert payload["explains"][0]["mode"] == "compiled"
 
     def test_optimize_wal(self, tmp_path, capsys):
         state = self._seed_state(tmp_path)
