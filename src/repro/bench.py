@@ -12,10 +12,6 @@ Measurements:
 * **deep pipeline / hash join** — the same executors on a 6-operator
   pipeline and a multi-column join;
 * **cache hit ratio** — the invariance-style sweep access pattern;
-* **interleave** — alternating inserts and repeated queries: the
-  delta-maintained warm path (cache entries patched in place on
-  insert) vs the legacy invalidate-and-recompute path, with the
-  maintained answer byte-compared against cold recomputation;
 * **parallel sweep** — the genericity classification grid, serial vs
   ``--jobs N`` (:mod:`repro.parallel`), with a byte-identity check of
   the rendered output;
@@ -135,20 +131,6 @@ def bench_plan_execution(sizes=(100, 400, 1600)) -> dict:
         warm_s = _time(lambda: db.run(plan))
         check = db.run(plan)
         assert check.value == reference.value
-        # Maintained warm path: an insert absorbed by delta maintenance
-        # must leave the entry alive — the next run is still a hit, and
-        # its answer is byte-identical to cold recomputation.
-        maintained_before = db.plan_cache.maintained
-        hits_before = db.plan_cache.hits
-        db.insert("employees", [(1, f"late{size}", "dept0")])
-        patched = db.run(plan)
-        assert db.plan_cache.maintained > maintained_before
-        assert db.plan_cache.hits == hits_before + 1
-        want = db.run_reference(plan)
-        assert patched.value == want.value
-        assert patched.work == want.work
-        assert patched.per_node == want.per_node
-        maintained_warm_s = _time(lambda: db.run(plan))
         rows.append({
             "size": size,
             "repeats": _REPEATS,
@@ -156,7 +138,6 @@ def bench_plan_execution(sizes=(100, 400, 1600)) -> dict:
             "compiled_cold_s": compiled_s,
             "chaos_overhead_s": chaos_s,
             "cached_warm_s": warm_s,
-            "maintained_warm_s": maintained_warm_s,
             "compiled_speedup": reference_s / max(compiled_s, 1e-9),
             "warm_speedup": reference_s / max(warm_s, 1e-9),
         })
@@ -358,70 +339,6 @@ def bench_cache_invariance_sweep(repetitions: int = 5) -> dict:
     }
 
 
-def bench_interleave(sizes=(100, 400, 1600), rounds: int = 8) -> dict:
-    """Alternating inserts and repeated queries: delta maintenance vs
-    invalidate-and-recompute.
-
-    Two identically-seeded databases run the same insert/query
-    interleave over a join plan.  The *maintained* database patches the
-    cached entry in place on every insert (the query after each write
-    is a warm hit); the *legacy* database runs with
-    ``plan_cache.maintenance_enabled = False``, so every insert
-    invalidates and every query recomputes cold.  Reported times are
-    the mean post-insert query latency.  Byte-identity of the
-    maintained warm answer against cold reference recomputation is
-    asserted in the harness — the speedup claim never outruns the
-    correctness claim."""
-    rows_out = []
-    for size in sizes:
-        plan = Join(((0, 0),), Scan("employees"), Scan("students"))
-        batches = [
-            [(9_000_000 + size * 100 + r * 10 + i, f"new{r}_{i}", "dept0")
-             for i in range(3)]
-            for r in range(rounds)
-        ]
-
-        def fresh():
-            return hr_database(random.Random(21), employees=size,
-                               students=size // 2, overlap=size // 4)
-
-        def interleave(db):
-            db.run(plan)  # populate the cache
-            result = None
-            elapsed = 0.0
-            for batch in batches:
-                db.insert("employees", batch)
-                start = time.perf_counter()
-                result = db.run(plan)
-                elapsed += time.perf_counter() - start
-            return result, elapsed / rounds
-
-        maintained_db = fresh()
-        maintained_result, maintained_warm_s = interleave(maintained_db)
-        legacy_db = fresh()
-        legacy_db.plan_cache.maintenance_enabled = False
-        legacy_result, invalidate_warm_s = interleave(legacy_db)
-
-        want = maintained_db.run_reference(plan)
-        assert maintained_result.value == want.value
-        assert maintained_result.work == want.work
-        assert maintained_result.per_node == want.per_node
-        assert legacy_result.value == want.value
-        assert maintained_db.plan_cache.maintained >= rounds
-        assert maintained_db.plan_cache.maintain_fallback == 0
-        assert legacy_db.plan_cache.maintained == 0
-        rows_out.append({
-            "size": size,
-            "rounds": rounds,
-            "maintained_warm_s": maintained_warm_s,
-            "invalidate_warm_s": invalidate_warm_s,
-            "maintained_speedup":
-                invalidate_warm_s / max(maintained_warm_s, 1e-9),
-            "byte_identical": True,  # asserted above, recorded here
-        })
-    return {"name": "interleave_maintenance", "rows": rows_out}
-
-
 def bench_equivalence_spotcheck(pairs: int = 50) -> dict:
     """Random-plan equivalence (the property-test workload), timed."""
     rng = random.Random(77)
@@ -579,7 +496,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                 else (200, 800, 2000)),
         lambda: bench_durability(sizes),
         bench_cache_invariance_sweep,
-        lambda: bench_interleave(sizes),
         lambda: bench_equivalence_spotcheck(10 if args.quick else 50),
         lambda: bench_parallel_sweep(jobs, quick=args.quick),
         lambda: bench_parallel_fuzz(jobs, quick=args.quick),
@@ -605,9 +521,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                  if b["name"] == "parallel_fuzz")
     obs = next(b for b in results["benchmarks"]
                if b["name"] == "observability")
-    inter = next(b for b in results["benchmarks"]
-                 if b["name"] == "interleave_maintenance")
-    inter_largest = inter["rows"][-1]
     durability = next(b for b in results["benchmarks"]
                       if b["name"] == "durability")
     durability_largest = durability["rows"][-1]
@@ -626,14 +539,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             for row in hr_rows
         ),
         "warm_cache_hit_rate": sweep["warm_hit_rate"],
-        "interleave_largest_size": inter_largest["size"],
-        "interleave_maintained_speedup_vs_invalidate":
-            inter_largest["maintained_speedup"],
-        "interleave_maintained_at_least_5x":
-            inter_largest["maintained_speedup"] >= 5.0,
-        "interleave_byte_identical": all(
-            row["byte_identical"] for row in inter["rows"]
-        ),
         "durability_largest_size": durability_largest["size"],
         "durability_wal_insert_overhead_vs_plain":
             durability_largest["wal_overhead"],

@@ -16,11 +16,7 @@ three phases, each its own span on the ``recover`` span tree:
 Replaying through the public mutation surface is what makes the
 result *byte-identical* to a database that applied the mutations
 in-process: the same index, atom, weight, width and distinct
-maintenance runs, the same fingerprints emerge, and — because
-``Database.insert`` routes deltas through ``PlanCache.maintain`` —
-cached plan results warmed before replay (``warm_plans``) are patched
-forward by the PR 8 semi-naive delta path instead of being recomputed
-from scratch.
+maintenance runs and the same fingerprints emerge.
 
 Counters (``robustness.wal.*``) make every recovery auditable:
 replayed / skipped-stale / dropped-uncommitted record counts, torn
@@ -58,7 +54,6 @@ class RecoveryReport:
     corrupt: bool = False
     scan_error: Optional[str] = None
     generation: int = 0
-    rewarmed: int = 0
     root: Optional[Span] = field(default=None, repr=False)
 
     def summary(self) -> str:
@@ -76,11 +71,6 @@ class RecoveryReport:
         ]
         if self.torn_tail or self.corrupt:
             lines.append(f"  tail dropped: {self.scan_error}")
-        if self.rewarmed:
-            lines.append(
-                f"  cache: {self.rewarmed} entr(ies) delta-maintained "
-                f"during replay"
-            )
         return "\n".join(lines)
 
     def render(self) -> str:
@@ -105,7 +95,6 @@ class RecoveryReport:
             "corrupt": self.corrupt,
             "scan_error": self.scan_error,
             "generation": self.generation,
-            "rewarmed": self.rewarmed,
         }
 
 
@@ -174,21 +163,9 @@ def replay_records(
 
 
 def recover(
-    directory,
-    *,
-    warm_plans: Sequence = (),
-    tracer: Optional[Tracer] = None,
-    fsync: bool = True,
+    directory, *, tracer: Optional[Tracer] = None
 ) -> tuple[Database, RecoveryReport]:
-    """Rebuild the database a durability directory describes.
-
-    ``warm_plans`` are executed against the checkpointed state before
-    replay, so their cached results ride the delta-maintenance path
-    through the replayed inserts and come out warm *and* current.
-    ``fsync`` is accepted for symmetry with the manager and unused
-    (recovery only reads).
-    """
-    del fsync  # recovery is read-only; kept for call-site symmetry
+    """Rebuild the database a durability directory describes."""
     directory = os.fspath(directory)
     report = RecoveryReport(directory=directory)
     root = Span("recover")
@@ -208,10 +185,6 @@ def recover(
     report.checkpoint_lsn = checkpoint_lsn
     checkpoint_span.rows = len(db.relations)
     checkpoint_span.meta = {"lsn": checkpoint_lsn}
-
-    maintained_before = db.plan_cache.maintained
-    for plan in warm_plans:
-        db.run(plan)
 
     wal_path = os.path.join(directory, WAL_NAME)
     if os.path.exists(wal_path):
@@ -250,12 +223,8 @@ def recover(
         counter("robustness.wal.records_skipped_stale", skipped)
     counter("robustness.wal.recoveries")
     report.generation = db._generation
-    report.rewarmed = db.plan_cache.maintained - maintained_before
     replay_span.rows = replayed
-    replay_span.meta = {
-        "skipped_stale": skipped,
-        "rewarmed": report.rewarmed,
-    }
+    replay_span.meta = {"skipped_stale": skipped}
     root.meta = {"generation": db._generation}
     root.rows = replayed
     report.root = root

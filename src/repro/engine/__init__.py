@@ -3,12 +3,9 @@
 from .database import Database, SchemaError
 from .exec import (
     CacheEntry,
-    CacheInvariantError,
     PlanCache,
     execute_compiled,
-    plan_structural_hash,
     relation_fingerprint,
-    result_cache_key,
     semantic_cache_key,
 )
 from .fuzz import Divergence, FuzzReport, run_fuzz

@@ -16,8 +16,8 @@ replacement via ``db[name] = ...``):
   keying the plan-result cache;
 * **atom sets** per relation, so :meth:`active_domain` is a union of
   cached frozensets instead of a full value walk;
-* a :class:`~repro.engine.exec.PlanCache` of plan results, maintained
-  or invalidated per relation on every mutation.
+* a :class:`~repro.engine.exec.PlanCache` of plan results,
+  invalidated per relation on every mutation.
 """
 
 from __future__ import annotations
@@ -188,11 +188,7 @@ class Database:
             self._widths[name] = info.arity if not current else None
         self._distincts.pop(name, None)
         self._generation += 1
-        # Semi-naive maintenance instead of wholesale invalidation:
-        # maintainable cached entries absorb the delta and stay live;
-        # the rest (and all compiled artifacts for this relation)
-        # invalidate exactly as before.  See engine/exec/delta.py.
-        self.plan_cache.maintain(name, new_rows, self.relations)
+        self.plan_cache.invalidate(name)
         if self._durability is not None:
             self._durability.mutation_applied(self)
 
@@ -466,8 +462,7 @@ class Database:
 
         The result cache wraps whichever executor runs: a hit returns
         the stored answer without executing, and a miss stores the
-        root result with its plan, so :meth:`insert` can maintain the
-        entry in place.  ``use_cache=False`` bypasses the result cache
+        root result.  ``use_cache=False`` bypasses the result cache
         (compiled artifacts are still memoized).  Bare scans are never
         cached.
 
@@ -534,7 +529,6 @@ class Database:
                     tuple(result.per_node),
                     relations,
                 ),
-                plan=plan,
             )
         if degraded and tracer is not None and tracer.last is not None:
             # Merge, never clobber: the executor may have attached its

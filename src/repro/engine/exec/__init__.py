@@ -1,5 +1,5 @@
-"""Physical execution layer: the plan compiler, delta maintenance and a
-semantically-keyed result cache.
+"""Physical execution layer: the plan compiler and a semantically-keyed
+result cache.
 
 See ``docs/EXECUTION.md`` for the two executors (compiled and
 reference), the cache keying and invalidation rules (including the
@@ -8,7 +8,7 @@ depth rule, and how work accounting maps onto the Section 4.4 cost
 model.
 """
 
-from .cache import CacheEntry, CacheInvariantError, PlanCache, entry_seal
+from .cache import CacheEntry, PlanCache, entry_seal
 from .compile import (
     MAX_PIPELINE_DEPTH,
     CompiledPlan,
@@ -16,26 +16,16 @@ from .compile import (
     execute_compiled,
     plan_depth,
 )
-from .delta import (
-    DeltaError,
-    MaintainabilityReport,
-    MaintainedView,
-    analyze_plan as analyze_maintainability,
-    classify as classify_maintainability,
-)
 from .fingerprint import (
     annotate_plan,
     callable_identity,
-    plan_structural_hash,
     relation_fingerprint,
-    result_cache_key,
     semantic_cache_key,
 )
 from .operators import node_label
 
 __all__ = [
     "CacheEntry",
-    "CacheInvariantError",
     "PlanCache",
     "entry_seal",
     "MAX_PIPELINE_DEPTH",
@@ -45,14 +35,7 @@ __all__ = [
     "plan_depth",
     "annotate_plan",
     "callable_identity",
-    "plan_structural_hash",
     "relation_fingerprint",
-    "result_cache_key",
     "semantic_cache_key",
     "node_label",
-    "DeltaError",
-    "MaintainabilityReport",
-    "MaintainedView",
-    "analyze_maintainability",
-    "classify_maintainability",
 ]

@@ -10,14 +10,9 @@ its token.  Per-relation invalidation and the LRU cap exist to bound
 *space* and keep the table dense with live entries.
 
 The callable registry enforces what used to be an unenforced "standing
-invariant" (a name identifies its semantics).  Two policies:
-
-* ``on_alias="distinct"`` (default) — each distinct callable bound to a
-  name gets its own alias ordinal, so aliased plans transparently key
-  apart and both get correct answers;
-* ``on_alias="error"`` — rebinding a name to a different callable
-  raises :class:`CacheInvariantError`, for callers that want the old
-  invariant actually checked.
+invariant" (a name identifies its semantics): each distinct callable
+bound to a name gets its own alias ordinal, so aliased plans
+transparently key apart and both get correct answers.
 
 Cached entries store the answer **and** the work ledger the executors
 produced, so a cache hit reports costs as if the plan had run: the
@@ -29,26 +24,13 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Mapping as TMapping, Optional
+from typing import Callable, Optional
 
 from ...optimizer.plan import Plan
 from ...types.values import CVSet
-from .delta import MaintainedView
-from .fingerprint import annotate_plan, callable_identity, semantic_cache_key
+from .fingerprint import annotate_plan, callable_identity
 
-__all__ = ["CacheEntry", "CacheInvariantError", "PlanCache", "entry_seal"]
-
-
-class CacheInvariantError(RuntimeError):
-    """A predicate/function name was rebound to a different callable
-    while the cache runs in ``on_alias="error"`` mode."""
-
-
-class _NotMaintainable(Exception):
-    """Internal control flow for :meth:`PlanCache.maintain`: the entry
-    is *expected* to invalidate (no registered plan, or the delta's
-    relation feeds the right side of a difference) — a plain
-    invalidation, not a maintenance fallback."""
+__all__ = ["CacheEntry", "PlanCache", "entry_seal"]
 
 
 @dataclass(frozen=True)
@@ -83,15 +65,8 @@ class PlanCache:
     entry churn) and ``get`` always misses.
     """
 
-    def __init__(
-        self, capacity: int = 256, *, on_alias: str = "distinct"
-    ) -> None:
-        if on_alias not in ("distinct", "error"):
-            raise ValueError(
-                f"on_alias must be 'distinct' or 'error', got {on_alias!r}"
-            )
+    def __init__(self, capacity: int = 256) -> None:
         self.capacity = capacity
-        self.on_alias = on_alias
         self._entries: OrderedDict = OrderedDict()
         self._by_relation: dict[str, set] = {}
         #: Interning state for semantic tokens (see ``annotate_plan``).
@@ -127,18 +102,6 @@ class PlanCache:
         #: Entries dropped because their contents no longer matched
         #: their seal (see :func:`entry_seal`).
         self.corruptions = 0
-        #: Entries patched in place by :meth:`maintain` (semi-naive
-        #: delta maintenance) instead of being invalidated.
-        self.maintained = 0
-        #: Maintenance attempts that failed and fell back to
-        #: invalidation (the entry recomputes cold on its next use).
-        self.maintain_fallback = 0
-        #: ``False`` restores the pre-maintenance behaviour: every
-        #: insert invalidates (the benchmark's legacy baseline).
-        self.maintenance_enabled = True
-        #: ``key -> MaintainedView`` for entries whose plan was handed
-        #: to :meth:`put`; the delta-maintenance side table.
-        self._views: dict = {}
         #: Optional :class:`~repro.robustness.faults.FaultInjector`
         #: whose ``cache`` site tampers entries on ``get`` — the test
         #: adversary for the seal revalidation above.  ``None`` (the
@@ -162,13 +125,6 @@ class PlanCache:
         bindings = self._aliases.setdefault(name, {})
         ordinal = bindings.get(identity)
         if ordinal is None:
-            if bindings and self.on_alias == "error":
-                raise CacheInvariantError(
-                    f"name {name!r} is already bound to a different "
-                    f"callable in this cache; aliasing a predicate/"
-                    f"function name breaks result reuse "
-                    f"(on_alias='error')"
-                )
             ordinal = len(bindings)
             bindings[identity] = ordinal
         return (name, ordinal)
@@ -178,10 +134,6 @@ class PlanCache:
         (``id(node) -> (token, relations)``), interned against this
         cache's registry so tokens are stable across executions."""
         return annotate_plan(plan, self._intern, self._tag)
-
-    def key_for(self, plan: Plan, db: TMapping[str, CVSet]):
-        token, relations = self.annotate(plan)[id(plan)]
-        return semantic_cache_key(token, relations, db)
 
     # ------------------------------------------------------------------
     # Storage.
@@ -213,7 +165,6 @@ class PlanCache:
 
     def _discard(self, key) -> None:
         """Drop one entry and its relation back-pointers (no counters)."""
-        self._views.pop(key, None)
         entry = self._entries.pop(key, None)
         if entry is None:
             return
@@ -222,20 +173,11 @@ class PlanCache:
             if keys is not None:
                 keys.discard(key)
 
-    def put(self, key, entry: CacheEntry, plan: Plan = None) -> None:
-        """Store ``entry`` under ``key``.
-
-        ``plan`` (when the caller has the plan node the entry
-        materializes) registers the entry for semi-naive delta
-        maintenance: later inserts may patch it in place via
-        :meth:`maintain` instead of invalidating it."""
+    def put(self, key, entry: CacheEntry) -> None:
+        """Store ``entry`` under ``key``."""
         if self.capacity <= 0:
             return
         self.puts += 1
-        if plan is not None:
-            self._views[key] = MaintainedView(plan)
-        else:
-            self._views.pop(key, None)
         if entry.seal is None:
             entry = CacheEntry(
                 entry.value,
@@ -258,7 +200,6 @@ class PlanCache:
         while len(self._entries) > self.capacity:
             evicted_key, evicted = self._entries.popitem(last=False)
             self.evictions += 1
-            self._views.pop(evicted_key, None)
             for name in evicted.relations:
                 keys = self._by_relation.get(name)
                 if keys is not None:
@@ -318,7 +259,6 @@ class PlanCache:
             self.invalidations += len(self._entries)
             self._entries.clear()
             self._by_relation.clear()
-            self._views.clear()
             self._compiled.clear()
             self._compiled_by_relation.clear()
             self._intern.clear()
@@ -336,7 +276,6 @@ class PlanCache:
                         keys.discard(key)
         for key in self._by_relation.pop(relation, ()):
             entry = self._entries.pop(key, None)
-            self._views.pop(key, None)
             if entry is None:
                 continue
             self.invalidations += 1
@@ -345,92 +284,6 @@ class PlanCache:
                     keys = self._by_relation.get(name)
                     if keys is not None:
                         keys.discard(key)
-
-    def maintain(self, relation: str, delta_rows, db) -> None:
-        """Absorb an insert of ``delta_rows`` into ``relation``:
-        patch every maintainable cached entry in place (semi-naive
-        delta propagation, re-keyed under the relation's new
-        fingerprint, fresh seal), invalidate the rest.
-
-        The fallback contract: *any* failure while maintaining an
-        entry — an opaque node, a right-side difference delta, an
-        injected ``"maintenance"`` fault, an unexpected exception —
-        drops that entry exactly as :meth:`invalidate` would, counts
-        ``maintain_fallback``, and bumps the
-        ``robustness.maintenance.fallback`` metrics counter.  The next
-        query recomputes cold, so correctness can never regress.
-
-        Compiled artifacts always invalidate: they bind relation
-        contents at compile time, so there is nothing to patch.
-        """
-        if not self.maintenance_enabled:
-            self.invalidate(relation)
-            return
-        # Compiled artifacts for the relation: same drop as invalidate.
-        for key in self._compiled_by_relation.pop(relation, ()):
-            artifact = self._compiled.pop(key, None)
-            if artifact is None:
-                continue
-            for name in artifact.relations:
-                if name != relation:
-                    keys = self._compiled_by_relation.get(name)
-                    if keys is not None:
-                        keys.discard(key)
-        touched = self._by_relation.pop(relation, None)
-        if not touched:
-            return
-        from ...obs.metrics import counter
-
-        for key in list(touched):
-            entry = self._entries.get(key)
-            if entry is None:
-                continue
-            view = self._views.get(key)
-            try:
-                if view is None or not view.maintainable_for(relation):
-                    raise _NotMaintainable()
-                if self.fault_injector is not None:
-                    self.fault_injector.maybe_raise("maintenance", relation)
-                view.apply(relation, delta_rows, db)
-                value, work, entries = view.result()
-            except _NotMaintainable:
-                self._drop_maintained(key, entry, relation)
-                self.invalidations += 1
-                continue
-            except Exception:
-                # Degradation, not failure: fall back to the legacy
-                # invalidate-then-recompute path for this entry.
-                self._drop_maintained(key, entry, relation)
-                self.invalidations += 1
-                self.maintain_fallback += 1
-                counter("robustness.maintenance.fallback")
-                continue
-            new_key = semantic_cache_key(key[0], entry.relations, db)
-            self._drop_maintained(key, entry, relation)
-            patched = CacheEntry(
-                value,
-                work,
-                entries,
-                entry.relations,
-                entry_seal(value, work, entries),
-            )
-            self._entries[new_key] = patched
-            for name in patched.relations:
-                self._by_relation.setdefault(name, set()).add(new_key)
-            self._views[new_key] = view
-            self.maintained += 1
-            counter("cache.maintained")
-
-    def _drop_maintained(self, key, entry: CacheEntry, relation: str) -> None:
-        """Remove ``key`` during :meth:`maintain` (the ``relation``
-        back-pointer set is already popped)."""
-        self._entries.pop(key, None)
-        self._views.pop(key, None)
-        for name in entry.relations:
-            if name != relation:
-                keys = self._by_relation.get(name)
-                if keys is not None:
-                    keys.discard(key)
 
     def clear(self) -> None:
         self.invalidate(None)
@@ -442,8 +295,6 @@ class PlanCache:
         self.evictions = 0
         self.invalidations = 0
         self.corruptions = 0
-        self.maintained = 0
-        self.maintain_fallback = 0
 
     @property
     def hit_rate(self) -> float:
@@ -459,10 +310,12 @@ class PlanCache:
             "evictions": self.evictions,
             "invalidations": self.invalidations,
             "corruptions": self.corruptions,
-            "maintained": self.maintained,
-            "maintain_fallback": self.maintain_fallback,
+            # Always 0: inserts invalidate, nothing patches entries in
+            # place.  Kept because the benchmark's traced runs read
+            # both keys (``CACHE_STATS`` in benchmarks/e2e/tracing.py).
+            "maintained": 0,
+            "maintain_fallback": 0,
             "entries": len(self._entries),
-            "views": len(self._views),
             "capacity": self.capacity,
         }
 

@@ -27,14 +27,11 @@ from __future__ import annotations
 
 from typing import Callable, Mapping as TMapping, Optional
 
-from ...optimizer.constraints import base_relations
 from ...optimizer.plan import MapNode, Plan, Scan, Select
 from ...types.values import CVSet
 
 __all__ = [
     "relation_fingerprint",
-    "plan_structural_hash",
-    "result_cache_key",
     "callable_identity",
     "annotate_plan",
     "semantic_cache_key",
@@ -52,30 +49,6 @@ def relation_fingerprint(relation: Optional[CVSet]) -> tuple[int, int]:
     if relation is None:
         relation = _EMPTY
     return (len(relation), hash(relation))
-
-
-def plan_structural_hash(plan: Plan) -> int:
-    """Structural hash of a plan tree (callables excluded by design)."""
-    return hash(plan)
-
-
-def result_cache_key(
-    plan: Plan, db: TMapping[str, CVSet]
-) -> tuple[Plan, tuple[tuple[str, tuple[int, int]], ...]]:
-    """Legacy *structural* cache key: the plan itself plus fingerprints
-    of every base relation it reads, in sorted name order.
-
-    This key ignores which callables back the plan's predicate/function
-    names, so it is only safe when names are never aliased.
-    :class:`~repro.engine.exec.cache.PlanCache` no longer keys on it —
-    see :func:`annotate_plan`/:func:`semantic_cache_key` — but it
-    remains the cheap structural key for callers that control their
-    naming."""
-    names = sorted(base_relations(plan))
-    return (
-        plan,
-        tuple((name, relation_fingerprint(db.get(name))) for name in names),
-    )
 
 
 _MAX_CLOSURE_DEPTH = 8

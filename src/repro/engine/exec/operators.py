@@ -2,8 +2,7 @@
 
 Every executor logs one ``(label, work)`` entry per plan-node
 occurrence; :func:`node_label` is the label the reference interpreter
-uses, so the compiled path, delta maintenance and tracing spans all
-produce ledgers that compare equal to the reference's.
+uses, so the compiled path and tracing spans produce ledgers that compare equal to the reference's.
 """
 
 from __future__ import annotations

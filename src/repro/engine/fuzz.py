@@ -18,13 +18,9 @@ plans; this harness hammers it with generated ones:
   the reference interpreter and are cached at the root;
 * **mutation** — a live :class:`~repro.engine.database.Database`
   mutated between runs (inserts and wholesale replacement), checking
-  that maintenance and invalidation keep its cache honest;
-* **delta** — random insert/query interleavings against a live
-  database, differentially checking semi-naive *delta maintenance* of
-  cached entries (``engine/exec/delta.py``): after every insert, warm
-  cached answers in both modes must be byte-identical to cold
-  recomputation — value, work, and per-node ledger — whether an entry
-  was patched in place or invalidated;
+  that invalidation keeps its cache honest: after every mutation the
+  plan runs in both executor modes and each answer must match the
+  reference on the new contents;
 * **durability** — a WAL-attached database recovered after its
   mutations must equal the live one;
 * **compiled** — the plan compiler hammered directly: artifact-store
@@ -405,7 +401,11 @@ def _scenario_mutation(rng: random.Random, check: _Checker) -> None:
                 Tup((rng.randrange(5), rng.randrange(5)))
                 for _ in range(rng.randint(0, 6))
             )
-        check._compare("db-mutated", db.run(plan), db.run_reference(plan))
+        want = db.run_reference(plan)
+        for mode in ("compiled", "reference"):
+            check._compare(
+                f"db-mutated-{mode}", db.run(plan, mode=mode), want
+            )
 
 
 def _scenario_durability(rng: random.Random, check: _Checker) -> None:
@@ -472,64 +472,6 @@ def _scenario_durability(rng: random.Random, check: _Checker) -> None:
             check._compare(
                 "recover-plan", recovered.run(plan), live.run_reference(plan)
             )
-
-
-def _scenario_delta(rng: random.Random, check: _Checker) -> None:
-    """Insert/query interleavings vs semi-naive cache maintenance.
-
-    A live database serves a fixed plan set warm; between rounds, rows
-    are inserted into random relations, so cached entries are patched
-    in place by ``PlanCache.maintain`` (or invalidated when not
-    maintainable).  Every answer, in both modes, is compared byte-for-byte against the reference interpreter over
-    the post-insert contents.  A second pass runs the same plans on a
-    maintenance-disabled twin database fed the same inserts, pinning
-    maintained results to the legacy invalidate-and-recompute answers.
-    """
-    db = Database()
-    legacy = Database()
-    legacy.plan_cache.maintenance_enabled = False
-    for name in _NAMES:
-        db.create(name, 2)
-        legacy.create(name, 2)
-        rows = {
-            (rng.randrange(5), rng.randrange(5))
-            for _ in range(rng.randint(2, 8))
-        }
-        db.insert(name, rows)
-        legacy.insert(name, rows)
-    plans = [
-        random_plan(rng, _NAMES, depth=rng.randint(1, 4))
-        for _ in range(rng.randint(2, 3))
-    ]
-    modes = ("compiled", "reference")
-    for plan in plans:  # populate both caches
-        db.run(plan, mode=rng.choice(modes))
-        legacy.run(plan)
-    for _ in range(3):
-        victim = rng.choice(_NAMES)
-        batch = [
-            (rng.randrange(6), rng.randrange(6))
-            for _ in range(rng.randint(1, 3))
-        ]
-        db.insert(victim, batch)
-        legacy.insert(victim, batch)
-        for plan in plans:
-            want = db.run_reference(plan)
-            for mode in modes:
-                check._compare(
-                    f"delta-{mode}", db.run(plan, mode=mode), want
-                )
-            # Maintained warm answer == legacy invalidate+recompute.
-            check._compare("delta-legacy", legacy.run(plan), want)
-    # The maintained cache must actually have maintained something on
-    # most seeds; assert the counters stay coherent either way.
-    stats = db.plan_cache.stats()
-    check._check(
-        "delta-counters",
-        stats["maintained"] >= 0
-        and stats["maintain_fallback"] == 0,
-        f"unexpected maintenance fallback: {stats}",
-    )
 
 
 def _scenario_compiled(rng: random.Random, check: _Checker) -> None:
@@ -608,7 +550,6 @@ SCENARIOS: dict[str, Callable[[random.Random, _Checker], None]] = {
     "atoms": _scenario_atoms,
     "alias": _scenario_alias,
     "mutation": _scenario_mutation,
-    "delta": _scenario_delta,
     "durability": _scenario_durability,
     "compiled": _scenario_compiled,
     "trace": _scenario_trace,

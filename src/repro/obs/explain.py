@@ -11,7 +11,7 @@ byte-deterministic output).
 ``db`` may be a plain relation mapping or a
 :class:`~repro.engine.database.Database`.  A ``Database`` runs through
 ``Database.run``, so EXPLAIN sees its result cache (real hits and
-misses — pass ``use_cache=False`` for a pure cold run), its maintained
+misses — pass ``use_cache=False`` for a pure cold run), its secondary
 join indexes and any graceful-degradation fallbacks.  A plain mapping
 carries none of that and runs on the reference interpreter.
 
@@ -109,21 +109,6 @@ class ExplainReport:
                 f" misses={self.cache_stats['misses']}"
                 f" puts={self.cache_stats['puts']}]"
             )
-            maintained = self.cache_stats.get("maintained", 0)
-            fallback = self.cache_stats.get("maintain_fallback", 0)
-            if maintained or fallback:
-                # Entries this query found alive because inserts since
-                # the last run were absorbed by delta maintenance
-                # (see docs/EXECUTION.md, "Incremental maintenance").
-                header += (
-                    f"\nmaintained: {maintained} entr"
-                    f"{'y' if maintained == 1 else 'ies'} patched in "
-                    f"place by delta maintenance"
-                )
-                if fallback:
-                    header += (
-                        f" ({fallback} fell back to invalidation)"
-                    )
         if self.degraded:
             for event in self.degraded:
                 header += (
@@ -172,11 +157,6 @@ def explain(plan, db, mode: str = "compiled", *, use_cache: bool = True,
             for key in ("hits", "misses", "puts", "evictions")
         }
         cache_stats["entries"] = after["entries"]
-        # Cumulative, not a delta: maintenance runs inside
-        # ``Database.insert``, between queries — the totals say how
-        # many cached entries survived writes via delta patching.
-        cache_stats["maintained"] = after["maintained"]
-        cache_stats["maintain_fallback"] = after["maintain_fallback"]
     return ExplainReport(
         mode=mode,
         plan=str(plan),

@@ -101,24 +101,6 @@ class Stats:
             distincts[name] = db.column_distincts(name)
         return cls(rows, widths, distincts)
 
-    @classmethod
-    def of_engine_database(cls, db) -> "Stats":
-        """Stats straight from a :class:`~repro.engine.database.Database`.
-
-        Uses declared arities from the catalog instead of walking every
-        tuple — O(#relations), so cost-based plan choice stays cheap on
-        large instances.  Undeclared relations fall back to a scan."""
-        rows = {}
-        widths = {}
-        for name, relation in db.relations.items():
-            rows[name] = len(relation)
-            info = db.catalog.relations.get(name)
-            if info is not None:
-                widths[name] = info.arity
-            else:
-                widths[name] = max((len(t) for t in relation), default=1)
-        return cls(rows, widths)
-
 
 @dataclass
 class Estimate:

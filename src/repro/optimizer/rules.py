@@ -29,95 +29,15 @@ from .constraints import Catalog, projection_injective_on
 from .plan import (
     Difference,
     Intersect,
-    Join,
     MapNode,
     Plan,
     Product,
     Project,
-    Scan,
     Select,
     Union,
 )
 
-__all__ = [
-    "RewriteRule",
-    "DEFAULT_RULES",
-    "DELTA_MONOTONE",
-    "SEMI_MAINTAINABLE",
-    "OPAQUE",
-    "NODE_MONOTONICITY",
-]
-
-# ----------------------------------------------------------------------
-# Maintainability classes (semi-naive delta view maintenance).
-#
-# The same genericity analysis that justifies the Section 4.4 rewrites
-# classifies operators by how they behave under *insertions*: an
-# operator that is monotone in an input distributes over unions of that
-# input, so ``op(R + dR) = op(R) + op'(dR, R)`` for a cheap delta form
-# ``op'`` — the classical licence for semi-naive view maintenance.
-# ``engine/exec/delta.py`` consumes this table as its source of truth.
-
-#: Inserted deltas propagate through the node as ``dout = op(din, ...)``
-#: (probing existing sibling state for joins/products).
-DELTA_MONOTONE = "delta-monotone"
-#: Monotone in the *left* input only: a right-side delta can retract
-#: previously-derived rows, so it forces a recompute.
-SEMI_MAINTAINABLE = "semi-maintainable"
-#: No delta form is known; maintenance must fall back to invalidation.
-OPAQUE = "opaque"
-
-#: ``plan node type -> (class, justification in the paper's terms)``.
-#: Node types absent from the table are treated as :data:`OPAQUE`.
-NODE_MONOTONICITY: dict[type, tuple[str, str]] = {
-    Scan: (
-        DELTA_MONOTONE,
-        "a base relation is its own delta: an insert *is* dR",
-    ),
-    Select: (
-        DELTA_MONOTONE,
-        "sigma : forall X.(X->bool)->{X}->{X} is parametric, so "
-        "sigma_p(R + dR) = sigma_p(R) + sigma_p(dR) (Section 4.3)",
-    ),
-    Project: (
-        DELTA_MONOTONE,
-        "pi is fully generic and distributes over union "
-        "(new projected rows may duplicate old ones; the delta form "
-        "subtracts the existing view)",
-    ),
-    MapNode: (
-        DELTA_MONOTONE,
-        "map(f) commutes with union for arbitrary f — 'f could be any "
-        "user-defined method ... about which we know nothing' "
-        "(Section 4.4)",
-    ),
-    Union: (
-        DELTA_MONOTONE,
-        "union is fully generic/parametric and associative-commutative: "
-        "(L + dL) U (R + dR) = (L U R) + (dL U dR)",
-    ),
-    Intersect: (
-        DELTA_MONOTONE,
-        "intersection is monotone in both inputs: the delta is "
-        "(dL & R') U (dR & L'), probing the maintained sibling state",
-    ),
-    Product: (
-        DELTA_MONOTONE,
-        "cross product is fully generic and bilinear over union: "
-        "dout = dL x R' + L x dR",
-    ),
-    Join: (
-        DELTA_MONOTONE,
-        "equi-join is a selection over a product, hence monotone in "
-        "both inputs: dout = dL |x| R' + L |x| dR via the hash indexes",
-    ),
-    Difference: (
-        SEMI_MAINTAINABLE,
-        "difference is generic only w.r.t. injective mappings and "
-        "anti-monotone in its right input: left deltas propagate as "
-        "dL - R, right deltas retract derived rows and force recompute",
-    ),
-}
+__all__ = ["RewriteRule", "DEFAULT_RULES"]
 
 
 @dataclass(frozen=True)
@@ -191,14 +111,6 @@ def _push_select_through_union(plan: Plan, _catalog: Catalog) -> Optional[Plan]:
             Select(plan.predicate_name, plan.predicate, node.left),
             Select(plan.predicate_name, plan.predicate, node.right),
         )
-    return None
-
-
-def _push_select_below_project(plan: Plan, _catalog: Catalog) -> Optional[Plan]:
-    # sigma_p(pi_cols(R)) cannot move below pi in general (p sees the
-    # projected tuple); the profitable direction is pi above sigma:
-    # pi_cols(sigma_p(R)) stays as is.  Nothing to do here; placeholder
-    # intentionally removed from DEFAULT_RULES.
     return None
 
 

@@ -10,14 +10,10 @@ byte-identical to ``jobs=1`` output.  See ``docs/EXECUTION.md``.
 from .runner import chunked, default_jobs, parallel_map
 from .sweeps import (
     CellVerdict,
-    ModeAgreementVerdict,
     invariance_tasks,
-    mode_agreement_tasks,
     render_verdicts,
     run_invariance_cell,
-    run_mode_agreement_cell,
     sweep_invariance,
-    sweep_mode_agreement,
     tightest,
 )
 
@@ -26,13 +22,9 @@ __all__ = [
     "default_jobs",
     "parallel_map",
     "CellVerdict",
-    "ModeAgreementVerdict",
     "invariance_tasks",
-    "mode_agreement_tasks",
     "render_verdicts",
     "run_invariance_cell",
-    "run_mode_agreement_cell",
     "sweep_invariance",
-    "sweep_mode_agreement",
     "tightest",
 ]

@@ -20,13 +20,6 @@ To reproduce one parallel cell serially, rerun the same sweep with
 ``jobs=1`` — cells never share rng state, so the failing cell replays
 identically — or call :func:`run_invariance_cell` directly with the
 cell's task tuple.
-
-:func:`sweep_mode_agreement` applies the same harness to the executor
-contract: each cell rebuilds a random plan/database pair from
-:func:`~repro.engine.workload.derive_rng` scalars and checks the
-compiled executor against the reference interpreter on value, work,
-and per-node ledger — the differential-fuzz invariant, sharded across
-processes.
 """
 
 from __future__ import annotations
@@ -44,11 +37,6 @@ __all__ = [
     "sweep_invariance",
     "tightest",
     "render_verdicts",
-    "ModeAgreementTask",
-    "ModeAgreementVerdict",
-    "run_mode_agreement_cell",
-    "mode_agreement_tasks",
-    "sweep_mode_agreement",
 ]
 
 #: ``(operation, spec_name, mode, trials, seed)`` — everything a worker
@@ -149,95 +137,6 @@ def sweep_invariance(
     tasks = invariance_tasks(operations, trials=trials, seed=seed)
     return parallel_map(
         run_invariance_cell, tasks, jobs=jobs, chunk_size=chunk_size
-    )
-
-
-#: ``(base_seed, index, mode)`` — scalars from which a worker replays
-#: one executor-agreement cell (the rng path is
-#: ``derive_rng(base_seed, index, "mode-agreement")``).
-ModeAgreementTask = tuple[int, int, str]
-
-#: Executor modes the agreement sweep checks against the reference.
-AGREEMENT_MODES = ("compiled",)
-
-
-@dataclass(frozen=True)
-class ModeAgreementVerdict:
-    """Picklable outcome of one (seed index, executor mode) cell.
-
-    ``agree`` asserts the full contract — identical value, total work,
-    and per-node ledger as the reference — and ``rows``/``work`` carry
-    the reference measurements so a report can aggregate coverage."""
-
-    index: int
-    mode: str
-    agree: bool
-    rows: int
-    work: int
-
-
-def run_mode_agreement_cell(task: ModeAgreementTask) -> ModeAgreementVerdict:
-    """Run one agreement cell; top-level so it pickles to workers.
-
-    The plan and database are rebuilt inside the worker (plans close
-    over lambdas and do not pickle), from an rng stream keyed by the
-    task scalars alone — serial and sharded runs replay byte-identical
-    cells."""
-    base_seed, index, mode = task
-    if mode not in AGREEMENT_MODES:
-        raise ValueError(
-            f"mode must be one of {AGREEMENT_MODES}, got {mode!r}"
-        )
-    from ..engine.exec import execute_compiled
-    from ..engine.workload import derive_rng, random_database, random_plan
-    from ..optimizer.plan import execute_reference
-
-    names = ("r", "s", "t")
-    rng = derive_rng(base_seed, index, "mode-agreement")
-    db = random_database(
-        rng, names, arity=2, domain_size=5, max_rows=rng.randint(0, 12)
-    )
-    plan = random_plan(rng, names, depth=rng.randint(1, 4))
-    reference = execute_reference(plan, db)
-    result = execute_compiled(plan, db)
-    agree = (
-        result.value == reference.value
-        and result.work == reference.work
-        and result.per_node == reference.per_node
-    )
-    return ModeAgreementVerdict(
-        index, mode, agree, len(reference.value), reference.work
-    )
-
-
-def mode_agreement_tasks(
-    seeds: int,
-    *,
-    base_seed: int = 0,
-    modes: Sequence[str] = AGREEMENT_MODES,
-) -> list[ModeAgreementTask]:
-    """The agreement grid: every seed index × every executor mode."""
-    return [
-        (base_seed, index, mode)
-        for index in range(seeds)
-        for mode in modes
-    ]
-
-
-def sweep_mode_agreement(
-    seeds: int,
-    *,
-    base_seed: int = 0,
-    modes: Sequence[str] = AGREEMENT_MODES,
-    jobs: int = 1,
-    chunk_size: Optional[int] = None,
-) -> list[ModeAgreementVerdict]:
-    """Check every executor mode against the reference over ``seeds``
-    random plan/database cells, optionally sharded across processes.
-    Verdict order is the task-grid order regardless of ``jobs``."""
-    tasks = mode_agreement_tasks(seeds, base_seed=base_seed, modes=modes)
-    return parallel_map(
-        run_mode_agreement_cell, tasks, jobs=jobs, chunk_size=chunk_size
     )
 
 

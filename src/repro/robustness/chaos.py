@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 
 from ..durability import WAL_NAME, DurabilityManager, recover
 from ..engine.database import Database
+from ..engine.fuzz import _describe_mismatch
 from ..engine.serialize import database_to_json
 from ..engine.workload import derive_rng, random_database, random_plan
 from ..obs.metrics import REGISTRY
@@ -92,7 +93,6 @@ class ChaosReport:
     injected: dict = field(default_factory=dict)
     degradations: int = 0
     corruptions_caught: int = 0
-    maintenance_fallbacks: int = 0
     crash_scenarios: int = 0
     recovery_scenarios: int = 0
     recovery_points: int = 0
@@ -112,8 +112,7 @@ class ChaosReport:
             f"{self.crash_scenarios} worker-crash scenarios",
             f"  faults injected: {fired}",
             f"  degradations: {self.degradations}, "
-            f"cache corruptions caught: {self.corruptions_caught}, "
-            f"maintenance fallbacks: {self.maintenance_fallbacks}",
+            f"cache corruptions caught: {self.corruptions_caught}",
             f"  recovery: {self.recovery_scenarios} scenario(s), "
             f"{self.recovery_points} crash point(s) recovered",
         ]
@@ -130,22 +129,6 @@ class ChaosReport:
             if len(failures) > 20:
                 lines.append(f"    ... and {len(failures) - 20} more")
         return "\n".join(lines)
-
-
-def _mismatch(got, want) -> str | None:
-    if got.value != want.value:
-        return (
-            f"value mismatch: engine {len(got.value)} rows, "
-            f"reference {len(want.value)} rows"
-        )
-    if got.work != want.work:
-        return f"work mismatch: engine {got.work}, reference {want.work}"
-    if got.per_node != want.per_node:
-        return (
-            f"ledger mismatch: engine {len(got.per_node)} entries, "
-            f"reference {len(want.per_node)}"
-        )
-    return None
 
 
 def _build_database(rng) -> Database:
@@ -171,7 +154,6 @@ def _check_seed(report: ChaosReport, base_seed: int, seed: int) -> None:
         operator_rate=rng.choice(_RATES),
         cache_rate=rng.choice(_RATES),
         compile_rate=rng.choice(_RATES),
-        maintenance_rate=rng.choice(_RATES),
     )
     injector = FaultInjector(fault_plan)
 
@@ -193,7 +175,7 @@ def _check_seed(report: ChaosReport, base_seed: int, seed: int) -> None:
                 )
             )
             return
-        detail = _mismatch(got, want)
+        detail = _describe_mismatch(got, want)
         if detail is not None:
             report.divergences.append(
                 ChaosFailure(seed, "divergence", mode, detail)
@@ -207,11 +189,9 @@ def _check_seed(report: ChaosReport, base_seed: int, seed: int) -> None:
         check(plan, "compiled", use_cache=True)
         check(plan, rng.choice(_MODES), use_cache=True)
 
-    # Mutate and re-check: delta maintenance + degradation interplay.
-    # The injector stays attached through the insert, so the
-    # ``maintenance`` site fires *inside* ``PlanCache.maintain`` —
-    # which must degrade to invalidate-then-recompute, never serve a
-    # half-patched entry or let the fault escape ``insert``.
+    # Mutate and re-check: the insert invalidates the cached entries
+    # that read the relation, so the re-runs recompute (degrading where
+    # faults fire) and must still match the reference.
     mutated = rng.choice(_NAMES)
     db.fault_injector = injector
     report.checks += 1
@@ -224,7 +204,7 @@ def _check_seed(report: ChaosReport, base_seed: int, seed: int) -> None:
     except Exception as exc:  # noqa: BLE001 — escapes are the finding
         report.escapes.append(
             ChaosFailure(
-                seed, "escape", "maintain", f"{type(exc).__name__}: {exc}"
+                seed, "escape", "insert", f"{type(exc).__name__}: {exc}"
             )
         )
     for plan in plans[:1]:
@@ -473,7 +453,4 @@ def run_chaos(
     report.degradations = after.get("robustness.degraded", 0) - before.get(
         "robustness.degraded", 0
     )
-    report.maintenance_fallbacks = after.get(
-        "robustness.maintenance.fallback", 0
-    ) - before.get("robustness.maintenance.fallback", 0)
     return report

@@ -2,10 +2,11 @@
 :class:`FaultInjector`.
 
 The engine's core invariant is executor parity (value, work, ledger)
-between the compiled path and the reference interpreter.  This module supplies the *adversary* for that invariant: a
+between the compiled path and the reference interpreter.  This module
+supplies the *adversary* for that invariant: a
 seeded, reproducible source of component failures threaded through the
 compiled executor, the :class:`~repro.engine.exec.cache.PlanCache`,
-the write-ahead log, and the parallel harness via optional hooks.  Six
+the write-ahead log, and the parallel harness via optional hooks.  Five
 fault sites:
 
 * ``"operator"`` — the compiled plan raises mid-execution (drawn once
@@ -18,10 +19,6 @@ fault sites:
   (:class:`WorkerCrash` is the picklable ``chunk_fault`` hook for
   :func:`repro.parallel.parallel_map`; it kills the process with
   ``os._exit``, producing a real ``BrokenProcessPool``);
-* ``"maintenance"`` — semi-naive delta maintenance of a cached entry
-  fails mid-patch (drawn once per maintainable entry inside
-  ``PlanCache.maintain``); the cache must degrade to
-  invalidate-then-recompute, never serve a half-patched entry;
 * ``"durability"`` — the write-ahead log misbehaves: an append is torn
   mid-record (a crash during the write — only a byte prefix reaches
   disk), a full record is silently bit-flipped in place (media
@@ -60,9 +57,7 @@ __all__ = [
 ]
 
 #: Fault sites an injector understands, in documentation order.
-FAULT_SITES = (
-    "operator", "cache", "compile", "worker", "maintenance", "durability",
-)
+FAULT_SITES = ("operator", "cache", "compile", "worker", "durability")
 
 
 class InjectedFault(RuntimeError):
@@ -98,7 +93,6 @@ class FaultPlan:
     cache_rate: float = 0.0
     compile_rate: float = 0.0
     worker_rate: float = 0.0
-    maintenance_rate: float = 0.0
     durability_rate: float = 0.0
 
     def rate_for(self, site: str) -> float:

@@ -10,7 +10,7 @@ used to carry its own copy; they live here once.
 * :func:`assert_equivalent` — plain function (import it): each result
   byte-matches the reference interpreter on value, work, and ledger.
 * ``small_db`` — a live three-relation :class:`Database` with fixed
-  contents, for maintenance/degradation-style tests.
+  contents, for insert-time physical-state tests.
 * ``random_db(seed, ...)`` — factory fixture for a seeded random
   relation mapping over :data:`NAMES`.
 * ``plan_pair(seed, ...)`` — factory fixture for a seeded
@@ -46,7 +46,7 @@ def assert_equivalent(plan, db, *results):
 @pytest.fixture
 def small_db():
     """A small live ``Database`` over ``r``/``s``/``t`` with fixed
-    contents — the shape the delta-maintenance tests pin behavior on."""
+    contents."""
     db = Database()
     db.create("r", 2)
     db.create("s", 2)

@@ -3,8 +3,8 @@
 The engine's contract: for every plan over every database,
 ``Database.run`` returns the identical ``CVSet`` answer, identical
 total work, and identical per-node ledger as the reference interpreter
-— cold, warm from the result cache, and after inserts that maintain or
-invalidate the cached entry.
+— cold, warm from the result cache, and after inserts that invalidate
+the cached entry.
 """
 
 import random
@@ -16,8 +16,6 @@ from repro.engine.exec import (
     MAX_PIPELINE_DEPTH,
     PlanCache,
     execute_compiled,
-    relation_fingerprint,
-    result_cache_key,
 )
 from repro.engine.workload import deep_chain_plan
 from repro.optimizer.plan import (
@@ -36,7 +34,7 @@ from tests.conftest import NAMES, assert_equivalent
 
 def _live(relations, arity=None) -> Database:
     """A ``Database`` holding ``relations``: declared with ``arity``
-    and inserted (so inserts are validated and maintained), or, for
+    and inserted (so inserts are validated and indexed), or, for
     ``arity=None``, assigned wholesale (any element shape)."""
     db = Database()
     for name, relation in relations.items():
@@ -51,12 +49,12 @@ def _live(relations, arity=None) -> Database:
 class TestEquivalenceProperty:
     def test_random_plans_match_reference(self, plan_pair):
         """≥200 random plan/database pairs through ``Database.run`` in
-        its default mode: cold, warm, and after an insert that the
-        cache maintains or invalidates all agree with the reference,
+        its default mode: cold, warm, and after an insert that
+        invalidates the cached entry all agree with the reference,
         including work and ledger."""
         pairs_checked = 0
         nodes_seen = set()
-        maintained = invalidated = 0
+        invalidated = 0
         for seed in range(220):
             plan, relations = plan_pair(20260806 + seed)
             stack = [plan]
@@ -76,14 +74,13 @@ class TestEquivalenceProperty:
                  for _ in range(rng.randint(1, 3))],
             )
             after = db.plan_cache.stats()
-            maintained += after["maintained"] - before["maintained"]
             invalidated += after["invalidations"] - before["invalidations"]
             assert_equivalent(plan, db, db.run(plan))
             pairs_checked += 1
         assert pairs_checked >= 200
-        # Both insert outcomes occur, and the generator exercises the
-        # whole operator set.
-        assert maintained > 0 and invalidated > 0
+        # Inserts invalidate cached entries, and the generator
+        # exercises the whole operator set.
+        assert invalidated > 0
         assert nodes_seen >= {
             "Scan", "Project", "Select", "MapNode", "Union",
             "Difference", "Intersect", "Product", "Join",
@@ -176,13 +173,6 @@ class TestPlanCache:
         assert len(db.plan_cache) == 2
         db.plan_cache.invalidate("r")
         assert len(db.plan_cache) == 1
-
-    def test_key_includes_fingerprints(self):
-        plan = Project((0,), Scan("r"))
-        db = {"r": cvset(tup(1, 2))}
-        key = result_cache_key(plan, db)
-        assert key[0] == plan
-        assert key[1] == (("r", relation_fingerprint(db["r"])),)
 
 
 class TestDatabaseExecution:
@@ -283,21 +273,6 @@ class TestSemanticCacheKeys:
             execute_compiled(plan, db, compile_store=PlanCache()),
             _live(db).run(plan),
         )
-
-    def test_on_alias_error_raises(self):
-        from repro.engine.exec import CacheInvariantError
-
-        db = {"p": CVSet(Tup((i,)) for i in range(3))}
-        store = PlanCache(on_alias="error")
-        execute_compiled(
-            Select("p", lambda t: t[0] == 1, Scan("p")), db,
-            compile_store=store,
-        )
-        with pytest.raises(CacheInvariantError):
-            execute_compiled(
-                Select("p", lambda t: t[0] == 2, Scan("p")), db,
-                compile_store=store,
-            )
 
     def test_recreated_closure_still_hits(self):
         # The parser builds its comparison lambdas afresh per parse; a
@@ -414,10 +389,11 @@ class TestDeepPlans:
         assert hash(plan) == hash(other)
         assert plan == other
 
-    def test_too_deep_plan_runs_on_reference_cached_and_maintained(self):
+    def test_too_deep_plan_runs_on_reference_cached_and_invalidated(self):
         """Past ``MAX_PIPELINE_DEPTH`` the compiled mode runs the
         reference interpreter (nothing is compiled), the root result is
-        still cached, and an insert patches it in place."""
+        still cached, and an insert invalidates it: the next run misses,
+        recomputes on the reference and is stored again."""
         db = _live({"r": [(i, i + 1) for i in range(8)]}, arity=2)
         plan = self._chain(MAX_PIPELINE_DEPTH + 20)
         cold = db.run(plan)
@@ -427,8 +403,12 @@ class TestDeepPlans:
         assert db.plan_cache.hits == 1
         assert_equivalent(plan, db, cold, warm)
         db.insert("r", [(20, 21), (21, 20)])
-        assert db.plan_cache.maintained == 1
-        patched = db.run(plan)
-        assert db.plan_cache.hits == 2
+        assert db.plan_cache.invalidations == 1
+        assert len(db.plan_cache) == 0
+        recomputed = db.run(plan)
+        assert db.plan_cache.hits == 1
+        assert db.plan_cache.misses == 2
+        assert db.plan_cache.puts == 2
+        assert len(db.plan_cache) == 1
         assert db.plan_cache.compiled_stats()["puts"] == 0
-        assert_equivalent(plan, db, patched)
+        assert_equivalent(plan, db, recomputed)

@@ -151,30 +151,6 @@ class TestRendering:
         )
         assert "cache[" not in plain.render()
 
-    def test_maintained_entries_render_in_the_header(self):
-        report = ExplainReport(
-            mode="compiled", plan="p", rows=1, work=2, root=Span("p"),
-            cache_stats={
-                "hits": 1, "misses": 0, "puts": 0,
-                "maintained": 1, "maintain_fallback": 0,
-            },
-        )
-        text = report.render(wall=False)
-        assert "1 entry patched in place by delta maintenance" in text
-        assert "fell back" not in text
-
-    def test_maintain_fallback_renders_in_the_header(self):
-        report = ExplainReport(
-            mode="compiled", plan="p", rows=3, work=4, root=Span("p"),
-            cache_stats={
-                "hits": 2, "misses": 1, "puts": 1,
-                "maintained": 2, "maintain_fallback": 1,
-            },
-        )
-        text = report.render(wall=False)
-        assert "2 entries patched in place" in text
-        assert "(1 fell back to invalidation)" in text
-
     def test_degraded_events_surface_in_render_and_dict(self):
         events = [{"mode": "compiled", "to": "reference", "error": "X: boom"}]
         report = ExplainReport(

@@ -15,9 +15,7 @@ from repro.parallel import (
     parallel_map,
     render_verdicts,
     run_invariance_cell,
-    run_mode_agreement_cell,
     sweep_invariance,
-    sweep_mode_agreement,
     tightest,
 )
 
@@ -301,23 +299,6 @@ class TestInvarianceSweep:
     def test_single_cell_reproducible(self):
         task = ("even", "bijective", "strong", 4, 1)
         assert run_invariance_cell(task) == run_invariance_cell(task)
-
-
-class TestModeAgreementSweep:
-    def test_every_mode_agrees_with_reference(self):
-        verdicts = sweep_mode_agreement(12, jobs=1)
-        assert len(verdicts) == 12  # 12 seeds x the compiled mode
-        assert all(v.agree for v in verdicts)
-        assert {v.mode for v in verdicts} == {"compiled"}
-
-    def test_parallel_identical_to_serial(self):
-        serial = sweep_mode_agreement(8, base_seed=4, jobs=1)
-        sharded = sweep_mode_agreement(8, base_seed=4, jobs=2)
-        assert serial == sharded
-
-    def test_single_cell_reproducible(self):
-        task = (0, 3, "compiled")
-        assert run_mode_agreement_cell(task) == run_mode_agreement_cell(task)
 
 
 class TestRegistrySharding:
