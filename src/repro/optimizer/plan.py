@@ -44,7 +44,8 @@ class Plan:
     construction from the children's cached hashes (plans are built
     bottom-up, so this is O(1) per node), and ``__eq__`` walks an
     explicit stack.  Plans thousands of levels deep can therefore be
-    hashed, compared, and used as dict keys without ``RecursionError``.
+    hashed, compared, printed, and used as dict keys without
+    ``RecursionError``.
     """
 
     def children(self) -> tuple["Plan", ...]:
@@ -58,6 +59,32 @@ class Plan:
     def _scalar_key(self) -> tuple:
         """The node's non-child compared fields (callables excluded)."""
         return ()
+
+    def _format(self, *children: str) -> str:
+        """This node's text, given its children's texts in order."""
+        return repr(self)
+
+    def __str__(self) -> str:
+        """The plan's text, built bottom-up on an explicit stack so plans
+        of any depth print without ``RecursionError``."""
+        stack: list[tuple[Plan, bool]] = [(self, False)]
+        texts: list[str] = []
+        while stack:
+            node, ready = stack.pop()
+            if ready:
+                n = len(node.children())
+                parts = texts[-n:]
+                del texts[-n:]
+                texts.append(node._format(*parts))
+                continue
+            children = node.children()
+            if children:
+                stack.append((node, True))
+                for child in reversed(children):
+                    stack.append((child, False))
+            else:
+                texts.append(node._format())
+        return texts.pop()
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -107,7 +134,7 @@ class Scan(Plan):
     def _scalar_key(self) -> tuple:
         return (self.relation,)
 
-    def __str__(self) -> str:
+    def _format(self) -> str:
         return self.relation
 
 
@@ -128,9 +155,9 @@ class Project(Plan):
         (child,) = children
         return Project(self.columns, child)
 
-    def __str__(self) -> str:
+    def _format(self, child: str) -> str:
         cols = ",".join(str(c + 1) for c in self.columns)
-        return f"pi[{cols}]({self.child})"
+        return f"pi[{cols}]({child})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,8 +178,8 @@ class Select(Plan):
         (child,) = children
         return Select(self.predicate_name, self.predicate, child)
 
-    def __str__(self) -> str:
-        return f"sigma[{self.predicate_name}]({self.child})"
+    def _format(self, child: str) -> str:
+        return f"sigma[{self.predicate_name}]({child})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,8 +194,8 @@ class Union(Plan):
         left, right = children
         return Union(left, right)
 
-    def __str__(self) -> str:
-        return f"({self.left} U {self.right})"
+    def _format(self, left: str, right: str) -> str:
+        return f"({left} U {right})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,8 +210,8 @@ class Difference(Plan):
         left, right = children
         return Difference(left, right)
 
-    def __str__(self) -> str:
-        return f"({self.left} - {self.right})"
+    def _format(self, left: str, right: str) -> str:
+        return f"({left} - {right})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,8 +226,8 @@ class Intersect(Plan):
         left, right = children
         return Intersect(left, right)
 
-    def __str__(self) -> str:
-        return f"({self.left} & {self.right})"
+    def _format(self, left: str, right: str) -> str:
+        return f"({left} & {right})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,8 +242,8 @@ class Product(Plan):
         left, right = children
         return Product(left, right)
 
-    def __str__(self) -> str:
-        return f"({self.left} x {self.right})"
+    def _format(self, left: str, right: str) -> str:
+        return f"({left} x {right})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,8 +264,8 @@ class Join(Plan):
         left, right = children
         return Join(self.on, left, right)
 
-    def __str__(self) -> str:
-        return f"({self.left} |x|{list(self.on)} {self.right})"
+    def _format(self, left: str, right: str) -> str:
+        return f"({left} |x|{list(self.on)} {right})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,8 +288,8 @@ class MapNode(Plan):
         (child,) = children
         return MapNode(self.fn_name, self.fn, child, self.injective)
 
-    def __str__(self) -> str:
-        return f"map[{self.fn_name}]({self.child})"
+    def _format(self, child: str) -> str:
+        return f"map[{self.fn_name}]({child})"
 
 
 def tuple_weight(t: Value) -> int:

@@ -1,9 +1,9 @@
 """Rule-driven plan rewriter with equivalence verification.
 
-The rewriter applies rules bottom-up to a fixpoint (with a safety
-bound), keeping a trace of which rules fired where — the trace is how
-the experiments connect each rewrite back to its genericity /
-parametricity justification.
+The rewriter applies rules in one bottom-up pass; a fired rule
+revisits only the nodes it built.  It keeps a trace of which rules fired
+where — the trace is how the experiments connect each rewrite back to
+its genericity / parametricity justification.
 
 Because the rules' side conditions are discharged from *declared*
 constraints, :func:`verify_equivalence` re-checks every rewritten plan
@@ -24,8 +24,6 @@ from .rules import DEFAULT_RULES, RewriteRule
 
 __all__ = ["RewriteTrace", "Rewriter", "verify_equivalence"]
 
-_MAX_PASSES = 32
-
 
 @dataclass
 class RewriteTrace:
@@ -41,7 +39,8 @@ class RewriteTrace:
 
 @dataclass
 class Rewriter:
-    """Applies a rule set bottom-up to a fixpoint."""
+    """Applies a rule set in one bottom-up pass; a fired rule revisits
+    only the nodes it built."""
 
     catalog: Catalog
     rules: Sequence[RewriteRule] = DEFAULT_RULES
@@ -53,18 +52,27 @@ class Rewriter:
     def _rewrite_node(self, plan: Plan) -> Plan:
         """Bottom-up rewrite of one tree, without recursion.
 
-        Equivalent to the old recursive form: rewrite the children,
-        recombine, then apply rules at the node until none fires; when a
-        rule fires, the rewritten node's children are themselves
-        rewritten (they may expose new opportunities) before the rule
-        loop restarts at the recombined node.  An explicit stack keeps
-        plans of arbitrary depth safe from ``RecursionError``.
+        Rewrite the children, recombine, then apply rules at the node
+        until none fires.  A node on which no rule fires is in normal
+        form, and so is every node below it; ``normal`` remembers those
+        nodes by identity (holding them keeps their ids valid).  When a
+        rule fires, its result is visited again, but the subtrees it
+        reuses are already normal and go straight to ``results``: only
+        the nodes the rule built run the rule loop.  A rule sees only
+        the subtree it is applied to, so a rewrite above a normal subtree
+        cannot create a new rewrite inside it, and the single pass ends
+        at a fixpoint.  An explicit stack keeps plans of arbitrary depth
+        safe from ``RecursionError``.
         """
         stack: list[tuple[int, Plan]] = [(self._VISIT, plan)]
         results: list[Plan] = []
+        normal: dict[int, Plan] = {}
         while stack:
             action, node = stack.pop()
             if action == self._VISIT:
+                if id(node) in normal:
+                    results.append(node)
+                    continue
                 children = node.children()
                 if children:
                     stack.append((self._COMBINE, node))
@@ -78,37 +86,21 @@ class Rewriter:
                 del results[-n:]
                 stack.append((self._APPLY, node.with_children(children)))
             else:  # _APPLY: run the rule loop at a recombined node
-                fired = False
                 for rule in self.rules:
                     result = rule.apply(node, self.catalog)
                     if result is not None and result != node:
                         self.trace.append(RewriteTrace(rule, node, result))
-                        # Rewritten node may expose new opportunities
-                        # below: rewrite its children, then re-enter the
-                        # rule loop on the recombined node.
-                        children = result.children()
-                        if children:
-                            stack.append((self._COMBINE, result))
-                            for child in reversed(children):
-                                stack.append((self._VISIT, child))
-                        else:
-                            stack.append((self._APPLY, result))
-                        fired = True
+                        stack.append((self._VISIT, result))
                         break
-                if not fired:
+                else:
+                    normal[id(node)] = node
                     results.append(node)
         return results.pop()
 
     def optimize(self, plan: Plan) -> Plan:
-        """Rewrite ``plan`` to a fixpoint; the trace records each step."""
+        """Rewrite ``plan`` to normal form; the trace records each step."""
         self.trace = []
-        current = plan
-        for _ in range(_MAX_PASSES):
-            before = len(self.trace)
-            current = self._rewrite_node(current)
-            if len(self.trace) == before:
-                return current
-        return current
+        return self._rewrite_node(plan)
 
     def explain(self) -> list[str]:
         """Human-readable audit of the applied rewrites with their

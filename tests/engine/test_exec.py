@@ -383,6 +383,32 @@ class TestDeepPlans:
         assert (execute_compiled(optimized, db).value
                 == execute_reference(plan, db).value)
 
+    def test_deep_chain_prints(self):
+        """``str`` of a deep plan, of a rewrite trace entry over it and
+        ``explain`` (which prints the plan) run without recursion."""
+        from repro.obs.explain import explain
+        from repro.optimizer.constraints import Catalog
+        from repro.optimizer.rewriter import Rewriter
+
+        chain = self._chain()
+        text = str(chain)
+        assert text.count("(") == text.count(")") == self.DEPTH
+        assert str(Project((1, 0), chain)) == f"pi[2,1]({text})"
+
+        normal = Select("always", lambda t: True,
+                        Rewriter(Catalog()).optimize(chain))
+        plan = Project((1, 0), Project((1, 0), normal))
+        rewriter = Rewriter(Catalog())
+        rewriter.optimize(plan)
+        (step,) = rewriter.trace
+        assert str(step) == (
+            f"fuse-projections: pi[2,1](pi[2,1]({normal}))"
+            f"  =>  pi[1,2]({normal})"
+        )
+
+        report = explain(chain, {"r": CVSet([Tup((1, 2))])})
+        assert report.plan == text
+
     def test_deep_plan_hash_and_eq_are_iterative(self):
         plan = self._chain()
         other = self._chain()  # same seed: structurally identical
