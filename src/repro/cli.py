@@ -11,7 +11,6 @@
     python -m repro fuzz --seeds 200 [--jobs N]    # differential fuzz
     python -m repro chaos --seeds 200         # fuzz under injected faults
     python -m repro recover state/ [--json]   # replay a WAL directory
-    python -m repro bench [--out FILE] [--quick]   # benchmark suites
     python -m repro writeup [path]            # regenerate EXPERIMENTS.md
 
 ``explain`` runs a plan on the demo HR database under the tracer and
@@ -32,6 +31,9 @@ the trace with its genericity/parametricity justifications.  Every
 ``--jobs N`` shards independent work units across ``N`` worker
 processes (:mod:`repro.parallel`) with output byte-identical to the
 serial run.
+
+Performance is measured by the benchmark of record,
+``python3 benchmarks/e2e/run.py``, described by ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -279,18 +281,6 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import main as bench_main
-
-    argv = ["--out", args.out]
-    if args.quick:
-        argv.append("--quick")
-    if args.skip_eperf:
-        argv.append("--skip-eperf")
-    argv += ["--jobs", str(args.jobs)]
-    return bench_main(argv)
-
-
 def _cmd_writeup(args: argparse.Namespace) -> int:
     from .experiments.writeup import main as writeup_main
 
@@ -421,27 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also save the recovered database snapshot to FILE",
     )
     recover_parser.set_defaults(fn=_cmd_recover)
-
-    bench_parser = sub.add_parser(
-        "bench", help="run the benchmark suites and write a BENCH json"
-    )
-    bench_parser.add_argument(
-        "--out", default="BENCH_PR10.json",
-        help="output path (default: BENCH_PR10.json)",
-    )
-    bench_parser.add_argument(
-        "--quick", action="store_true",
-        help="small sizes / few repeats, for CI smoke",
-    )
-    bench_parser.add_argument(
-        "--skip-eperf", action="store_true",
-        help="skip the pytest-based micro-benchmark tier",
-    )
-    bench_parser.add_argument(
-        "--jobs", type=int, default=0,
-        help="worker processes for the parallel suites (0 = all cores)",
-    )
-    bench_parser.set_defaults(fn=_cmd_bench)
 
     writeup_parser = sub.add_parser(
         "writeup", help="regenerate EXPERIMENTS.md"

@@ -25,7 +25,13 @@ from .checkpoint import (
     write_checkpoint,
 )
 from .manager import DurabilityManager
-from .recovery import RecoveryReport, apply_record, recover, replay_records
+from .recovery import (
+    RecoveryReport,
+    apply_record,
+    database_digest,
+    recover,
+    replay_records,
+)
 from .wal import (
     RECORD_KINDS,
     WAL_NAME,
@@ -51,6 +57,7 @@ __all__ = [
     "WriteAheadLog",
     "apply_record",
     "committed_records",
+    "database_digest",
     "decode_line",
     "encode_record",
     "load_checkpoint",

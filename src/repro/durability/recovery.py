@@ -25,18 +25,25 @@ tails and corrupt records dropped, checkpoints loaded.
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..engine.database import Database
-from ..engine.serialize import value_from_json
+from ..engine.serialize import database_to_json, value_from_json
 from ..obs.metrics import counter
 from ..obs.trace import Span, Tracer
 from .checkpoint import load_checkpoint
 from .wal import WAL_NAME, WalError, WalRecord, committed_records, scan_wal
 
-__all__ = ["RecoveryReport", "apply_record", "recover", "replay_records"]
+__all__ = [
+    "RecoveryReport",
+    "apply_record",
+    "database_digest",
+    "recover",
+    "replay_records",
+]
 
 
 @dataclass
@@ -96,6 +103,17 @@ class RecoveryReport:
             "scan_error": self.scan_error,
             "generation": self.generation,
         }
+
+
+def database_digest(db: Database) -> tuple:
+    """Everything recovery must reproduce exactly: relation contents
+    and schema (canonical JSON), the mutation generation, and every
+    relation fingerprint (which keys the plan-result cache)."""
+    return (
+        json.dumps(database_to_json(db), sort_keys=True),
+        db._generation,
+        tuple(sorted((name, db.fingerprint(name)) for name in db.relations)),
+    )
 
 
 def apply_record(db: Database, record: WalRecord) -> None:

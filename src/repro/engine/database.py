@@ -103,13 +103,24 @@ class Database:
         keys: Sequence[Sequence[int]] = (),
         shared_keys: Optional[dict[tuple[int, ...], str]] = None,
     ) -> None:
-        """Declare a relation schema."""
+        """Declare a relation schema.
+
+        Declaring a relation again is accepted only with the same
+        arity, keys and shared keys; a different declaration raises
+        :class:`SchemaError` before anything is logged or changed,
+        since the existing rows were validated against the old one.
+        """
         info = RelationInfo(
             name,
             arity,
             tuple(tuple(k) for k in keys),
             dict(shared_keys or {}),
         )
+        if name in self.catalog and self.catalog[name] != info:
+            raise SchemaError(
+                f"{name} is already declared as {self.catalog[name]}, "
+                f"not {info}"
+            )
         if self._durability is not None:
             # Log-before-apply; ``create`` does not bump the mutation
             # generation, so the logged post-apply generation is the

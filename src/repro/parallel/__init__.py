@@ -7,7 +7,7 @@ classification grid.  The contract everywhere: ``jobs=N`` output is
 byte-identical to ``jobs=1`` output.  See ``docs/EXECUTION.md``.
 """
 
-from .runner import chunked, default_jobs, parallel_map
+from .runner import chunked, parallel_map
 from .sweeps import (
     CellVerdict,
     invariance_tasks,
@@ -19,7 +19,6 @@ from .sweeps import (
 
 __all__ = [
     "chunked",
-    "default_jobs",
     "parallel_map",
     "CellVerdict",
     "invariance_tasks",

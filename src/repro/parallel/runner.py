@@ -16,7 +16,7 @@ nondeterminism of its own*.  :func:`parallel_map` guarantees that:
   of which process finished first;
 * **serial reference path** — ``jobs <= 1`` runs the plain list
   comprehension in-process.  Byte-identical output between the two
-  paths is the harness's contract (and is asserted by the benchmarks);
+  paths is the harness's contract (and is asserted by ``tests/parallel``);
 * **crash resilience** — a worker process dying hard (segfault, OOM
   kill, ``os._exit``) breaks the whole :class:`~concurrent.futures.
   ProcessPoolExecutor`, not just its chunk.  The harness collects the
@@ -38,20 +38,14 @@ ship *names* instead and reconstruct inside the worker — see
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
-__all__ = ["parallel_map", "chunked", "default_jobs"]
+__all__ = ["parallel_map", "chunked"]
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-
-def default_jobs() -> int:
-    """Worker count when the caller asks for "all cores"."""
-    return os.cpu_count() or 1
 
 
 def chunked(items: Sequence[T], chunk_size: int) -> Iterator[Sequence[T]]:

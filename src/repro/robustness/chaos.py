@@ -43,16 +43,19 @@ CLI: ``python -m repro chaos --seeds N`` (see :mod:`repro.cli`).
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import tempfile
 from dataclasses import dataclass, field
 
-from ..durability import WAL_NAME, DurabilityManager, recover
+from ..durability import (
+    WAL_NAME,
+    DurabilityManager,
+    database_digest,
+    recover,
+)
 from ..engine.database import Database
 from ..engine.fuzz import _describe_mismatch
-from ..engine.serialize import database_to_json
 from ..engine.workload import derive_rng, random_database, random_plan
 from ..obs.metrics import REGISTRY
 from ..parallel import parallel_map
@@ -216,19 +219,6 @@ def _check_seed(report: ChaosReport, base_seed: int, seed: int) -> None:
         report.injected[site] = report.injected.get(site, 0) + count
 
 
-def _recovery_digest(db: Database) -> tuple:
-    """Everything recovery must get byte-identical: relation contents
-    + schema (canonical JSON), the mutation generation, and every
-    relation fingerprint (which keys the plan-result cache)."""
-    return (
-        json.dumps(database_to_json(db), sort_keys=True),
-        db._generation,
-        tuple(
-            sorted((name, db.fingerprint(name)) for name in db.relations)
-        ),
-    )
-
-
 def _random_mutation_script(rng) -> tuple[dict, list]:
     """Deterministic base contents + a short mutation script, drawn up
     front so the golden (in-process) and WAL-attached runs replay the
@@ -288,10 +278,10 @@ def _check_recovery(report: ChaosReport, base_seed: int, seed: int) -> None:
     # Golden prefixes: digest after applying ops[:k] in-process, for
     # every k.  Any crash point must recover to one of these.
     shadow = build_base()
-    golden = [_recovery_digest(shadow)]
+    golden = [database_digest(shadow)]
     for op in ops:
         _apply_op(shadow, op)
-        golden.append(_recovery_digest(shadow))
+        golden.append(database_digest(shadow))
     golden_set = set(golden)
     report.recovery_scenarios += 1
 
@@ -358,7 +348,7 @@ def _check_recovery(report: ChaosReport, base_seed: int, seed: int) -> None:
                     f"{tag}: {type(exc).__name__}: {exc}",
                 ))
                 return
-            if _recovery_digest(recovered) not in golden_set:
+            if database_digest(recovered) not in golden_set:
                 report.divergences.append(ChaosFailure(
                     seed, "divergence", "recovery",
                     f"{tag}: recovered database matches no committed "

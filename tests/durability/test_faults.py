@@ -11,20 +11,18 @@ Each test pins one direction of the atomicity contract:
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.durability import (
     DurabilityManager,
     WriteAheadLog,
+    database_digest,
     encode_record,
     recover,
     scan_wal,
     WalRecord,
 )
 from repro.engine.database import Database
-from repro.engine.serialize import database_to_json
 from repro.robustness.faults import (
     FAULT_SITES,
     FaultInjector,
@@ -32,14 +30,6 @@ from repro.robustness.faults import (
     InjectedFault,
 )
 from repro.types.values import cvset, tup
-
-
-def digest(db: Database) -> tuple:
-    return (
-        json.dumps(database_to_json(db), sort_keys=True),
-        db._generation,
-        tuple(sorted((n, db.fingerprint(n)) for n in db.relations)),
-    )
 
 
 SAMPLE_LINE = encode_record(
@@ -128,20 +118,20 @@ class TestCrashWindows:
         db.durability = DurabilityManager(state, fsync=False)
         db.create("r", 1)
         db.insert("r", [(1,)])
-        before = digest(db)
+        before = database_digest(db)
 
         db.durability.fault_injector = _LabelFault("fsync")
         with pytest.raises(InjectedFault, match="fsync"):
             db.insert("r", [(2,)])
         # Atomically never happened: no in-memory change...
-        assert digest(db) == before
+        assert database_digest(db) == before
         assert db["r"] == cvset(tup(1))
         # ... and recovery agrees (the half-logged record is dropped).
         # Close first: the failed sync left the record in the stdio
         # buffer, and a real crash could land it on disk anyway.
         db.durability.close()
         recovered, report = recover(state)
-        assert digest(recovered) == before
+        assert database_digest(recovered) == before
         assert report.dropped_uncommitted == 1
 
     def test_crash_between_commit_and_apply_replays(self, tmp_path):

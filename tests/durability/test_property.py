@@ -15,7 +15,6 @@ to tie the in-memory sweep to the production entry point.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 
@@ -25,26 +24,16 @@ from repro.durability import (
     WAL_NAME,
     DurabilityManager,
     committed_records,
+    database_digest,
     recover,
     replay_records,
     scan_wal,
 )
 from repro.engine.database import Database
-from repro.engine.serialize import database_to_json
 from repro.types.values import CVSet, Tup
 
 SEEDS = 100
 _NAMES = ("r", "s")
-
-
-def digest(db: Database) -> tuple:
-    """Everything recovery must reproduce exactly: contents + schema
-    (canonical JSON), the generation, and every fingerprint."""
-    return (
-        json.dumps(database_to_json(db), sort_keys=True),
-        db._generation,
-        tuple(sorted((n, db.fingerprint(n)) for n in db.relations)),
-    )
 
 
 def random_ops(rng: random.Random) -> list:
@@ -107,16 +96,16 @@ def run_script(seed: int, directory: str) -> tuple[set, bytes]:
     ops = random_ops(rng)
 
     shadow = Database()
-    golden = {digest(shadow)}
+    golden = {database_digest(shadow)}
     for op in ops:
         apply_op(shadow, op)
-        golden.add(digest(shadow))
+        golden.add(database_digest(shadow))
 
     live = Database()
     live.durability = DurabilityManager(directory, fsync=False)
     for op in ops:
         apply_op(live, op)
-    assert digest(live) in golden  # sanity: shadow and live agree
+    assert database_digest(live) in golden  # sanity: shadow and live agree
     live.durability.close()
 
     with open(os.path.join(directory, WAL_NAME), "rb") as handle:
@@ -137,7 +126,7 @@ def recovered_digest_cache():
         if count not in cache:
             db = Database()
             replay_records(db, committed)
-            cache[count] = digest(db)
+            cache[count] = database_digest(db)
         return cache[count], count
 
     return for_prefix
@@ -188,11 +177,11 @@ def test_sampled_prefixes_through_disk_recover(seed, tmp_path):
         with open(os.path.join(scratch, WAL_NAME), "wb") as handle:
             handle.write(data[:cut])
         recovered, report = recover(scratch)
-        assert digest(recovered) == for_prefix(data[:cut])[0], (
+        assert database_digest(recovered) == for_prefix(data[:cut])[0], (
             f"seed {seed}: disk recover at byte {cut} disagrees with "
             f"the in-memory replay"
         )
-        assert digest(recovered) in golden
+        assert database_digest(recovered) in golden
         assert report.replayed + report.dropped_uncommitted <= (
             report.records_scanned
         )
@@ -214,7 +203,7 @@ def test_bit_flips_never_corrupt_recovery(seed, tmp_path):
         committed, _ = committed_records(scan.records)
         db = Database()
         replay_records(db, committed)
-        assert digest(db) in golden, (
+        assert database_digest(db) in golden, (
             f"seed {seed}: bit flip at byte {pos} escaped the CRC"
         )
 
@@ -229,17 +218,17 @@ def test_checkpointed_script_recovers_at_every_cut(tmp_path):
     half = len(ops) // 2
 
     shadow = Database()
-    golden = {digest(shadow)}
+    golden = {database_digest(shadow)}
     for op in ops:
         apply_op(shadow, op)
-        golden.add(digest(shadow))
+        golden.add(database_digest(shadow))
 
     live = Database()
     live.durability = DurabilityManager(state, fsync=False)
     for op in ops[:half]:
         apply_op(live, op)
     live.durability.checkpoint(live)
-    snapshot_digest = digest(live)
+    snapshot_digest = database_digest(live)
     for op in ops[half:]:
         apply_op(live, op)
     live.durability.close()
@@ -251,8 +240,8 @@ def test_checkpointed_script_recovers_at_every_cut(tmp_path):
         with open(os.path.join(state, WAL_NAME), "wb") as handle:
             handle.write(data[:cut])
         recovered, _report = recover(state)
-        got = digest(recovered)
+        got = database_digest(recovered)
         assert got in golden
         seen.add(got)
     assert snapshot_digest in seen  # cut at 0 = the snapshot itself
-    assert digest(live) in seen  # the full log = the final state
+    assert database_digest(live) in seen  # the full log = the final state

@@ -16,24 +16,17 @@ from repro.durability import (
     WalError,
     WalRecord,
     apply_record,
+    database_digest,
     load_checkpoint,
     recover,
     replay_records,
     write_checkpoint,
 )
 from repro.engine.database import Database
-from repro.engine.serialize import SerializeError, database_to_json
+from repro.engine.serialize import SerializeError
 from repro.obs.metrics import REGISTRY, snapshot_delta
 from repro.obs.trace import Tracer
 from repro.types.values import cvset, tup
-
-
-def digest(db: Database) -> tuple:
-    return (
-        json.dumps(database_to_json(db), sort_keys=True),
-        db._generation,
-        tuple(sorted((n, db.fingerprint(n)) for n in db.relations)),
-    )
 
 
 @pytest.fixture()
@@ -66,7 +59,7 @@ class TestRecoverEndToEnd:
         live.insert("people", [(3, "eve")])
 
         recovered, report = recover(state)
-        assert digest(recovered) == digest(live)
+        assert database_digest(recovered) == database_digest(live)
         assert tuple(recovered.catalog["people"].keys) == ((0,),)
         assert (
             recovered.catalog.shared_key_group("people", (0,))
@@ -84,7 +77,7 @@ class TestRecoverEndToEnd:
         live.insert("r", [(2,)])
 
         recovered, report = recover(state)
-        assert digest(recovered) == digest(live)
+        assert database_digest(recovered) == database_digest(live)
         assert report.checkpoint_loaded
         assert report.checkpoint_lsn > 0
         assert report.replayed == 1  # only the post-checkpoint insert
@@ -100,7 +93,7 @@ class TestRecoverEndToEnd:
         live.insert("r", [(2,)])
 
         recovered, report = recover(state)
-        assert digest(recovered) == digest(live)
+        assert database_digest(recovered) == database_digest(live)
         assert report.checkpoint_loaded
         assert report.replayed == 1  # only the post-attach insert
 
@@ -116,14 +109,14 @@ class TestRecoverEndToEnd:
         live.insert("r", [(2,)])
         assert os.path.exists(os.path.join(state, "checkpoint.json"))
         recovered, report = recover(state)
-        assert digest(recovered) == digest(live)
+        assert database_digest(recovered) == database_digest(live)
         assert report.checkpoint_loaded
 
     def test_uncommitted_record_dropped(self, state):
         live = durable_db(state)
         live.create("r", 1)
         live.insert("r", [(1,)])
-        before = digest(live)
+        before = database_digest(live)
         # A data record whose commit marker never made it: the model
         # of a crash between the two appends.
         live.durability.wal.append(
@@ -134,7 +127,7 @@ class TestRecoverEndToEnd:
         live.durability.close()
 
         recovered, report = recover(state)
-        assert digest(recovered) == before
+        assert database_digest(recovered) == before
         assert report.dropped_uncommitted == 1
 
     def test_stale_wal_after_checkpoint_race_is_filtered(self, state):
@@ -148,7 +141,7 @@ class TestRecoverEndToEnd:
         # ... and the process dies before wal.reset().
 
         recovered, report = recover(state)
-        assert digest(recovered) == digest(live)
+        assert database_digest(recovered) == database_digest(live)
         assert report.checkpoint_loaded
         assert report.replayed == 0
         assert report.skipped_stale == 2  # create + insert, both stale

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.durability import WAL_NAME, DurabilityManager, recover
 from repro.engine.database import Database, SchemaError
 from repro.optimizer.plan import Project, Scan
 from repro.types.values import CVSet, cvset, tup
@@ -41,6 +42,56 @@ class TestSchema:
         d.create("log", 2)
         d.insert("log", [(1, "a"), (1, "b")])
         assert len(d["log"]) == 2
+
+
+class TestRedeclaration:
+    """``create`` on a declared relation must repeat its declaration:
+    the rows already there were validated against it."""
+
+    @pytest.mark.parametrize(
+        "rows, redeclare",
+        [
+            ([(1, 2)], {"arity": 3}),
+            ([(1, 2), (1, 3)], {"arity": 2, "keys": [(0,)]}),
+        ],
+        ids=["arity", "keys"],
+    )
+    def test_different_declaration_rejected(self, tmp_path, rows, redeclare):
+        state = tmp_path / "state"
+        d = Database()
+        d.durability = DurabilityManager(state, fsync=False)
+        d.create("r", 2)
+        d.insert("r", rows)
+        before, info = d["r"], d.catalog["r"]
+        logged = (state / WAL_NAME).read_bytes()
+        with pytest.raises(SchemaError, match="already declared"):
+            d.create("r", **redeclare)
+        assert d["r"] is before
+        assert d.catalog["r"] is info
+        assert (state / WAL_NAME).read_bytes() == logged
+        # The old declaration still governs inserts.
+        with pytest.raises(SchemaError):
+            d.insert("r", [(4, 5, 6)])
+        d.insert("r", [(9, 9)])
+        d.durability.close()
+        recovered, _ = recover(state)
+        assert recovered["r"] == d["r"]
+        assert recovered.catalog["r"] == info
+
+    def test_identical_redeclaration_accepted(self, tmp_path):
+        state = tmp_path / "state"
+        d = Database()
+        d.durability = DurabilityManager(state, fsync=False)
+        d.create("r", 2, keys=[(0,)], shared_keys={(0,): "id"})
+        d.insert("r", [(1, 2)])
+        d.create("r", 2, keys=[(0,)], shared_keys={(0,): "id"})
+        assert d["r"] == cvset(tup(1, 2))
+        with pytest.raises(SchemaError):
+            d.insert("r", [(1, 3)])
+        d.durability.close()
+        recovered, _ = recover(state)
+        assert recovered["r"] == d["r"]
+        assert recovered.catalog["r"] == d.catalog["r"]
 
 
 class TestOperations:

@@ -1,6 +1,6 @@
 """Tracing contract properties (see ``src/repro/obs/trace.py``).
 
-Three pinned guarantees, each over randomized plans/databases:
+Four pinned guarantees, each over randomized plans/databases:
 
 * **work conservation** — for every traced execution, on the reference
   interpreter, the compiled executor and ``Database.run``, the span
@@ -12,7 +12,10 @@ Three pinned guarantees, each over randomized plans/databases:
   identical state (same keys, same stats, same stored values);
 * **cross-executor agreement** — on plans without shared subtrees,
   the compiled and reference span trees agree node-for-node on labels,
-  work, cache annotations and shape.
+  work, cache annotations and shape;
+* **zero overhead when off** — with no tracer, no ``Span`` is built on
+  a cache miss or hit, in either mode, on a degraded run, or by either
+  executor called directly.
 
 Randomness is derived per-case via ``derive_rng``, so every case is
 reproducible in isolation.
@@ -192,6 +195,44 @@ class TestCrossExecutorAgreement:
         assert tr.last.structure() == td.last.structure()
         assert tr.last.span_count() == 901
         assert hash(tr.last.structure()) == hash(td.last.structure())
+
+
+class TestZeroOverheadWhenOff:
+    """With ``tracer=None`` no :class:`Span` is built on any path: a
+    cache miss, a hit, the reference mode, a degraded run, and either
+    executor called directly."""
+
+    @pytest.mark.parametrize("i", range(0, N_PLANS, 10))
+    def test_untraced_runs_build_no_span(self, monkeypatch, i):
+        from repro.robustness import FaultInjector, FaultPlan
+
+        built = []
+
+        def refuse(span, *args, **kwargs):
+            # Recorded as well as raised: ``Database.run`` catches
+            # executor exceptions and degrades to the reference.
+            built.append(args)
+            raise AssertionError("Span built with tracing off")
+
+        plan, db = _case(i, "untraced")
+        expected = execute_reference(plan, db)
+        monkeypatch.setattr(Span, "__init__", refuse)
+        live = _live(db)
+        results = [live.run(plan), live.run(plan)]
+        if not isinstance(plan, Scan):
+            assert live.plan_cache.stats()["hits"] == 1
+        results.append(live.run(plan, use_cache=False, mode="reference"))
+        live.fault_injector = FaultInjector(
+            FaultPlan(seed=i, operator_rate=1.0, compile_rate=1.0)
+        )
+        results.append(live.run(plan, use_cache=False))
+        assert sum(live.fault_injector.injected.values()) > 0
+        results.append(execute_compiled(plan, db))
+        results.append(execute_reference(plan, db))
+        assert built == []
+        for result in results:
+            assert result.value == expected.value
+            assert result.work == expected.work
 
 
 class TestAnnotations:

@@ -124,25 +124,6 @@ class TestChaos:
         assert "divergences" in out
 
 
-class TestBenchPlumbing:
-    def test_bench_forwards_flags(self, monkeypatch):
-        import repro.bench
-
-        seen = {}
-        monkeypatch.setattr(
-            repro.bench, "main",
-            lambda argv: seen.setdefault("argv", argv) and 0 or 0,
-        )
-        code = main([
-            "bench", "--quick", "--skip-eperf", "--out", "X.json",
-            "--jobs", "3",
-        ])
-        assert code == 0
-        assert seen["argv"] == [
-            "--out", "X.json", "--quick", "--skip-eperf", "--jobs", "3",
-        ]
-
-
 class TestWriteup:
     def test_writeup_to_custom_path(self, tmp_path, capsys):
         target = tmp_path / "EXP.md"
