@@ -135,9 +135,13 @@ def strong_repair(rel: Rel, x: Value) -> Optional[Value]:
     its own image) or none.  This routine closes ``x`` from the inside
     out: unmappable elements are dropped, then the set is saturated by
     alternating maximal-image / maximal-preimage steps until it is a
-    fixpoint.  Returns ``None`` when no nonempty repair exists.
+    fixpoint.  Returns ``None`` when no nonempty repair exists, and when
+    ``x`` is not of the shape ``rel`` relates (a tuple or a list where
+    a set is expected, say).
     """
     if isinstance(rel, SetStrongExt):
+        if not isinstance(x, CVSet):
+            return None
         repaired = []
         for item in x:
             fixed = strong_repair(rel.inner, item)

@@ -88,6 +88,14 @@ class TestStrongRepair:
         assert image is not None
         assert rel.holds(repaired, image)
 
+    def test_non_set_has_no_repair(self):
+        # A tuple, a list or an atom is not a set, so no set repairs it
+        # and no strong image of it exists.
+        rel = SetStrongExt(Mapping({(0, 10), (1, 11)}, INT, INT))
+        for x in (tup(0, 1), cvlist(0, 1), 0):
+            assert strong_repair(rel, x) is None
+            assert related_pair(rel, x, STRONG, random.Random(0)) is None
+
 
 class TestRelatedPair:
     def test_rel_pairs_validate(self):

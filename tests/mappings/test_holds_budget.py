@@ -1,11 +1,21 @@
 """A deterministic work gate on the paper's hot path.
 
-Set relatedness is decided from images and preimages when that is
-cheaper than the pairwise ``holds`` loop (``extensions._images_cheaper``).
-If that path stops being taken the tables stay byte-identical and only
-the time grows, so this test counts the ``holds`` calls two experiments
-make and fails when either count rises above its recorded value.  The
-counts do not depend on the hash seed or on which experiments ran
+Set relatedness over ``Mapping``, ``IdentityRel`` and product inners is
+decided on tuples of leaf values: the rel mode walks an index of the
+other side, looking up the leaves' image and preimage sets, and a strong
+check with cold maximal-set memos compares leaf tuples instead of
+enumerating ``Tup`` images.  If either stops being taken the tables stay
+byte-identical and only the time grows, so this test counts the calls
+four experiments make to the inner relations and fails when any count
+rises above its recorded value:
+
+* ``Mapping.holds`` and ``ProductRel.holds``, the pairwise loop;
+* ``ProductRel.images`` and ``ProductRel.preimages``, the enumeration
+  that builds maximal sets (the memoized path and ``strong_repair``);
+* on E-INEXPR, whose eight-leaf products the walk decides,
+  ``Mapping.image_set`` and ``Mapping.preimage_set``, the walk's lookups.
+
+The counts do not depend on the hash seed or on which experiments ran
 before in the same process.
 """
 
@@ -15,24 +25,52 @@ from repro.experiments.registry import run
 from repro.mappings.extensions import ProductRel
 from repro.mappings.mapping import Mapping
 
-#: ``holds`` calls per experiment, at most.
+#: Calls per experiment, at most.
 BUDGETS = {
-    "E-2.10": {"Mapping": 17_508, "ProductRel": 9_780},
-    "E-3.6": {"Mapping": 4_512, "ProductRel": 3_647},
+    "E-2.10": {
+        "Mapping.holds": 0,
+        "ProductRel.holds": 0,
+        "ProductRel.images": 8_637,
+        "ProductRel.preimages": 7_878,
+    },
+    "E-3.3": {
+        "Mapping.holds": 0,
+        "ProductRel.holds": 0,
+        "ProductRel.images": 7_050,
+        "ProductRel.preimages": 8_067,
+    },
+    "E-3.6": {
+        "Mapping.holds": 0,
+        "ProductRel.holds": 1_920,
+        "ProductRel.images": 7_227,
+        "ProductRel.preimages": 7_862,
+    },
+    "E-INEXPR": {
+        "Mapping.holds": 0,
+        "ProductRel.holds": 0,
+        "ProductRel.images": 7_589,
+        "ProductRel.preimages": 9_228,
+        "Mapping.image_set": 29_880,
+        "Mapping.preimage_set": 127_242,
+    },
 }
+
+CLASSES = {"Mapping": Mapping, "ProductRel": ProductRel}
 
 
 @pytest.mark.parametrize("exp_id", sorted(BUDGETS))
 def test_holds_calls_within_budget(monkeypatch, exp_id):
     counts = dict.fromkeys(BUDGETS[exp_id], 0)
-    for cls in (Mapping, ProductRel):
-        original = cls.__dict__["holds"]
+    for name in counts:
+        cls_name, method = name.split(".")
+        cls = CLASSES[cls_name]
+        original = cls.__dict__[method]
 
-        def counted(self, x, y, _original=original, _name=cls.__name__):
+        def counted(*args, _original=original, _name=name, **kwargs):
             counts[_name] += 1
-            return _original(self, x, y)
+            return _original(*args, **kwargs)
 
-        monkeypatch.setattr(cls, "holds", counted)
+        monkeypatch.setattr(cls, method, counted)
     assert run(exp_id).matches_paper
     for name, budget in BUDGETS[exp_id].items():
         assert counts[name] <= budget, (exp_id, name, counts[name])
