@@ -142,8 +142,8 @@ def test_plan_execution_scaling(benchmark, size):
 
 @pytest.mark.parametrize("size", [100, 400, 1600])
 def test_compiled_executor_scaling(benchmark, size):
-    """Compiled executor (cold, uncached, no artifact memo) on the HR
-    workload: every call lowers the plan afresh."""
+    """Compiled executor (no result cache) on the HR workload: every
+    call lowers the plan afresh and reuses its code object."""
     db = hr_database(random.Random(4), employees=size, students=size // 2,
                      overlap=size // 4)
     plan = Project((0,), Difference(Scan("employees"), Scan("students")))

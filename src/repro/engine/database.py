@@ -14,8 +14,6 @@ replacement via ``db[name] = ...``):
   insert batch) and to serve hash-join build sides without rebuilding;
 * **content fingerprints** (O(1), from the relation's precomputed hash)
   keying the plan-result cache;
-* **atom sets** per relation, so :meth:`active_domain` is a union of
-  cached frozensets instead of a full value walk;
 * a :class:`~repro.engine.exec.PlanCache` of plan results,
   invalidated per relation on every mutation.
 """
@@ -34,7 +32,7 @@ from ..optimizer.plan import (
     tuple_weight,
 )
 from ..types.signatures import Signature, standard_signature
-from ..types.values import CVSet, Tup, Value, atoms_of
+from ..types.values import CVSet, Tup, Value
 from .exec import (
     CacheEntry,
     PlanCache,
@@ -76,7 +74,6 @@ class Database:
         #: per relation so insert-time maintenance touches only the
         #: inserted relation's indexes, not every live index.
         self._eq_indexes: dict[str, dict[tuple[int, ...], dict]] = {}
-        self._atoms: dict[str, frozenset] = {}
         self._weights: dict[str, int] = {}
         #: ``name -> uniform element len`` (or None when mixed/atoms);
         #: lets the compiled executor compute intermediate weights as
@@ -181,11 +178,6 @@ class Database:
         for cols, index in self._eq_indexes.get(name, {}).items():
             for t in new_rows:
                 index.setdefault(tuple(t[i] for i in cols), []).append(t)
-        if name in self._atoms:
-            extra: set = set()
-            for t in new_rows:
-                extra |= atoms_of(t)
-            self._atoms[name] = self._atoms[name] | extra
         if name in self._weights:
             self._weights[name] += sum(tuple_weight(t) for t in new_rows)
         cached_width = self._widths.get(name, info.arity)
@@ -321,19 +313,7 @@ class Database:
             self._distincts[name] = cached
         return cached
 
-    def atoms_in(self, name: str) -> frozenset:
-        """Cached atom set of one relation."""
-        atoms = self._atoms.get(name)
-        if atoms is None:
-            out: set = set()
-            for t in self.relations.get(name, _EMPTY):
-                out |= atoms_of(t)
-            atoms = frozenset(out)
-            self._atoms[name] = atoms
-        return atoms
-
     def _invalidate_relation(self, name: str) -> None:
-        self._atoms.pop(name, None)
         self._weights.pop(name, None)
         self._widths.pop(name, None)
         self._distincts.pop(name, None)
@@ -373,17 +353,6 @@ class Database:
 
     def __contains__(self, name: str) -> bool:
         return name in self.relations
-
-    def active_domain(self) -> frozenset:
-        """All atoms appearing anywhere in the database.
-
-        Assembled from per-relation cached atom sets, maintained
-        incrementally on insert — no per-call value walk.
-        """
-        out: set = set()
-        for name in self.relations:
-            out |= self.atoms_in(name)
-        return frozenset(out)
 
     # ------------------------------------------------------------------
     # Execution.
@@ -445,7 +414,6 @@ class Database:
         return execute_compiled(
             plan,
             self.relations,
-            compile_store=self.plan_cache,
             info=info,
             key_index=self._join_index,
             relation_stats=self.relation_stats,
@@ -464,8 +432,8 @@ class Database:
         """Execute a plan (cached by default).
 
         ``mode="compiled"`` (the default) lowers the plan to a
-        specialized function memoized in the plan cache's artifact
-        table; plans deeper than
+        specialized function on every run, taking its code object from
+        a memo keyed by the generated source; plans deeper than
         :data:`~repro.engine.exec.MAX_PIPELINE_DEPTH` run on the
         reference interpreter instead.  ``mode="reference"`` runs the
         tuple-at-a-time interpreter.  Both return the identical
@@ -474,8 +442,8 @@ class Database:
         The result cache wraps whichever executor runs: a hit returns
         the stored answer without executing, and a miss stores the
         root result.  ``use_cache=False`` bypasses the result cache
-        (compiled artifacts are still memoized).  Bare scans are never
-        cached.
+        (the compiled code object is still reused).  Bare scans are
+        never cached.
 
         **Graceful degradation**: if the compiled executor fails (an
         injected fault, a compile error, any unexpected exception), the

@@ -61,6 +61,8 @@ def entry_seal(value: CVSet, work: int, entries: tuple) -> int:
 class PlanCache:
     """LRU cache of plan results with hit/miss accounting.
 
+    It holds answers only: compiled programs are memoized by their
+    generated source (``repro.engine.exec.compile._code_for``).
     ``capacity <= 0`` disables caching entirely: ``put`` is a no-op (no
     entry churn) and ``get`` always misses.
     """
@@ -81,19 +83,6 @@ class PlanCache:
         #: state drifts would silently retire warm entries.  The stored
         #: ``fn`` keeps the object alive so its ``id`` is never reused.
         self._identity_memo: dict[int, tuple[Callable, object]] = {}
-        #: Compiled-plan artifacts (``CompiledPlan``), a side table under
-        #: the same semantic keys and per-relation invalidation as
-        #: results but with its own LRU budget and counters: an artifact
-        #: is a *program*, not an answer, so disabling the result cache
-        #: (``use_cache=False``) must not force recompilation, and
-        #: result-cache pressure must not evict hot artifacts.
-        self._compiled: OrderedDict = OrderedDict()
-        self._compiled_by_relation: dict[str, set] = {}
-        self.compiled_capacity = max(capacity, 0)
-        self.compiled_hits = 0
-        self.compiled_misses = 0
-        self.compiled_puts = 0
-        self.compiled_evictions = 0
         self.hits = 0
         self.misses = 0
         self.puts = 0
@@ -205,51 +194,6 @@ class PlanCache:
                 if keys is not None:
                     keys.discard(evicted_key)
 
-    # ------------------------------------------------------------------
-    # Compiled artifacts (see ``repro.engine.exec.compile``).
-
-    def get_compiled(self, key):
-        """Look up a memoized :class:`CompiledPlan` artifact."""
-        artifact = self._compiled.get(key)
-        if artifact is None:
-            self.compiled_misses += 1
-            return None
-        self._compiled.move_to_end(key)
-        self.compiled_hits += 1
-        return artifact
-
-    def put_compiled(self, key, artifact) -> None:
-        """Memoize a compiled artifact under its semantic key."""
-        if self.compiled_capacity <= 0:
-            return
-        self.compiled_puts += 1
-        old = self._compiled.pop(key, None)
-        if old is not None:
-            for name in old.relations - artifact.relations:
-                keys = self._compiled_by_relation.get(name)
-                if keys is not None:
-                    keys.discard(key)
-        self._compiled[key] = artifact
-        for name in artifact.relations:
-            self._compiled_by_relation.setdefault(name, set()).add(key)
-        while len(self._compiled) > self.compiled_capacity:
-            evicted_key, evicted = self._compiled.popitem(last=False)
-            self.compiled_evictions += 1
-            for name in evicted.relations:
-                keys = self._compiled_by_relation.get(name)
-                if keys is not None:
-                    keys.discard(evicted_key)
-
-    def compiled_stats(self) -> dict:
-        return {
-            "hits": self.compiled_hits,
-            "misses": self.compiled_misses,
-            "puts": self.compiled_puts,
-            "evictions": self.compiled_evictions,
-            "entries": len(self._compiled),
-            "capacity": self.compiled_capacity,
-        }
-
     def invalidate(self, relation: Optional[str] = None) -> None:
         """Drop every entry reading ``relation`` (or everything).
 
@@ -259,21 +203,10 @@ class PlanCache:
             self.invalidations += len(self._entries)
             self._entries.clear()
             self._by_relation.clear()
-            self._compiled.clear()
-            self._compiled_by_relation.clear()
             self._intern.clear()
             self._aliases.clear()
             self._identity_memo.clear()
             return
-        for key in self._compiled_by_relation.pop(relation, ()):
-            artifact = self._compiled.pop(key, None)
-            if artifact is None:
-                continue
-            for name in artifact.relations:
-                if name != relation:
-                    keys = self._compiled_by_relation.get(name)
-                    if keys is not None:
-                        keys.discard(key)
         for key in self._by_relation.pop(relation, ()):
             entry = self._entries.pop(key, None)
             if entry is None:

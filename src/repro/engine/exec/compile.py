@@ -14,10 +14,10 @@ single specialized Python function:
 * ``Scan`` binds directly to the relation's underlying ``frozenset``
   (bound as a default argument of the generated function, so reads are
   local loads), and set operations compile to C-level ``|``/``-``/``&``;
-* ``Join`` compiles to a pre-built hash probe: the build side's index
-  is constructed at *compile* time when the build side is a bare scan
-  (or borrowed from the database's maintained secondary index via the
-  ``key_index`` hook), so per-execution cost is probe-only;
+* ``Join`` compiles to a hash probe: a single-column join over a bare
+  scan borrows the database's maintained secondary index through the
+  ``key_index`` hook, and every other join builds its index from the
+  right child when the function runs;
 * weight/ledger accounting is hoisted out of the per-tuple loop: scan
   weights are bound constants (from the ``relation_stats`` hook when
   given), and intermediate weights are ``len(v) * width`` arithmetic
@@ -29,16 +29,15 @@ single specialized Python function:
 The contract: identical ``CVSet`` answer, identical total work,
 identical per-node postorder ledger as
 :func:`repro.optimizer.plan.execute_reference`, for every plan over
-every database.  Compiled artifacts are memoized in a
-:class:`~repro.engine.exec.cache.PlanCache` side table under the
-semantic keys (token + base-relation fingerprints, so callable aliasing
-keys apart exactly like results do) and are invalidated per relation —
-a mutated relation both changes the fingerprint (stale artifacts become
-unreachable) and drops the artifact (space stays bounded).  The
-generated source binds all data as default arguments, so recompiling
-a plan after an insert reuses its code object (:func:`_code_for`).
-Results are not cached here: :meth:`~repro.engine.database.Database.run`
-owns the result cache, around whichever executor runs.
+every database.  :func:`execute_compiled` lowers the plan on every
+call, against the current data.  The generated source depends on the
+plan alone: relation contents, weights, callables and indexes are
+bound as default arguments of the generated function.  So
+:func:`_code_for`, memoized by source, is the one program memo: a
+rerun, even after an insert, reuses the code object and only rebinds
+the data.  Results are not cached here:
+:meth:`~repro.engine.database.Database.run` owns the result cache,
+around whichever executor runs.
 
 Plans deeper than :data:`MAX_PIPELINE_DEPTH` run on the reference
 interpreter instead; the fallback preserves the full contract.
@@ -75,8 +74,7 @@ from ...optimizer.plan import (
     tuple_weight,
 )
 from ...types.values import CVSet, Tup
-from .cache import PlanCache
-from .fingerprint import annotate_plan, semantic_cache_key
+from .fingerprint import annotate_plan
 from .operators import node_label
 
 __all__ = [
@@ -135,15 +133,11 @@ class CompiledPlan:
     reference-identical per-node log.
     """
 
-    __slots__ = ("run", "relations", "span_program")
+    __slots__ = ("run", "span_program")
 
-    def __init__(self, run, relations, span_program) -> None:
+    def __init__(self, run, span_program) -> None:
         self.run = run
-        self.relations = relations
         self.span_program = span_program
-
-    def __repr__(self) -> str:
-        return f"CompiledPlan(relations={sorted(self.relations)})"
 
 
 _VISIT, _COMBINE = 0, 1
@@ -176,10 +170,10 @@ def compile_plan(
     """Lower ``plan`` (over the *current* contents of ``db``) to a
     :class:`CompiledPlan`.
 
-    The artifact is specialized to the data it was compiled against —
-    scan bindings, pre-built join indexes and hoisted weights all
-    assume the relations are unchanged — so callers must key it by the
-    plan's semantic cache key (:func:`execute_compiled` does).
+    The returned function replays the data it was lowered against —
+    scan bindings, borrowed join indexes and scan weights are bound
+    when it is built — so lower the plan again after a mutation
+    (:func:`execute_compiled` lowers on every call).
     """
     if info is None:
         info = annotate_plan(plan, {}, lambda name, fn: (name, id(fn)))
@@ -374,17 +368,8 @@ def compile_plan(
         elif isinstance(node, Product):
             (left, left_span), (right, right_span) = inputs
             wl, wr = weight_expr(left), weight_expr(right)
-            rows_expr = None
-            if isinstance(node.right, Scan):
-                try:
-                    rows_expr = const(
-                        "_r", [tuple(b) for b in consts[right.var]]
-                    )
-                except Exception:
-                    rows_expr = None
-            if rows_expr is None:
-                rows_expr = fresh("_r")
-                emit(f"{rows_expr} = [tuple(b) for b in {right.var}]")
+            rows_expr = fresh("_r")
+            emit(f"{rows_expr} = [tuple(b) for b in {right.var}]")
             emit(
                 f"{var} = {{_mk(h + b) for h in "
                 f"(tuple(a) for a in {left.var}) for b in {rows_expr}}}"
@@ -400,8 +385,8 @@ def compile_plan(
             pos += 1
         elif isinstance(node, Join):
             res, template, pos = _emit_join(
-                node, inputs, prebuilt, consts, const, fresh, emit,
-                weight_expr, var, label, pos,
+                node, inputs, prebuilt, const, fresh, emit, weight_expr,
+                var, label, pos,
             )
         else:
             raise TypeError(f"unknown plan node: {node!r}")
@@ -422,27 +407,22 @@ def compile_plan(
     )
     namespace = dict(consts)
     exec(_code_for(source), namespace)
-    return CompiledPlan(
-        namespace["_run"],
-        info[id(plan)][1],
-        root_template,
-    )
+    return CompiledPlan(namespace["_run"], root_template)
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=256)
 def _code_for(source: str):
-    """The code object of one generated source.  Sources carry no data
-    (relation contents, weights and indexes are bound as default
-    arguments), so a plan recompiled after an insert dropped its
-    artifact reuses the code and only rebinds the data.  64 entries
-    cover a hot set of plans re-run between writes; live artifacts
-    share their code with this memo, so it adds little memory."""
+    """The code object of one generated source: the engine's only
+    program memo.  Sources carry no data (relation contents, weights,
+    callables and indexes are bound as default arguments), so a rerun
+    of a plan, after an insert too, reuses the code and only rebinds
+    the data.  256 entries, the result cache's default capacity."""
     return compile(source, "<plan-compile>", "exec")
 
 
 def _emit_join(
-    node, inputs, prebuilt, consts, const, fresh, emit, weight_expr,
-    var, label, pos,
+    node, inputs, prebuilt, const, fresh, emit, weight_expr, var, label,
+    pos,
 ):
     """Lower one ``Join``; returns ``(res, span template, new pos)``.
 
@@ -494,25 +474,15 @@ def _emit_join(
 
     if not on:
         # Degenerate join: every pair is a candidate, one unit each.
-        rows_expr = None
-        rows_len = None
-        if isinstance(node.right, Scan):
-            try:
-                rows = [tuple(b) for b in consts[right.var]]
-                rows_expr = const("_r", rows)
-                rows_len = const("_n", len(rows))
-            except Exception:
-                rows_expr = None
-        if rows_expr is None:
-            rows_expr = fresh("_r")
-            emit(f"{rows_expr} = [tuple(b) for b in {right.var}]")
-            rows_len = f"len({rows_expr})"
+        rows_expr = fresh("_r")
+        emit(f"{rows_expr} = [tuple(b) for b in {right.var}]")
         emit(
             f"{var} = {{_mk(h + b) for h in "
             f"(tuple(a) for a in {left.var}) for b in {rows_expr}}}"
         )
         emit(
-            f"_a(({label!r}, {wl} + {wr} + len({left.var}) * {rows_len}))"
+            f"_a(({label!r}, {wl} + {wr} + "
+            f"len({left.var}) * len({rows_expr})))"
         )
         return _Res(var, width), template, pos + 1
 
@@ -521,26 +491,14 @@ def _emit_join(
     upd = fresh("_u")
 
     if len(on) == 1:
-        get = None
-        if isinstance(node.right, Scan):
-            # Hoist the build side to compile time: the relation is
-            # frozen for the artifact's lifetime (fingerprint-keyed).
-            try:
-                index: dict = {}
-                for b in consts[right.var]:
-                    index.setdefault(b[j0], []).append(tuple(b))
-                get = const("_g", index.get)
-            except Exception:
-                get = None
-        if get is None:
-            ivar = fresh("_i")
-            sd = fresh("_d")
-            emit(f"{ivar} = {{}}")
-            emit(f"{sd} = {ivar}.setdefault")
-            emit(f"for _b in {right.var}:")
-            emit(f"    {sd}(_b[{j0}], []).append(tuple(_b))")
-            get = fresh("_g")
-            emit(f"{get} = {ivar}.get")
+        ivar = fresh("_i")
+        sd = fresh("_d")
+        emit(f"{ivar} = {{}}")
+        emit(f"{sd} = {ivar}.setdefault")
+        emit(f"for _b in {right.var}:")
+        emit(f"    {sd}(_b[{j0}], []).append(tuple(_b))")
+        get = fresh("_g")
+        emit(f"{get} = {ivar}.get")
         emit(f"{cand} = 0")
         emit(f"{var} = set()")
         emit(f"{upd} = {var}.update")
@@ -557,36 +515,19 @@ def _emit_join(
     right_cols = tuple(j for _, j in on)
     right_key = "(" + ", ".join(f"_row[{j}]" for j in right_cols) + ",)"
     left_key = "(" + ", ".join(f"_h[{i}]" for i in left_cols) + ",)"
-    get = fc = None
-    if isinstance(node.right, Scan):
-        try:
-            index = {}
-            first_counts: dict = {}
-            for b in consts[right.var]:
-                row = tuple(b)
-                index.setdefault(
-                    tuple(row[j] for j in right_cols), []
-                ).append(row)
-                key0 = row[j0]
-                first_counts[key0] = first_counts.get(key0, 0) + 1
-            get = const("_g", index.get)
-            fc = const("_fc", first_counts.get)
-        except Exception:
-            get = fc = None
-    if get is None:
-        ivar = fresh("_i")
-        fvar = fresh("_fd")
-        emit(f"{ivar} = {{}}")
-        emit(f"{fvar} = {{}}")
-        emit(f"for _b in {right.var}:")
-        emit("    _row = tuple(_b)")
-        emit(f"    {ivar}.setdefault({right_key}, []).append(_row)")
-        emit(f"    _k = _row[{j0}]")
-        emit(f"    {fvar}[_k] = {fvar}.get(_k, 0) + 1")
-        get = fresh("_g")
-        fc = fresh("_fc")
-        emit(f"{get} = {ivar}.get")
-        emit(f"{fc} = {fvar}.get")
+    ivar = fresh("_i")
+    fvar = fresh("_fd")
+    emit(f"{ivar} = {{}}")
+    emit(f"{fvar} = {{}}")
+    emit(f"for _b in {right.var}:")
+    emit("    _row = tuple(_b)")
+    emit(f"    {ivar}.setdefault({right_key}, []).append(_row)")
+    emit(f"    _k = _row[{j0}]")
+    emit(f"    {fvar}[_k] = {fvar}.get(_k, 0) + 1")
+    get = fresh("_g")
+    fc = fresh("_fc")
+    emit(f"{get} = {ivar}.get")
+    emit(f"{fc} = {fvar}.get")
     emit(f"{cand} = 0")
     emit(f"{var} = set()")
     emit(f"{upd} = {var}.update")
@@ -642,7 +583,6 @@ def execute_compiled(
     plan: Plan,
     db: TMapping[str, CVSet],
     *,
-    compile_store: Optional[PlanCache] = None,
     info: Optional[dict] = None,
     key_index=None,
     relation_stats=None,
@@ -654,12 +594,11 @@ def execute_compiled(
     Returns an :class:`ExecutionResult` identical (value, work,
     per-node ledger) to :func:`repro.optimizer.plan.execute_reference`.
 
-    ``compile_store`` memoizes :class:`CompiledPlan` artifacts in its
-    side table, keyed semantically and invalidated per relation;
-    without one, every call compiles afresh.  ``info`` is
-    ``compile_store.annotate(plan)`` when the caller already has it
+    Every call lowers the plan against the current ``db``; the code
+    object comes from the source-keyed :func:`_code_for` memo.
+    ``info`` is the plan's annotation when the caller already has it
     (:meth:`~repro.engine.database.Database.run` annotates once for
-    its result cache and the artifact memo both).  Plans deeper than
+    its result cache and CSE both).  Plans deeper than
     :data:`MAX_PIPELINE_DEPTH` run on the reference interpreter.
 
     ``fault_injector`` draws a seeded ``"compile"`` fault before plan
@@ -669,29 +608,15 @@ def execute_compiled(
     if plan_depth(plan) > MAX_PIPELINE_DEPTH:
         return execute_reference(plan, db, tracer=tracer)
 
-    if info is None:
-        if compile_store is not None:
-            info = compile_store.annotate(plan)
-        else:
-            info = annotate_plan(plan, {}, lambda name, fn: (name, id(fn)))
-
-    compiled = None
-    store_key = None
-    if compile_store is not None:
-        store_key = semantic_cache_key(*info[id(plan)], db)
-        compiled = compile_store.get_compiled(store_key)
-    if compiled is None:
-        if fault_injector is not None:
-            fault_injector.maybe_raise("compile", node_label(plan))
-        compiled = compile_plan(
-            plan,
-            db,
-            info=info,
-            key_index=key_index,
-            relation_stats=relation_stats,
-        )
-        if compile_store is not None:
-            compile_store.put_compiled(store_key, compiled)
+    if fault_injector is not None:
+        fault_injector.maybe_raise("compile", node_label(plan))
+    compiled = compile_plan(
+        plan,
+        db,
+        info=info,
+        key_index=key_index,
+        relation_stats=relation_stats,
+    )
 
     if fault_injector is not None:
         fault_injector.maybe_raise("operator", node_label(plan))

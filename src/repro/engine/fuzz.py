@@ -23,8 +23,8 @@ plans; this harness hammers it with generated ones:
   reference on the new contents;
 * **durability** — a WAL-attached database recovered after its
   mutations must equal the live one;
-* **compiled** — the plan compiler hammered directly: artifact-store
-  reuse across calls, aliased predicates sharing one cache, nested
+* **compiled** — the plan compiler hammered directly: a rerun reusing
+  its code object, aliased predicates sharing one cache, nested
   databases, a live database cold and warm, and the deep-chain
   fallback to the reference;
 * **trace** — every plan run traced on the reference and the compiled
@@ -36,12 +36,12 @@ plans; this harness hammers it with generated ones:
   merges across worker processes.
 
 Every generated plan is executed in up to three modes — ``cold``
-(``execute_compiled`` with no artifact memo), ``fresh`` (a new
+(``execute_compiled`` with no result cache), ``fresh`` (a new
 ``Database`` holding the same relations: compiled without the result
 cache, then a result-cache miss, then a hit) and ``shared`` (one
-``Database`` for the whole scenario, so its artifact memo and result
-cache are shared across plans) — and each run is compared against the
-reference.  Any mismatch is recorded as a :class:`Divergence`.
+``Database`` for the whole scenario, so its callable registry and
+result cache are shared across plans) — and each run is compared
+against the reference.  Any mismatch is recorded as a :class:`Divergence`.
 
 Seeds are independent by construction: every scenario derives its rng
 as ``derive_rng(base_seed, i, scenario)``, so seed ``i`` plays the same
@@ -74,7 +74,7 @@ from ..optimizer.plan import (
 )
 from ..types.values import CVSet, Tup, Value
 from .database import Database
-from .exec import PlanCache, execute_compiled
+from .exec import execute_compiled
 from .workload import (
     deep_chain_plan,
     derive_rng,
@@ -475,24 +475,15 @@ def _scenario_durability(rng: random.Random, check: _Checker) -> None:
 
 
 def _scenario_compiled(rng: random.Random, check: _Checker) -> None:
-    """Plan-compiler hammering: artifact reuse, aliasing, nesting, a
-    live database, and the deep-chain fallback."""
+    """Plan-compiler hammering: code reuse, aliasing, nesting, a live
+    database, and the deep-chain fallback."""
     db = random_database(rng, _NAMES)
-    store = PlanCache()
     for _ in range(2):
         plan = random_plan(rng, _NAMES, depth=rng.randint(1, 4))
         reference = execute_reference(plan, db)
-        # Second run replays the memoized artifact — same contract.
-        check._compare(
-            "compiled-store-cold",
-            execute_compiled(plan, db, compile_store=store),
-            reference,
-        )
-        check._compare(
-            "compiled-store-warm",
-            execute_compiled(plan, db, compile_store=store),
-            reference,
-        )
+        # Second run reuses the code object — same contract.
+        check._compare("compiled-cold", execute_compiled(plan, db), reference)
+        check._compare("compiled-warm", execute_compiled(plan, db), reference)
     ndb = random_nested_database(rng, _NAMES)
     check.check(
         random_plan(rng, _NAMES, depth=rng.randint(1, 3)),
@@ -500,7 +491,8 @@ def _scenario_compiled(rng: random.Random, check: _Checker) -> None:
         modes=("cold", "fresh"),
     )
     # One predicate name over different closures against one shared
-    # cache: artifact keys must alias apart exactly like result keys.
+    # cache: each closure must get its own answer, from the result
+    # cache and from a shared code object alike.
     base = Scan(rng.choice(_NAMES))
     k1, k2 = rng.sample(range(-1, 7), 2)
     for k in (k1, k2):

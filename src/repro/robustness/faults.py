@@ -10,11 +10,12 @@ the write-ahead log, and the parallel harness via optional hooks.  Five
 fault sites:
 
 * ``"operator"`` — the compiled plan raises mid-execution (drawn once
-  per artifact run);
+  per compiled run);
 * ``"cache"`` — a result-cache entry comes back corrupted from
   ``PlanCache.get`` (value, work, or ledger tampered, seal left stale —
   the model of a poisoned/bit-flipped entry);
-* ``"compile"`` — plan lowering fails (drawn before ``compile_plan``);
+* ``"compile"`` — plan lowering fails (drawn before ``compile_plan``,
+  once per compiled run);
 * ``"worker"`` — a parallel worker process dies hard
   (:class:`WorkerCrash` is the picklable ``chunk_fault`` hook for
   :func:`repro.parallel.parallel_map`; it kills the process with

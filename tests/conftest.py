@@ -18,6 +18,8 @@ used to carry its own copy; they live here once.
   property suites always used.
 * ``hr_db(seed, ...)`` — factory fixture for the seeded HR workload
   ``Database``.
+* ``compile_calls`` — the list of plans ``execute_compiled`` lowered
+  (through ``compile_plan``) while the test ran.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import random
 
 import pytest
 
+import repro.engine.exec.compile as compile_module
 from repro.engine.database import Database
 from repro.engine.workload import hr_database, random_database, random_plan
 from repro.optimizer.plan import execute_reference
@@ -105,3 +108,18 @@ def hr_db():
         )
 
     return make
+
+
+@pytest.fixture
+def compile_calls(monkeypatch):
+    """Record every plan ``execute_compiled`` lowers: the returned list
+    grows by one plan per ``compile_plan`` call."""
+    calls = []
+    lower = compile_module.compile_plan
+
+    def counting(plan, *args, **kwargs):
+        calls.append(plan)
+        return lower(plan, *args, **kwargs)
+
+    monkeypatch.setattr(compile_module, "compile_plan", counting)
+    return calls

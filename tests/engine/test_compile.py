@@ -1,12 +1,13 @@
-"""Plan-compiler parity and artifact-lifecycle tests.
+"""Plan-compiler parity and program-memo tests.
 
 ``execute_compiled`` carries the engine's contract — identical
 ``CVSet`` answer, identical total work, identical per-node ledger as the
 reference interpreter — while lowering the plan to one generated
-function.  On top of parity, these tests pin the artifact lifecycle:
-memoization under semantic keys, per-relation invalidation on mutation,
-the deep-plan fallback to the reference, and ``Database.run``'s result
-cache serving both executors.
+function.  On top of parity, these tests pin how programs are reused:
+every run lowers the plan against the current data, ``compile()`` runs
+once per distinct generated source (the ``_code_for`` memo), the
+deep-plan fallback compiles nothing, and ``Database.run``'s result
+cache serves both executors.
 """
 
 import random
@@ -14,11 +15,11 @@ import random
 from repro.engine.database import Database
 from repro.engine.exec import (
     MAX_PIPELINE_DEPTH,
-    PlanCache,
     compile_plan,
     execute_compiled,
     plan_depth,
 )
+from repro.engine.exec.compile import _code_for
 from repro.engine.workload import (
     deep_chain_plan,
     random_atom_database,
@@ -43,16 +44,16 @@ from tests.conftest import NAMES, assert_equivalent
 
 class TestCompiledEquivalence:
     def test_random_plans_match_reference(self, plan_pair):
-        """200 random plan/db pairs: compiled cold and artifact-warm
-        agree with the reference, work and ledger included."""
+        """200 random plan/db pairs: a first run and two reruns that
+        reuse its code object agree with the reference, work and ledger
+        included."""
         for seed in range(200):
             plan, db = plan_pair(20260808 + seed)
-            store = PlanCache()
             assert_equivalent(
                 plan, db,
                 execute_compiled(plan, db),
-                execute_compiled(plan, db, compile_store=store),
-                execute_compiled(plan, db, compile_store=store),  # memo
+                execute_compiled(plan, db),
+                execute_compiled(plan, db),
             )
 
     def test_nested_value_databases(self):
@@ -86,8 +87,8 @@ class TestCompiledEquivalence:
         assert_equivalent(plan, db, execute_compiled(plan, db))
 
     def test_join_with_non_scan_right_child(self):
-        """The pre-built index shortcut only fires for a Scan right
-        child; a computed right side takes the runtime-build path."""
+        """A computed right child: the join builds its index from it
+        at run time (only a Scan can borrow a database index)."""
         db = {
             "a": CVSet(Tup((i, i % 3)) for i in range(8)),
             "b": CVSet(Tup((i % 3, i)) for i in range(6)),
@@ -122,79 +123,31 @@ class TestCompiledEquivalence:
 
 
 class TestDeepPlanFallback:
-    def test_deep_chain_falls_back_to_reference(self):
+    def test_deep_chain_falls_back_to_reference(self, compile_calls):
         rng = random.Random(73)
         plan = deep_chain_plan(rng, "r", 5000)
         assert plan_depth(plan) > MAX_PIPELINE_DEPTH
         db = {"r": CVSet({Tup((1, 2)), Tup((3, 4))})}
-        store = PlanCache()
-        result = execute_compiled(plan, db, compile_store=store)
+        result = execute_compiled(plan, db)
         assert_equivalent(plan, db, result)
         # The fallback must not have compiled anything.
-        assert store.compiled_stats()["puts"] == 0
+        assert compile_calls == []
 
-    def test_boundary_depth_still_compiles(self):
+    def test_boundary_depth_still_compiles(self, compile_calls):
         plan = Scan("r")
         for _ in range(MAX_PIPELINE_DEPTH - 1):
             plan = Select("true", lambda t: True, plan)
         assert plan_depth(plan) == MAX_PIPELINE_DEPTH
         db = {"r": CVSet({Tup((1,)), Tup((2,))})}
-        store = PlanCache()
-        assert_equivalent(
-            plan, db, execute_compiled(plan, db, compile_store=store)
-        )
-        assert store.compiled_stats()["puts"] == 1
+        assert_equivalent(plan, db, execute_compiled(plan, db))
+        assert compile_calls == [plan]
 
 
 class TestArtifactLifecycle:
-    def test_artifact_memoized_under_semantic_key(self):
-        db = {"r": CVSet(Tup((i, i)) for i in range(5))}
-        plan = Project((0,), Scan("r"))
-        store = PlanCache()
-        execute_compiled(plan, db, compile_store=store)
-        stats = store.compiled_stats()
-        assert (stats["misses"], stats["puts"], stats["hits"]) == (1, 1, 0)
-        execute_compiled(plan, db, compile_store=store)
-        stats = store.compiled_stats()
-        assert (stats["misses"], stats["puts"], stats["hits"]) == (1, 1, 1)
-
-    def test_structurally_equal_plans_share_one_artifact(self):
-        db = {"r": CVSet(Tup((i, i)) for i in range(5))}
-        store = PlanCache()
-        execute_compiled(Project((0,), Scan("r")), db, compile_store=store)
-        execute_compiled(Project((0,), Scan("r")), db, compile_store=store)
-        assert store.compiled_stats()["puts"] == 1
-        assert store.compiled_stats()["hits"] == 1
-
-    def test_zero_capacity_store_never_memoizes(self):
-        db = {"r": CVSet(Tup((i, i)) for i in range(5))}
-        plan = Project((0,), Scan("r"))
-        store = PlanCache(0)
-        for _ in range(3):
-            assert_equivalent(
-                plan, db, execute_compiled(plan, db, compile_store=store)
-            )
-        stats = store.compiled_stats()
-        assert stats["puts"] == 0 and stats["hits"] == 0
-        assert stats["entries"] == 0
-
-    def test_invalidate_drops_only_artifacts_reading_the_relation(self):
-        db = {
-            "r": CVSet({Tup((1, 2))}),
-            "s": CVSet({Tup((3, 4))}),
-        }
-        store = PlanCache()
-        execute_compiled(Project((0,), Scan("r")), db, compile_store=store)
-        execute_compiled(Project((0,), Scan("s")), db, compile_store=store)
-        assert store.compiled_stats()["entries"] == 2
-        store.invalidate("r")
-        assert store.compiled_stats()["entries"] == 1
-        execute_compiled(Project((0,), Scan("s")), db, compile_store=store)
-        assert store.compiled_stats()["hits"] == 1
-
     def test_database_insert_invalidates_artifact(self):
-        """A stale artifact would replay the old scan binding; the
-        mutation path must drop it so results track the live data."""
+        """A compiled plan replays the scan binding it was lowered
+        against; every run lowers the plan again, so results track the
+        live data."""
         db = Database()
         db.create("r", 2)
         db.insert("r", [(i, i) for i in range(4)])
@@ -207,13 +160,96 @@ class TestArtifactLifecycle:
         assert second.value != first.value
 
     def test_compile_plan_is_specialized_to_current_contents(self):
-        """A raw artifact replays the data it was compiled against —
-        the documented reason artifacts live under semantic keys."""
+        """A ``CompiledPlan`` replays the data it was lowered against —
+        the reason ``execute_compiled`` lowers the plan on every run."""
         db = {"r": CVSet({Tup((1, 2))})}
         compiled = compile_plan(Project((0,), Scan("r")), db)
         db["r"] = CVSet({Tup((7, 8))})
         values, _ = compiled.run()
         assert CVSet(values) == CVSet({Tup((1,))})
+
+
+def _threshold(k):
+    return lambda t: t.items[0] < k
+
+
+class TestCodeMemo:
+    """``_code_for`` is the engine's only program memo: a generated
+    source depends on the plan alone, so ``compile()`` runs once per
+    distinct plan however often the plan reruns and however the data
+    changes in between.  The memo is process-wide, so each test clears
+    it first."""
+
+    def _db(self):
+        db = Database()
+        db.create("r", 2)
+        db.create("s", 2)
+        db.insert("r", [(i, i % 3) for i in range(6)])
+        db.insert("s", [(i % 3, i) for i in range(5)])
+        return db
+
+    def _plans(self):
+        shared = Union(Scan("r"), Scan("s"))
+        return [
+            Project((1,), Scan("r")),
+            Select("even", lambda t: t.items[0] % 2 == 0, Scan("s")),
+            MapNode("swap", lambda t: Tup((t.items[1], t.items[0])),
+                    Scan("r")),
+            Union(Scan("r"), Scan("s")),
+            Difference(Scan("r"), Scan("s")),
+            Intersect(Scan("s"), Scan("r")),
+            Product(Scan("r"), Scan("s")),
+            Join((), Scan("r"), Scan("s")),
+            Join(((1, 0),), Scan("r"), Scan("s")),
+            Join(((0, 1), (1, 0)), Scan("r"), Scan("s")),
+            Join(((1, 0),), Scan("r"), Project((0, 1), Scan("s"))),
+            Difference(
+                MapNode("id", lambda t: t, shared, injective=True), shared
+            ),
+        ]
+
+    def test_compile_runs_once_per_distinct_plan(self):
+        """Gate: N plans, each run in 3 rounds with inserts into both
+        relations it reads after every run, make exactly N ``compile()``
+        calls.  A source that carried data (an inlined weight, a hoisted
+        row list) would compile again after each insert."""
+        db = self._db()
+        plans = self._plans()
+        _code_for.cache_clear()
+        fresh = 100
+        for _ in range(3):
+            for plan in plans:
+                assert_equivalent(plan, db, db.run(plan))
+                db.insert("r", [(fresh, fresh % 3)])
+                db.insert("s", [(fresh % 3, fresh)])
+                fresh += 1
+        assert _code_for.cache_info().misses == len(plans)
+
+    def test_insert_then_rerun_reuses_the_code_object(self):
+        db = self._db()
+        plan = Project((0,), Join(((1, 0),), Scan("r"), Scan("s")))
+        _code_for.cache_clear()
+        db.run(plan)
+        db.insert("r", [(50, 2)])
+        result = db.run(plan)
+        info = _code_for.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert Tup((50,)) in result.value
+        assert_equivalent(plan, db, result)
+
+    def test_aliased_predicates_share_one_code_object(self):
+        """One predicate name over two closures: one source, one
+        ``compile()``, and each closure's own answer."""
+        db = self._db()
+        low = Select("cut", _threshold(2), Scan("r"))
+        high = Select("cut", _threshold(4), Scan("r"))
+        _code_for.cache_clear()
+        a = db.run(low)
+        b = db.run(high)
+        assert _code_for.cache_info().misses == 1
+        assert_equivalent(low, db, a)
+        assert_equivalent(high, db, b)
+        assert a.value != b.value
 
 
 class TestCacheInterop:
@@ -235,19 +271,20 @@ class TestCacheInterop:
         assert db.plan_cache.hits == 1
         assert_equivalent(plan, db, result)
 
-    def test_reference_writes_compiled_hits(self):
+    def test_reference_writes_compiled_hits(self, compile_calls):
         db = self._db()
         plan = Project((0,), Scan("r"))
         db.run(plan, mode="reference")
         db.plan_cache.reset_stats()
         result = db.run(plan, mode="compiled")
         assert db.plan_cache.hits == 1
-        assert db.plan_cache.compiled_stats()["puts"] == 0
+        assert compile_calls == []
         assert_equivalent(plan, db, result)
 
     def test_predicate_aliasing_keeps_keys_distinct(self):
         """Two same-named predicates with different behavior must not
-        collide in either the result cache or the artifact store."""
+        collide in the result cache: each run misses and stores its
+        own answer."""
         db = Database()
         db["r"] = CVSet(Tup((i,)) for i in range(6))
         low = Select("cut", lambda t: t.items[0] < 2, Scan("r"))
@@ -257,7 +294,7 @@ class TestCacheInterop:
         assert_equivalent(low, db, a)
         assert_equivalent(high, db, b)
         assert a.value != b.value
-        assert db.plan_cache.compiled_stats()["puts"] == 2
+        assert db.plan_cache.puts == 2
 
 
 class TestDatabaseCompiledRun:
@@ -280,15 +317,15 @@ class TestDatabaseCompiledRun:
 
     def test_use_cache_false_still_memoizes_the_program(self):
         """``use_cache=False`` disables the *result* cache only; the
-        artifact memo is a program cache and stays warm."""
+        second run takes its code object from ``_code_for``."""
         db = Database()
         db.create("r", 2)
         db.insert("r", [(i, i) for i in range(4)])
         plan = Project((0,), Scan("r"))
         db.run(plan, use_cache=False, mode="compiled")
+        misses = _code_for.cache_info().misses
         db.run(plan, use_cache=False, mode="compiled")
-        stats = db.plan_cache.compiled_stats()
-        assert stats["puts"] == 1 and stats["hits"] == 1
+        assert _code_for.cache_info().misses == misses
         assert db.plan_cache.stats()["puts"] == 0
 
     def test_stats_survive_mutation(self):

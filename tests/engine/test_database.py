@@ -95,9 +95,6 @@ class TestRedeclaration:
 
 
 class TestOperations:
-    def test_active_domain(self, db):
-        assert db.active_domain() == frozenset({1, 2, "ada", "bob"})
-
     def test_run_plan(self, db):
         result = db.run(Project((1,), Scan("people")))
         assert result.value == cvset(tup("ada"), tup("bob"))
@@ -151,13 +148,6 @@ class TestIncrementalMaintenance:
         db["people"] = CVSet([t(1, "ada"), t(1, "imposter")])
         with pytest.raises(SchemaError):
             db.insert("people", [(5, "eve")])
-
-    def test_active_domain_incremental(self, db):
-        assert db.active_domain() == frozenset({1, 2, "ada", "bob"})
-        db.insert("people", [(3, "cyd")])
-        assert db.active_domain() == frozenset({1, 2, 3, "ada", "bob", "cyd"})
-        db["people"] = cvset(tup(9, "zoe"))
-        assert db.active_domain() == frozenset({9, "zoe"})
 
     def test_equality_index_maintained_on_insert(self, db):
         index = db.equality_index("people", (0,))
@@ -288,7 +278,8 @@ class TestUnknownRelationIndexProbe:
 
 class TestWholesaleReplacement:
     """``db[name] = ...`` must drop every memo keyed on the relation:
-    widths, distincts, cached results, compiled artifacts."""
+    widths, distincts and cached results; a compiled run reads the new
+    contents."""
 
     def _plan(self):
         return Project((0,), Scan("people"))
@@ -313,17 +304,12 @@ class TestWholesaleReplacement:
 
     def test_compiled_artifact_invalidated(self, db):
         plan = self._plan()
-        db.run(plan, mode="compiled", use_cache=False)
-        puts_before = db.plan_cache.compiled_puts
-        assert puts_before >= 1
-        db.run(plan, mode="compiled", use_cache=False)
-        assert db.plan_cache.compiled_puts == puts_before  # artifact hit
+        first = db.run(plan, mode="compiled", use_cache=False)
         db["people"] = cvset(tup(9, "zoe"))
         result = db.run(plan, mode="compiled", use_cache=False)
-        # Replacement dropped the artifact: a fresh compile happened,
-        # and the recompiled program reads the new contents.
-        assert db.plan_cache.compiled_puts == puts_before + 1
+        # The rerun lowers the plan again over the new contents.
         assert result.value == cvset(tup(9))
+        assert result.value != first.value
 
     def test_generation_bumped_per_replacement(self, db):
         generation = db._generation

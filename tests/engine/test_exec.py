@@ -231,13 +231,13 @@ class TestDatabaseExecution:
         with pytest.raises(ValueError):
             db.run(Project((0,), Scan("r")), mode=mode)
 
-    def test_reference_mode_uses_the_result_cache(self):
+    def test_reference_mode_uses_the_result_cache(self, compile_calls):
         db = _live({"r": cvset(tup(1, 2))})
         plan = Project((0,), Scan("r"))
         first = db.run(plan, mode="reference")
         second = db.run(plan)
         assert db.plan_cache.hits == 1
-        assert db.plan_cache.compiled_stats()["puts"] == 0
+        assert compile_calls == []
         assert_equivalent(plan, db, first, second)
 
 
@@ -270,7 +270,7 @@ class TestSemanticCacheKeys:
         assert_equivalent(
             plan, db,
             execute_compiled(plan, db),
-            execute_compiled(plan, db, compile_store=PlanCache()),
+            execute_compiled(plan, db),
             _live(db).run(plan),
         )
 
@@ -415,7 +415,9 @@ class TestDeepPlans:
         assert hash(plan) == hash(other)
         assert plan == other
 
-    def test_too_deep_plan_runs_on_reference_cached_and_invalidated(self):
+    def test_too_deep_plan_runs_on_reference_cached_and_invalidated(
+        self, compile_calls
+    ):
         """Past ``MAX_PIPELINE_DEPTH`` the compiled mode runs the
         reference interpreter (nothing is compiled), the root result is
         still cached, and an insert invalidates it: the next run misses,
@@ -423,7 +425,7 @@ class TestDeepPlans:
         db = _live({"r": [(i, i + 1) for i in range(8)]}, arity=2)
         plan = self._chain(MAX_PIPELINE_DEPTH + 20)
         cold = db.run(plan)
-        assert db.plan_cache.compiled_stats()["puts"] == 0
+        assert compile_calls == []
         assert len(db.plan_cache) == 1
         warm = db.run(plan)
         assert db.plan_cache.hits == 1
@@ -436,5 +438,5 @@ class TestDeepPlans:
         assert db.plan_cache.misses == 2
         assert db.plan_cache.puts == 2
         assert len(db.plan_cache) == 1
-        assert db.plan_cache.compiled_stats()["puts"] == 0
+        assert compile_calls == []
         assert_equivalent(plan, db, recomputed)

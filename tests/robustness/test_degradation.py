@@ -54,6 +54,24 @@ class TestDegradationChain:
         assert _delta(after, before, "robustness.degraded") == expected_steps
         assert _delta(after, before, f"robustness.degraded.{mode}") == 1
 
+    def test_compile_fault_fires_on_every_run(self):
+        """A plan that already ran compiled is lowered again on its
+        next run, so the ``compile`` fault site fires there too."""
+        db = _db()
+        plan = _plan()
+        want = db.run_reference(plan)
+        db.run(plan)
+        db.fault_injector = FaultInjector(
+            FaultPlan(seed=7, compile_rate=1.0)
+        )
+        before = _counters()
+        got = db.run(plan, mode="compiled", use_cache=False)
+        after = _counters()
+        assert _delta(after, before, "robustness.degraded.compiled") == 1
+        assert got.value == want.value
+        assert got.work == want.work
+        assert got.per_node == want.per_node
+
     def test_reference_mode_never_degrades(self):
         db = _db()
         db.fault_injector = FaultInjector(
@@ -130,17 +148,6 @@ class TestCacheCorruptionLive:
             _delta(after, before, "robustness.cache.corruption_detected")
             >= 1
         )
-
-    def test_compile_fault_falls_back_but_memoized_artifact_skips_it(self):
-        db = _db()
-        plan = _plan()
-        want = db.run_reference(plan)
-        # First: compile fails, chain degrades, answer still right.
-        db.fault_injector = FaultInjector(
-            FaultPlan(seed=7, compile_rate=1.0)
-        )
-        got = db.run(plan, mode="compiled", use_cache=False)
-        assert got.value == want.value
 
     def test_injected_fault_type(self):
         injector = FaultInjector(FaultPlan(seed=8, operator_rate=1.0))
