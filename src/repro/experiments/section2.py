@@ -19,7 +19,7 @@ from ..algebra.operators import (
 )
 from ..engine.workload import paper_h_pairs, paper_r1, paper_r2, paper_r3
 from ..genericity.hierarchy import GenericitySpec, STANDARD_LATTICE
-from ..genericity.witnesses import find_counterexample
+from ..genericity.witnesses import find_counterexample, find_counterexamples
 from ..mappings.extensions import REL, STRONG
 from ..mappings.families import ConstantSpec, MappingFamily, preserves_predicate
 from ..mappings.generators import random_domain, random_mapping_in_class
@@ -280,7 +280,7 @@ def queries_q3_q4(seed: int = 0, trials: int = 60) -> ExperimentResult:
 def prop_2_10(seed: int = 0, trials: int = 40) -> ExperimentResult:
     """Monotonicity: genericity w.r.t. a class implies genericity w.r.t.
     every contained class — verified across the operation catalog."""
-    from ..genericity.classify import classify
+    from ..genericity.classify import classification_table
     from ..genericity.hierarchy import spec_leq
 
     result = ExperimentResult(
@@ -290,8 +290,8 @@ def prop_2_10(seed: int = 0, trials: int = 40) -> ExperimentResult:
         ("query", "violations of monotonicity"),
     )
     catalog = [projection((0,), 2), select_eq(0, 1, 2), self_cross(), self_compose()]
-    for query in catalog:
-        row = classify(query, trials=trials, seed=seed)
+    rows = classification_table(catalog, trials=trials, seed=seed)
+    for query, row in zip(catalog, rows):
         violations = 0
         for a in row.verdicts:
             for b in row.verdicts:
@@ -323,16 +323,22 @@ def prop_2_11(seed: int = 0, trials: int = 120) -> ExperimentResult:
     ]
     spec_all = GenericitySpec("all", "all")
     spec_fun = GenericitySpec("functional", "functional")
-    for query in catalog:
+    found = {
+        (spec.name, mode): [
+            search.found
+            for search in find_counterexamples(
+                catalog, spec, mode, trials=trials, seed=seed
+            )
+        ]
+        for spec in (spec_fun, spec_all)
+        for mode in (REL, STRONG)
+    }
+    for i, query in enumerate(catalog):
         result.require(query.defined_at_all_types(),
                        f"{query.name} should be defined at all types")
         for mode in (REL, STRONG):
-            found_fun = find_counterexample(
-                query, spec_fun, mode, trials=trials, seed=seed
-            ).found
-            found_all = find_counterexample(
-                query, spec_all, mode, trials=trials, seed=seed
-            ).found
+            found_fun = found["functional", mode][i]
+            found_all = found["all", mode][i]
             agree = found_fun == found_all
             result.add(
                 query.name,

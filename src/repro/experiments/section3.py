@@ -22,8 +22,7 @@ from ..algebra.operators import (
 )
 from ..algebra.query import Query, compose, pair_query
 from ..genericity.hierarchy import GenericitySpec
-from ..genericity.invariance import instantiate_at
-from ..genericity.witnesses import find_counterexample
+from ..genericity.witnesses import find_counterexample, find_counterexamples
 from ..mappings.extensions import REL, STRONG
 from ..mappings.families import MappingFamily
 from ..mappings.generators import (
@@ -73,11 +72,13 @@ def prop_3_1_3_2(seed: int = 0, trials: int = 80) -> ExperimentResult:
         pi_then_cross,
         union_of_projections,
     ]
-    for query in catalog:
+    searches = {
+        mode: find_counterexamples(catalog, _ALL, mode, trials=trials, seed=seed)
+        for mode in (REL, STRONG)
+    }
+    for i, query in enumerate(catalog):
         for mode in (REL, STRONG):
-            search = find_counterexample(
-                query, _ALL, mode, trials=trials, seed=seed
-            )
+            search = searches[mode][i]
             verdict = "fully generic" if not search.found else "VIOLATED"
             result.add(query.name, mode, verdict)
             result.require(not search.found, f"{query.name}/{mode}")
@@ -107,18 +108,21 @@ def prop_3_3(seed: int = 0, trials: int = 80) -> ExperimentResult:
         ("x", "y", "u", "v"),
         And(Atom("R", ("x", "y")), Atom("R", ("u", "v"))),
     ).as_query(("R",))
-    in_type = set_of(INT * INT)
-    for query in (q_exists, q_or, q_and):
+    catalog = (q_exists, q_or, q_and)
+    searches = {
+        mode: find_counterexamples(
+            catalog,
+            _ALL,
+            mode,
+            trials=trials,
+            seed=seed,
+            input_type=set_of(INT * INT),
+        )
+        for mode in (REL, STRONG)
+    }
+    for i, query in enumerate(catalog):
         for mode in (REL, STRONG):
-            search = find_counterexample(
-                query,
-                _ALL,
-                mode,
-                trials=trials,
-                seed=seed,
-                input_type=in_type,
-                output_type=instantiate_at(query.output_type, INT),
-            )
+            search = searches[mode][i]
             verdict = "fully generic" if not search.found else "VIOLATED"
             result.add(query.name, mode, verdict)
             result.require(not search.found, f"{query.name}/{mode}")
@@ -179,20 +183,20 @@ def prop_3_6(seed: int = 0, trials: int = 120) -> ExperimentResult:
         ("query", "mode", "verdict", "expected"),
     )
     cases = [
-        (hat_select_eq(0, 1, 2), STRONG, True),
-        (select_eq(0, 1, 2), STRONG, False),
-        (difference_op(), STRONG, True),
-        (intersection_op(), STRONG, True),
-        (union_op(), STRONG, True),
-        (cross_op(), STRONG, True),
-        (self_compose(), STRONG, True),  # = Pi(sigma-hat(R x R))
+        (hat_select_eq(0, 1, 2), True),
+        (select_eq(0, 1, 2), False),
+        (difference_op(), True),
+        (intersection_op(), True),
+        (union_op(), True),
+        (cross_op(), True),
+        (self_compose(), True),  # = Pi(sigma-hat(R x R))
     ]
-    for query, mode, expect_generic in cases:
-        search = find_counterexample(
-            query, _ALL, mode, trials=trials, seed=seed
-        )
+    searches = find_counterexamples(
+        [query for query, _ in cases], _ALL, STRONG, trials=trials, seed=seed
+    )
+    for (query, expect_generic), search in zip(cases, searches):
         verdict = "generic" if not search.found else "NOT generic"
-        result.add(query.name, mode, verdict,
+        result.add(query.name, STRONG, verdict,
                    "generic" if expect_generic else "NOT generic")
         result.require(search.found != expect_generic, query.name)
     return result

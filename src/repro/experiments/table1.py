@@ -10,7 +10,7 @@ the closest analogue of a systems paper's "Table 1".
 from __future__ import annotations
 
 from ..genericity.catalog import PAPER_TABLE, expected_cell
-from ..genericity.classify import classify
+from ..genericity.classify import classification_table
 from ..mappings.extensions import REL, STRONG
 from .report import ExperimentResult
 
@@ -27,9 +27,10 @@ def table1(seed: int = 0, trials: int = 50) -> ExperimentResult:
         ("operation", "source", "measured profile", "cells checked",
          "mismatches"),
     )
-    for entry in PAPER_TABLE:
-        query = entry.factory()
-        row = classify(query, trials=trials, seed=seed)
+    rows = classification_table(
+        [entry.factory() for entry in PAPER_TABLE], trials=trials, seed=seed
+    )
+    for entry, row in zip(PAPER_TABLE, rows):
         mismatches = 0
         checked = 0
         profile_bits = []

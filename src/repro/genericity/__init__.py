@@ -15,11 +15,18 @@ from .invariance import (
     InvarianceReport,
     Witness,
     check_invariance,
+    check_pair,
     instantiate_at,
     related_pair,
     sample_image,
     strong_repair,
 )
-from .witnesses import SearchResult, find_counterexample, verify_witness
+from .witnesses import (
+    SearchResult,
+    find_counterexample,
+    find_counterexamples,
+    input_type_groups,
+    verify_witness,
+)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -16,10 +16,15 @@ from typing import Optional, Sequence
 
 from ..algebra.query import Query
 from ..mappings.extensions import REL, STRONG, ExtensionMode
-from ..types.ast import INT, BaseType
+from ..types.ast import INT, BaseType, Type
 from .hierarchy import STANDARD_LATTICE, GenericitySpec
 from .invariance import instantiate_at
-from .witnesses import SearchResult, find_counterexample, verify_witness
+from .witnesses import (
+    SearchResult,
+    find_counterexamples,
+    input_type_groups,
+    verify_witness,
+)
 
 __all__ = ["Verdict", "ClassificationRow", "classify", "classification_table"]
 
@@ -75,40 +80,9 @@ def classify(
     seed: int = 0,
     signature=None,
 ) -> ClassificationRow:
-    """Classify ``query`` against every (spec, mode) cell of the lattice."""
-    in_type = instantiate_at(query.input_type, base)
-    out_type = instantiate_at(query.output_type, base)
-    verdicts: list[Verdict] = []
-    # One memo for the whole lattice sweep: every cell re-applies the
-    # same pure query to overlapping inputs (queries are deterministic),
-    # so outputs are shared across (spec, mode) cells.
-    fn_cache: dict = {}
-    for spec in lattice:
-        for mode in modes:
-            result: SearchResult = find_counterexample(
-                query,
-                spec,
-                mode,
-                base=base,
-                trials=trials,
-                seed=seed,
-                signature=signature,
-                input_type=in_type,
-                output_type=out_type,
-                fn_cache=fn_cache,
-            )
-            if result.found:
-                verified = verify_witness(
-                    query, result.witness, in_type, out_type
-                )
-                verdicts.append(
-                    Verdict(spec, mode, False, result.pairs_checked, verified)
-                )
-            else:
-                verdicts.append(
-                    Verdict(spec, mode, True, result.pairs_checked)
-                )
-    return ClassificationRow(query.name, verdicts)
+    """Classify ``query`` against every (spec, mode) cell of the lattice:
+    the one-query case of :func:`classification_table`."""
+    return _classify([query], lattice, modes, base, trials, seed, signature)[0]
 
 
 def classification_table(
@@ -119,10 +93,62 @@ def classification_table(
     seed: int = 0,
     signature=None,
 ) -> list[ClassificationRow]:
-    """Classify a catalog of queries; the Section 3 table generator."""
-    return [
-        classify(
-            q, lattice, modes, trials=trials, seed=seed, signature=signature
-        )
-        for q in queries
-    ]
+    """Classify a catalog of queries; the Section 3 table generator.
+
+    Each cell searches all queries of one input type on one trial stream
+    (:func:`~repro.genericity.witnesses.find_counterexamples`), so row
+    ``i`` equals ``classify(queries[i])`` verdict by verdict.  The table
+    sweeps the whole lattice for one input-type group before it starts
+    the next, so only that group's output memos are alive at a time.
+    Rows come back in query order.
+    """
+    return _classify(queries, lattice, modes, INT, trials, seed, signature)
+
+
+def _classify(
+    queries: Sequence[Query],
+    lattice: Sequence[GenericitySpec],
+    modes: Sequence[ExtensionMode],
+    base: BaseType,
+    trials: int,
+    seed: int,
+    signature,
+) -> list[ClassificationRow]:
+    rows: list[ClassificationRow] = [None] * len(queries)
+    for in_type, members in input_type_groups(queries, base).items():
+        group = [queries[i] for i in members]
+        out_types = [instantiate_at(q.output_type, base) for q in group]
+        # One output memo per query for its whole lattice sweep: every
+        # cell re-applies the same pure query to overlapping inputs, so
+        # outputs are shared across (spec, mode) cells.
+        memos = [{} for _ in group]
+        verdicts: list[list[Verdict]] = [[] for _ in group]
+        for spec in lattice:
+            for mode in modes:
+                results = find_counterexamples(
+                    group,
+                    spec,
+                    mode,
+                    base=base,
+                    trials=trials,
+                    seed=seed,
+                    signature=signature,
+                    input_type=in_type,
+                    fn_caches=memos,
+                )
+                for query, out_type, result, row in zip(
+                    group, out_types, results, verdicts
+                ):
+                    row.append(_verdict(query, result, in_type, out_type))
+        for i, query, row in zip(members, group, verdicts):
+            rows[i] = ClassificationRow(query.name, row)
+    return rows
+
+
+def _verdict(
+    query: Query, result: SearchResult, in_type: Type, out_type: Type
+) -> Verdict:
+    if not result.found:
+        return Verdict(result.spec, result.mode, True, result.pairs_checked)
+    verified = verify_witness(query, result.witness, in_type, out_type)
+    return Verdict(result.spec, result.mode, False, result.pairs_checked, verified)

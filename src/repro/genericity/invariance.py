@@ -40,6 +40,7 @@ __all__ = [
     "related_pair",
     "Witness",
     "InvarianceReport",
+    "check_pair",
     "check_invariance",
     "instantiate_at",
 ]
@@ -135,9 +136,13 @@ def strong_repair(rel: Rel, x: Value) -> Optional[Value]:
     its own image) or none.  This routine closes ``x`` from the inside
     out: unmappable elements are dropped, then the set is saturated by
     alternating maximal-image / maximal-preimage steps until it is a
-    fixpoint.  Returns ``None`` when no nonempty repair exists, and when
-    ``x`` is not of the shape ``rel`` relates (a tuple or a list where
-    a set is expected, say).
+    fixpoint.  A set none of whose elements can be mapped repairs to the
+    empty set, which strongly relates to itself, so ``related_pair``
+    hands out ``({}, {})`` for it and the search counts that as a
+    checked pair.  Returns ``None`` when a base value, or a component of
+    a tuple or list, has no image, when the closed set has no strong
+    image, and when ``x`` is not of the shape ``rel`` relates (a tuple
+    or a list where a set is expected, say).
     """
     if isinstance(rel, SetStrongExt):
         if not isinstance(x, CVSet):
@@ -261,6 +266,44 @@ def instantiate_at(t: Type, base: BaseType) -> Type:
     return substitute(t, assignment)
 
 
+def check_pair(
+    query: Query,
+    pair: tuple[Value, Value],
+    out_rel: Rel,
+    family: MappingFamily,
+    mode: ExtensionMode,
+    fn_cache: Optional[dict] = None,
+) -> Optional[Witness]:
+    """The per-pair step of Definition 2.9: apply ``query`` to both
+    inputs of a related ``pair`` and return a :class:`Witness` when the
+    outputs are not related by ``out_rel``, else ``None``.
+
+    ``fn_cache`` (a plain dict, owned by the caller) memoizes
+    ``query.fn`` per ``(query.name, input)``: a classification sweep
+    re-applies the same query to the same instances across every
+    lattice cell, and queries are pure, so recomputation is pure waste.
+    Queries that share a name must not share a memo.
+    """
+    r1, r2 = pair
+    out1, out2 = _apply(query, r1, fn_cache), _apply(query, r2, fn_cache)
+    if out_rel.holds(out1, out2):
+        return None
+    return Witness(
+        input_pair=(r1, r2), output_pair=(out1, out2), family=family, mode=mode
+    )
+
+
+def _apply(query: Query, value: Value, fn_cache: Optional[dict]) -> Value:
+    if fn_cache is None:
+        return query.fn(value)
+    key = (query.name, value)
+    try:
+        return fn_cache[key]
+    except KeyError:
+        out = fn_cache[key] = query.fn(value)
+        return out
+
+
 def check_invariance(
     query: Query,
     family: MappingFamily,
@@ -274,16 +317,19 @@ def check_invariance(
 ) -> InvarianceReport:
     """Check Definition 2.9 empirically on the supplied inputs.
 
-    For each input a related partner is constructed under ``family``
-    extended at the query's (instantiated) input type; the outputs are
-    then compared under the extension at the output type.  Inputs for
-    which no partner exists are *skipped*, mirroring the paper's "for
-    any two legal inputs ... if H^x(R1, R2) holds".
+    For each input in turn a related partner is constructed under
+    ``family`` extended at the query's (instantiated) input type
+    (:func:`related_pair`, drawing from ``rng``); the outputs are then
+    compared under the extension at the output type by
+    :func:`check_pair`, with ``fn_cache`` as its output memo.  Inputs
+    for which no partner exists are *skipped*, mirroring the paper's
+    "for any two legal inputs ... if H^x(R1, R2) holds".  The check
+    stops at the first witness.
 
-    ``fn_cache`` (a plain dict, shared by the caller across many
-    checks) memoizes ``query.fn`` per input value — the classification
-    sweep re-applies the same query to the same instances across every
-    lattice cell, and queries are pure, so recomputation is pure waste.
+    This is the one-family check for direct callers; the counterexample
+    search (:func:`repro.genericity.witnesses.find_counterexamples`)
+    runs the same pair construction and :func:`check_pair` for many
+    queries at once.
     """
     rng = rng or random.Random(0)
     if base is None:
@@ -294,33 +340,14 @@ def check_invariance(
     out_type = output_type or instantiate_at(query.output_type, base)
     in_rel = family.extend(in_type, mode)
     out_rel = family.extend(out_type, mode)
-
-    def apply_query(v: Value) -> Value:
-        if fn_cache is None:
-            return query.fn(v)
-        key = (query.name, v)
-        try:
-            return fn_cache[key]
-        except KeyError:
-            out = query.fn(v)
-            fn_cache[key] = out
-            return out
-
     report = InvarianceReport(query_name=query.name, mode=mode)
     for value in inputs:
         pair = related_pair(in_rel, value, mode, rng)
         if pair is None:
             report.pairs_skipped += 1
             continue
-        r1, r2 = pair
-        out1, out2 = apply_query(r1), apply_query(r2)
         report.pairs_checked += 1
-        if not out_rel.holds(out1, out2):
-            report.witness = Witness(
-                input_pair=(r1, r2),
-                output_pair=(out1, out2),
-                family=family,
-                mode=mode,
-            )
+        report.witness = check_pair(query, pair, out_rel, family, mode, fn_cache)
+        if report.witness is not None:
             return report
     return report

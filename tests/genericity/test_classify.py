@@ -1,9 +1,12 @@
 """Tests for the classification machinery (the Section 3 table)."""
 
+import dataclasses
+
 import pytest
 
 from repro.algebra.operators import (
     eq_adom,
+    even_query,
     hat_select_eq,
     projection,
     select_eq,
@@ -68,3 +71,31 @@ class TestTable:
         )
         assert len(rows) == 2
         assert {r.query_name for r in rows} == {"pi[1]", "RxR"}
+
+    def test_table_equals_one_query_classify(self):
+        # One stream per input type and cell must give every row the
+        # verdicts its own classify() sweep gives, including a query
+        # that shares its name (not its memo) with another.
+        catalog = [
+            projection((0,), 2),
+            select_eq(0, 1, 2),
+            even_query(),
+            eq_adom(),
+            dataclasses.replace(select_eq(0, 1, 2), name="pi[1]"),
+            hat_select_eq(0, 1, 2),
+        ]
+        rows = classification_table(catalog, trials=12, seed=4)
+        assert [r.query_name for r in rows] == [q.name for q in catalog]
+        for query, row in zip(catalog, rows):
+            alone = classify(query, trials=12, seed=4)
+            assert [
+                (v.spec.name, v.mode, v.generic, v.pairs_checked,
+                 v.witness_verified)
+                for v in row.verdicts
+            ] == [
+                (v.spec.name, v.mode, v.generic, v.pairs_checked,
+                 v.witness_verified)
+                for v in alone.verdicts
+            ]
+        assert rows[0].tightest(REL).name == "all"
+        assert rows[4].tightest(REL).name == "injective"

@@ -88,6 +88,17 @@ class TestStrongRepair:
         assert image is not None
         assert rel.holds(repaired, image)
 
+    def test_unmappable_set_repairs_to_the_empty_set(self):
+        # Dropping every element leaves the empty set, which strongly
+        # relates to itself: the repair is {}, not None, and the pair
+        # ({}, {}) is handed out (and counted as checked by a search).
+        rel = SetStrongExt(Mapping({(1, 101)}, INT, INT))
+        assert strong_repair(rel, cvset(2, 3)) == cvset()
+        pair = related_pair(rel, cvset(2, 3), STRONG, random.Random(0))
+        assert pair == (cvset(), cvset())
+        # An unmappable atom, by contrast, has no repair.
+        assert strong_repair(rel.inner, 2) is None
+
     def test_non_set_has_no_repair(self):
         # A tuple, a list or an atom is not a set, so no set repairs it
         # and no strong image of it exists.

@@ -30,28 +30,28 @@ BUDGETS = {
     "E-2.10": {
         "Mapping.holds": 0,
         "ProductRel.holds": 0,
-        "ProductRel.images": 8_637,
-        "ProductRel.preimages": 7_878,
+        "ProductRel.images": 4_059,
+        "ProductRel.preimages": 3_683,
     },
     "E-3.3": {
         "Mapping.holds": 0,
         "ProductRel.holds": 0,
-        "ProductRel.images": 7_050,
-        "ProductRel.preimages": 8_067,
+        "ProductRel.images": 2_350,
+        "ProductRel.preimages": 2_689,
     },
     "E-3.6": {
         "Mapping.holds": 0,
-        "ProductRel.holds": 1_920,
-        "ProductRel.images": 7_227,
-        "ProductRel.preimages": 7_862,
+        "ProductRel.holds": 480,
+        "ProductRel.images": 3_602,
+        "ProductRel.preimages": 3_918,
     },
     "E-INEXPR": {
         "Mapping.holds": 0,
         "ProductRel.holds": 0,
-        "ProductRel.images": 7_589,
-        "ProductRel.preimages": 9_228,
-        "Mapping.image_set": 29_880,
-        "Mapping.preimage_set": 127_242,
+        "ProductRel.images": 779,
+        "ProductRel.preimages": 918,
+        "Mapping.image_set": 27_306,
+        "Mapping.preimage_set": 123_436,
     },
 }
 
