@@ -39,6 +39,7 @@ Performance is measured by the benchmark of record,
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from typing import Callable, Optional, Sequence
@@ -68,6 +69,21 @@ OPERATION_CATALOG: dict[str, Callable[[], Query]] = {
     "eq_adom": eq_adom,
     "even": even_query,
 }
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1: zero trials or
+    seeds would report a verdict on no evidence, and the demo database
+    needs at least one employee."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -265,6 +281,12 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     from .durability import recover
     from .engine.serialize import SerializeError, save_database
 
+    # The library recovers an empty database from a missing directory;
+    # from the command line that is almost surely a mistyped path.
+    if not os.path.isdir(args.directory):
+        print(f"recover failed: no such directory: {args.directory}",
+              file=sys.stderr)
+        return 1
     try:
         db, report = recover(args.directory)
     except (OSError, SerializeError) as error:
@@ -311,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
         "classify", help="classify a catalog operation"
     )
     classify_parser.add_argument("operation")
-    classify_parser.add_argument("--trials", type=int, default=30)
+    classify_parser.add_argument("--trials", type=_positive_int, default=30)
     classify_parser.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes for the lattice sweep (same output)",
@@ -322,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
         "optimize", help="parse, rewrite and run a plan on the demo HR db"
     )
     optimize_parser.add_argument("plan")
-    optimize_parser.add_argument("--size", type=int, default=60)
+    optimize_parser.add_argument("--size", type=_positive_int, default=60)
     optimize_parser.add_argument("--seed", type=int, default=0)
     optimize_parser.add_argument("--show-rows", type=int, default=0)
     optimize_parser.add_argument(
@@ -346,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="executor mode, or 'all' for every mode (default)",
     )
-    explain_parser.add_argument("--size", type=int, default=60)
+    explain_parser.add_argument("--size", type=_positive_int, default=60)
     explain_parser.add_argument("--seed", type=int, default=0)
     explain_parser.add_argument(
         "--warm", type=int, default=0,
@@ -366,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fuzz",
         help="differentially fuzz the compiled engine vs the reference",
     )
-    fuzz_parser.add_argument("--seeds", type=int, default=50)
+    fuzz_parser.add_argument("--seeds", type=_positive_int, default=50)
     fuzz_parser.add_argument("--base-seed", type=int, default=0)
     fuzz_parser.add_argument(
         "--deep-every", type=int, default=10,
@@ -387,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the fuzz matrix under injected faults (degradation "
         "must absorb every fault with zero divergences)",
     )
-    chaos_parser.add_argument("--seeds", type=int, default=50)
+    chaos_parser.add_argument("--seeds", type=_positive_int, default=50)
     chaos_parser.add_argument("--base-seed", type=int, default=0)
     chaos_parser.add_argument(
         "--crash-every", type=int, default=25,

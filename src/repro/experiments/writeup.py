@@ -7,6 +7,7 @@ tables are printed by ``pytest benchmarks/ --benchmark-only``.
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
@@ -96,6 +97,12 @@ def generate() -> str:
 def main(argv: list[str] | None = None) -> int:
     argv = argv if argv is not None else sys.argv[1:]
     path = argv[0] if argv else "EXPERIMENTS.md"
+    # Check the target before the experiments run, not after.
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory) or os.path.isdir(path):
+        print(f"writeup: cannot write {path}: not a file in an existing "
+              "directory", file=sys.stderr)
+        return 2
     text = generate()
     with open(path, "w") as handle:
         handle.write(text)

@@ -99,8 +99,7 @@ def classification_table(
     (:func:`~repro.genericity.witnesses.find_counterexamples`), so row
     ``i`` equals ``classify(queries[i])`` verdict by verdict.  The table
     sweeps the whole lattice for one input-type group before it starts
-    the next, so only that group's output memos are alive at a time.
-    Rows come back in query order.
+    the next.  Rows come back in query order.
     """
     return _classify(queries, lattice, modes, INT, trials, seed, signature)
 
@@ -118,10 +117,6 @@ def _classify(
     for in_type, members in input_type_groups(queries, base).items():
         group = [queries[i] for i in members]
         out_types = [instantiate_at(q.output_type, base) for q in group]
-        # One output memo per query for its whole lattice sweep: every
-        # cell re-applies the same pure query to overlapping inputs, so
-        # outputs are shared across (spec, mode) cells.
-        memos = [{} for _ in group]
         verdicts: list[list[Verdict]] = [[] for _ in group]
         for spec in lattice:
             for mode in modes:
@@ -134,7 +129,6 @@ def _classify(
                     seed=seed,
                     signature=signature,
                     input_type=in_type,
-                    fn_caches=memos,
                 )
                 for query, out_type, result, row in zip(
                     group, out_types, results, verdicts

@@ -272,36 +272,22 @@ def check_pair(
     out_rel: Rel,
     family: MappingFamily,
     mode: ExtensionMode,
-    fn_cache: Optional[dict] = None,
 ) -> Optional[Witness]:
     """The per-pair step of Definition 2.9: apply ``query`` to both
     inputs of a related ``pair`` and return a :class:`Witness` when the
     outputs are not related by ``out_rel``, else ``None``.
 
-    ``fn_cache`` (a plain dict, owned by the caller) memoizes
-    ``query.fn`` per ``(query.name, input)``: a classification sweep
-    re-applies the same query to the same instances across every
-    lattice cell, and queries are pure, so recomputation is pure waste.
-    Queries that share a name must not share a memo.
+    Queries and ``holds`` are pure, so the verdict depends only on the
+    pair, the query and ``out_rel``; the search relies on this to skip a
+    pair it has already checked in the same trial.
     """
     r1, r2 = pair
-    out1, out2 = _apply(query, r1, fn_cache), _apply(query, r2, fn_cache)
+    out1, out2 = query.fn(r1), query.fn(r2)
     if out_rel.holds(out1, out2):
         return None
     return Witness(
         input_pair=(r1, r2), output_pair=(out1, out2), family=family, mode=mode
     )
-
-
-def _apply(query: Query, value: Value, fn_cache: Optional[dict]) -> Value:
-    if fn_cache is None:
-        return query.fn(value)
-    key = (query.name, value)
-    try:
-        return fn_cache[key]
-    except KeyError:
-        out = fn_cache[key] = query.fn(value)
-        return out
 
 
 def check_invariance(
@@ -313,7 +299,6 @@ def check_invariance(
     output_type: Optional[Type] = None,
     base: Optional[BaseType] = None,
     rng: Optional[random.Random] = None,
-    fn_cache: Optional[dict] = None,
 ) -> InvarianceReport:
     """Check Definition 2.9 empirically on the supplied inputs.
 
@@ -321,15 +306,15 @@ def check_invariance(
     ``family`` extended at the query's (instantiated) input type
     (:func:`related_pair`, drawing from ``rng``); the outputs are then
     compared under the extension at the output type by
-    :func:`check_pair`, with ``fn_cache`` as its output memo.  Inputs
-    for which no partner exists are *skipped*, mirroring the paper's
-    "for any two legal inputs ... if H^x(R1, R2) holds".  The check
-    stops at the first witness.
+    :func:`check_pair`.  Inputs for which no partner exists are
+    *skipped*, mirroring the paper's "for any two legal inputs ... if
+    H^x(R1, R2) holds".  The check stops at the first witness.  Every
+    pair is checked, repeats included.
 
     This is the one-family check for direct callers; the counterexample
     search (:func:`repro.genericity.witnesses.find_counterexamples`)
     runs the same pair construction and :func:`check_pair` for many
-    queries at once.
+    queries at once, once per distinct pair of a trial.
     """
     rng = rng or random.Random(0)
     if base is None:
@@ -347,7 +332,7 @@ def check_invariance(
             report.pairs_skipped += 1
             continue
         report.pairs_checked += 1
-        report.witness = check_pair(query, pair, out_rel, family, mode, fn_cache)
+        report.witness = check_pair(query, pair, out_rel, family, mode)
         if report.witness is not None:
             return report
     return report

@@ -88,7 +88,6 @@ def find_counterexamples(
     input_type: Optional[Type] = None,
     output_type: Optional[Type] = None,
     fixed_inputs: Optional[Sequence[Value]] = None,
-    fn_caches: Optional[Sequence[Optional[dict]]] = None,
 ) -> list[SearchResult]:
     """Search each of ``queries`` for an invariance violation against
     ``spec``; one :class:`SearchResult` per query, in query order.
@@ -107,10 +106,14 @@ def find_counterexamples(
     ``pairs_checked`` and the witness) equals the search of that query
     alone.
 
-    ``fn_caches``, if given, holds one output memo per query (see
-    :func:`~repro.genericity.invariance.check_pair`).
+    Pairs repeat within a trial, since strong repair closes several
+    inputs into one pair.  A repeat counts in ``pairs_checked`` for
+    every query still searching but is not checked again: each of them
+    already passed it in this trial against the same output extension,
+    and queries and ``holds`` are pure.  The set of checked pairs lives
+    for one trial, since the next trial's family may judge the pair
+    anew.
     """
-    memos = list(fn_caches) if fn_caches is not None else [None] * len(queries)
     out_types = [
         output_type or instantiate_at(q.output_type, base) for q in queries
     ]
@@ -137,19 +140,23 @@ def find_counterexamples(
                 ]
             in_rel = family.extend(in_type, mode)
             out_rels: dict[Type, Rel] = {}
+            checked: set[tuple[Value, Value]] = set()
             for value in inputs:
                 pair = related_pair(in_rel, value, mode, rng)
                 if pair is None:
                     continue
                 for i in searching:
+                    results[i].pairs_checked += 1
+                if pair in checked:
+                    continue
+                checked.add(pair)
+                for i in searching:
                     out_type = out_types[i]
                     if out_type not in out_rels:
                         out_rels[out_type] = family.extend(out_type, mode)
                     result = results[i]
-                    result.pairs_checked += 1
                     result.witness = check_pair(
-                        queries[i], pair, out_rels[out_type], family, mode,
-                        memos[i],
+                        queries[i], pair, out_rels[out_type], family, mode
                     )
                     if result.witness is not None:
                         result.trials = trial + 1
@@ -172,11 +179,9 @@ def find_counterexample(
     input_type: Optional[Type] = None,
     output_type: Optional[Type] = None,
     fixed_inputs: Optional[Sequence[Value]] = None,
-    fn_cache: Optional[dict] = None,
 ) -> SearchResult:
     """Search for an invariance violation of ``query`` against ``spec``:
-    the one-query case of :func:`find_counterexamples`, with
-    ``fn_cache`` as the query's output memo."""
+    the one-query case of :func:`find_counterexamples`."""
     (result,) = find_counterexamples(
         [query],
         spec,
@@ -190,7 +195,6 @@ def find_counterexample(
         input_type=input_type,
         output_type=output_type,
         fixed_inputs=fixed_inputs,
-        fn_caches=[fn_cache],
     )
     return result
 

@@ -11,10 +11,10 @@ not pickle, so tasks carry *names*: the worker reconstructs the query
 from :data:`repro.cli.OPERATION_CATALOG` and the spec from
 :data:`repro.genericity.hierarchy.STANDARD_LATTICE` by name.  Cell
 order matches :func:`repro.genericity.classify.classify` (``for spec in
-lattice: for mode in (REL, STRONG)``), and the shared ``fn_cache`` the
-serial path uses is a pure memo (it never changes verdicts or
-``pairs_checked``), so :func:`render_verdicts` output is byte-identical
-between ``jobs=1`` and any ``jobs=N``.
+lattice: for mode in (REL, STRONG)``), and each cell's search depends
+only on its own arguments (the serial path's input-type batching never
+changes a verdict or ``pairs_checked``), so :func:`render_verdicts`
+output is byte-identical between ``jobs=1`` and any ``jobs=N``.
 
 To reproduce one parallel cell serially, rerun the same sweep with
 ``jobs=1`` — cells never share rng state, so the failing cell replays

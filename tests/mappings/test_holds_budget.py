@@ -50,8 +50,8 @@ BUDGETS = {
         "ProductRel.holds": 0,
         "ProductRel.images": 779,
         "ProductRel.preimages": 918,
-        "Mapping.image_set": 27_306,
-        "Mapping.preimage_set": 123_436,
+        "Mapping.image_set": 21_100,
+        "Mapping.preimage_set": 117_059,
     },
 }
 

@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 from repro.cli import OPERATION_CATALOG, build_parser, main
 from repro.experiments.registry import EXPERIMENTS
 
@@ -140,12 +142,50 @@ class TestWriteup:
         for section, blocks in expected.items():
             assert measured[section] == blocks, section
 
+    @pytest.mark.parametrize("name", ["missing/EXP.md", "."])
+    def test_unwritable_path_fails_before_any_experiment(
+        self, tmp_path, capsys, monkeypatch, name
+    ):
+        from repro.experiments import writeup
+
+        monkeypatch.setattr(
+            writeup, "generate", lambda: pytest.fail("experiments ran")
+        )
+        assert main(["writeup", str(tmp_path / name)]) == 2
+        assert "writeup: cannot write" in capsys.readouterr().err
+
 
 class TestParser:
     def test_build_parser_has_subcommands(self):
         parser = build_parser()
         args = parser.parse_args(["list"])
         assert args.command == "list"
+
+
+class TestCountOptions:
+    """Trials, seeds and database sizes must be at least 1: zero trials
+    or seeds would print a verdict from no evidence, and a size below 1
+    cannot build the demo database."""
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "union", "--trials", "0"],
+        ["classify", "union", "--trials", "-3"],
+        ["fuzz", "--seeds", "0"],
+        ["chaos", "--seeds", "0"],
+        ["optimize", "pi[1](employees)", "--size", "0"],
+        ["explain", "pi[1](employees)", "--size", "-1"],
+    ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+    def test_non_positive_count_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}: must be at least 1, got {argv[-1]}" in err
+        assert "Traceback" not in err
+
+    def test_size_one_builds_the_demo_database(self, capsys):
+        assert main(["optimize", "pi[1](employees)", "--size", "1"]) == 0
+        assert "answer (1 rows" in capsys.readouterr().out
 
 
 class TestRecover:
@@ -188,8 +228,22 @@ class TestRecover:
     def test_recover_missing_checkpoint_dir_is_empty_db(
         self, tmp_path, capsys
     ):
-        assert main(["recover", str(tmp_path / "nothing")]) == 0
+        from repro.durability import recover
+
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert main(["recover", str(empty)]) == 0
         assert "checkpoint: none" in capsys.readouterr().out
+        # The library also recovers an empty database from a directory
+        # that does not exist; only the command refuses one.
+        db, report = recover(tmp_path / "nothing")
+        assert not db.relations and not report.checkpoint_loaded
+
+    def test_recover_missing_directory_fails(self, tmp_path, capsys):
+        assert main(["recover", str(tmp_path / "nothing")]) == 1
+        captured = capsys.readouterr()
+        assert "recover failed: no such directory" in captured.err
+        assert captured.out == ""
 
     def test_explain_wal_runs_against_recovered_db(self, tmp_path, capsys):
         state = self._seed_state(tmp_path)
