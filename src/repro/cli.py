@@ -23,7 +23,9 @@ activity, index shortcuts, wall time) for one executor mode
 directory (checkpoint + committed WAL suffix; see
 :mod:`repro.durability`) and prints the recovery report with its span
 tree; ``explain --wal DIR`` and ``optimize --wal DIR`` run their plan
-against a recovered database instead of the demo HR one.
+against a recovered database instead of the demo HR one.  All three
+refuse a directory that does not exist (exit 1), although the library's
+``recover()`` treats one as an empty database.
 
 ``classify`` accepts the named operations of the built-in catalog;
 ``optimize`` runs the rewriter against the demo HR catalog and prints
@@ -71,19 +73,56 @@ OPERATION_CATALOG: dict[str, Callable[[], Query]] = {
 }
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of a count that must be at least 1: zero trials or
-    seeds would report a verdict on no evidence, and the demo database
-    needs at least one employee."""
+def _int_at_least(text: str, minimum: int) -> int:
+    """Parse an argparse count that must be at least ``minimum``."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid int value: {text!r}"
         ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(
+            f"must be at least {minimum}, got {value}"
+        )
     return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1: zero trials or
+    seeds would report a verdict on no evidence, and the demo database
+    needs at least one employee."""
+    return _int_at_least(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type of a count where 0 means none: a negative row or
+    warm-up count has no meaning (``--show-rows -1`` would slice off the
+    last row)."""
+    return _int_at_least(text, 0)
+
+
+def _recover_directory(directory: str, command: str):
+    """Recover the database in ``directory`` for ``command``: the
+    ``(db, report)`` pair, or ``None`` after printing ``<command>
+    failed: …`` to stderr.
+
+    The library recovers an empty database from a missing directory;
+    from the command line that is almost surely a mistyped path, so
+    the commands refuse one here.
+    """
+    from .durability import recover
+    from .engine.serialize import SerializeError
+
+    if not os.path.isdir(directory):
+        print(f"{command} failed: no such directory: {directory}",
+              file=sys.stderr)
+        return None
+    try:
+        return recover(directory)
+    except (OSError, SerializeError) as error:
+        print(f"{command} failed: {error}", file=sys.stderr)
+        return None
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -161,9 +200,10 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         print(f"parse error: {error}", file=sys.stderr)
         return 2
     if args.wal:
-        from .durability import recover
-
-        db, recovery = recover(args.wal)
+        recovered = _recover_directory(args.wal, "optimize")
+        if recovered is None:
+            return 1
+        db, recovery = recovered
         print(recovery.summary())
         print()
     else:
@@ -208,9 +248,10 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         return 2
     recovery = None
     if args.wal:
-        from .durability import recover
-
-        db, recovery = recover(args.wal)
+        recovered = _recover_directory(args.wal, "explain")
+        if recovered is None:
+            return 1
+        db, recovery = recovered
     else:
         db = hr_database(random.Random(args.seed), employees=args.size,
                          students=args.size * 2 // 3,
@@ -278,20 +319,12 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 def _cmd_recover(args: argparse.Namespace) -> int:
     import json
 
-    from .durability import recover
-    from .engine.serialize import SerializeError, save_database
+    from .engine.serialize import save_database
 
-    # The library recovers an empty database from a missing directory;
-    # from the command line that is almost surely a mistyped path.
-    if not os.path.isdir(args.directory):
-        print(f"recover failed: no such directory: {args.directory}",
-              file=sys.stderr)
+    recovered = _recover_directory(args.directory, "recover")
+    if recovered is None:
         return 1
-    try:
-        db, report = recover(args.directory)
-    except (OSError, SerializeError) as error:
-        print(f"recover failed: {error}", file=sys.stderr)
-        return 1
+    db, report = recovered
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
@@ -346,7 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
     optimize_parser.add_argument("plan")
     optimize_parser.add_argument("--size", type=_positive_int, default=60)
     optimize_parser.add_argument("--seed", type=int, default=0)
-    optimize_parser.add_argument("--show-rows", type=int, default=0)
+    optimize_parser.add_argument(
+        "--show-rows", type=_non_negative_int, default=0
+    )
     optimize_parser.add_argument(
         "--wal", default=None, metavar="DIR",
         help="run against a database recovered from this durability "
@@ -371,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     explain_parser.add_argument("--size", type=_positive_int, default=60)
     explain_parser.add_argument("--seed", type=int, default=0)
     explain_parser.add_argument(
-        "--warm", type=int, default=0,
+        "--warm", type=_non_negative_int, default=0,
         help="pre-run the plan N times so cache hits are visible",
     )
     explain_parser.add_argument(

@@ -95,18 +95,6 @@ _EMPTY = CVSet()
 #: the workloads produce short of the deliberate deep chains.
 MAX_PIPELINE_DEPTH = 128
 
-_TUP_NEW = Tup.__new__
-_SET = object.__setattr__
-
-
-def _mk_tup(items, _new=_TUP_NEW, _set=_SET, _cls=Tup) -> Tup:
-    """Build a ``Tup`` around an already-constructed ``tuple`` without
-    re-running ``Tup.__init__``'s ``tuple(items)`` copy."""
-    t = _new(_cls)
-    _set(t, "items", items)
-    return t
-
-
 def plan_depth(plan: Plan) -> int:
     """Operator depth of a plan tree (explicit stack, any depth)."""
     depth: dict[int, int] = {}
@@ -196,7 +184,7 @@ def compile_plan(
 
     lines: list[str] = []
     emit = lines.append
-    consts: dict[str, object] = {"_tw": tuple_weight, "_mk": _mk_tup}
+    consts: dict[str, object] = {"_tw": tuple_weight, "_mk": Tup}
     fresh_counter = [0]
 
     def fresh(prefix: str) -> str:

@@ -12,12 +12,19 @@ it with four immutable, hashable wrapper classes so that
 Atoms are plain Python ``int``/``bool``/``str``/``float`` values.
 ``bool`` atoms are kept distinct from ``int`` atoms (Python's bool is an
 int subclass; we always test ``bool`` first).
+
+All four classes are slotted and store their hash when they are built,
+so hashing a value, which every set insert and lookup does, reads one
+int.  A stored hash depends on ``PYTHONHASHSEED`` (through ``str``
+atoms and the class tags), so a value pickles as its constructor call
+and rebuilds its hash in the process that loads it: a worker process
+started with another seed still finds it in its sets.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
-from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
 __all__ = [
@@ -66,36 +73,59 @@ def is_value(v: Value) -> bool:
     return False
 
 
-@dataclass(frozen=True)
 class Tup:
-    """An n-tuple (product value)."""
+    """An n-tuple (product value).
 
-    items: tuple[Value, ...]
+    Slotted like the other value classes, with its hash stored when it
+    is built.  The hash is ``hash((items,))``; set layouts, and with
+    them iteration orders and every search result, depend on that
+    formula, so it must not change.  ``items`` is a read-only view of
+    the components.
+    """
+
+    __slots__ = ("_items", "_hash")
 
     def __init__(self, items: Iterable[Value]) -> None:
-        object.__setattr__(self, "items", tuple(items))
+        items = tuple(items)
+        self._items = items
+        self._hash = hash((items,))
+
+    #: The components.  A C-level getter: the compiled engine reads
+    #: ``t.items[i]`` once per row and column.
+    items = property(operator.attrgetter("_items"))
 
     def __iter__(self) -> Iterator[Value]:
-        return iter(self.items)
+        return iter(self._items)
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self._items)
 
     def __getitem__(self, index: int) -> Value:
-        return self.items[index]
+        return self._items[index]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Tup:
+            return self._items == other._items
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Tup, (self._items,))
 
     def __repr__(self) -> str:
-        return "(" + ", ".join(repr(x) for x in self.items) + ")"
+        return "(" + ", ".join(repr(x) for x in self._items) + ")"
 
     def replace(self, index: int, value: Value) -> "Tup":
         """Return a copy with component ``index`` replaced by ``value``."""
-        items = list(self.items)
+        items = list(self._items)
         items[index] = value
         return Tup(items)
 
     def project(self, indices: Iterable[int]) -> "Tup":
         """Return the sub-tuple at ``indices`` (0-based)."""
-        return Tup(self.items[i] for i in indices)
+        return Tup(self._items[i] for i in indices)
 
 
 class CVSet:
@@ -121,6 +151,9 @@ class CVSet:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        return (CVSet, (self._items,))
 
     def __repr__(self) -> str:
         if not self._items:
@@ -190,6 +223,9 @@ class CVBag:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        return (CVBag, (tuple(self),))
+
     def __repr__(self) -> str:
         items = sorted(self, key=repr)
         return "{|" + ", ".join(repr(x) for x in items) + "|}"
@@ -224,6 +260,9 @@ class CVList:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        return (CVList, (self._items,))
 
     def __repr__(self) -> str:
         return "<" + ", ".join(repr(x) for x in self._items) + ">"

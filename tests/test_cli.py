@@ -80,9 +80,16 @@ class TestOptimize:
         assert "parse error" in capsys.readouterr().err
 
     def test_show_rows(self, capsys):
-        main(["optimize", "employees", "--size", "5", "--show-rows", "3"])
-        out = capsys.readouterr().out
-        assert "answer (" in out
+        def shown(rows):
+            assert main(["optimize", "employees", "--size", "5",
+                         "--show-rows", rows]) == 0
+            out = capsys.readouterr().out
+            assert "answer (5 rows" in out
+            return sum(line.startswith("   ") for line in out.splitlines())
+
+        assert shown("3") == 3
+        assert shown("9") == 5
+        assert shown("0") == 0  # 0 means none
 
     def test_schema_error_reported(self, capsys):
         # Parses fine, but the projection column exceeds the arity.
@@ -187,6 +194,20 @@ class TestCountOptions:
         assert main(["optimize", "pi[1](employees)", "--size", "1"]) == 0
         assert "answer (1 rows" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "pi[1](employees)", "--size", "5", "--show-rows", "-1"],
+        ["explain", "pi[1](employees)", "--warm", "-2"],
+    ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+    def test_negative_row_or_warm_count_exits_2(self, argv, capsys):
+        # A negative count has no meaning: sliced as rows[:-1],
+        # ``--show-rows -1`` would print all rows but the last.
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}: must be at least 0, got {argv[-1]}" in err
+        assert "Traceback" not in err
+
 
 class TestRecover:
     def _seed_state(self, tmp_path):
@@ -243,6 +264,40 @@ class TestRecover:
         assert main(["recover", str(tmp_path / "nothing")]) == 1
         captured = capsys.readouterr()
         assert "recover failed: no such directory" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "pi[1](employees)", "--wal"],
+        ["explain", "pi[1](employees)", "--wal"],
+    ], ids=lambda argv: argv[0])
+    def test_wal_missing_directory_fails(self, argv, tmp_path, capsys):
+        # The library recovers an empty database from a missing
+        # directory; the plan would then name an unknown relation and
+        # hide the mistyped path.
+        missing = str(tmp_path / "nothing")
+        assert main(argv + [missing]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"{argv[0]} failed: no such directory: {missing}\n"
+        )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["recover"],
+        ["optimize", "pi[1](employees)", "--wal"],
+        ["explain", "pi[1](employees)", "--wal"],
+    ], ids=lambda argv: argv[0])
+    def test_malformed_checkpoint_fails(self, argv, tmp_path, capsys):
+        from repro.durability import CHECKPOINT_NAME
+
+        state = tmp_path / "state"
+        state.mkdir()
+        (state / CHECKPOINT_NAME).write_text("{not json")
+        assert main(argv + [str(state)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"{argv[0]} failed: malformed checkpoint"
+        )
         assert captured.out == ""
 
     def test_explain_wal_runs_against_recovered_db(self, tmp_path, capsys):

@@ -1,7 +1,18 @@
 """Tests for complex value wrappers."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import repro
 from repro.types.values import (
+    CVBag,
+    CVList,
+    CVSet,
+    Tup,
     atoms_of,
     cvbag,
     cvlist,
@@ -199,3 +210,108 @@ class TestAtomsMemo:
         second = atoms_of(v)
         assert first == second == frozenset({1, 2, 3, "a"})
         assert first is second  # served from the memo
+
+
+class TestTupContract:
+    """``Tup`` hashes as ``hash((items,))``, hashes its components once,
+    and keeps ``items`` read-only."""
+
+    @pytest.mark.parametrize("items", [
+        (),
+        (1, 2),
+        (True, 2.5, -3),
+        ("a", "bc"),
+        (Tup((1, "x")), Tup(())),
+        (CVSet([1, "a"]), CVList(["b", 2]), CVBag(["c", "c"])),
+        (Tup((CVSet([Tup(("d", 1))]),)), "e"),
+    ], ids=repr)
+    def test_hash_formula(self, items):
+        # Set layouts, so iteration orders and every search result,
+        # depend on this formula.
+        assert hash(Tup(items)) == hash((tuple(items),))
+
+    def test_components_are_hashed_once(self):
+        calls = []
+
+        class Counted:
+            def __hash__(self):
+                calls.append(1)
+                return 7
+
+        t = Tup((Counted(), 1))
+        for _ in range(5):
+            hash(t)
+        assert len(calls) == 1
+
+    def test_items_is_read_only(self):
+        t = tup(1, 2)
+        with pytest.raises(AttributeError):
+            t.items = (3,)
+        with pytest.raises(AttributeError):
+            del t.items
+        assert t.items == (1, 2)
+        assert hash(t) == hash(((1, 2),))
+
+    def test_not_equal_to_a_plain_tuple(self):
+        assert Tup((1, 2)) != (1, 2)
+        assert (1, 2) != Tup((1, 2))
+        assert Tup((1, 2)) not in {(1, 2)}
+
+    def test_built_from_any_iterable(self):
+        built = [
+            Tup([1, "a", cvset(2)]),
+            Tup((1, "a", cvset(2))),
+            Tup(x for x in (1, "a", cvset(2))),
+        ]
+        assert built[0] == built[1] == built[2]
+        assert len({hash(t) for t in built}) == 1
+
+
+#: Built the same way in the dumping and the loading process.
+_PICKLED_VALUES = (
+    'Tup((1, "a")), CVSet([1, "a"]), CVList([1, "a"]), '
+    'CVBag([1, 1, "a"]), '
+    'Tup((CVSet(["b", Tup(("c", CVList(["d"])))]), CVBag(["e", "e"])))'
+)
+
+_DUMP = f"""
+import pickle, sys
+from repro.types.values import CVBag, CVList, CVSet, Tup
+with open(sys.argv[1], "wb") as handle:
+    pickle.dump([{_PICKLED_VALUES}], handle)
+print(hash("a"))
+"""
+
+_LOAD = f"""
+import pickle, sys
+from repro.types.values import CVBag, CVList, CVSet, Tup
+with open(sys.argv[1], "rb") as handle:
+    loaded = pickle.load(handle)
+fresh = [{_PICKLED_VALUES}]
+print(hash("a"))
+for old, new in zip(loaded, fresh):
+    print(old == new, hash(old) == hash(new), old in set(fresh),
+          new in {{old}})
+"""
+
+
+class TestPickle:
+    def test_loaded_under_another_hash_seed_is_found_in_sets(self, tmp_path):
+        # A pickled stored hash would be the dumping process's: equal
+        # to a fresh value, yet not found in a set holding it.
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = str(tmp_path / "values.pickle")
+
+        def run(script, seed):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            done = subprocess.run(
+                [sys.executable, "-c", script, path],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            return done.stdout.split("\n")
+
+        dumped = run(_DUMP, "0")
+        loaded = run(_LOAD, "1")
+        assert dumped[0] != loaded[0]  # the seeds hash strings apart
+        rows = [line for line in loaded[1:] if line]
+        assert rows == ["True True True True"] * 5
