@@ -290,9 +290,14 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from .engine.fuzz import run_fuzz
+    from .engine.fuzz import SCENARIOS, run_fuzz
 
     scenarios = tuple(args.scenarios) if args.scenarios else None
+    unknown = [name for name in scenarios or () if name not in SCENARIOS]
+    if unknown:
+        print(f"unknown scenario(s): {', '.join(unknown)}; "
+              f"choose from: {', '.join(SCENARIOS)}", file=sys.stderr)
+        return 2
     report = run_fuzz(
         args.seeds,
         base_seed=args.base_seed,
@@ -480,7 +485,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        # Flush here, so a closed stdout raises inside this block
+        # rather than at interpreter exit.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``repro ... | head``).  Point stdout at
+        # the null device so the exit-time flush stays quiet too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -24,12 +24,25 @@ single specialized Python function:
   whenever the tuple width is statically known;
 * repeated subtrees (CSE) execute once; later occurrences replay their
   ledger segment with a constant-index ``_L.extend(_L[s:e])`` — every
-  ledger position is known at compile time.
+  ledger position is known at compile time;
+* rows the generated code builds stay plain ``tuple``s.  ``Project``,
+  ``Join`` and ``Product`` output plain rows, and a set operation over
+  two plain inputs stays plain.  A ``Tup`` is built (``_mk``) only
+  where code the engine cannot see or the caller receives the row: a
+  ``Select`` predicate or a ``MapNode`` function gets ``Tup``s (a
+  selection passes on the ones it keeps), a plain side meeting
+  ``Tup``s (a scan, a map or a selection output) in a set operation is
+  wrapped, and so is a plain answer.  A plain tuple is built and
+  hashed in C; a ``Tup`` runs ``Tup.__init__`` in Python.
 
 The contract: identical ``CVSet`` answer, identical total work,
 identical per-node postorder ledger as
 :func:`repro.optimizer.plan.execute_reference`, for every plan over
-every database.  :func:`execute_compiled` lowers the plan on every
+every database.  Plain rows keep it: ``Tup`` and ``tuple`` are in
+bijection, projection, join, product and the set operations give the
+same rows on either side of it, and a plain row has the length, and
+so the weight, of its ``Tup``.  Which rows are plain follows from the
+plan's shape alone.  :func:`execute_compiled` lowers the plan on every
 call, against the current data.  The generated source depends on the
 plan alone: relation contents, weights, callables and indexes are
 bound as default arguments of the generated function.  So
@@ -42,12 +55,15 @@ around whichever executor runs.
 Plans deeper than :data:`MAX_PIPELINE_DEPTH` run on the reference
 interpreter instead; the fallback preserves the full contract.
 
-One deliberate asymmetry with the reference: projection reads tuple
-components as ``t.items[i]`` instead of ``t.project(...)``.  On every
+One deliberate asymmetry with the reference: projection reads a
+``Tup`` row's components from ``t.items`` (once per row) instead of
+calling ``t.project(...)``, and a plain row's as ``t[i]``.  On every
 well-typed input (all ``Tup`` rows — everything the generators produce)
 the values are identical and the direct read is markedly faster; on an
-atom row both raise ``AttributeError``.  Only ``CVList`` rows differ in
-the *exception type* raised (``TypeError`` here), never in a value.
+atom row both raise ``AttributeError``.  Only ``CVList`` rows differ,
+because ``CVList.items`` is a method: a projection raises ``TypeError``
+here, and a projection on no columns returns ``()`` where the
+reference raises.
 """
 
 from __future__ import annotations
@@ -117,8 +133,10 @@ class CompiledPlan:
     """A plan lowered to one specialized function.
 
     ``run()`` returns ``(root_values, ledger)`` where ``root_values``
-    is an iterable of distinct result rows and ``ledger`` is the
-    reference-identical per-node log.
+    is an iterable of distinct result rows, each the value the
+    reference returns (a plain root result is wrapped in ``Tup``s on
+    the way out), and ``ledger`` is the reference-identical per-node
+    log.
     """
 
     __slots__ = ("run", "span_program")
@@ -136,15 +154,45 @@ _SET_OP_SYMBOL = {Union: "|", Difference: "-", Intersect: "&"}
 class _Res:
     """Compile-time state of one emitted (sub)result variable."""
 
-    __slots__ = ("var", "width", "wvar", "rows")
+    __slots__ = ("var", "width", "wvar", "rows", "plain")
 
-    def __init__(self, var, width, rows=None) -> None:
+    def __init__(self, var, width, rows=None, plain=False) -> None:
         self.var = var
         self.width = width
         #: Name of the weight: a bound constant for scans, otherwise a
         #: runtime variable emitted on demand.
         self.wvar = None
         self.rows = rows  # known only for scans
+        #: True when the rows are plain ``tuple``s built by the
+        #: generated code (always a set of them); False when they are
+        #: values a scan, a map function or ``_mk`` supplied.
+        self.plain = plain
+
+
+def _tup_rows(res: _Res) -> str:
+    """An expression iterating ``res``'s rows as ``Tup``s."""
+    return f"map(_mk, {res.var})" if res.plain else res.var
+
+
+def _emit_tuple_loop(res: _Res, row: str, emit) -> None:
+    """Emit a loop header binding ``row`` to each row of ``res`` as a
+    plain ``tuple``; the loop body follows at one indent."""
+    if res.plain:
+        emit(f"for {row} in {res.var}:")
+    else:
+        emit(f"for _e in {res.var}:")
+        emit(f"    {row} = tuple(_e)")
+
+
+def _emit_all_pairs(var: str, left: _Res, right: _Res, fresh, emit) -> None:
+    """Emit ``var`` = every left row concatenated with every right row,
+    as plain ``tuple``s (a product, or a join on no columns)."""
+    rows = right.var
+    if not right.plain:
+        rows = fresh("_r")
+        emit(f"{rows} = list(map(tuple, {right.var}))")
+    lefts = left.var if left.plain else f"map(tuple, {left.var})"
+    emit(f"{var} = {{h + b for h in {lefts} for b in {rows}}}")
 
 
 def compile_plan(
@@ -304,16 +352,19 @@ def compile_plan(
         if isinstance(node, Project):
             (child, child_span) = inputs[0]
             work = weight_expr(child)
-            body = "_mk((%s%s))" % (
-                ", ".join(f"t.items[{i}]" for i in node.columns),
+            body = "(%s%s)" % (
+                ", ".join(f"r[{i}]" for i in node.columns),
                 "," if len(node.columns) == 1 else "",
             )
-            opener, closer = (
-                ("[", "]") if is_root and not as_set else ("{", "}")
-            )
-            emit(f"{var} = {opener}{body} for t in {child.var}{closer}")
+            if child.plain:
+                rows = f"r in {child.var}"
+            else:
+                # A one-element ``for`` compiles to an assignment: each
+                # ``Tup`` row's ``items`` is read once.
+                rows = f"t in {child.var} for r in [t.items]"
+            emit(f"{var} = {{{body} for {rows}}}")
             emit(f"_a(({label!r}, {work}))")
-            res = _Res(var, len(node.columns))
+            res = _Res(var, len(node.columns), plain=True)
             template = ("op", label, pos, (child_span,), source)
             pos += 1
         elif isinstance(node, Select):
@@ -322,7 +373,7 @@ def compile_plan(
             pred = const("_p", node.predicate)
             opener, closer = ("{", "}") if as_set else ("[", "]")
             emit(
-                f"{var} = {opener}t for t in {child.var} "
+                f"{var} = {opener}t for t in {_tup_rows(child)} "
                 f"if {pred}(t){closer}"
             )
             emit(f"_a(({label!r}, {work}))")
@@ -336,7 +387,10 @@ def compile_plan(
             opener, closer = (
                 ("[", "]") if is_root and not as_set else ("{", "}")
             )
-            emit(f"{var} = {opener}{fn}(t) for t in {child.var}{closer}")
+            emit(
+                f"{var} = {opener}{fn}(t) for t in {_tup_rows(child)}"
+                f"{closer}"
+            )
             emit(f"_a(({label!r}, {work}))")
             res = _Res(var, None)
             template = ("op", label, pos, (child_span,), source)
@@ -344,31 +398,33 @@ def compile_plan(
         elif isinstance(node, (Union, Difference, Intersect)):
             (left, left_span), (right, right_span) = inputs
             wl, wr = weight_expr(left), weight_expr(right)
-            emit(f"{var} = {left.var} {_SET_OP_SYMBOL[type(node)]} {right.var}")
+            lv, rv = left.var, right.var
+            if left.plain != right.plain:
+                # A plain side meets a side of Tups: wrap the plain one.
+                lv, rv = (
+                    f"set({_tup_rows(side)})" if side.plain else side.var
+                    for side in (left, right)
+                )
+            emit(f"{var} = {lv} {_SET_OP_SYMBOL[type(node)]} {rv}")
             emit(f"_a(({label!r}, {wl} + {wr}))")
             if isinstance(node, Union):
                 width = left.width if left.width == right.width else None
             else:
                 width = left.width
-            res = _Res(var, width)
+            res = _Res(var, width, plain=left.plain and right.plain)
             template = ("op", label, pos, (left_span, right_span), source)
             pos += 1
         elif isinstance(node, Product):
             (left, left_span), (right, right_span) = inputs
             wl, wr = weight_expr(left), weight_expr(right)
-            rows_expr = fresh("_r")
-            emit(f"{rows_expr} = [tuple(b) for b in {right.var}]")
-            emit(
-                f"{var} = {{_mk(h + b) for h in "
-                f"(tuple(a) for a in {left.var}) for b in {rows_expr}}}"
-            )
+            _emit_all_pairs(var, left, right, fresh, emit)
             emit(f"_a(({label!r}, len({left.var}) * {wr} + {wl}))")
             width = (
                 left.width + right.width
                 if left.width is not None and right.width is not None
                 else None
             )
-            res = _Res(var, width)
+            res = _Res(var, width, plain=True)
             template = ("op", label, pos, (left_span, right_span), source)
             pos += 1
         elif isinstance(node, Join):
@@ -383,7 +439,7 @@ def compile_plan(
         out.append((res, template))
 
     root_res, root_template = out.pop()
-    emit(f"return {root_res.var}, _L")
+    emit(f"return {_tup_rows(root_res)}, _L")
 
     params = ", ".join(f"{name}={name}" for name in consts)
     body = "\n".join("    " + line for line in lines)
@@ -414,9 +470,10 @@ def _emit_join(
 ):
     """Lower one ``Join``; returns ``(res, span template, new pos)``.
 
-    Work parity with the reference's first-column probe count: one unit
-    per candidate pair sharing the first join column, plus both input
-    weights.
+    The output rows are plain ``tuple``s: each is the concatenation of
+    a left and a right row.  Work parity with the reference's
+    first-column probe count: one unit per candidate pair sharing the
+    first join column, plus both input weights.
     """
     on = node.on
 
@@ -437,19 +494,21 @@ def _emit_join(
         emit(f"{cand} = 0")
         emit(f"{var} = set()")
         emit(f"{upd} = {var}.update")
-        emit(f"for _t in {left.var}:")
-        emit(f"    _b = {get}((_t[{i0}],))")
+        row = "_h" if left.plain else "_t"
+        emit(f"for {row} in {left.var}:")
+        emit(f"    _b = {get}(({row}[{i0}],))")
         emit("    if _b:")
         emit(f"        {cand} += len(_b)")
-        emit("        _h = tuple(_t)")
-        emit(f"        {upd}(_mk(_h + tuple(_x)) for _x in _b)")
+        if not left.plain:
+            emit("        _h = tuple(_t)")
+        emit(f"        {upd}(map(_h.__add__, map(tuple, _b)))")
         emit(f"_a(({label!r}, {wl} + {right_w} + {cand}))")
         template = (
             "op", label, pos,
             (left_span, ("scan", str(node.right), right_idx, None)),
             "index",
         )
-        return _Res(var, None), template, pos + 1
+        return _Res(var, None, plain=True), template, pos + 1
 
     (left, left_span), (right, right_span) = inputs
     wl, wr = weight_expr(left), weight_expr(right)
@@ -462,17 +521,12 @@ def _emit_join(
 
     if not on:
         # Degenerate join: every pair is a candidate, one unit each.
-        rows_expr = fresh("_r")
-        emit(f"{rows_expr} = [tuple(b) for b in {right.var}]")
-        emit(
-            f"{var} = {{_mk(h + b) for h in "
-            f"(tuple(a) for a in {left.var}) for b in {rows_expr}}}"
-        )
+        _emit_all_pairs(var, left, right, fresh, emit)
         emit(
             f"_a(({label!r}, {wl} + {wr} + "
-            f"len({left.var}) * len({rows_expr})))"
+            f"len({left.var}) * len({right.var})))"
         )
-        return _Res(var, width), template, pos + 1
+        return _Res(var, width, plain=True), template, pos + 1
 
     i0, j0 = on[0]
     cand = fresh("_c")
@@ -484,20 +538,23 @@ def _emit_join(
         emit(f"{ivar} = {{}}")
         emit(f"{sd} = {ivar}.setdefault")
         emit(f"for _b in {right.var}:")
-        emit(f"    {sd}(_b[{j0}], []).append(tuple(_b))")
+        right_row = "_b" if right.plain else "tuple(_b)"
+        emit(f"    {sd}(_b[{j0}], []).append({right_row})")
         get = fresh("_g")
         emit(f"{get} = {ivar}.get")
         emit(f"{cand} = 0")
         emit(f"{var} = set()")
         emit(f"{upd} = {var}.update")
-        emit(f"for _t in {left.var}:")
-        emit(f"    _b = {get}(_t[{i0}])")
+        row = "_h" if left.plain else "_t"
+        emit(f"for {row} in {left.var}:")
+        emit(f"    _b = {get}({row}[{i0}])")
         emit("    if _b:")
         emit(f"        {cand} += len(_b)")
-        emit("        _h = tuple(_t)")
-        emit(f"        {upd}(_mk(_h + _x) for _x in _b)")
+        if not left.plain:
+            emit("        _h = tuple(_t)")
+        emit(f"        {upd}(map(_h.__add__, _b))")
         emit(f"_a(({label!r}, {wl} + {wr} + {cand}))")
-        return _Res(var, width), template, pos + 1
+        return _Res(var, width, plain=True), template, pos + 1
 
     left_cols = tuple(i for i, _ in on)
     right_cols = tuple(j for _, j in on)
@@ -507,8 +564,7 @@ def _emit_join(
     fvar = fresh("_fd")
     emit(f"{ivar} = {{}}")
     emit(f"{fvar} = {{}}")
-    emit(f"for _b in {right.var}:")
-    emit("    _row = tuple(_b)")
+    _emit_tuple_loop(right, "_row", emit)
     emit(f"    {ivar}.setdefault({right_key}, []).append(_row)")
     emit(f"    _k = _row[{j0}]")
     emit(f"    {fvar}[_k] = {fvar}.get(_k, 0) + 1")
@@ -519,14 +575,13 @@ def _emit_join(
     emit(f"{cand} = 0")
     emit(f"{var} = set()")
     emit(f"{upd} = {var}.update")
-    emit(f"for _t in {left.var}:")
-    emit("    _h = tuple(_t)")
+    _emit_tuple_loop(left, "_h", emit)
     emit(f"    {cand} += {fc}(_h[{i0}], 0)")
     emit(f"    _b = {get}({left_key})")
     emit("    if _b:")
-    emit(f"        {upd}(_mk(_h + _x) for _x in _b)")
+    emit(f"        {upd}(map(_h.__add__, _b))")
     emit(f"_a(({label!r}, {wl} + {wr} + {cand}))")
-    return _Res(var, width), template, pos + 1
+    return _Res(var, width, plain=True), template, pos + 1
 
 
 def _build_spans(template: tuple, log: list) -> Span:

@@ -252,6 +252,78 @@ class TestCodeMemo:
         assert a.value != b.value
 
 
+def _count_tup_builds(monkeypatch):
+    """Patch ``Tup.__init__`` to count calls; returns the one-element
+    count list.  A counting subclass would not do: ``Tup.__eq__``
+    requires ``other.__class__ is Tup``."""
+    builds = [0]
+    init = Tup.__init__
+
+    def counting(self, items):
+        builds[0] += 1
+        init(self, items)
+
+    monkeypatch.setattr(Tup, "__init__", counting)
+    return builds
+
+
+class TestTupBudget:
+    """Gate: compiled plans compute on plain tuples.  A ``Tup`` is built
+    only for a row handed to a predicate or a map function, for a plain
+    row that meets ``Tup``s in a set operation, and for each answer
+    row.  Counts are deterministic: they must repeat exactly under any
+    ``PYTHONHASHSEED``."""
+
+    def test_tup_builds_on_a_seeded_plan_set(self, hr_db, monkeypatch):
+        """40 seeded random plans over the HR database build exactly
+        this many ``Tup``s.  One ``Tup`` per output row of every
+        operator would make 23,982."""
+        db = hr_db()
+        rng = random.Random("tup-budget")
+        plans = [
+            random_plan(rng, sorted(db.relations), base_arity=3, depth=3)
+            for _ in range(40)
+        ]
+        builds = _count_tup_builds(monkeypatch)
+        results = [execute_compiled(plan, db.relations) for plan in plans]
+        count = builds[0]
+        monkeypatch.undo()
+        for plan, result in zip(plans, results):
+            assert_equivalent(plan, db, result)
+        assert count == 3_940
+
+    def test_one_tup_per_answer_row(self, hr_db, monkeypatch):
+        """Projections, joins, products and set operations over
+        projections build no ``Tup`` until the answer: one per answer
+        row, however many rows the operators below produced."""
+        db = hr_db()
+        emp, stu, con = (
+            Scan("employees"), Scan("students"), Scan("contractors")
+        )
+        plans = [
+            Project((0,), emp),
+            Project((2, 0), Join(((0, 0),), emp, stu)),
+            Union(Project((0, 1), emp), Project((0, 1), stu)),
+            Difference(Project((2,), emp), Project((2,), con)),
+            Intersect(Project((0,), emp), Project((0,), con)),
+            Join(((0, 0), (1, 1)), emp, Project((0, 1), stu)),
+            Join(((1, 0),), Project((0, 2), con), Project((2, 1), emp)),
+            Join((), Project((2,), emp), Project((2,), stu)),
+            Product(Project((2,), con), Project((), stu)),
+            Project((1,), Difference(
+                Project((2, 0), emp), Project((2, 0), stu)
+            )),
+        ]
+        for plan in plans:
+            builds = _count_tup_builds(monkeypatch)
+            result = execute_compiled(plan, db.relations)
+            count = builds[0]
+            monkeypatch.undo()
+            assert_equivalent(plan, db, result)
+            assert len(result.value) > 0, plan
+            assert count == len(result.value), plan
+
+
 class TestCacheInterop:
     """``Database.run`` keeps one result cache around both executors,
     so an entry either one stores is a hit for the other."""

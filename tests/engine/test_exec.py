@@ -22,6 +22,8 @@ from repro.optimizer.plan import (
     Difference,
     Intersect,
     Join,
+    MapNode,
+    Product,
     Project,
     Scan,
     Select,
@@ -351,6 +353,92 @@ class TestAtomRelations:
         plan = Difference(Union(Scan("a"), Scan("b")),
                           Intersect(Scan("b"), Scan("c")))
         assert_equivalent(plan, db, execute_compiled(plan, db))
+
+
+def _tup_rows_only(t):
+    """A predicate that accepts only ``Tup`` rows."""
+    return type(t) is Tup
+
+
+def _tup_swap(t):
+    """A map function that refuses any row that is not a ``Tup``."""
+    if type(t) is not Tup:
+        raise TypeError(f"not a Tup: {t!r}")
+    return Tup((t[1], t[0]))
+
+
+class TestRowRepresentation:
+    """Compiled plans keep projection, join and product rows as plain
+    tuples, and build a ``Tup`` where a row reaches a predicate, a map
+    function, a set operation with a ``Tup``-valued side, or the
+    answer.  Each boundary must match the reference exactly."""
+
+    DB = {
+        "r": CVSet(Tup((i, i % 3)) for i in range(8)),
+        "s": CVSet(Tup((i % 3, i)) for i in range(6)),
+    }
+
+    def _check(self, *plans):
+        for plan in plans:
+            assert_equivalent(
+                plan, self.DB,
+                execute_compiled(plan, self.DB),
+                _live(self.DB, arity=2).run(plan),
+            )
+
+    @pytest.mark.parametrize("op", [Union, Difference, Intersect])
+    def test_set_op_with_a_plain_side_and_a_scan_side(self, op):
+        plain = Project((1, 0), Scan("s"))
+        self._check(op(plain, Scan("r")), op(Scan("r"), plain))
+
+    @pytest.mark.parametrize("op", [Union, Difference, Intersect])
+    def test_set_op_with_a_plain_side_and_a_map_side(self, op):
+        mapped = MapNode("tup_swap", _tup_swap, Scan("s"), injective=True)
+        plain = Project((0, 1), Scan("r"))
+        self._check(op(plain, mapped), op(mapped, plain))
+
+    def test_shared_plain_subtree_read_as_plain_and_as_tups(self):
+        """One CSE-shared projection feeds a plain set operation and a
+        predicate, and their outputs meet in a union."""
+        shared = Project((1, 0), Scan("r"))
+        plan = Union(
+            Select("tup_rows_only", _tup_rows_only, shared),
+            Difference(shared, Project((0, 1), Scan("s"))),
+        )
+        self._check(plan, Intersect(shared, Union(shared, Scan("s"))))
+
+    def test_join_at_the_root(self):
+        left = Project((1, 0), Scan("r"))
+        self._check(
+            Join(((0, 0),), left, Scan("s")),
+            Join(((1, 0),), left, Scan("s")),  # borrows an index
+            Join(((0, 0), (1, 1)), Scan("r"), left),
+            Join((), left, Project((1,), Scan("s"))),
+            Product(left, Scan("s")),
+        )
+
+    def test_zero_column_projection(self):
+        self._check(
+            Project((), Scan("r")),
+            Project((), Project((1, 0), Scan("r"))),
+            Union(Project((), Scan("r")), Project((), Scan("s"))),
+            Product(Project((), Scan("r")), Scan("s")),
+            Join((), Project((0,), Scan("s")), Project((), Scan("r"))),
+        )
+
+    def test_callables_receive_only_tups_from_plain_children(self):
+        plain_children = [
+            Project((1, 0), Scan("r")),
+            Join(((1, 0),), Scan("r"), Project((0, 1), Scan("s"))),
+            Product(Project((0,), Scan("r")), Project((1,), Scan("s"))),
+            Union(Project((0, 1), Scan("r")), Project((0, 1), Scan("s"))),
+        ]
+        for child in plain_children:
+            self._check(
+                Select("tup_rows_only", _tup_rows_only, child),
+                MapNode("tup_swap", _tup_swap, child, injective=True),
+                Project((0,), Select("tup_rows_only", _tup_rows_only, child)),
+            )
 
 
 class TestDeepPlans:

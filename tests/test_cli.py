@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,7 @@ from repro.cli import OPERATION_CATALOG, build_parser, main
 from repro.experiments.registry import EXPERIMENTS
 
 EXPERIMENTS_MD = Path(__file__).resolve().parents[1] / "EXPERIMENTS.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def text_blocks(markdown: str) -> dict[str, list[str]]:
@@ -124,6 +128,39 @@ class TestClassifyParallel:
             == 0
         )
         assert capsys.readouterr().out == serial
+
+
+class TestFuzz:
+    def test_unknown_scenario_exits_2(self, capsys):
+        from repro.engine.fuzz import SCENARIOS
+
+        assert main(["fuzz", "--seeds", "2", "--scenarios", "bogus"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "unknown scenario(s): bogus; choose from: "
+            f"{', '.join(SCENARIOS)}\n"
+        )
+        assert captured.out == ""
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "employees", "--size", "200", "--show-rows", "200"],
+        ["explain"],
+    ], ids=lambda argv: argv[0])
+    def test_closed_stdout_exits_1_without_traceback(self, argv):
+        # As in ``repro optimize ... | head -n 1``: the reader is gone
+        # before the command writes a line.
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        child.stderr.close()
+        assert child.wait() == 1
+        assert "Traceback" not in err
 
 
 class TestChaos:
