@@ -61,7 +61,8 @@ def entry_seal(value: CVSet, work: int, entries: tuple) -> int:
 class PlanCache:
     """LRU cache of plan results with hit/miss accounting.
 
-    It holds answers only: compiled programs are memoized by their
+    It holds answers, and the annotations of recently run plan objects
+    (see :meth:`annotate`); compiled programs are memoized by their
     generated source (``repro.engine.exec.compile._code_for``).
     ``capacity <= 0`` disables caching entirely: ``put`` is a no-op (no
     entry churn) and ``get`` always misses.
@@ -83,6 +84,11 @@ class PlanCache:
         #: state drifts would silently retire warm entries.  The stored
         #: ``fn`` keeps the object alive so its ``id`` is never reused.
         self._identity_memo: dict[int, tuple[Callable, object]] = {}
+        #: ``id(plan) -> (plan, info)`` for the last ``capacity`` plan
+        #: objects annotated, least recently used first (see
+        #: :meth:`annotate`).  The stored plan keeps its ``id`` from
+        #: being reused while the entry lives.
+        self._annotations: OrderedDict = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.puts = 0
@@ -121,8 +127,25 @@ class PlanCache:
     def annotate(self, plan: Plan) -> dict[int, tuple[int, frozenset]]:
         """Semantic token + base relations for every subtree of ``plan``
         (``id(node) -> (token, relations)``), interned against this
-        cache's registry so tokens are stable across executions."""
-        return annotate_plan(plan, self._intern, self._tag)
+        cache's registry so tokens are stable across executions.
+
+        A token reads the plan and the registry, never the data, so the
+        walk runs once per plan object: the ``info`` of the last
+        ``capacity`` plan objects is kept by identity and returned
+        again (the same dict; treat it as read-only).  Inserts leave it
+        alone; ``invalidate(None)``/``clear()`` drop it with the
+        registry.  With ``capacity <= 0`` every call walks."""
+        memo = self._annotations
+        entry = memo.get(id(plan))
+        if entry is not None and entry[0] is plan:
+            memo.move_to_end(id(plan))
+            return entry[1]
+        info = annotate_plan(plan, self._intern, self._tag)
+        if self.capacity > 0:
+            memo[id(plan)] = (plan, info)
+            if len(memo) > self.capacity:
+                memo.popitem(last=False)
+        return info
 
     # ------------------------------------------------------------------
     # Storage.
@@ -206,6 +229,7 @@ class PlanCache:
             self._intern.clear()
             self._aliases.clear()
             self._identity_memo.clear()
+            self._annotations.clear()
             return
         for key in self._by_relation.pop(relation, ()):
             entry = self._entries.pop(key, None)

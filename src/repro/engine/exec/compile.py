@@ -59,11 +59,14 @@ One deliberate asymmetry with the reference: projection reads a
 ``Tup`` row's components from ``t.items`` (once per row) instead of
 calling ``t.project(...)``, and a plain row's as ``t[i]``.  On every
 well-typed input (all ``Tup`` rows — everything the generators produce)
-the values are identical and the direct read is markedly faster; on an
-atom row both raise ``AttributeError``.  Only ``CVList`` rows differ,
-because ``CVList.items`` is a method: a projection raises ``TypeError``
-here, and a projection on no columns returns ``()`` where the
-reference raises.
+the values are identical and the direct read is markedly faster.  A
+row that is not a tuple raises in both executors, though not always
+with the same exception: an atom has no ``items`` and a ``CVList`` no
+``project`` (``AttributeError`` there), and ``CVList.items`` is a
+method, so reading its components raises ``TypeError`` here, even for
+a projection on no columns (``r[:0]``).
+:meth:`~repro.engine.database.Database.run` degrades to the reference
+on any error, so it raises the reference's exception.
 """
 
 from __future__ import annotations
@@ -174,14 +177,22 @@ def _tup_rows(res: _Res) -> str:
     return f"map(_mk, {res.var})" if res.plain else res.var
 
 
+def _as_row(e) -> tuple:
+    """A row that is not a ``Tup`` as a plain ``tuple``, read by index as
+    the reference reads join rows: a row that cannot be indexed (a set,
+    an atom) raises as it does there."""
+    return tuple(e[i] for i in range(len(e)))
+
+
 def _emit_tuple_loop(res: _Res, row: str, emit) -> None:
     """Emit a loop header binding ``row`` to each row of ``res`` as a
-    plain ``tuple``; the loop body follows at one indent."""
+    plain ``tuple`` (a ``Tup``'s ``items``, other rows through
+    :func:`_as_row`); the loop body follows at one indent."""
     if res.plain:
         emit(f"for {row} in {res.var}:")
     else:
         emit(f"for _e in {res.var}:")
-        emit(f"    {row} = tuple(_e)")
+        emit(f"    {row} = _e.items if _e.__class__ is _mk else _ar(_e)")
 
 
 def _emit_all_pairs(var: str, left: _Res, right: _Res, fresh, emit) -> None:
@@ -232,7 +243,7 @@ def compile_plan(
 
     lines: list[str] = []
     emit = lines.append
-    consts: dict[str, object] = {"_tw": tuple_weight, "_mk": Tup}
+    consts: dict[str, object] = {"_tw": tuple_weight, "_mk": Tup, "_ar": _as_row}
     fresh_counter = [0]
 
     def fresh(prefix: str) -> str:
@@ -352,10 +363,15 @@ def compile_plan(
         if isinstance(node, Project):
             (child, child_span) = inputs[0]
             work = weight_expr(child)
-            body = "(%s%s)" % (
-                ", ".join(f"r[{i}]" for i in node.columns),
-                "," if len(node.columns) == 1 else "",
-            )
+            if node.columns:
+                body = "(%s%s)" % (
+                    ", ".join(f"r[{i}]" for i in node.columns),
+                    "," if len(node.columns) == 1 else "",
+                )
+            else:
+                # Still reads the row, so a row without components
+                # raises, as ``t.project(())`` does.
+                body = "r[:0]"
             if child.plain:
                 rows = f"r in {child.var}"
             else:

@@ -9,8 +9,9 @@ injective over a set of plan inputs.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from ..types.values import CVSet, Tup
 from .plan import Difference, Intersect, Plan, Scan, Select, Union
@@ -33,14 +34,64 @@ class RelationInfo:
     shared_keys: dict[tuple[int, ...], str] = field(default_factory=dict)
 
 
+#: Rewrites one catalog remembers: the result cache's default capacity,
+#: as for the compiled-code memo.
+REWRITE_MEMO_SIZE = 256
+
+
+class _Rewrite(NamedTuple):
+    """One remembered rewrite: holding ``plan`` keeps its ``id`` from
+    being reused while the entry lives."""
+
+    plan: Plan
+    rules: object
+    normal: Plan
+    trace: tuple
+
+
 class Catalog:
-    """A set of relation schemas plus constraint queries."""
+    """A set of relation schemas plus constraint queries.
+
+    The catalog also remembers the rewrites made against it.  A rewrite
+    reads the plan, the rules and the declared keys, never the data, so
+    :meth:`~repro.optimizer.rewriter.Rewriter.optimize` asks
+    :meth:`rewrite_of` first and computes a plan object's normal form
+    once per rule sequence.  The memo is keyed by plan identity, holds
+    the :data:`REWRITE_MEMO_SIZE` most recently used rewrites, and
+    :meth:`add` clears it.
+    """
 
     def __init__(self, relations: Iterable[RelationInfo] = ()) -> None:
         self.relations = {r.name: r for r in relations}
+        #: ``id(plan) -> _Rewrite``, least recently used first.
+        self._rewrites: OrderedDict[int, _Rewrite] = OrderedDict()
 
     def add(self, info: RelationInfo) -> None:
         self.relations[info.name] = info
+        # A newly declared key changes what the rules can prove.
+        self._rewrites.clear()
+
+    def rewrite_of(
+        self, plan: Plan, rules: object
+    ) -> Optional[tuple[Plan, tuple]]:
+        """``(normal form, trace)`` remembered for this plan object
+        under this rule sequence (both by identity), or ``None``."""
+        entry = self._rewrites.get(id(plan))
+        if entry is None or entry.plan is not plan or entry.rules is not rules:
+            return None
+        self._rewrites.move_to_end(id(plan))
+        return entry.normal, entry.trace
+
+    def remember_rewrite(
+        self, plan: Plan, rules: object, normal: Plan, trace: tuple
+    ) -> None:
+        """Remember ``plan``'s rewrite under ``rules``, replacing any
+        under other rules, and drop the least recently used beyond
+        :data:`REWRITE_MEMO_SIZE`."""
+        self._rewrites.pop(id(plan), None)
+        self._rewrites[id(plan)] = _Rewrite(plan, rules, normal, trace)
+        if len(self._rewrites) > REWRITE_MEMO_SIZE:
+            self._rewrites.popitem(last=False)
 
     def __getitem__(self, name: str) -> RelationInfo:
         return self.relations[name]

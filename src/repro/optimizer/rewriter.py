@@ -5,6 +5,12 @@ revisits only the nodes it built.  It keeps a trace of which rules fired
 where — the trace is how the experiments connect each rewrite back to
 its genericity / parametricity justification.
 
+A rule's side condition reads declared keys and genericity classes,
+never the data, so a plan's normal form and trace are fixed until the
+plan or the catalog changes.  The catalog remembers them per plan
+object: a query workload that optimizes the same plan objects again
+and again rewrites each once (see :meth:`Rewriter.optimize`).
+
 Because the rules' side conditions are discharged from *declared*
 constraints, :func:`verify_equivalence` re-checks every rewritten plan
 against the original on generated databases; the Section 4.4 experiment
@@ -98,9 +104,27 @@ class Rewriter:
         return results.pop()
 
     def optimize(self, plan: Plan) -> Plan:
-        """Rewrite ``plan`` to normal form; the trace records each step."""
+        """Rewrite ``plan`` to normal form; the trace records each step.
+
+        The normal form depends only on the plan, the rules and the
+        catalog's declared keys, so the catalog remembers it (see
+        :class:`~repro.optimizer.constraints.Catalog`): optimizing the
+        same plan object again under the same ``rules`` object returns
+        the same normal-form object and a fresh list of the first call's
+        ``RewriteTrace``s, without running a rule, until
+        :meth:`Catalog.add <repro.optimizer.constraints.Catalog.add>`
+        declares another relation."""
+        remembered = self.catalog.rewrite_of(plan, self.rules)
+        if remembered is not None:
+            normal, trace = remembered
+            self.trace = list(trace)
+            return normal
         self.trace = []
-        return self._rewrite_node(plan)
+        normal = self._rewrite_node(plan)
+        self.catalog.remember_rewrite(
+            plan, self.rules, normal, tuple(self.trace)
+        )
+        return normal
 
     def explain(self) -> list[str]:
         """Human-readable audit of the applied rewrites with their

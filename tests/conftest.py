@@ -20,6 +20,9 @@ used to carry its own copy; they live here once.
   ``Database``.
 * ``compile_calls`` — the list of plans ``execute_compiled`` lowered
   (through ``compile_plan``) while the test ran.
+* :func:`hr_plans` — plain function: seeded random plans over the HR
+  relations (:data:`HR_NAMES`), one per seed; :func:`shuffled_draws`
+  repeats plan indexes in a seeded order, for query streams.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from repro.engine.workload import hr_database, random_database, random_plan
 from repro.optimizer.plan import execute_reference
 
 NAMES = ("r", "s", "t")
+HR_NAMES = ("employees", "students", "contractors")
 
 
 def assert_equivalent(plan, db, *results):
@@ -44,6 +48,21 @@ def assert_equivalent(plan, db, *results):
         assert result.value == reference.value
         assert result.work == reference.work
         assert result.per_node == reference.per_node
+
+
+def hr_plans(seeds):
+    """One seeded random plan over :data:`HR_NAMES` per seed."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        yield random_plan(rng, HR_NAMES, base_arity=3,
+                          depth=rng.randint(1, 6))
+
+
+def shuffled_draws(count, repeats, seed=0):
+    """Each index below ``count`` ``repeats`` times, in a seeded order."""
+    draws = [k for k in range(count) for _ in range(repeats)]
+    random.Random(seed).shuffle(draws)
+    return draws
 
 
 @pytest.fixture

@@ -1,17 +1,24 @@
 """PlanCache edge cases: LRU order, invalidation scope, zero capacity,
-stats accounting.
+stats accounting, and the annotation memo.
 
-These poke the cache's storage layer directly (arbitrary hashable keys
-+ hand-built :class:`CacheEntry` values), independent of the executors
-— the executor-facing behaviour is covered in ``test_exec.py``.
+Most of these poke the cache's storage layer directly (arbitrary
+hashable keys + hand-built :class:`CacheEntry` values), independent of
+the executors — the executor-facing behaviour is covered in
+``test_exec.py``.  ``TestAnnotationMemo`` counts the plan walks behind
+``PlanCache.annotate`` through ``Database.run``.
 """
 
 from __future__ import annotations
 
 import pytest
 
+import repro.engine.exec.cache as cache_module
+from repro.engine.database import Database
 from repro.engine.exec import CacheEntry, PlanCache
+from repro.optimizer.plan import Project, Scan, Select, Union
+from repro.optimizer.rewriter import Rewriter
 from repro.types.values import CVSet, Tup
+from tests.conftest import hr_plans, shuffled_draws
 
 
 def entry(*relations: str, rows: int = 1) -> CacheEntry:
@@ -150,3 +157,99 @@ class TestStats:
         disabled = PlanCache(capacity=0)
         disabled.put("k", entry("r"))
         assert disabled.puts == 0 and disabled.evictions == 0
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The plans ``PlanCache.annotate`` walked while the test ran."""
+    calls = []
+    walk = cache_module.annotate_plan
+
+    def counting(plan, *args):
+        calls.append(plan)
+        return walk(plan, *args)
+
+    monkeypatch.setattr(cache_module, "annotate_plan", counting)
+    return calls
+
+
+def _plan():
+    return Project((0,), Union(Scan("r"), Scan("s")))
+
+
+class TestAnnotationMemo:
+    """A semantic token reads the plan and the callable registry, never
+    data, so each plan object is walked once until the registry goes."""
+
+    def test_one_walk_across_hits_misses_and_inserts(self, small_db, walks):
+        plan = _plan()
+        small_db.run(plan)  # miss
+        small_db.run(plan)  # hit
+        small_db.insert("r", [(8, 9)])
+        small_db["s"] = small_db["s"]
+        small_db.run(plan)  # miss after the insert
+        small_db.run(plan, use_cache=False)
+        small_db.run(plan, mode="reference")  # hit
+        assert walks == [plan]
+        assert (small_db.plan_cache.hits, small_db.plan_cache.misses) == (2, 2)
+
+    def test_equal_fresh_object_walks_again_to_the_same_token(
+        self, small_db, walks
+    ):
+        first, second = _plan(), _plan()
+        tokens = [small_db.plan_cache.annotate(p)[id(p)] for p in (first, second)]
+        assert walks == [first, second]
+        assert tokens[0] == tokens[1]
+        small_db.run(first)
+        small_db.run(second)  # a hit: same token, same key
+        assert small_db.plan_cache.hits == 1
+
+    @pytest.mark.parametrize("drop", ["clear", "invalidate-all"])
+    def test_dropping_the_registry_walks_again(self, small_db, walks, drop):
+        plan = _plan()
+        small_db.run(plan)
+        if drop == "clear":
+            small_db.plan_cache.clear()
+        else:
+            small_db.plan_cache.invalidate(None)
+        small_db.run(plan)
+        small_db.run(plan)
+        assert walks == [plan, plan]
+
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_every_run_walks_without_capacity(self, walks, capacity):
+        db = Database(cache_capacity=capacity)
+        db["p"] = CVSet(Tup((i,)) for i in range(4))
+        plan = Select("small", lambda t: t[0] < 2, Scan("p"))
+        for _ in range(3):
+            db.run(plan)
+        assert walks == [plan] * 3
+
+    def test_short_lived_plans_get_their_own_tokens(self, small_db):
+        """Each root is dropped after its run, so the next one, the
+        only object built in its place, may get its address: an entry
+        kept by ``id`` alone would hand it the dropped plan's tokens."""
+        child = Union(Scan("r"), Scan("s"))
+        for i in range(20):
+            plan = Project((i % 2,), child)
+            result = small_db.run(plan)
+            assert result.value == small_db.run_reference(plan).value
+            del plan
+
+    def test_least_recently_used_walk_is_dropped(self, walks):
+        cache = PlanCache(capacity=2)
+        a, b, c = (Project((i,), Scan("r")) for i in range(3))
+        for plan in (a, b, a, c, a, b):
+            cache.annotate(plan)
+        assert walks == [a, b, c, b]
+
+    def test_one_walk_per_plan_object_in_a_query_stream(self, hr_db, walks):
+        """400 optimize-and-run draws over 40 plan objects, with inserts
+        between them, walk 40 times (walking every run makes 400)."""
+        db = hr_db(seed=0, employees=6, students=4, overlap=2)
+        plans = list(hr_plans(range(40)))
+        for i, k in enumerate(shuffled_draws(40, 10)):
+            if i % 25 == 24:
+                db.insert("contractors", [(1000 + i, "x", "y")])
+            db.run(Rewriter(db.catalog).optimize(plans[k]))
+        assert len(walks) == 40

@@ -30,7 +30,7 @@ from repro.optimizer.plan import (
     Union,
     execute_reference,
 )
-from repro.types.values import CVSet, Tup, cvset, tup
+from repro.types.values import CVList, CVSet, Tup, cvset, tup
 from tests.conftest import NAMES, assert_equivalent
 
 
@@ -439,6 +439,36 @@ class TestRowRepresentation:
                 MapNode("tup_swap", _tup_swap, child, injective=True),
                 Project((0,), Select("tup_rows_only", _tup_rows_only, child)),
             )
+
+    @pytest.mark.parametrize("plan, rows, compiled_error, error", [
+        (Join(((0, 0), (1, 1)), Scan("r"), Scan("r")),
+         CVSet([CVSet([1, 2])]), TypeError, TypeError),
+        (Project((), Scan("r")),
+         CVSet([CVList([1, 2])]), TypeError, AttributeError),
+    ], ids=["multi-column-join-of-sets", "no-column-projection-of-lists"])
+    def test_rows_without_components_raise(
+        self, plan, rows, compiled_error, error
+    ):
+        """Rows that are not tuples raise in both executors, and
+        ``Database.run`` degrades to the reference and raises its
+        error; neither executor answers where the other raises."""
+        relations = {"r": rows}
+        with pytest.raises(error):
+            execute_reference(plan, relations)
+        with pytest.raises(compiled_error):
+            execute_compiled(plan, relations)
+        with pytest.raises(error):
+            _live(relations).run(plan)
+
+    def test_multi_column_join_of_indexable_rows(self):
+        """The reference joins any rows it can index, lists too."""
+        relations = {"r": CVSet([CVList([1, 2]), CVList([2, 1])])}
+        plan = Join(((0, 0), (1, 1)), Scan("r"), Scan("r"))
+        assert_equivalent(
+            plan, relations,
+            execute_compiled(plan, relations),
+            _live(relations).run(plan),
+        )
 
 
 class TestDeepPlans:

@@ -1,9 +1,13 @@
 """Tests for rules and the rewriter (Section 4.4)."""
 
-import random
-
 import pytest
 
+from repro.optimizer.constraints import (
+    REWRITE_MEMO_SIZE,
+    Catalog,
+    RelationInfo,
+)
+from repro.optimizer.parser import parse_plan
 from repro.optimizer.plan import (
     Difference,
     Intersect,
@@ -15,6 +19,7 @@ from repro.optimizer.plan import (
 )
 from repro.optimizer.rewriter import Rewriter, verify_equivalence
 from repro.types.values import Tup
+from tests.conftest import assert_equivalent, hr_plans, shuffled_draws
 
 
 @pytest.fixture()
@@ -148,3 +153,111 @@ class TestTrace:
         trace = rw.trace[0]
         assert "=>" in str(trace)
         assert trace.before != trace.after
+
+
+@pytest.fixture()
+def rewrites(monkeypatch):
+    """The plans ``Rewriter._rewrite_node`` rewrote while the test ran:
+    one per rewrite the catalog did not remember."""
+    calls = []
+    rewrite = Rewriter._rewrite_node
+
+    def counting(self, plan):
+        calls.append(plan)
+        return rewrite(self, plan)
+
+    monkeypatch.setattr(Rewriter, "_rewrite_node", counting)
+    return calls
+
+
+class TestRewriteMemo:
+    """The catalog remembers each plan object's rewrite: optimizing it
+    again returns the same normal form without rewriting, until
+    ``Catalog.add`` declares a relation."""
+
+    def test_one_rewrite_per_plan_object(self, hr_db, rewrites):
+        """400 draws over 40 plan objects rewrite 40 times (rewriting
+        every draw makes 400)."""
+        catalog = hr_db(seed=0, employees=6, students=4, overlap=2).catalog
+        plans = list(hr_plans(range(40)))
+        outputs = []
+        for k in shuffled_draws(40, 10):
+            rewriter = Rewriter(catalog)
+            outputs.append((k, rewriter.optimize(plans[k]), rewriter.explain()))
+        assert len(rewrites) == 40
+        first = {}
+        for k, normal, explain in outputs:
+            assert first.setdefault(k, (normal, explain)) == (normal, explain)
+            assert first[k][0] is normal
+
+    def test_memo_keeps_the_most_recent_rewrites(self, rewrites):
+        plans = [Project((0,), Union(Scan(f"r{i}"), Scan("s")))
+                 for i in range(REWRITE_MEMO_SIZE + 1)]
+        catalog = Catalog()
+        for plan in plans:
+            Rewriter(catalog).optimize(plan)
+        Rewriter(catalog).optimize(plans[-1])
+        assert len(rewrites) == len(plans)
+        Rewriter(catalog).optimize(plans[0])  # the least recently used
+        assert len(rewrites) == len(plans) + 1
+
+    def test_short_lived_plans_get_their_own_rewrites(self, db):
+        """Each root is dropped after its rewrite, so the next one, the
+        only object built in its place, may get its address: an entry
+        kept by ``id`` alone would hand it the dropped plan's normal
+        form.  Only the key column's projection passes the difference."""
+        child = Difference(Scan("employees"), Scan("students"))
+        for i in range(20):
+            plan = Project((i % 2,), child)
+            normal = Rewriter(db.catalog).optimize(plan)
+            assert isinstance(normal, Difference) == (i % 2 == 0)
+            del plan, normal
+
+    def test_add_forgets_rewrites(self):
+        """A key declared after a rewrite lets the same plan object's
+        projection through the difference."""
+        plan = parse_plan("pi[1](employees - students)")
+        catalog = Catalog([RelationInfo("employees", 3),
+                           RelationInfo("students", 3)])
+        rewriter = Rewriter(catalog)
+        assert rewriter.optimize(plan) == plan
+        assert not rewriter.trace
+        for name in ("employees", "students"):
+            catalog.add(RelationInfo(name, 3, keys=((0,),),
+                                     shared_keys={(0,): "ssn"}))
+        pushed = rewriter.optimize(plan)
+        assert pushed == Difference(Project((0,), Scan("employees")),
+                                    Project((0,), Scan("students")))
+        assert [t.rule.name for t in rewriter.trace] == [
+            "push-project-through-difference"
+        ]
+
+    def test_equal_plans_keep_their_own_callables(self, db):
+        """``Plan.__eq__`` ignores callables, so two selections binding
+        one predicate name to different callables are equal plans.  Each
+        normal form holds its own callable, and ``Database.run`` answers
+        each as the reference does."""
+
+        def even(t):
+            return t[0] % 2 == 0
+
+        def odd(t):
+            return t[0] % 2 == 1
+
+        plans = {
+            fn: Select("parity", fn,
+                       Union(Scan("employees"), Scan("students")))
+            for fn in (even, odd)
+        }
+        assert plans[even] == plans[odd]
+        answers = set()
+        for fn in (even, odd, even, odd):
+            normal = Rewriter(db.catalog).optimize(plans[fn])
+            assert isinstance(normal, Union)
+            assert normal.left.predicate is fn
+            assert normal.right.predicate is fn
+            result = db.run(normal)
+            assert_equivalent(normal, db, result)
+            assert result.value == db.run_reference(plans[fn]).value
+            answers.add(result.value)
+        assert len(answers) == 2

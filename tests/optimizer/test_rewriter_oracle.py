@@ -5,7 +5,9 @@ after every rule that fires it rewrites the whole subtree below the
 result again, and it repeats whole passes until one fires nothing.
 ``Rewriter.optimize`` must reach the same final plan through the same
 trace, while running the rule loop once per input node plus once per
-node a fired rule built.
+node a fired rule built.  Every case is optimized twice through one
+catalog: the second call is answered from the catalog's memo and must
+return the first call's normal-form object and still match the oracle.
 """
 
 import random
@@ -16,6 +18,7 @@ from repro.engine.workload import deep_chain_plan, hr_database, random_plan
 from repro.optimizer.constraints import Catalog
 from repro.optimizer.rewriter import Rewriter, RewriteTrace
 from repro.optimizer.rules import DEFAULT_RULES, RewriteRule
+from tests.conftest import hr_plans
 
 #: The rule subset ``benchmarks/bench_ablation.py`` runs as "union-only".
 UNION_RULES = tuple(r for r in DEFAULT_RULES if "union" in r.name)
@@ -81,12 +84,18 @@ def _steps(trace):
 
 
 def assert_matches_oracle(plan, catalog, rules=DEFAULT_RULES):
-    """Same final plan and trace as the oracle; returns the fire count."""
+    """Same final plan and trace as the oracle, on a first call and on
+    a second that the catalog remembers (the same normal-form object;
+    the rewriter rebuilds every inner node, so a fresh rewrite of a plan
+    with children is a new object); returns the fire count."""
     want_plan, want_trace = oracle_optimize(plan, catalog, rules)
-    rewriter = Rewriter(catalog, rules=rules)
-    got_plan = rewriter.optimize(plan)
-    assert got_plan == want_plan
-    assert _steps(rewriter.trace) == _steps(want_trace)
+    normals = []
+    for _ in range(2):
+        rewriter = Rewriter(catalog, rules=rules)
+        normals.append(rewriter.optimize(plan))
+        assert normals[-1] == want_plan
+        assert _steps(rewriter.trace) == _steps(want_trace)
+    assert normals[1] is normals[0]
     return len(want_trace)
 
 
@@ -121,16 +130,6 @@ def _hr_catalog():
                        overlap=2).catalog
 
 
-HR_NAMES = ("employees", "students", "contractors")
-
-
-def _hr_plans(seeds=range(400)):
-    for seed in seeds:
-        rng = random.Random(seed)
-        yield random_plan(rng, HR_NAMES, base_arity=3,
-                          depth=rng.randint(1, 6))
-
-
 def _rst_plans(seeds=range(60)):
     for depth in range(1, 8):
         for seed in seeds:
@@ -144,7 +143,7 @@ class TestAgainstOracle:
     def test_random_plans_on_hr_catalog(self, rules):
         catalog = _hr_catalog()
         fires = [assert_matches_oracle(p, catalog, rules)
-                 for p in _hr_plans()]
+                 for p in hr_plans(range(400))]
         assert sum(f >= 2 for f in fires) >= 50
 
     @pytest.mark.parametrize("rules", [DEFAULT_RULES, UNION_RULES],
@@ -160,6 +159,19 @@ class TestAgainstOracle:
             assert assert_matches_oracle(plan, Catalog()) > 0
 
 
+class TestRuleSetsOnOneCatalog:
+    def test_rule_sets_alternate_on_one_plan_object(self):
+        """The memo answers only for the rules it was filled under."""
+        catalog = _hr_catalog()
+        differ = 0
+        for plan in hr_plans(range(100)):
+            for rules in (DEFAULT_RULES, UNION_RULES) * 2:
+                assert_matches_oracle(plan, catalog, rules)
+            differ += (oracle_optimize(plan, catalog)[0]
+                       != oracle_optimize(plan, catalog, UNION_RULES)[0])
+        assert differ >= 40
+
+
 class TestRuleLoopRuns:
     @pytest.mark.parametrize("rules", [DEFAULT_RULES, UNION_RULES],
                              ids=["default", "union-only"])
@@ -169,7 +181,7 @@ class TestRuleLoopRuns:
         Every loop starts with the first rule, so its call count is the
         number of loops run."""
         catalog = _hr_catalog()
-        for plan in [*_hr_plans(range(150)), *_rst_plans(range(20))]:
+        for plan in [*hr_plans(range(150)), *_rst_plans(range(20))]:
             counted, calls = counting(rules)
             rewriter = Rewriter(catalog, rules=counted)
             rewriter.optimize(plan)
