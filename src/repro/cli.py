@@ -90,15 +90,16 @@ def _int_at_least(text: str, minimum: int) -> int:
 
 def _positive_int(text: str) -> int:
     """argparse type of a count that must be at least 1: zero trials or
-    seeds would report a verdict on no evidence, and the demo database
-    needs at least one employee."""
+    seeds would report a verdict on no evidence, the demo database
+    needs at least one employee, and ``--jobs`` counts worker
+    processes."""
     return _int_at_least(text, 1)
 
 
 def _non_negative_int(text: str) -> int:
-    """argparse type of a count where 0 means none: a negative row or
-    warm-up count has no meaning (``--show-rows -1`` would slice off the
-    last row)."""
+    """argparse type of a count where 0 means none: a negative row,
+    warm-up or scenario-period count has no meaning (``--show-rows -1``
+    would slice off the last row, ``--deep-every -1`` would mean 0)."""
     return _int_at_least(text, 0)
 
 
@@ -362,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("ids", nargs="*", help="experiment ids")
     run_parser.add_argument("--all", action="store_true")
     run_parser.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_positive_int, default=1,
         help="worker processes (results identical to --jobs 1)",
     )
     run_parser.set_defaults(fn=_cmd_run)
@@ -373,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     classify_parser.add_argument("operation")
     classify_parser.add_argument("--trials", type=_positive_int, default=30)
     classify_parser.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_positive_int, default=1,
         help="worker processes for the lattice sweep (same output)",
     )
     classify_parser.set_defaults(fn=_cmd_classify)
@@ -431,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_parser.add_argument("--seeds", type=_positive_int, default=50)
     fuzz_parser.add_argument("--base-seed", type=int, default=0)
     fuzz_parser.add_argument(
-        "--deep-every", type=int, default=10,
+        "--deep-every", type=_non_negative_int, default=10,
         help="run the deep-chain scenario every Nth seed (0 disables)",
     )
     fuzz_parser.add_argument(
@@ -439,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict to named scenarios (default: all)",
     )
     fuzz_parser.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_positive_int, default=1,
         help="shard seeds across worker processes (same report)",
     )
     fuzz_parser.set_defaults(fn=_cmd_fuzz)
@@ -452,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_parser.add_argument("--seeds", type=_positive_int, default=50)
     chaos_parser.add_argument("--base-seed", type=int, default=0)
     chaos_parser.add_argument(
-        "--crash-every", type=int, default=25,
+        "--crash-every", type=_non_negative_int, default=25,
         help="run the worker-crash scenario every Nth seed (0 disables)",
     )
     chaos_parser.set_defaults(fn=_cmd_chaos)

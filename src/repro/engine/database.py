@@ -9,9 +9,9 @@ Physical-layer state maintained alongside the relations (all lazy,
 all incrementally updated on :meth:`insert`, all dropped on wholesale
 replacement via ``db[name] = ...``):
 
-* **secondary hash indexes** per equality-column set — used both to
-  validate declared keys incrementally (no full-relation rescan per
-  insert batch) and to serve hash-join build sides without rebuilding;
+* **secondary hash indexes** per declared key — used to validate
+  declared keys incrementally (no full-relation rescan per insert
+  batch);
 * **content fingerprints** (O(1), from the relation's precomputed hash)
   keying the plan-result cache;
 * a :class:`~repro.engine.exec.PlanCache` of plan results,
@@ -102,10 +102,14 @@ class Database:
     ) -> None:
         """Declare a relation schema.
 
-        Declaring a relation again is accepted only with the same
-        arity, keys and shared keys; a different declaration raises
-        :class:`SchemaError` before anything is logged or changed,
-        since the existing rows were validated against the old one.
+        An arity that is not an ``int >= 0``, or a key or shared-key
+        column outside ``range(arity)``, raises :class:`SchemaError`:
+        no row could satisfy such a schema.  Arity 0 and keys of no
+        columns are accepted.  Declaring a relation again is accepted
+        only with the same arity, keys and shared keys; a different
+        declaration raises :class:`SchemaError`, since the existing
+        rows were validated against the old one.  Either error is
+        raised before anything is logged or changed.
         """
         info = RelationInfo(
             name,
@@ -113,6 +117,17 @@ class Database:
             tuple(tuple(k) for k in keys),
             dict(shared_keys or {}),
         )
+        if not isinstance(arity, int) or arity < 0:
+            raise SchemaError(
+                f"arity of {name} must be an int >= 0, got {arity!r}"
+            )
+        columns = range(arity)
+        for key in (*info.keys, *info.shared_keys):
+            if any(c not in columns for c in key):
+                raise SchemaError(
+                    f"key {key} of {name} has a column outside "
+                    f"range({arity})"
+                )
         if name in self.catalog and self.catalog[name] != info:
             raise SchemaError(
                 f"{name} is already declared as {self.catalog[name]}, "
@@ -233,8 +248,9 @@ class Database:
         """Hash index ``columns-value -> rows`` over a relation.
 
         Created lazily, maintained incrementally by :meth:`insert`,
-        dropped on wholesale replacement.  Shared by key validation and
-        by the compiled executor's join build sides.
+        dropped on wholesale replacement.  Key validation is its one
+        user; the compiled executor builds every join index from the
+        join's right child when the plan runs.
         """
         cols = tuple(columns)
         if name not in self.relations:
@@ -321,17 +337,6 @@ class Database:
         self._generation += 1
         self.plan_cache.invalidate(name)
 
-    def _join_index(
-        self, name: str, columns: tuple[int, ...]
-    ) -> Optional[tuple[dict, int]]:
-        """The executor's ``key_index`` hook: index + scan weight."""
-        if name not in self.relations:
-            return None
-        return (
-            self.equality_index(name, columns),
-            self.relation_weight(name),
-        )
-
     # ------------------------------------------------------------------
     # Mapping protocol.
 
@@ -415,7 +420,6 @@ class Database:
             plan,
             self.relations,
             info=info,
-            key_index=self._join_index,
             relation_stats=self.relation_stats,
             tracer=tracer,
             fault_injector=self._fault_injector,

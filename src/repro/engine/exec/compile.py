@@ -14,9 +14,7 @@ single specialized Python function:
 * ``Scan`` binds directly to the relation's underlying ``frozenset``
   (bound as a default argument of the generated function, so reads are
   local loads), and set operations compile to C-level ``|``/``-``/``&``;
-* ``Join`` compiles to a hash probe: a single-column join over a bare
-  scan borrows the database's maintained secondary index through the
-  ``key_index`` hook, and every other join builds its index from the
+* ``Join`` compiles to a hash probe over an index built from the
   right child when the function runs;
 * weight/ledger accounting is hoisted out of the per-tuple loop: scan
   weights are bound constants (from the ``relation_stats`` hook when
@@ -44,8 +42,8 @@ same rows on either side of it, and a plain row has the length, and
 so the weight, of its ``Tup``.  Which rows are plain follows from the
 plan's shape alone.  :func:`execute_compiled` lowers the plan on every
 call, against the current data.  The generated source depends on the
-plan alone: relation contents, weights, callables and indexes are
-bound as default arguments of the generated function.  So
+plan alone: relation contents, weights and callables are bound as
+default arguments of the generated function.  So
 :func:`_code_for`, memoized by source, is the one program memo: a
 rerun, even after an insert, reuses the code object and only rebinds
 the data.  Results are not cached here:
@@ -211,16 +209,15 @@ def compile_plan(
     db: TMapping[str, CVSet],
     *,
     info: Optional[dict] = None,
-    key_index=None,
     relation_stats=None,
 ) -> CompiledPlan:
     """Lower ``plan`` (over the *current* contents of ``db``) to a
     :class:`CompiledPlan`.
 
     The returned function replays the data it was lowered against —
-    scan bindings, borrowed join indexes and scan weights are bound
-    when it is built — so lower the plan again after a mutation
-    (:func:`execute_compiled` lowers on every call).
+    scan bindings and scan weights are bound when it is built — so
+    lower the plan again after a mutation (:func:`execute_compiled`
+    lowers on every call).
     """
     if info is None:
         info = annotate_plan(plan, {}, lambda name, fn: (name, id(fn)))
@@ -309,7 +306,7 @@ def compile_plan(
     # token -> (res, ledger segment) for emitted subtrees (CSE replay).
     done: dict[int, tuple[_Res, int, int]] = {}
     out: list[tuple[_Res, tuple]] = []  # (result, span template)
-    stack: list[tuple] = [(_VISIT, plan, None, None)]
+    stack: list[tuple] = [(_VISIT, plan)]
 
     while stack:
         item = stack.pop()
@@ -331,25 +328,14 @@ def compile_plan(
                 )
                 pos += seg_end - seg_start
                 continue
-            prebuilt = None
-            if (
-                key_index is not None
-                and isinstance(node, Join)
-                and len(node.on) == 1
-                and isinstance(node.right, Scan)
-            ):
-                prebuilt = key_index(node.right.relation, (node.on[0][1],))
-            stack.append((_COMBINE, node, pos, prebuilt))
-            if prebuilt is not None:
-                stack.append((_VISIT, node.left, None, None))
-            else:
-                for child in reversed(node.children()):
-                    stack.append((_VISIT, child, None, None))
+            stack.append((_COMBINE, node, pos))
+            for child in reversed(node.children()):
+                stack.append((_VISIT, child))
             continue
 
         # _COMBINE: children emitted; lower this operator.
-        _, node, seg_start, prebuilt = item
-        n = len(node.children()) - (1 if prebuilt is not None else 0)
+        _, node, seg_start = item
+        n = len(node.children())
         inputs = out[-n:]
         del out[-n:]
         token = info[id(node)][0]
@@ -357,7 +343,6 @@ def compile_plan(
         as_set = token in need_set or shared
         is_root = node is plan
         label = node_label(node)
-        source = None
         var = fresh("_v")
 
         if isinstance(node, Project):
@@ -381,7 +366,7 @@ def compile_plan(
             emit(f"{var} = {{{body} for {rows}}}")
             emit(f"_a(({label!r}, {work}))")
             res = _Res(var, len(node.columns), plain=True)
-            template = ("op", label, pos, (child_span,), source)
+            template = ("op", label, pos, (child_span,))
             pos += 1
         elif isinstance(node, Select):
             (child, child_span) = inputs[0]
@@ -394,7 +379,7 @@ def compile_plan(
             )
             emit(f"_a(({label!r}, {work}))")
             res = _Res(var, child.width)
-            template = ("op", label, pos, (child_span,), source)
+            template = ("op", label, pos, (child_span,))
             pos += 1
         elif isinstance(node, MapNode):
             (child, child_span) = inputs[0]
@@ -409,7 +394,7 @@ def compile_plan(
             )
             emit(f"_a(({label!r}, {work}))")
             res = _Res(var, None)
-            template = ("op", label, pos, (child_span,), source)
+            template = ("op", label, pos, (child_span,))
             pos += 1
         elif isinstance(node, (Union, Difference, Intersect)):
             (left, left_span), (right, right_span) = inputs
@@ -428,7 +413,7 @@ def compile_plan(
             else:
                 width = left.width
             res = _Res(var, width, plain=left.plain and right.plain)
-            template = ("op", label, pos, (left_span, right_span), source)
+            template = ("op", label, pos, (left_span, right_span))
             pos += 1
         elif isinstance(node, Product):
             (left, left_span), (right, right_span) = inputs
@@ -441,12 +426,11 @@ def compile_plan(
                 else None
             )
             res = _Res(var, width, plain=True)
-            template = ("op", label, pos, (left_span, right_span), source)
+            template = ("op", label, pos, (left_span, right_span))
             pos += 1
         elif isinstance(node, Join):
             res, template, pos = _emit_join(
-                node, inputs, prebuilt, const, fresh, emit, weight_expr,
-                var, label, pos,
+                node, inputs, fresh, emit, weight_expr, var, label, pos
             )
         else:
             raise TypeError(f"unknown plan node: {node!r}")
@@ -473,17 +457,14 @@ def compile_plan(
 @functools.lru_cache(maxsize=256)
 def _code_for(source: str):
     """The code object of one generated source: the engine's only
-    program memo.  Sources carry no data (relation contents, weights,
-    callables and indexes are bound as default arguments), so a rerun
-    of a plan, after an insert too, reuses the code and only rebinds
-    the data.  256 entries, the result cache's default capacity."""
+    program memo.  Sources carry no data (relation contents, weights
+    and callables are bound as default arguments), so a rerun of a
+    plan, after an insert too, reuses the code and only rebinds the
+    data.  256 entries, the result cache's default capacity."""
     return compile(source, "<plan-compile>", "exec")
 
 
-def _emit_join(
-    node, inputs, prebuilt, const, fresh, emit, weight_expr, var, label,
-    pos,
-):
+def _emit_join(node, inputs, fresh, emit, weight_expr, var, label, pos):
     """Lower one ``Join``; returns ``(res, span template, new pos)``.
 
     The output rows are plain ``tuple``s: each is the concatenation of
@@ -492,40 +473,6 @@ def _emit_join(
     first join column, plus both input weights.
     """
     on = node.on
-
-    if prebuilt is not None:
-        # The right scan is served by the database's maintained index:
-        # logged for ledger parity, never re-read.
-        (left, left_span) = inputs[0]
-        wl = weight_expr(left)
-        index, right_w = prebuilt
-        right_w = const("_n", right_w)
-        emit(f"_a(({str(node.right)!r}, 0))")
-        right_idx = pos
-        pos += 1
-        get = const("_g", index.get)
-        cand = fresh("_c")
-        upd = fresh("_u")
-        i0 = on[0][0]
-        emit(f"{cand} = 0")
-        emit(f"{var} = set()")
-        emit(f"{upd} = {var}.update")
-        row = "_h" if left.plain else "_t"
-        emit(f"for {row} in {left.var}:")
-        emit(f"    _b = {get}(({row}[{i0}],))")
-        emit("    if _b:")
-        emit(f"        {cand} += len(_b)")
-        if not left.plain:
-            emit("        _h = tuple(_t)")
-        emit(f"        {upd}(map(_h.__add__, map(tuple, _b)))")
-        emit(f"_a(({label!r}, {wl} + {right_w} + {cand}))")
-        template = (
-            "op", label, pos,
-            (left_span, ("scan", str(node.right), right_idx, None)),
-            "index",
-        )
-        return _Res(var, None, plain=True), template, pos + 1
-
     (left, left_span), (right, right_span) = inputs
     wl, wr = weight_expr(left), weight_expr(right)
     width = (
@@ -533,7 +480,7 @@ def _emit_join(
         if left.width is not None and right.width is not None
         else None
     )
-    template = ("op", label, pos, (left_span, right_span), None)
+    template = ("op", label, pos, (left_span, right_span))
 
     if not on:
         # Degenerate join: every pair is a candidate, one unit each.
@@ -626,10 +573,9 @@ def _build_spans(template: tuple, log: list) -> Span:
             span.work = sum(w for _, w in log[t[2] : t[3]])
             out.append(span)
             continue
-        _, spanlabel, idx, children, source = t
+        _, spanlabel, idx, children = t
         span = Span(spanlabel)
         span.work = log[idx][1]
-        span.source = source
         count = len(children)
         if count:
             span.children = out[-count:]
@@ -643,7 +589,6 @@ def execute_compiled(
     db: TMapping[str, CVSet],
     *,
     info: Optional[dict] = None,
-    key_index=None,
     relation_stats=None,
     tracer: Optional[Tracer] = None,
     fault_injector=None,
@@ -670,11 +615,7 @@ def execute_compiled(
     if fault_injector is not None:
         fault_injector.maybe_raise("compile", node_label(plan))
     compiled = compile_plan(
-        plan,
-        db,
-        info=info,
-        key_index=key_index,
-        relation_stats=relation_stats,
+        plan, db, info=info, relation_stats=relation_stats
     )
 
     if fault_injector is not None:

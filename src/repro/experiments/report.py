@@ -2,8 +2,9 @@
 
 Every experiment returns an :class:`ExperimentResult`: the paper claim,
 a table of measured rows, and a pass/fail conclusion comparing measured
-behaviour to the claim.  The benchmark harness prints these tables —
-the reproduction's stand-in for the (absent) tables of a systems paper.
+behaviour to the claim.  ``python -m repro run`` prints these tables and
+``python -m repro writeup`` collects them into EXPERIMENTS.md — the
+reproduction's stand-in for the (absent) tables of a systems paper.
 """
 
 from __future__ import annotations

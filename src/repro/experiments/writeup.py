@@ -2,7 +2,9 @@
 
 ``python -m repro.experiments.writeup [path]`` runs the full registry
 and writes the paper-vs-measured record for every claim.  The same
-tables are printed by ``pytest benchmarks/ --benchmark-only``.
+tables are printed, one experiment at a time, by ``python -m repro run
+<id>``; ``python3 benchmarks/e2e/run.py --workload paper-writeup``
+times the whole writeup.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ match.  Regenerate with:
 
     python -m repro.experiments.writeup
 
-or inspect the same tables live via:
+or print any experiment's table, checked against the paper, with:
 
-    pytest benchmarks/ --benchmark-only
+    python -m repro run <id>
 
 Notes on methodology (see DESIGN.md for the full substitution table):
 positive universal claims are checked on the paper's own witnesses,

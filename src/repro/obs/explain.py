@@ -4,16 +4,16 @@
 in one of the executor modes (``"compiled"`` or ``"reference"``) and
 packages the result as an :class:`ExplainReport` — the answer, the span
 tree, and the cache activity the execution caused.  Rendered as text (a
-tree with per-operator rows/work/cache/source annotations, wall time
-optional) or as JSON (``to_dict``, with ``wall=False`` for
-byte-deterministic output).
+tree with per-operator rows/work/cache annotations, wall time optional)
+or as JSON (``to_dict``, with ``wall=False`` for byte-deterministic
+output).
 
 ``db`` may be a plain relation mapping or a
 :class:`~repro.engine.database.Database`.  A ``Database`` runs through
 ``Database.run``, so EXPLAIN sees its result cache (real hits and
-misses — pass ``use_cache=False`` for a pure cold run), its secondary
-join indexes and any graceful-degradation fallbacks.  A plain mapping
-carries none of that and runs on the reference interpreter.
+misses — pass ``use_cache=False`` for a pure cold run) and any
+graceful-degradation fallbacks.  A plain mapping carries none of that
+and runs on the reference interpreter.
 
 CLI: ``python -m repro explain [PLAN] [--mode all|compiled|reference]
 [--json] [--warm N]`` (see :mod:`repro.cli`).
@@ -40,8 +40,6 @@ def _span_line(span: Span, *, wall: bool) -> str:
     fields.append(f"work={span.work}")
     if span.cache is not None:
         fields.append(f"cache={span.cache}")
-    if span.source is not None:
-        fields.append(f"via={span.source}")
     if wall:
         fields.append(f"wall={span.wall_s * 1e3:.3f}ms")
     parts.append("  [" + " ".join(fields) + "]")

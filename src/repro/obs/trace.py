@@ -2,12 +2,11 @@
 
 A **span** mirrors one plan-node occurrence in one execution: its
 operator label (the reference interpreter's ledger label), the rows it
-produced, the work it was charged, wall time, whether it was served by
-the result cache or the CSE memo, and which physical shortcut (index
-reuse) evaluated it.  Span trees mirror the executor's
-frame/ledger structure exactly — a subtree served from the cache is a
-single childless span carrying the subtree's as-if work, just as the
-ledger splices the stored entries.
+produced, the work it was charged, wall time, and whether it was
+served by the result cache or the CSE memo.  Span trees mirror the
+executor's frame/ledger structure exactly — a subtree served from the
+cache is a single childless span carrying the subtree's as-if work,
+just as the ledger splices the stored entries.
 
 The tracing contract, pinned by ``tests/obs/test_trace_properties.py``
 and the ``trace`` fuzz scenario:
@@ -19,8 +18,8 @@ and the ``trace`` fuzz scenario:
   run;
 * **determinism modulo wall time** — for a fixed plan, database and
   cache state, everything in a span except ``wall_s`` is deterministic:
-  structure, labels, rows, work, cache and source annotations are
-  identical across runs, serial or sharded.
+  structure, labels, rows, work and cache annotations are identical
+  across runs.
 
 Wall-time attribution is best-effort and executor-specific: the
 reference interpreter reports per-operator compute time (children
@@ -43,18 +42,17 @@ class Span:
     """One plan-node occurrence in one traced execution.
 
     ``rows`` is the number of *distinct* tuples the node produced
-    (``None`` when unknowable, e.g. an index-served build side that was
-    never re-read).  ``work`` is exactly the node's ledger charge; for
-    a cache/CSE-served span it is the whole subtree's as-if work, so
-    summing ``work`` over any span tree reproduces the execution's
-    total work.  ``cache`` is ``None`` (not applicable), ``"hit"``,
-    ``"miss"``, or ``"cse"`` (served by the in-plan subtree memo).
-    ``source`` marks physical shortcuts: ``"index"`` (database index
-    reuse).
+    (``None`` when unknowable, e.g. an interior node of a compiled
+    run, whose generated function does not count them).  ``work`` is
+    exactly the node's ledger charge; for a cache/CSE-served span it
+    is the whole subtree's as-if work, so summing ``work`` over any
+    span tree reproduces the execution's total work.  ``cache`` is
+    ``None`` (not applicable), ``"hit"``, ``"miss"``, or ``"cse"``
+    (served by the in-plan subtree memo).
     """
 
-    __slots__ = ("label", "work", "rows", "wall_s", "cache", "source",
-                 "children", "meta")
+    __slots__ = ("label", "work", "rows", "wall_s", "cache", "children",
+                 "meta")
 
     def __init__(self, label: str) -> None:
         self.label = label
@@ -62,7 +60,6 @@ class Span:
         self.rows: Optional[int] = None
         self.wall_s = 0.0
         self.cache: Optional[str] = None
-        self.source: Optional[str] = None
         self.children: list["Span"] = []
         #: Free-form deterministic annotations (e.g. the degradation
         #: record on a root span); ``None`` stays out of ``to_dict``
@@ -101,10 +98,8 @@ class Span:
         plan thousands of levels deep would overflow the interpreter's
         recursion limit just being compared or hashed.
 
-        Excludes ``wall_s`` (nondeterministic) and ``source`` (a
-        physical shortcut annotation — an index-served join produces
-        the same rows and work as a hash-built one), so two runs that
-        agree observationally have equal structures.
+        Excludes ``wall_s`` (nondeterministic), so two runs that agree
+        observationally have equal structures.
         """
         return tuple(
             (span.label, span.rows, span.work, span.cache,
@@ -130,8 +125,6 @@ class Span:
                 entry["wall_s"] = span.wall_s
             if span.cache is not None:
                 entry["cache"] = span.cache
-            if span.source is not None:
-                entry["source"] = span.source
             if span.meta is not None:
                 entry["meta"] = span.meta
             entry["children"] = [memo[id(c)] for c in span.children]

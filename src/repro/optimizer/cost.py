@@ -6,8 +6,8 @@ highly selective difference duplicates projection work.  This module
 adds the classical optimizer counterpart: estimate costs from catalog
 statistics and keep a rewrite only when the estimate says it helps.
 The estimates use the same width-weighted work model as the executor,
-so estimated and measured costs are directly comparable (benchmarked in
-``bench_ablation.py``).
+so estimated and measured costs are directly comparable (checked by
+``tests/optimizer/test_cost.py::TestWinnerAgreement``).
 """
 
 from __future__ import annotations

@@ -370,7 +370,7 @@ class TestCacheInterop:
 
 
 class TestDatabaseCompiledRun:
-    def test_run_mode_compiled_with_prebuilt_join_index(self):
+    def test_run_mode_compiled_join_against_base_relation(self):
         db = Database()
         db.create("e", 3)
         db.insert("e", [(i, i % 5, i * 2) for i in range(40)])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.durability import WAL_NAME, DurabilityManager, recover
+from repro.durability import WAL_NAME, DurabilityManager, WalError, recover
 from repro.engine.database import Database, SchemaError
 from repro.optimizer.plan import Project, Scan
 from repro.types.values import CVSet, cvset, tup
@@ -92,6 +92,65 @@ class TestRedeclaration:
         recovered, _ = recover(state)
         assert recovered["r"] == d["r"]
         assert recovered.catalog["r"] == d.catalog["r"]
+
+
+class TestSchemaValidation:
+    """``create`` refuses a schema no row could satisfy, before anything
+    is logged or changed."""
+
+    @pytest.mark.parametrize(
+        "arity, keys, shared_keys",
+        [
+            (2, [(5,)], None),
+            (2, [(-1,)], None),
+            (2, [(0, 2)], None),
+            (3, (), {(7,): "ssn"}),
+            (-1, (), None),
+            ("2", (), None),
+        ],
+        ids=["key-past-arity", "negative-key", "one-column-out",
+             "shared-key", "negative-arity", "string-arity"],
+    )
+    def test_out_of_range_schema_rejected(
+        self, tmp_path, arity, keys, shared_keys
+    ):
+        state = tmp_path / "state"
+        d = Database()
+        d.durability = DurabilityManager(state, fsync=False)
+        d.create("s", 1)
+        d.insert("s", [(1,)])
+        relations, catalog = dict(d.relations), dict(d.catalog.relations)
+        logged = (state / WAL_NAME).read_bytes()
+        with pytest.raises(SchemaError, match="column outside|arity of r"):
+            d.create("r", arity, keys=keys, shared_keys=shared_keys)
+        assert "r" not in d.catalog and "r" not in d
+        assert d.relations == relations
+        assert dict(d.catalog.relations) == catalog
+        assert (state / WAL_NAME).read_bytes() == logged
+        d.durability.close()
+        recovered, _ = recover(state)
+        assert set(recovered.relations) == {"s"}
+
+    def test_empty_arity_and_empty_key_accepted(self):
+        d = Database()
+        d.create("unit", 0)
+        d.insert("unit", [()])
+        assert d["unit"] == cvset(tup())
+        d.create("single", 2, keys=[()])
+        d.insert("single", [(1, 2)])
+        with pytest.raises(SchemaError):
+            d.insert("single", [(3, 4)])
+
+    def test_recovery_refuses_a_logged_out_of_range_key(self, tmp_path):
+        """A log holding such a schema (written before ``create`` checked
+        it) stops recovery instead of rebuilding a relation that can
+        never take a row."""
+        state = tmp_path / "state"
+        manager = DurabilityManager(state, fsync=False)
+        manager.log_create("r", 2, [(5,)], {}, 0)
+        manager.close()
+        with pytest.raises(WalError, match="column outside"):
+            recover(state)
 
 
 class TestOperations:

@@ -1,8 +1,9 @@
 """Tests for the experiment registry and reporting.
 
-The heavyweight reproduction checks live in the benchmark harness; here
-we verify the registry plumbing and run the fast experiments end to end
-(each must report ``matches_paper``).
+Every experiment, the heavyweight ones included, runs in
+``tests/test_cli.py::TestWriteup``, which checks each table against
+EXPERIMENTS.md; here we verify the registry plumbing and run the fast
+experiments end to end (each must report ``matches_paper``).
 """
 
 import pytest

@@ -133,9 +133,9 @@ class TestRendering:
     def test_annotations_appear_in_the_line(self):
         span = Span("join")
         span.rows, span.work = 4, 9
-        span.cache, span.source = "hit", "index"
+        span.cache = "hit"
         line = render_span_tree(span, wall=False)
-        assert line == "join  [rows=4 work=9 cache=hit via=index]"
+        assert line == "join  [rows=4 work=9 cache=hit]"
         assert "wall=" in render_span_tree(span, wall=True)
 
     def test_report_render_header(self, plan, db):

@@ -168,8 +168,8 @@ class TestCrossExecutorAgreement:
 
     def test_reference_matches_compiled_without_cse(self):
         """On a plan with no repeated subtrees, the compiled tree —
-        directly and through ``Database.run``, whose index-served join
-        only adds a ``source`` annotation — has the reference's shape."""
+        directly and through ``Database.run`` — has the reference's
+        shape."""
         _, db = _case(3, "structure-ref")
         plan = Project(
             (0, 3),
@@ -251,9 +251,9 @@ class TestAnnotations:
         assert root.work == cold.work
         assert root.rows == len(cold.value)
 
-    def test_index_served_join_is_annotated(self):
-        from repro.engine.database import Database
-
+    def test_join_against_base_relation_reads_its_right_scan(self):
+        """A single-column join whose right child is a bare scan builds
+        its index from that scan, so the scan's span counts its rows."""
         rng = derive_rng(2024, 7, "annotations-index")
         db = Database()
         for name in ("a", "b"):
@@ -271,11 +271,10 @@ class TestAnnotations:
         result = db.run(plan, use_cache=False, tracer=tracer)
         assert result.value == reference.value
         root = tracer.last
-        assert root.source == "index"
-        # The never-re-read build side: logged, rows unknowable.
         right = root.children[1]
         assert right.label == "b"
-        assert right.rows is None and right.work == 0
+        assert right.rows == len(db["b"]) and right.work == 0
+        assert root.total_work() == reference.work
 
     def test_span_repr_and_tracer_bookkeeping(self):
         span = Span("scan")

@@ -4,6 +4,7 @@ import pytest
 
 from repro.optimizer.cost import Stats, choose_plan, estimate
 from repro.optimizer.parser import parse_plan
+from repro.optimizer.rewriter import Rewriter
 from repro.optimizer.plan import (
     Difference,
     Join,
@@ -110,3 +111,37 @@ class TestChoosePlan:
         chosen, before, after = choose_plan(plan, db.catalog, stats)
         assert chosen == plan
         assert before.work == after.work
+
+
+#: Four HR plans whose rewrite the cost model judges; the executor's
+#: measured work is the check.
+AGREEMENT_PLANS = [
+    "pi[1](employees U students)",
+    "pi[1](employees - students)",
+    "sigma[$1>1010](employees U students)",
+    "pi[1](pi[1,2](employees) - pi[1,2](students))",
+]
+
+
+class TestWinnerAgreement:
+    """The estimator must pick the same winner as the executor: for at
+    least 3 of the 4 plans, "the rewrite is no more work" reads the
+    same off the estimates and off measured work (E-ABLATION-COST).
+    All 4 agree at size 50; at size 200 the selection over a union
+    does not."""
+
+    @pytest.mark.parametrize("size", [50, 200])
+    def test_cost_model_agrees_with_measurement(self, hr_db, size):
+        db = hr_db(seed=0, employees=size, students=size // 2,
+                   overlap=size // 5)
+        stats = Stats.of_database(db.snapshot())
+        agreements = 0
+        for text in AGREEMENT_PLANS:
+            plan = parse_plan(text)
+            rewritten = Rewriter(db.catalog).optimize(plan)
+            estimated = (
+                estimate(rewritten, stats).work <= estimate(plan, stats).work
+            )
+            measured = db.run(rewritten).work <= db.run(plan).work
+            agreements += estimated == measured
+        assert agreements >= 3

@@ -20,7 +20,8 @@ from repro.optimizer.rewriter import Rewriter, RewriteTrace
 from repro.optimizer.rules import DEFAULT_RULES, RewriteRule
 from tests.conftest import hr_plans
 
-#: The rule subset ``benchmarks/bench_ablation.py`` runs as "union-only".
+#: A second, smaller rule set: the rules of ``DEFAULT_RULES`` named for
+#: union ("union-only").
 UNION_RULES = tuple(r for r in DEFAULT_RULES if "union" in r.name)
 
 _MAX_PASSES = 32

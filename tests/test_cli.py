@@ -207,9 +207,10 @@ class TestParser:
 
 
 class TestCountOptions:
-    """Trials, seeds and database sizes must be at least 1: zero trials
-    or seeds would print a verdict from no evidence, and a size below 1
-    cannot build the demo database."""
+    """Trials, seeds, database sizes and worker counts must be at least
+    1: zero trials or seeds would print a verdict from no evidence, a
+    size below 1 cannot build the demo database, and ``--jobs 0`` would
+    run serially without a word."""
 
     @pytest.mark.parametrize("argv", [
         ["classify", "union", "--trials", "0"],
@@ -218,6 +219,9 @@ class TestCountOptions:
         ["chaos", "--seeds", "0"],
         ["optimize", "pi[1](employees)", "--size", "0"],
         ["explain", "pi[1](employees)", "--size", "-1"],
+        ["run", "E-2.2", "--jobs", "-3"],
+        ["classify", "union", "--trials", "1", "--jobs", "0"],
+        ["fuzz", "--seeds", "1", "--jobs", "0"],
     ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
     def test_non_positive_count_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_:
@@ -234,10 +238,13 @@ class TestCountOptions:
     @pytest.mark.parametrize("argv", [
         ["optimize", "pi[1](employees)", "--size", "5", "--show-rows", "-1"],
         ["explain", "pi[1](employees)", "--warm", "-2"],
+        ["fuzz", "--seeds", "1", "--deep-every", "-1"],
+        ["chaos", "--seeds", "1", "--crash-every", "-1"],
     ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
     def test_negative_row_or_warm_count_exits_2(self, argv, capsys):
         # A negative count has no meaning: sliced as rows[:-1],
-        # ``--show-rows -1`` would print all rows but the last.
+        # ``--show-rows -1`` would print all rows but the last, and a
+        # negative ``--*-every`` period would silently mean 0.
         with pytest.raises(SystemExit) as exit_:
             main(argv)
         assert exit_.value.code == 2
