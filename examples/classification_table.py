@@ -1,41 +1,24 @@
 #!/usr/bin/env python3
-"""Classify the relational operator catalog by genericity.
+"""Classify the paper's operation catalog by genericity.
 
-Regenerates the Section 3 picture as one table: for each operation, its
-verdict in every (mapping class, extension mode) cell, and the tightest
-class per mode.  Also demonstrates the paper's *inexpressibility*
-technique: `even` and ``eq_adom`` land outside the classes the fully
-generic sublanguage inhabits, hence cannot be expressed in it.
+Regenerates the Section 3 picture as one table: for each operation of
+``PAPER_TABLE`` (E-TABLE1's rows), its verdict in every (mapping class,
+extension mode) cell, and the tightest class per mode.  Also
+demonstrates the paper's *inexpressibility* technique: `even` and
+``eq_adom`` land outside the classes the fully generic sublanguage
+inhabits, hence cannot be expressed in it.
 
 Run with:  python examples/classification_table.py
 """
 
-from repro.algebra import (
-    eq_adom,
-    even_query,
-    hat_select_eq,
-    projection,
-    select_eq,
-    self_compose,
-    self_cross,
-    union_op,
-)
 from repro.experiments.report import format_table
+from repro.genericity.catalog import PAPER_TABLE
 from repro.genericity.classify import classification_table
 from repro.mappings.extensions import REL, STRONG
 
 
 def main() -> None:
-    catalog = [
-        projection((0,), 2),
-        self_cross(),
-        union_op(),
-        select_eq(0, 1, 2),
-        hat_select_eq(0, 1, 2),
-        self_compose(),
-        eq_adom(),
-        even_query(),
-    ]
+    catalog = [entry.factory() for entry in PAPER_TABLE]
     print("Classifying", len(catalog), "operations "
           "(this sweeps 5 mapping classes x 2 modes each)...")
     rows = classification_table(catalog, trials=30)

@@ -34,8 +34,6 @@ from .nested import (
     unnest,
 )
 from .operators import (
-    EQUALITY_CATALOG,
-    FULLY_GENERIC_CATALOG,
     active_domain,
     adom_complement,
     cross_op,

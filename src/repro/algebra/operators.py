@@ -60,17 +60,11 @@ __all__ = [
     "full_complement",
     "ins_const",
     "rename_query",
-    "FULLY_GENERIC_CATALOG",
-    "EQUALITY_CATALOG",
 ]
 
 
 def _vars(arity: int) -> tuple[TypeVar, ...]:
     return tuple(TypeVar(f"X{i + 1}") for i in range(arity))
-
-
-def _rel_type(arity: int) -> SetType:
-    return SetType(Product(_vars(arity)))
 
 
 def _single_var_rel(arity: int, var: str = "X") -> SetType:
@@ -463,25 +457,3 @@ def rename_query(permutation: Sequence[int], arity: int) -> Query:
     q.name = f"rho[{permutation}]"
     return q
 
-
-#: Operations Prop 3.1/Cor 3.2 certify as fully generic for both modes.
-FULLY_GENERIC_CATALOG: tuple[Callable[[], Query], ...] = (
-    lambda: projection((0,), 2),
-    lambda: projection((1, 0), 2),
-    union_op,
-    cross_op,
-    self_cross,
-    identity_query,
-    empty_query,
-)
-
-#: Equality-using operations, each with a distinct genericity profile.
-EQUALITY_CATALOG: tuple[Callable[[], Query], ...] = (
-    lambda: select_eq(0, 1, 2),
-    lambda: hat_select_eq(0, 1, 2),
-    intersection_op,
-    difference_op,
-    self_compose,
-    eq_adom,
-    even_query,
-)

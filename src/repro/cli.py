@@ -5,7 +5,7 @@
     python -m repro list                      # experiment ids
     python -m repro run E-2.2 [E-2.6 ...]     # run experiments, print tables
     python -m repro run --all [--jobs N]
-    python -m repro classify sigma_eq [--jobs N]   # classify an operation
+    python -m repro classify sigma-eq         # classify an operation
     python -m repro optimize "pi[1](employees - students)"
     python -m repro explain "pi[1](employees - students)" [--mode M]
     python -m repro fuzz --seeds 200 [--jobs N]    # differential fuzz
@@ -15,7 +15,7 @@
 
 ``explain`` runs a plan on the demo HR database under the tracer and
 prints an EXPLAIN ANALYZE-style per-operator tree (rows, work, cache
-activity, index shortcuts, wall time) for one executor mode
+activity, wall time) for one executor mode
 (``compiled`` or ``reference``) or both side by side; ``--json`` emits the same trees as JSON and
 ``--warm N`` pre-runs the plan N times so cache hits show up.
 
@@ -27,12 +27,12 @@ against a recovered database instead of the demo HR one.  All three
 refuse a directory that does not exist (exit 1), although the library's
 ``recover()`` treats one as an empty database.
 
-``classify`` accepts the named operations of the built-in catalog;
-``optimize`` runs the rewriter against the demo HR catalog and prints
-the trace with its genericity/parametricity justifications.  Every
-``--jobs N`` shards independent work units across ``N`` worker
-processes (:mod:`repro.parallel`) with output byte-identical to the
-serial run.
+``classify`` accepts the row names of E-TABLE1's operation catalog
+(:data:`repro.genericity.catalog.PAPER_TABLE`); ``optimize`` runs the
+rewriter against the demo HR catalog and prints the trace with its
+genericity/parametricity justifications.  ``run --jobs N`` and ``fuzz
+--jobs N`` shard independent work units across ``N`` worker processes
+(:mod:`repro.parallel`) with output byte-identical to the serial run.
 
 Performance is measured by the benchmark of record,
 ``python3 benchmarks/e2e/run.py``, described by ``BENCHMARK.json``.
@@ -44,33 +44,9 @@ import argparse
 import os
 import random
 import sys
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .algebra.operators import (
-    eq_adom,
-    even_query,
-    hat_select_eq,
-    projection,
-    select_eq,
-    self_compose,
-    self_cross,
-    union_op,
-)
-from .algebra.query import Query
-
-__all__ = ["main", "OPERATION_CATALOG"]
-
-#: Named operations the ``classify`` subcommand understands.
-OPERATION_CATALOG: dict[str, Callable[[], Query]] = {
-    "projection": lambda: projection((0,), 2),
-    "sigma_eq": lambda: select_eq(0, 1, 2),
-    "sigma_hat": lambda: hat_select_eq(0, 1, 2),
-    "cross": self_cross,
-    "compose": self_compose,
-    "union": union_op,
-    "eq_adom": eq_adom,
-    "even": even_query,
-}
+__all__ = ["main"]
 
 
 def _int_at_least(text: str, minimum: int) -> int:
@@ -159,24 +135,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    from .genericity.catalog import PAPER_TABLE
     from .genericity.classify import classify
     from .mappings.extensions import REL, STRONG
 
-    if args.operation not in OPERATION_CATALOG:
-        names = ", ".join(sorted(OPERATION_CATALOG))
+    entries = {entry.name: entry for entry in PAPER_TABLE}
+    if args.operation not in entries:
+        names = ", ".join(sorted(entries))
         print(f"unknown operation; choose from: {names}", file=sys.stderr)
         return 2
-    if args.jobs > 1:
-        # Parallel path: shard the (spec, mode) grid across processes.
-        # Renders the exact text of the serial path below.
-        from .parallel import render_verdicts, sweep_invariance
-
-        verdicts = sweep_invariance(
-            [args.operation], trials=args.trials, jobs=args.jobs
-        )
-        print(render_verdicts(verdicts))
-        return 0
-    query = OPERATION_CATALOG[args.operation]()
+    query = entries[args.operation].factory()
     row = classify(query, trials=args.trials)
     print(f"classification of {query.name} : "
           f"{query.input_type} -> {query.output_type}")
@@ -373,10 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     classify_parser.add_argument("operation")
     classify_parser.add_argument("--trials", type=_positive_int, default=30)
-    classify_parser.add_argument(
-        "--jobs", type=_positive_int, default=1,
-        help="worker processes for the lattice sweep (same output)",
-    )
     classify_parser.set_defaults(fn=_cmd_classify)
 
     optimize_parser = sub.add_parser(

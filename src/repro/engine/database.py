@@ -9,9 +9,9 @@ Physical-layer state maintained alongside the relations (all lazy,
 all incrementally updated on :meth:`insert`, all dropped on wholesale
 replacement via ``db[name] = ...``):
 
-* **secondary hash indexes** per declared key — used to validate
-  declared keys incrementally (no full-relation rescan per insert
-  batch);
+* a **private key index** per declared key, mapping each key value to
+  its row — used only to validate declared keys incrementally (no
+  full-relation rescan per insert batch);
 * **content fingerprints** (O(1), from the relation's precomputed hash)
   keying the plan-result cache;
 * a :class:`~repro.engine.exec.PlanCache` of plan results,
@@ -70,10 +70,10 @@ class Database:
         self.catalog = Catalog()
         self.signature = signature or standard_signature()
         self.plan_cache = PlanCache(cache_capacity)
-        #: ``relation name -> {column tuple -> hash index}``.  Scoped
-        #: per relation so insert-time maintenance touches only the
-        #: inserted relation's indexes, not every live index.
-        self._eq_indexes: dict[str, dict[tuple[int, ...], dict]] = {}
+        #: ``relation name -> {key columns -> {key value -> row}}``.
+        #: Scoped per relation so insert-time maintenance touches only
+        #: the inserted relation's indexes, not every live index.
+        self._key_indexes: dict[str, dict[tuple[int, ...], dict]] = {}
         self._weights: dict[str, int] = {}
         #: ``name -> uniform element len`` (or None when mixed/atoms);
         #: lets the compiled executor compute intermediate weights as
@@ -156,10 +156,11 @@ class Database:
     def insert(self, name: str, rows: Iterable[Sequence[Value]]) -> None:
         """Insert rows, validating arity and declared keys.
 
-        Key validation is incremental: each declared key keeps a hash
-        index (built lazily on first use, validated once at build time,
-        then maintained per insert), so a batch costs O(batch) instead
-        of O(|relation|) per call.  Nothing is mutated on failure.
+        Key validation is incremental: each declared key keeps an index
+        from key value to row (built lazily on first use, validated
+        once at build time, then maintained per insert), so a batch
+        costs O(batch) instead of O(|relation|) per call.  Nothing is
+        mutated on failure.
         """
         if name not in self.catalog:
             raise SchemaError(f"unknown relation {name}")
@@ -171,7 +172,7 @@ class Database:
                     f"{name} expects arity {info.arity}, got {len(t)}: {t!r}"
                 )
         for key in info.keys:
-            self._validate_key_batch(name, key, tuples)
+            self._validate_key_batch(name, tuple(key), tuples)
 
         current = self.relations[name]
         new_rows = [t for t in tuples if t not in current]
@@ -188,11 +189,11 @@ class Database:
             # never happened, matching what recovery will say.
             self._durability.log_insert(name, new_rows, self._generation + 1)
         self.relations[name] = current.union(CVSet(new_rows))
-        # Maintain this relation's live indexes incrementally; other
+        # Maintain this relation's key indexes incrementally; other
         # relations' indexes are never even iterated.
-        for cols, index in self._eq_indexes.get(name, {}).items():
+        for cols, index in self._key_indexes.get(name, {}).items():
             for t in new_rows:
-                index.setdefault(tuple(t[i] for i in cols), []).append(t)
+                index[tuple(t[i] for i in cols)] = t
         if name in self._weights:
             self._weights[name] += sum(tuple_weight(t) for t in new_rows)
         cached_width = self._widths.get(name, info.arity)
@@ -211,63 +212,46 @@ class Database:
             self._durability.mutation_applied(self)
 
     def _validate_key_batch(
-        self, name: str, key: Sequence[int], tuples: Sequence[Tup]
+        self, name: str, key_cols: tuple[int, ...], tuples: Sequence[Tup]
     ) -> None:
-        """Check a declared key against the maintained index + batch."""
-        key_cols = tuple(key)
-        fresh = key_cols not in self._eq_indexes.get(name, {})
-        index = self.equality_index(name, key_cols)
-        if fresh and any(len(bucket) > 1 for bucket in index.values()):
-            # A wholesale replacement (db[name] = ...) bypassed
-            # validation; surface the violation now, as the full
-            # rescan of the old implementation would have.
-            raise SchemaError(
-                f"key {tuple(c + 1 for c in key_cols)} of {name} violated"
-            )
+        """Check a declared key against its index and within the batch."""
+        index = self._key_index(name, key_cols)
         pending: dict[tuple, Tup] = {}
         for t in tuples:
             k = tuple(t[i] for i in key_cols)
-            bucket = index.get(k)
-            if bucket and bucket[0] != t:
+            # Another row holds this key, in the relation or in the batch.
+            if index.get(k, t) != t or pending.setdefault(k, t) != t:
                 raise SchemaError(
                     f"key {tuple(c + 1 for c in key_cols)} of {name} violated"
                 )
-            previous = pending.get(k)
-            if previous is not None and previous != t:
-                raise SchemaError(
-                    f"key {tuple(c + 1 for c in key_cols)} of {name} violated"
-                )
-            pending[k] = t
 
     # ------------------------------------------------------------------
-    # Physical state: indexes, fingerprints, cached statistics.
+    # Physical state: key indexes, fingerprints, cached statistics.
 
-    def equality_index(
-        self, name: str, columns: Sequence[int]
-    ) -> dict[tuple, list[Tup]]:
-        """Hash index ``columns-value -> rows`` over a relation.
+    def _key_index(
+        self, name: str, key_cols: tuple[int, ...]
+    ) -> dict[tuple, Tup]:
+        """The index ``key value -> row`` of one declared key.
 
-        Created lazily, maintained incrementally by :meth:`insert`,
-        dropped on wholesale replacement.  Key validation is its one
-        user; the compiled executor builds every join index from the
-        join's right child when the plan runs.
+        Built from the relation on first use and cached only if no two
+        rows share a key value.  A wholesale replacement (``db[name] =
+        ...``) bypasses validation, so after one that breaks the key
+        every insert raises :class:`SchemaError` until the relation is
+        replaced again.  :meth:`insert` maintains the index; replacement
+        drops it.
         """
-        cols = tuple(columns)
-        if name not in self.relations:
-            # Unknown relation: hand back a throwaway empty index
-            # without caching it.  A cached entry under this name
-            # would be maintained as stale-empty if the relation is
-            # later created and populated (``insert`` maintains every
-            # cached index for the inserted relation, including ones
-            # built before the relation existed).
-            return {}
-        per_relation = self._eq_indexes.setdefault(name, {})
-        index = per_relation.get(cols)
-        if index is None:
-            index = {}
-            for t in self.relations[name]:
-                index.setdefault(tuple(t[i] for i in cols), []).append(t)
-            per_relation[cols] = index
+        index = self._key_indexes.get(name, {}).get(key_cols)
+        if index is not None:
+            return index
+        index = {}
+        for t in self.relations[name]:
+            k = tuple(t[i] for i in key_cols)
+            if k in index:
+                raise SchemaError(
+                    f"key {tuple(c + 1 for c in key_cols)} of {name} violated"
+                )
+            index[k] = t
+        self._key_indexes.setdefault(name, {})[key_cols] = index
         return index
 
     def fingerprint(self, name: str) -> tuple[int, int]:
@@ -333,7 +317,7 @@ class Database:
         self._weights.pop(name, None)
         self._widths.pop(name, None)
         self._distincts.pop(name, None)
-        self._eq_indexes.pop(name, None)
+        self._key_indexes.pop(name, None)
         self._generation += 1
         self.plan_cache.invalidate(name)
 

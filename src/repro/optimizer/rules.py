@@ -15,7 +15,7 @@ Each rule records *why* it is sound in the paper's terms:
   key constraints (the paper's employees/students SSN example);
 * ``map(f)`` pushes through difference only when ``f`` is declared
   injective, for the same reason;
-* selection pushes through union/difference/product because
+* selection pushes through union/difference/intersection because
   ``sigma : forall X. (X -> bool) -> {X} -> {X}`` is parametric and the
   same predicate is preserved on both sides.
 """
@@ -31,7 +31,6 @@ from .plan import (
     Intersect,
     MapNode,
     Plan,
-    Product,
     Project,
     Select,
     Union,
@@ -126,23 +125,6 @@ def _fuse_projects(plan: Plan, _catalog: Catalog) -> Optional[Plan]:
     return None
 
 
-def _select_before_product(plan: Plan, _catalog: Catalog) -> Optional[Plan]:
-    # sigma_p(A x B) with p touching only A's columns -> sigma_p(A) x B.
-    # Column usage is not tracked for opaque predicates, so this rule
-    # only fires for predicates registered with a column span.
-    if (
-        isinstance(plan, Select)
-        and isinstance(plan.child, Product)
-        and "@left" in plan.predicate_name
-    ):
-        product = plan.child
-        return Product(
-            Select(plan.predicate_name, plan.predicate, product.left),
-            product.right,
-        )
-    return None
-
-
 DEFAULT_RULES: tuple[RewriteRule, ...] = (
     RewriteRule(
         "push-map-through-union",
@@ -177,11 +159,5 @@ DEFAULT_RULES: tuple[RewriteRule, ...] = (
         "fuse-projections",
         "composition closure of fully generic queries (Prop 3.1)",
         _fuse_projects,
-    ),
-    RewriteRule(
-        "select-before-product",
-        "cross product is fully generic; a predicate over one factor "
-        "commutes with forming the product",
-        _select_before_product,
     ),
 )

@@ -1,9 +1,8 @@
-"""Deterministic multiprocess fan-out for embarrassingly parallel sweeps.
+"""Deterministic multiprocess fan-out for embarrassingly parallel work.
 
-The repo's empirical checkers — invariance/genericity sweeps, the
-experiment registry, differential fuzzing — are per-instance
-independent: every cell derives its own rng from its identity (seed,
-cell name, ...) and never touches shared state.  That makes them safe
+The experiment registry and the differential fuzzer are per-instance
+independent: every experiment and every fuzz seed derives its own rng
+from its identity and never touches shared state.  That makes them safe
 to shard across processes, *provided the harness adds no
 nondeterminism of its own*.  :func:`parallel_map` guarantees that:
 
@@ -32,8 +31,8 @@ nondeterminism of its own*.  :func:`parallel_map` guarantees that:
 Workers must be top-level (picklable-by-reference) functions, and both
 items and results must pickle.  Objects that close over lambdas (e.g.
 :class:`~repro.algebra.query.Query`) can't cross the process boundary;
-ship *names* instead and reconstruct inside the worker — see
-:mod:`repro.parallel.sweeps`.
+ship *names* instead and reconstruct inside the worker, as the registry
+does with experiment ids and the fuzzer with seeds.
 """
 
 from __future__ import annotations

@@ -370,15 +370,20 @@ class TestCacheInterop:
 
 
 class TestDatabaseCompiledRun:
-    def test_run_mode_compiled_join_against_base_relation(self):
+    def test_run_mode_compiled_join_against_base_relation(self, hr_db):
         db = Database()
         db.create("e", 3)
         db.insert("e", [(i, i % 5, i * 2) for i in range(40)])
         db.create("k", 2)
         db.insert("k", [(i % 5, str(i)) for i in range(10)])
-        plan = Join(((1, 0),), Scan("e"), Scan("k"))
-        result = db.run(plan, use_cache=False, mode="compiled")
-        assert_equivalent(plan, db.relations, result)
+        # The HR join's right side declares a key on the join column.
+        hr = hr_db(seed=5, employees=30, students=20, overlap=5)
+        for database, plan in (
+            (db, Join(((1, 0),), Scan("e"), Scan("k"))),
+            (hr, Join(((0, 0),), Scan("employees"), Scan("students"))),
+        ):
+            result = database.run(plan, use_cache=False, mode="compiled")
+            assert_equivalent(plan, database.relations, result)
 
     def test_hr_workload_matches_reference(self, hr_db):
         db = hr_db()

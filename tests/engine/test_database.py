@@ -190,7 +190,7 @@ class TestIncrementalMaintenance:
     def test_key_validated_incrementally_against_index(self, db):
         # Index exists after the first validated insert...
         db.insert("people", [(3, "cyd")])
-        assert (0,) in db._eq_indexes.get("people", {})
+        assert (0,) in db._key_indexes.get("people", {})
         # ...and a conflicting batch is rejected without mutating.
         with pytest.raises(SchemaError):
             db.insert("people", [(4, "dan"), (3, "not-cyd")])
@@ -208,11 +208,33 @@ class TestIncrementalMaintenance:
         with pytest.raises(SchemaError):
             db.insert("people", [(5, "eve")])
 
-    def test_equality_index_maintained_on_insert(self, db):
-        index = db.equality_index("people", (0,))
-        assert set(index) == {(1,), (2,)}
+    def test_setitem_violation_refuses_every_later_insert(self, tmp_path):
+        """A key-violating replacement is never indexed: the second
+        insert raises like the first, and nothing reaches the WAL."""
+        state = tmp_path / "state"
+        d = Database()
+        d.durability = DurabilityManager(state, fsync=False)
+        d.create("people", 2, keys=[(0,)])
+        broken = cvset(tup(1, "ada"), tup(1, "imposter"))
+        d["people"] = broken
+        logged = (state / WAL_NAME).read_bytes()
+        for row in [(5, "eve"), (6, "fay")]:
+            with pytest.raises(SchemaError, match="violated"):
+                d.insert("people", [row])
+        assert d["people"] == broken
+        assert (state / WAL_NAME).read_bytes() == logged
+        d["people"] = cvset(tup(1, "ada"))
+        d.insert("people", [(5, "eve")])
+        d.insert("people", [(6, "fay")])
+        assert d["people"] == cvset(
+            tup(1, "ada"), tup(5, "eve"), tup(6, "fay")
+        )
+
+    def test_key_index_maintained_on_insert(self, db):
         db.insert("people", [(3, "cyd")])
-        assert set(db.equality_index("people", (0,))) == {(1,), (2,), (3,)}
+        assert db._key_indexes["people"][(0,)] == {
+            (1,): tup(1, "ada"), (2,): tup(2, "bob"), (3,): tup(3, "cyd"),
+        }
 
     def test_fingerprint_changes_with_content(self, db):
         before = db.fingerprint("people")
@@ -236,20 +258,15 @@ class TestIndexScoping:
     relation's indexes (PR 2)."""
 
     def test_insert_updates_only_target_relation_index(self, db):
-        db.create("log", 2)
+        db.create("log", 2, keys=[(0,)])
         db.insert("log", [(1, "a")])
-        db.equality_index("log", (0,))
-        log_index_before = {
-            k: list(v) for k, v in db.equality_index("log", (0,)).items()
-        }
+        log_index_before = dict(db._key_indexes["log"][(0,)])
         db.insert("people", [(3, "cyd")])
-        assert {
-            k: list(v) for k, v in db.equality_index("log", (0,)).items()
-        } == log_index_before
-        assert (3,) in db.equality_index("people", (0,))
+        assert db._key_indexes["log"][(0,)] == log_index_before
+        assert (3,) in db._key_indexes["people"][(0,)]
 
     def test_insert_never_reads_other_relations_indexes(self, db):
-        db.create("log", 2)
+        db.create("log", 2, keys=[(0,)])
 
         class Poison(dict):
             def items(self):
@@ -257,7 +274,7 @@ class TestIndexScoping:
                     "insert iterated another relation's indexes"
                 )
 
-        db._eq_indexes["log"] = Poison()
+        db._key_indexes["log"] = Poison()
         db.insert("people", [(4, "dan")])  # must not touch log's indexes
         assert tup(4, "dan") in db["people"]
 
@@ -301,38 +318,6 @@ class TestWidthSeeding:
         assert d.relation_width("r") == 2
         d.insert("r", [(1, 2), (2, 3)])
         assert d.relation_stats("r") == (4, 2)
-
-
-class TestUnknownRelationIndexProbe:
-    """``equality_index`` on an unknown name must not cache a
-    stale-empty index (the create-after-probe regression)."""
-
-    def test_probe_before_create_returns_empty_uncached(self):
-        d = Database()
-        index = d.equality_index("ghost", (0,))
-        assert index == {}
-        assert "ghost" not in d._eq_indexes
-
-    def test_create_after_probe_sees_fresh_rows(self):
-        d = Database()
-        d.equality_index("late", (0,))  # probe while unknown
-        d.create("late", 2)
-        d.insert("late", [(1, "a"), (2, "b")])
-        assert set(d.equality_index("late", (0,))) == {(1,), (2,)}
-
-    def test_stale_empty_index_no_longer_possible_via_direct_assignment(self):
-        d = Database()
-        d.equality_index("late", (0,))
-        # Even a raw relations-dict write (bypassing __setitem__'s
-        # invalidation) can't be shadowed by a pre-create cached index.
-        d.relations["late"] = cvset(tup(1, "a"))
-        assert set(d.equality_index("late", (0,))) == {(1,)}
-
-    def test_probe_does_not_grow_index_table(self):
-        d = Database()
-        for i in range(50):
-            d.equality_index(f"ghost{i}", (0,))
-        assert d._eq_indexes == {}
 
 
 class TestWholesaleReplacement:

@@ -209,16 +209,6 @@ class TestDatabaseExecution:
         db["log"] = cvset(tup(9, "z"))
         assert db.run(plan).value == cvset(tup(9))
 
-    def test_single_pair_join_borrows_database_index(self, hr_db):
-        db = hr_db(seed=5, employees=30, students=20, overlap=5)
-        plan = Join(((0, 0),), Scan("employees"), Scan("students"))
-        result = db.run(plan)
-        assert (0,) in db._eq_indexes.get("students", {})
-        reference = db.run_reference(plan)
-        assert result.value == reference.value
-        assert result.work == reference.work
-        assert result.per_node == reference.per_node
-
     def test_use_cache_false_bypasses_cache(self):
         db = Database()
         db.create("log", 1)
@@ -411,7 +401,7 @@ class TestRowRepresentation:
         left = Project((1, 0), Scan("r"))
         self._check(
             Join(((0, 0),), left, Scan("s")),
-            Join(((1, 0),), left, Scan("s")),  # borrows an index
+            Join(((1, 0),), left, Scan("s")),
             Join(((0, 0), (1, 1)), Scan("r"), left),
             Join((), left, Project((1,), Scan("s"))),
             Product(left, Scan("s")),

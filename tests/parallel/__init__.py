@@ -1,1 +1,1 @@
-"""Tests for the deterministic multiprocess sweep harness."""
+"""Tests for the deterministic multiprocess harness."""

@@ -10,14 +10,7 @@ import pytest
 from repro.engine.fuzz import run_fuzz
 from repro.experiments.registry import run_all
 from repro.experiments.report import render_many
-from repro.parallel import (
-    chunked,
-    parallel_map,
-    render_verdicts,
-    run_invariance_cell,
-    sweep_invariance,
-    tightest,
-)
+from repro.parallel import chunked, parallel_map
 
 
 def _square(x):
@@ -268,37 +261,6 @@ class TestMergeMetrics:
         large = run_fuzz(8, base_seed=5)
         assert small.checks <= large.checks
         assert small.ok and large.ok
-
-
-class TestInvarianceSweep:
-    def test_parallel_sweep_byte_identical(self):
-        operations = ["projection", "eq_adom"]
-        serial = sweep_invariance(operations, trials=4, seed=2, jobs=1)
-        sharded = sweep_invariance(operations, trials=4, seed=2, jobs=2)
-        assert render_verdicts(serial) == render_verdicts(sharded)
-        assert serial == sharded
-
-    def test_matches_serial_classify(self):
-        """Cell verdicts agree with the in-process classify() sweep."""
-        from repro.cli import OPERATION_CATALOG
-        from repro.genericity.classify import classify
-
-        verdicts = sweep_invariance(["even"], trials=5, seed=3, jobs=1)
-        row = classify(OPERATION_CATALOG["even"](), trials=5, seed=3)
-        assert len(verdicts) == len(row.verdicts)
-        for cell, verdict in zip(verdicts, row.verdicts):
-            assert cell.spec_name == verdict.spec.name
-            assert cell.mode == verdict.mode
-            assert cell.label() == verdict.label()
-
-    def test_tightest_follows_lattice_order(self):
-        verdicts = sweep_invariance(["eq_adom"], trials=5, seed=0, jobs=1)
-        assert tightest(verdicts, "eq_adom", "rel") == "all"
-        assert tightest(verdicts, "missing-op", "rel") is None
-
-    def test_single_cell_reproducible(self):
-        task = ("even", "bijective", "strong", 4, 1)
-        assert run_invariance_cell(task) == run_invariance_cell(task)
 
 
 class TestRegistrySharding:

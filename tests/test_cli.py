@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import OPERATION_CATALOG, build_parser, main
+from repro.cli import build_parser, main
 from repro.experiments.registry import EXPERIMENTS
+from repro.genericity.catalog import PAPER_TABLE
 
 EXPERIMENTS_MD = Path(__file__).resolve().parents[1] / "EXPERIMENTS.md"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -60,14 +61,28 @@ class TestClassify:
         assert "tightest rel class" in out
 
     def test_unknown_operation(self, capsys):
-        assert main(["classify", "nonsense"]) == 2
-        err = capsys.readouterr().err
-        assert "choose from" in err
+        # The names are E-TABLE1's row labels, with no alias for the
+        # underscore spellings ``sigma_eq`` and ``sigma_hat``.
+        for name in ("nonsense", "sigma_eq"):
+            assert main(["classify", name]) == 2
+            err = capsys.readouterr().err
+            assert "choose from" in err
+            for entry in PAPER_TABLE:
+                assert entry.name in err
+            assert "sigma_eq" not in err
 
-    def test_catalog_entries_build(self):
-        for factory in OPERATION_CATALOG.values():
-            query = factory()
-            assert query.name
+    @pytest.mark.parametrize("name", [entry.name for entry in PAPER_TABLE])
+    def test_classifies_every_catalog_row(self, name, capsys):
+        assert main(["classify", name, "--trials", "2"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("classification of ")
+        assert "tightest strong class" in out
+
+    def test_has_no_jobs_option(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["classify", "union", "--jobs", "2"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
 class TestOptimize:
@@ -100,6 +115,17 @@ class TestOptimize:
         assert main(["optimize", "pi[9](employees)"]) == 2
         assert "schema error" in capsys.readouterr().err
 
+    def test_selection_over_product_is_not_pushed_by_its_name(self, capsys):
+        # The predicate reads column 4, which only the product has; a
+        # marker in its text must not move it onto the left factor.
+        plan = "sigma[$4='@left'](employees x students)"
+        assert main(["optimize", plan, "--size", "5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        original, rewritten = lines[0], lines[1]
+        assert rewritten.split(":", 1)[1] == original.split(":", 1)[1]
+        assert not any("applied:" in line for line in lines)
+        assert any(line.startswith("answer (0 rows") for line in lines)
+
 
 class TestRunDivergence:
     def test_diverging_experiment_sets_exit_code(self, capsys, monkeypatch):
@@ -117,17 +143,6 @@ class TestRunDivergence:
         captured = capsys.readouterr()
         assert "MISMATCH" in captured.out
         assert "diverged from the paper" in captured.err
-
-
-class TestClassifyParallel:
-    def test_jobs_flag_renders_the_serial_text(self, capsys):
-        assert main(["classify", "projection", "--trials", "3"]) == 0
-        serial = capsys.readouterr().out
-        assert (
-            main(["classify", "projection", "--trials", "3", "--jobs", "2"])
-            == 0
-        )
-        assert capsys.readouterr().out == serial
 
 
 class TestFuzz:
@@ -220,7 +235,6 @@ class TestCountOptions:
         ["optimize", "pi[1](employees)", "--size", "0"],
         ["explain", "pi[1](employees)", "--size", "-1"],
         ["run", "E-2.2", "--jobs", "-3"],
-        ["classify", "union", "--trials", "1", "--jobs", "0"],
         ["fuzz", "--seeds", "1", "--jobs", "0"],
     ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
     def test_non_positive_count_exits_2(self, argv, capsys):
