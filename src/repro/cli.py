@@ -146,7 +146,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         return 2
     query = entries[args.operation].factory()
     row = classify(query, trials=args.trials)
-    print(f"classification of {query.name} : "
+    label = args.operation
+    if query.name != label:
+        label += f" ({query.name})"
+    print(f"classification of {label} : "
           f"{query.input_type} -> {query.output_type}")
     for verdict in row.verdicts:
         print(f"  {verdict.spec.name:18} {verdict.mode:6} {verdict.label()}")

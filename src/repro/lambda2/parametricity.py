@@ -1,12 +1,14 @@
 """Parametricity: logical relations derived from types (Section 4.1).
 
 Given a (closed) type ``T``, :func:`logical_relation` builds the
-corresponding mapping ``T`` by induction on the type structure:
+corresponding mapping ``T`` by induction on the type structure, with
+the same walk (:func:`~repro.mappings.extensions.extend_along`) that
+extends a genericity mapping family:
 
 * type variables take the mappings assigned to them (independently per
   variable — the ``zip`` discussion);
 * base-type leaves take identity mappings (the ``count`` discussion);
-* products/lists/sets take the extension constructors of Section 2
+* products/lists/sets/bags take the extension constructors of Section 2
   (sets with the ``rel`` mode, per Section 4.2);
 * ``->`` takes :class:`~repro.mappings.function_maps.FuncRel`
   (Definition 4.2);
@@ -23,23 +25,17 @@ corresponding mapping ``T`` by induction on the type structure:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..mappings.extensions import ListRel, ProductRel, SetRelExt
+from ..mappings.extensions import extend_along
 from ..mappings.function_maps import ForAllRel, FuncRel
 from ..mappings.mapping import Budget, IdentityRel, Mapping, Rel
 from ..types.ast import (
     INT,
     STR,
-    BagType,
     BaseType,
     ForAll,
-    FuncType,
-    ListType,
-    Product,
-    SetType,
     Type,
     TypeError_,
     TypeVar,
@@ -59,8 +55,8 @@ __all__ = [
 #: A quantifier instance: (alpha, beta, H : alpha x beta).
 Candidate = tuple[Type, Type, Rel]
 
-#: Default carriers for base-type identity relations, so function
-#: relations over base types stay enumerable.
+#: Carriers for base-type identity relations, so function relations
+#: over base types stay enumerable.
 _BASE_CARRIERS: dict[str, tuple] = {
     "bool": (True, False),
     "int": (0, 1, 2),
@@ -68,19 +64,15 @@ _BASE_CARRIERS: dict[str, tuple] = {
 }
 
 
-def default_candidates(
-    seed: int = 0,
-    include_cross_structure: bool = True,
-    injective_only: bool = False,
-) -> list[Candidate]:
+def default_candidates(injective_only: bool = False) -> list[Candidate]:
     """A standard family of quantifier instances.
 
-    Contains functional, non-functional, partial and (optionally)
-    *cross-structure* mappings — the latter relate values of different
-    shapes (``str`` to ``<int>``), exercising the paper's point that
-    parametric functions are invariant even under structure-changing
-    mappings."""
-    rng = random.Random(seed)
+    Contains functional, non-functional, partial and *cross-structure*
+    mappings — the latter relate values of different shapes (``str`` to
+    ``<int>``), exercising the paper's point that parametric functions
+    are invariant even under structure-changing mappings.  With
+    ``injective_only``, only injective mappings: the ``int`` renaming,
+    a ``str`` renaming and the partial mapping."""
     out: list[Candidate] = []
 
     # An injective renaming int -> int (classical isomorphism seed).
@@ -129,7 +121,7 @@ def default_candidates(
                     source_domain=(0, 1), target_domain=(10, 11)),
         )
     )
-    if include_cross_structure and not injective_only:
+    if not injective_only:
         # The paper's example: H : str x <int> = {(a,<1>), (b,<7,1>)}.
         out.append(
             (
@@ -147,60 +139,43 @@ def default_candidates(
     return out
 
 
-def eq_candidates(seed: int = 0) -> list[Candidate]:
+def eq_candidates() -> list[Candidate]:
     """Candidates for ``forall X=`` — injective mappings only, since
     only those preserve equality (Section 4.1, list difference)."""
-    return default_candidates(seed, include_cross_structure=False, injective_only=True)
+    return default_candidates(injective_only=True)
 
 
 def logical_relation(
     t: Type,
     var_rels: Optional[dict[str, Rel]] = None,
     candidates: Optional[Sequence[Candidate]] = None,
-    eq_cands: Optional[Sequence[Candidate]] = None,
-    base_carriers: Optional[dict[str, tuple]] = None,
 ) -> Rel:
     """Build the relation ``T`` corresponding to type ``t``.
 
     ``var_rels`` assigns relations to free type variables; quantifiers
-    range over ``candidates`` (or ``eq_cands`` for eq-quantifiers)."""
-    var_rels = dict(var_rels or {})
+    range over ``candidates`` (or :func:`eq_candidates` for
+    eq-quantifiers)."""
     candidates = list(candidates if candidates is not None else default_candidates())
-    eq_cands = list(eq_cands if eq_cands is not None else eq_candidates())
-    carriers = dict(_BASE_CARRIERS)
-    carriers.update(base_carriers or {})
+    eq_family = eq_candidates()
 
-    def walk(node: Type, env: dict[str, Rel]) -> Rel:
-        if isinstance(node, TypeVar):
-            if node.name not in env:
-                raise TypeError_(f"free type variable {node.name} has no relation")
-            return env[node.name]
-        if isinstance(node, BaseType):
-            return IdentityRel(node, carrier=carriers.get(node.name))
-        if isinstance(node, Product):
-            return ProductRel(tuple(walk(c, env) for c in node.components))
-        if isinstance(node, ListType):
-            return ListRel(walk(node.element, env))
-        if isinstance(node, SetType):
-            return SetRelExt(walk(node.element, env))
-        if isinstance(node, BagType):
-            from ..mappings.extensions import BagRelExt
+    def relation(node: Type, env: dict[str, Rel]) -> Rel:
+        def leaf(n: Type) -> Rel:
+            if isinstance(n, TypeVar):
+                if n.name not in env:
+                    raise TypeError_(f"free type variable {n.name} has no relation")
+                return env[n.name]
+            if isinstance(n, BaseType):
+                return IdentityRel(n, carrier=_BASE_CARRIERS.get(n.name))
+            if isinstance(n, ForAll):
+                family = eq_family if n.requires_eq else candidates
+                return ForAllRel(
+                    n, family, lambda h: relation(n.body, {**env, n.var: h})
+                )
+            raise TypeError_(f"unknown type node: {n!r}")
 
-            return BagRelExt(walk(node.element, env))
-        if isinstance(node, FuncType):
-            return FuncRel(walk(node.arg, env), walk(node.result, env))
-        if isinstance(node, ForAll):
-            family = eq_cands if node.requires_eq else candidates
+        return extend_along(node, leaf)
 
-            def body_builder(h: Rel, node=node, env=env):
-                inner = dict(env)
-                inner[node.var] = h
-                return walk(node.body, inner)
-
-            return ForAllRel(node, family, body_builder)
-        raise TypeError_(f"unknown type node: {node!r}")
-
-    return walk(t, var_rels)
+    return relation(t, dict(var_rels or {}))
 
 
 @dataclass

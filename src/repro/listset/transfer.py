@@ -20,13 +20,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from ..mappings.extensions import ListRel, SetRelExt
-from ..mappings.function_maps import ForAllRel, FuncRel
 from ..mappings.mapping import Budget, Rel
-from ..lambda2.parametricity import (
-    Candidate,
-    ParametricityReport,
-    logical_relation,
-)
+from ..lambda2.parametricity import ParametricityReport, logical_relation
 from ..types.ast import FuncType, ListType, Type, strip_foralls
 from ..types.values import CVList, CVSet, Value
 from .analogy import analogous
@@ -104,12 +99,16 @@ def lift_to_lists(
     an arrow, so the set and list types coincide there — the paper's
     key observation in the Lemma 4.9 proof sketch).
 
-    Returns ``None`` when the inputs are not actually related.
+    Values at a type variable must be related by ``h``, and values at a
+    base type equal: a base type takes identity (Section 4.1).  Returns
+    ``None`` when the inputs are not actually related.
     """
-    from ..types.ast import BaseType, FuncType, ListType, Product, TypeVar
+    from ..types.ast import BaseType, Product, TypeVar
 
-    if isinstance(t_list, (BaseType, TypeVar)):
-        return (v1, v2) if h.holds(v1, v2) or v1 == v2 else None
+    if isinstance(t_list, TypeVar):
+        return (v1, v2) if h.holds(v1, v2) else None
+    if isinstance(t_list, BaseType):
+        return (v1, v2) if v1 == v2 else None
     if isinstance(t_list, Product):
         lifted = []
         for component, a, b in zip(t_list.components, v1, v2):
@@ -200,16 +199,9 @@ def check_list_to_set_transfer(
     result_set_rel = logical_relation(
         to_set_type(body_list_type.result), var_rels=var_rels
     )
-    for s1, s2 in set_inputs:
-        out1 = f_set(s1)
-        out2 = f_set(s2)
-        if isinstance(result_set_rel, (FuncRel, ForAllRel)):
-            ok = result_set_rel.holds(out1, out2, budget)
-        else:
-            ok = result_set_rel.holds(out1, out2)
-        if not ok:
-            return False
-    return True
+    return all(
+        result_set_rel.holds(f_set(s1), f_set(s2), budget) for s1, s2 in set_inputs
+    )
 
 
 @dataclass
@@ -240,7 +232,6 @@ def transfer_parametricity(
     set_value,
     list_type: Type,
     analogy_samples: Sequence[Value],
-    candidates: Optional[Sequence[Candidate]] = None,
     budget: Optional[Budget] = None,
 ) -> TransferReport:
     """Corollary 4.15 as a pipeline.
@@ -280,7 +271,6 @@ def transfer_parametricity(
 
     set_type = to_set_type(list_type)
     report: ParametricityReport = check_parametricity(
-        set_value, set_type, name=f"{name}^set", candidates=candidates,
-        budget=budget,
+        set_value, set_type, name=f"{name}^set", budget=budget
     )
     return TransferReport(name, list_type, ltos, analogy_ok, report.parametric)

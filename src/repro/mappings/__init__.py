@@ -11,7 +11,6 @@ from .extensions import (
     SetRelExt,
     SetStrongExt,
     extend_along,
-    extend_family,
 )
 from .families import (
     ConstantSpec,

@@ -22,10 +22,12 @@ modes on plain tuples of leaf values, reading only the leaves' image
 and preimage sets (:class:`_Leaves`).  Otherwise the pairwise
 :func:`_rel_condition` runs; it is also the test oracle.
 
-:func:`extend_family` lifts a family of base mappings along a type
-expression (the ``H^rel`` / ``H^strong`` of Section 2.2): type variables
-take the assigned mappings, base-type leaves take identities (with
-``bool`` *always* identity, per Section 2.5).
+:func:`extend_along` builds the relation of a type from these
+constructors; its caller gives the relation at the leaves.  A
+:class:`~repro.mappings.families.MappingFamily` extends its base
+mappings this way (the ``H^rel`` / ``H^strong`` of Section 2.2), and
+:func:`~repro.lambda2.parametricity.logical_relation` builds the
+parametricity relation ``T`` (Section 4.1).
 """
 
 from __future__ import annotations
@@ -37,23 +39,18 @@ from typing import (
     Collection,
     Iterable,
     Iterator,
-    Mapping as TMapping,
     NamedTuple,
     Optional,
 )
 
 from ..types.ast import (
-    BOOL,
     BagType,
-    BaseType,
-    ForAll,
     FuncType,
     ListType,
     Product,
     SetType,
     Type,
     TypeError_,
-    TypeVar,
 )
 from ..types.values import CVBag, CVList, CVSet, Tup, Value
 from .mapping import Budget, IdentityRel, Mapping, Rel, Unenumerable
@@ -65,7 +62,6 @@ __all__ = [
     "SetStrongExt",
     "BagRelExt",
     "BagStrongExt",
-    "extend_family",
     "extend_along",
     "REL",
     "STRONG",
@@ -91,7 +87,7 @@ class ProductRel(Rel):
         self.source = Product(tuple(c.source for c in components))
         self.target = Product(tuple(c.target for c in components))
 
-    def holds(self, x: Value, y: Value) -> bool:
+    def holds(self, x: Value, y: Value, budget: Optional[Budget] = None) -> bool:
         if not (isinstance(x, Tup) and isinstance(y, Tup)):
             return False
         if len(x) != len(self.components) or len(y) != len(self.components):
@@ -135,7 +131,7 @@ class ListRel(Rel):
         self.source = ListType(inner.source)
         self.target = ListType(inner.target)
 
-    def holds(self, x: Value, y: Value) -> bool:
+    def holds(self, x: Value, y: Value, budget: Optional[Budget] = None) -> bool:
         if not (isinstance(x, CVList) and isinstance(y, CVList)):
             return False
         if len(x) != len(y):
@@ -349,6 +345,24 @@ def _rel_holds(
     return _rel_condition(inner, r1, r2)
 
 
+def _set_pairs(
+    rel: SetRelExt | SetStrongExt, budget: Optional[Budget], kind: str
+) -> Iterator[tuple[Value, Value]]:
+    """The related pairs of a set extension: each left set of at most
+    ``max_set_size`` inner left values, with each of its images."""
+    b = _budget(budget)
+    lefts = {x for x, _ in rel.inner.pairs(budget)}
+    count = 0
+    for size in range(min(b.max_set_size, len(lefts)) + 1):
+        for combo in itertools.combinations(sorted(lefts, key=repr), size):
+            left = CVSet(combo)
+            for right in rel.images(left, budget):
+                count += 1
+                if count > b.max_pairs:
+                    raise Unenumerable(f"{kind} extension exceeds pair budget")
+                yield left, right
+
+
 class SetRelExt(Rel):
     """``{K}^rel`` — the unrestricted-homomorphism set extension."""
 
@@ -358,7 +372,7 @@ class SetRelExt(Rel):
         self.target = SetType(inner.target)
         self._leaves = _leaves(inner)
 
-    def holds(self, x: Value, y: Value) -> bool:
+    def holds(self, x: Value, y: Value, budget: Optional[Budget] = None) -> bool:
         if not (isinstance(x, CVSet) and isinstance(y, CVSet)):
             return False
         return _rel_holds(self.inner, self._leaves, x, y)
@@ -404,18 +418,7 @@ class SetRelExt(Rel):
         return SetRelExt(self.inner.inverse()).images(y, budget)
 
     def pairs(self, budget: Optional[Budget] = None) -> Iterator[tuple[Value, Value]]:
-        b = _budget(budget)
-        inner_pairs = list(self.inner.pairs(budget))
-        lefts = {x for x, _ in inner_pairs}
-        count = 0
-        for size in range(min(b.max_set_size, len(lefts)) + 1):
-            for left_combo in itertools.combinations(sorted(lefts, key=repr), size):
-                left = CVSet(left_combo)
-                for right in self.images(left, budget):
-                    count += 1
-                    if count > b.max_pairs:
-                        raise Unenumerable("set-rel extension exceeds pair budget")
-                    yield left, right
+        return _set_pairs(self, budget, "set-rel")
 
 
 class SetStrongExt(Rel):
@@ -508,18 +511,7 @@ class SetStrongExt(Rel):
             yield candidate
 
     def pairs(self, budget: Optional[Budget] = None) -> Iterator[tuple[Value, Value]]:
-        b = _budget(budget)
-        inner_pairs = list(self.inner.pairs(budget))
-        lefts = {x for x, _ in inner_pairs}
-        count = 0
-        for size in range(min(b.max_set_size, len(lefts)) + 1):
-            for combo in itertools.combinations(sorted(lefts, key=repr), size):
-                left = CVSet(combo)
-                for right in self.images(left, budget):
-                    count += 1
-                    if count > b.max_pairs:
-                        raise Unenumerable("set-strong extension exceeds pair budget")
-                    yield left, right
+        return _set_pairs(self, budget, "set-strong")
 
 
 class BagRelExt(Rel):
@@ -535,7 +527,7 @@ class BagRelExt(Rel):
         self.target = BagType(inner.target)
         self._leaves = _leaves(inner)
 
-    def holds(self, x: Value, y: Value) -> bool:
+    def holds(self, x: Value, y: Value, budget: Optional[Budget] = None) -> bool:
         if not (isinstance(x, CVBag) and isinstance(y, CVBag)):
             return False
         return _rel_holds(self.inner, self._leaves, x.support(), y.support())
@@ -563,103 +555,37 @@ class BagStrongExt(Rel):
 
 
 def extend_along(
-    template: Type,
-    assignment: TMapping[str, Rel],
-    mode: ExtensionMode = REL,
-    node_modes: Optional[TMapping[int, ExtensionMode]] = None,
+    t: Type, leaf: Callable[[Type], Rel], mode: ExtensionMode = REL
 ) -> Rel:
-    """Extend mappings along a type expression (Section 2.2).
+    """The relation of type ``t``, built from the extension constructors.
 
-    Type variables are replaced by the assigned relations; base-type
-    leaves become identity mappings, with ``bool`` always identity
-    (Section 2.5).  ``mode`` selects the extension mode at every set
-    node; a *mixed* labeling can be given via ``node_modes``, keyed by
-    the pre-order index of the set node in the type tree.
-
-    Function types become :class:`~repro.mappings.function_maps.FuncRel`
-    (imported lazily to avoid a cycle); ``forall`` is rejected here —
-    parametricity relations live in :mod:`repro.lambda2.parametricity`.
+    This one walk builds both the ``H^rel`` / ``H^strong`` of Section
+    2.2 and the parametricity relation ``T`` of Section 4.1: products,
+    lists, sets, bags and arrows take their constructors, with ``mode``
+    at every set and bag node; ``leaf(node)`` gives the relation at
+    every other node (a base type, a type variable or a ``forall``).
+    Function types take :class:`~repro.mappings.function_maps.FuncRel`
+    (imported lazily to avoid a cycle).
     """
     from .function_maps import FuncRel
 
     if mode not in (REL, STRONG):
         raise TypeError_(f"unknown extension mode: {mode!r}")
-
-    set_index = itertools.count()
-
-    def walk(t: Type) -> Rel:
-        if isinstance(t, TypeVar):
-            if t.name not in assignment:
-                raise TypeError_(f"no mapping assigned to type variable {t.name}")
-            return assignment[t.name]
-        if isinstance(t, BaseType):
-            return IdentityRel(t)
-        if isinstance(t, Product):
-            return ProductRel(tuple(walk(c) for c in t.components))
-        if isinstance(t, ListType):
-            return ListRel(walk(t.element))
-        if isinstance(t, SetType):
-            index = next(set_index)
-            node_mode = (node_modes or {}).get(index, mode)
-            inner = walk(t.element)
-            if node_mode == STRONG:
-                return SetStrongExt(inner)
-            return SetRelExt(inner)
-        if isinstance(t, BagType):
-            inner = walk(t.element)
-            if mode == STRONG:
-                return BagStrongExt(inner)
-            return BagRelExt(inner)
-        if isinstance(t, FuncType):
-            return FuncRel(walk(t.arg), walk(t.result))
-        if isinstance(t, ForAll):
-            raise TypeError_(
-                "forall types are handled by repro.lambda2.parametricity"
-            )
-        raise TypeError_(f"unknown type node: {t!r}")
-
-    return walk(template)
-
-
-def extend_family(
-    t: Type,
-    family: TMapping[str, Rel],
-    mode: ExtensionMode = REL,
-) -> Rel:
-    """Extend a family of base mappings ``{H_i : d_i x d_i'}`` to a
-    mapping on the complex value type ``t`` — the ``H^rel`` / ``H^strong``
-    of Section 2.2.
-
-    ``family`` is keyed by the *source* base-type name.  Base types
-    without an assigned mapping (and always ``bool``) take identity.
-    """
-    from .function_maps import FuncRel
-
-    if mode not in (REL, STRONG):
-        raise TypeError_(f"unknown extension mode: {mode!r}")
+    strong = mode == STRONG
 
     def walk(node: Type) -> Rel:
-        if isinstance(node, BaseType):
-            if node == BOOL:
-                return IdentityRel(BOOL, carrier=(True, False))
-            return family.get(node.name, IdentityRel(node))
-        if isinstance(node, TypeVar):
-            raise TypeError_(
-                "extend_family expects a closed complex value type; "
-                f"found variable {node.name} (use extend_along)"
-            )
         if isinstance(node, Product):
             return ProductRel(tuple(walk(c) for c in node.components))
         if isinstance(node, ListType):
             return ListRel(walk(node.element))
         if isinstance(node, SetType):
             inner = walk(node.element)
-            return SetStrongExt(inner) if mode == STRONG else SetRelExt(inner)
+            return SetStrongExt(inner) if strong else SetRelExt(inner)
         if isinstance(node, BagType):
             inner = walk(node.element)
-            return BagStrongExt(inner) if mode == STRONG else BagRelExt(inner)
+            return BagStrongExt(inner) if strong else BagRelExt(inner)
         if isinstance(node, FuncType):
             return FuncRel(walk(node.arg), walk(node.result))
-        raise TypeError_(f"unknown type node in complex value type: {node!r}")
+        return leaf(node)
 
     return walk(t)

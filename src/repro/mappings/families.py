@@ -18,11 +18,11 @@ from __future__ import annotations
 import itertools
 from typing import Mapping as TMapping, Optional
 
-from ..types.ast import BaseType, Type
+from ..types.ast import BOOL, BaseType, Type, TypeError_
 from ..types.signatures import Interpreted
 from ..types.values import Value
-from .extensions import REL, ExtensionMode, extend_family
-from .mapping import Budget, Mapping, Rel
+from .extensions import REL, ExtensionMode, extend_along
+from .mapping import Budget, IdentityRel, Mapping, Rel
 
 __all__ = [
     "MappingFamily",
@@ -58,7 +58,7 @@ class MappingFamily:
     At most one mapping per (domain, codomain) pair, as required in
     Section 2.2 ("we disallow H where two mappings have the same domain
     and codomain").  Extension to complex types goes through
-    :func:`repro.mappings.extensions.extend_family`.
+    :func:`repro.mappings.extensions.extend_along`.
     """
 
     def __init__(self, mappings: TMapping[str, Mapping]) -> None:
@@ -73,8 +73,22 @@ class MappingFamily:
         return base_name in self.mappings
 
     def extend(self, t: Type, mode: ExtensionMode = REL) -> Rel:
-        """The extension ``H^mode`` at complex value type ``t``."""
-        return extend_family(t, self.mappings, mode)
+        """The extension ``H^mode`` at complex value type ``t``.
+
+        A base type takes its member mapping, or identity if it has
+        none; ``bool`` is always identity (Section 2.5).  ``t`` must be
+        closed: a type variable or a ``forall`` raises
+        :class:`~repro.types.ast.TypeError_`."""
+        return extend_along(t, self._leaf, mode)
+
+    def _leaf(self, node: Type) -> Rel:
+        if not isinstance(node, BaseType):
+            raise TypeError_(
+                f"a mapping family extends closed complex value types; found {node}"
+            )
+        if node == BOOL:
+            return IdentityRel(BOOL, carrier=(True, False))
+        return self.mappings.get(node.name, IdentityRel(node))
 
     def inverse(self) -> "MappingFamily":
         """Invert every member mapping (Prop 2.8(iv) experiments)."""
@@ -149,13 +163,7 @@ def _related_argument_pairs(
     budget: Optional[Budget],
 ):
     """Enumerate argument tuples related component-wise by the family."""
-    per_argument = []
-    for t in arg_types:
-        if isinstance(t, BaseType) and t.name in family:
-            per_argument.append(list(family[t.name].pairs(budget)))
-        else:
-            rel = family.extend(t)
-            per_argument.append(list(rel.pairs(budget)))
+    per_argument = [list(family.extend(t).pairs(budget)) for t in arg_types]
     return itertools.product(*per_argument)
 
 

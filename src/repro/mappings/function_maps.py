@@ -38,23 +38,7 @@ class FuncRel(Rel):
         self.target = FuncType(arg_rel.target, result_rel.target)
 
     def holds(self, f, g, budget: Optional[Budget] = None) -> bool:
-        for x, y in self.arg_rel.pairs(budget):
-            try:
-                fx = f(x)
-                gy = g(y)
-            except Exception:
-                # A function undefined on a related input cannot be
-                # certified related; treat as failure, mirroring the
-                # paper's "legal inputs" proviso conservatively.
-                return False
-            result = self.result_rel
-            if isinstance(result, (FuncRel, ForAllRel)):
-                ok = result.holds(fx, gy, budget)
-            else:
-                ok = result.holds(fx, gy)
-            if not ok:
-                return False
-        return True
+        return self.witness_violation(f, g, budget) is None
 
     def witness_violation(self, f, g, budget: Optional[Budget] = None):
         """Return a counterexample pair ``(x, y)`` or ``None``."""
@@ -62,13 +46,11 @@ class FuncRel(Rel):
             try:
                 fx, gy = f(x), g(y)
             except Exception:
+                # A function undefined on a related input cannot be
+                # certified related; treat as failure, mirroring the
+                # paper's "legal inputs" proviso conservatively.
                 return x, y
-            result = self.result_rel
-            if isinstance(result, (FuncRel, ForAllRel)):
-                ok = result.holds(fx, gy, budget)
-            else:
-                ok = result.holds(fx, gy)
-            if not ok:
+            if not self.result_rel.holds(fx, gy, budget):
                 return x, y
         return None
 
@@ -132,10 +114,6 @@ class ForAllRel(Rel):
             body = self.body_builder(h)
             f_alpha = f[alpha] if isinstance(f, PolyValue) else f
             g_beta = g[beta] if isinstance(g, PolyValue) else g
-            if isinstance(body, (FuncRel, ForAllRel)):
-                ok = body.holds(f_alpha, g_beta, budget)
-            else:
-                ok = body.holds(f_alpha, g_beta)
-            if not ok:
+            if not body.holds(f_alpha, g_beta, budget):
                 return alpha, beta, h
         return None

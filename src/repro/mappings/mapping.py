@@ -68,8 +68,12 @@ class Rel:
     source: Type
     target: Type
 
-    def holds(self, x: Value, y: Value) -> bool:
-        """True iff the pair ``(x, y)`` is in the relation."""
+    def holds(self, x: Value, y: Value, budget: Optional[Budget] = None) -> bool:
+        """True iff the pair ``(x, y)`` is in the relation.
+
+        ``budget`` bounds the enumerations a decision needs: the argument
+        pairs of a function relation and the maximal sets of a strong
+        extension.  First-order relations accept it and ignore it."""
         raise NotImplementedError
 
     def images(self, x: Value, budget: Optional[Budget] = None) -> Iterator[Value]:
@@ -101,8 +105,8 @@ class _InverseRel(Rel):
         self.source = base.target
         self.target = base.source
 
-    def holds(self, x: Value, y: Value) -> bool:
-        return self._base.holds(y, x)
+    def holds(self, x: Value, y: Value, budget: Optional[Budget] = None) -> bool:
+        return self._base.holds(y, x, budget)
 
     def images(self, x, budget=None):
         return self._base.preimages(x, budget)
@@ -156,7 +160,7 @@ class Mapping(Rel):
 
     # -- core protocol ----------------------------------------------------
 
-    def holds(self, x: Value, y: Value) -> bool:
+    def holds(self, x: Value, y: Value, budget: Optional[Budget] = None) -> bool:
         return (x, y) in self._pairs
 
     def images(self, x: Value, budget: Optional[Budget] = None) -> Iterator[Value]:
@@ -301,7 +305,7 @@ class IdentityRel(Rel):
         self.target = t
         self.carrier = frozenset(carrier) if carrier is not None else None
 
-    def holds(self, x: Value, y: Value) -> bool:
+    def holds(self, x: Value, y: Value, budget: Optional[Budget] = None) -> bool:
         if self.carrier is not None and x not in self.carrier:
             return False
         return x == y
@@ -341,7 +345,7 @@ class ConstantGraphRel(Rel):
         self.target = target
         self.carrier = frozenset(carrier)
 
-    def holds(self, x: Value, y: Value) -> bool:
+    def holds(self, x: Value, y: Value, budget: Optional[Budget] = None) -> bool:
         return x in self.carrier and self.fn(x) == y
 
     def images(self, x, budget=None):

@@ -17,7 +17,7 @@ from repro.mappings.extensions import ListRel
 from repro.mappings.generators import random_domain, random_mapping_in_class
 from repro.mappings.mapping import Mapping
 from repro.types.ast import INT, FuncType, Product, list_of
-from repro.types.values import CVList, CVSet, Tup, cvlist, cvset
+from repro.types.values import CVList, CVSet, Tup, cvlist, cvset, tup
 
 
 def h() -> Mapping:
@@ -114,6 +114,27 @@ class TestLiftToLists:
 
         hm = h()
         assert lift_to_lists(hm, list_of(tvar("X")), cvset(0), cvset(12)) is None
+
+    def test_base_type_leaf_takes_identity(self):
+        # At int the values must be equal, even where h relates them.
+        from repro.listset.transfer import lift_to_lists
+        from repro.types.ast import tvar
+
+        hm = Mapping({(1, 10), (5, 7)}, INT, INT)
+        t = Product((tvar("X"), INT))
+        assert lift_to_lists(hm, t, tup(1, 5), tup(10, 5)) == (
+            tup(1, 5), tup(10, 5)
+        )
+        assert lift_to_lists(hm, t, tup(1, 5), tup(10, 7)) is None
+
+    def test_type_variable_leaf_takes_h(self):
+        # At X the values must be h-related, even where they are equal.
+        from repro.listset.transfer import lift_to_lists
+        from repro.types.ast import tvar
+
+        hm = Mapping({(1, 10), (5, 7)}, INT, INT)
+        t = Product((tvar("X"), INT))
+        assert lift_to_lists(hm, t, tup(3, 5), tup(3, 5)) is None
 
     def test_toset_of_lift_recovers_inputs(self):
         from repro.listset.analogy import deep_toset

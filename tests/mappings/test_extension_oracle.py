@@ -59,7 +59,7 @@ from repro.types.values import CVBag, CVSet, Tup, tup
 
 
 class OracleSetRel(SetRelExt):
-    def holds(self, x, y):
+    def holds(self, x, y, budget=None):
         if not (isinstance(x, CVSet) and isinstance(y, CVSet)):
             return False
         return _rel_condition(self.inner, x, y)
@@ -104,7 +104,7 @@ class OracleSetStrong(SetStrongExt):
 
 
 class OracleBagRel(BagRelExt):
-    def holds(self, x, y):
+    def holds(self, x, y, budget=None):
         if not (isinstance(x, CVBag) and isinstance(y, CVBag)):
             return False
         return _rel_condition(self.inner, CVSet(x.support()), CVSet(y.support()))
@@ -179,7 +179,7 @@ def leaf_relations(rng):
     ]
 
 
-# -- shapes and labelings --------------------------------------------------
+# -- shapes and modes -------------------------------------------------------
 
 #: E-INEXPR's three-level shape: eight leaves.
 EIGHT = "{((bxb)x(bxb))x((bxb)x(bxb))}"
@@ -202,8 +202,6 @@ SHAPES = {
     "<|b|>": bag_of(A),
 }
 
-MIXED = ({0: STRONG, 1: REL}, {0: REL, 1: STRONG})
-
 
 def one_to_one(rel, carrier):
     """True when each value of ``carrier`` has at most one image under
@@ -214,21 +212,20 @@ def one_to_one(rel, carrier):
     )
 
 
-def labelings(shape, leaf, carrier):
-    """``(label, mode, node_modes)``: both uniform modes, and both mixed
-    labelings on shapes with two set nodes.
-
-    On eight leaves the strong mode runs only over one-to-one leaves: the
-    strong repair of a tuple multiplies its eight leaf closures, which
-    reach thousands of tuples for the many-to-many leaves."""
-    out = [(REL, REL, None)]
+def modes(shape, leaf, carrier):
+    """Both extension modes, except that on eight leaves the strong mode
+    runs only over one-to-one leaves: the strong repair of a tuple
+    multiplies its eight leaf closures, which reach thousands of tuples
+    for the many-to-many leaves."""
     if shape != EIGHT or one_to_one(leaf, carrier):
-        out.append((STRONG, STRONG, None))
-    if shape in ("{{b}}", "{bx{b}}"):
-        for node_modes in MIXED:
-            label = "/".join(node_modes[i] for i in (0, 1))
-            out.append((label, REL, node_modes))
-    return out
+        return [REL, STRONG]
+    return [REL]
+
+
+def along(template, leaf, mode):
+    """``template`` extended in ``mode``, with ``leaf`` at type variable
+    ``a`` and :data:`GRAPH` at ``c``."""
+    return extend_along(template, lambda node: {"a": leaf, "c": GRAPH}[node.name], mode)
 
 
 TIGHT = Budget(max_list_len=1, max_set_size=1, max_pairs=2)
@@ -242,12 +239,6 @@ def outcome(call):
         return result if isinstance(result, bool) else frozenset(result)
     except Unenumerable:
         return RAISED
-
-
-def holds_under(rel, x, y, budget):
-    if isinstance(rel, (SetStrongExt, BagStrongExt)):
-        return rel.holds(x, y, budget)
-    return rel.holds(x, y)
 
 
 def neighbours(v, rng, element_type, carrier):
@@ -331,7 +322,7 @@ def compare(rel, oracle, pairs, verdicts):
     found = []
     for x, y in pairs:
         calls = [
-            ("holds", lambda r, b: holds_under(r, x, y, b)),
+            ("holds", lambda r, b: r.holds(x, y, b)),
         ]
         if affordable(oracle, x, True):
             calls.append(("images", lambda r, b: r.images(x, b)))
@@ -355,27 +346,25 @@ def test_extensions_agree_with_pairwise_oracle(shape):
     trials = 2 if shape in ("{bxbxbxb}", "{(bxb)x(bxb)}", EIGHT) else 4
     verdicts = {True: 0, False: 0}
     for leaf_name, leaf, source, target in leaf_relations(rng):
-        for label, mode, node_modes in labelings(shape, leaf, source):
-            rel = extend_along(template, {"a": leaf, "c": GRAPH}, mode, node_modes)
+        for mode in modes(shape, leaf, source):
+            rel = along(template, leaf, mode)
             oracle = oracle_of(rel)
-            pairs = candidate_pairs(
-                oracle, template, mode if node_modes is None else node_modes[0],
-                source, target, rng, trials,
-            )
+            pairs = candidate_pairs(oracle, template, mode, source, target, rng, trials)
             found = compare(rel, oracle, pairs, verdicts)
-            assert not found, (leaf_name, label, found[:3])
+            assert not found, (leaf_name, mode, found[:3])
     # The pairs exercise both verdicts, not just unrelated noise.
     assert verdicts[True] >= 10 and verdicts[False] >= 10, verdicts
 
 
 def test_oracle_replaces_every_extension_node():
-    rel = extend_along(
-        set_of(product(A, set_of(A))), {"a": IdentityRel(INT)}, STRONG,
-        {1: REL},
-    )
-    oracle = oracle_of(rel)
-    assert type(oracle) is OracleSetStrong
-    assert type(oracle.inner.components[1]) is OracleSetRel
+    template = set_of(product(A, bag_of(A)))
+    for mode, outer, inner in (
+        (REL, OracleSetRel, OracleBagRel),
+        (STRONG, OracleSetStrong, OracleBagStrong),
+    ):
+        oracle = oracle_of(along(template, IdentityRel(INT), mode))
+        assert type(oracle) is outer
+        assert type(oracle.inner.components[1]) is inner
 
 
 # -- base relations: images agree with holds -------------------------------
@@ -404,9 +393,9 @@ def test_base_images_match_holds_on_finite_carriers(seed):
 class CountingMapping(Mapping):
     calls = 0
 
-    def holds(self, x, y):
+    def holds(self, x, y, budget=None):
         CountingMapping.calls += 1
-        return super().holds(x, y)
+        return super().holds(x, y, budget)
 
 
 def counting(pairs):
@@ -476,8 +465,8 @@ def test_ill_shaped_elements_have_no_partner(shape):
     rng = random.Random(f"ill-shaped/{shape}")
     verdicts = {True: 0, False: 0}
     for leaf_name, leaf, source, target in leaf_relations(rng):
-        for label, mode, _ in labelings(shape, leaf, source):
-            rel = extend_along(template, {"a": leaf}, mode)
+        for mode in modes(shape, leaf, source):
+            rel = along(template, leaf, mode)
             oracle = oracle_of(rel)
             pairs = [
                 pair
@@ -487,7 +476,7 @@ def test_ill_shaped_elements_have_no_partner(shape):
                 for pair in off_shape_pairs(x, y)
             ]
             found = compare(rel, oracle, pairs, verdicts)
-            assert not found, (leaf_name, label, found[:3])
+            assert not found, (leaf_name, mode, found[:3])
     assert verdicts[True] == 0 and verdicts[False] >= 100, verdicts
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.mappings.extensions import (
     REL,
-    STRONG,
     BagRelExt,
     BagStrongExt,
     ListRel,
@@ -12,15 +11,16 @@ from repro.mappings.extensions import (
     SetRelExt,
     SetStrongExt,
     extend_along,
-    extend_family,
 )
-from repro.mappings.mapping import Mapping
+from repro.mappings.families import MappingFamily
+from repro.mappings.mapping import IdentityRel, Mapping
 from repro.types.ast import (
     BOOL,
     INT,
     STR,
     Product,
     TypeError_,
+    forall,
     list_of,
     set_of,
     tvar,
@@ -166,34 +166,44 @@ class TestBagExtensions:
 
 
 class TestExtendFamily:
+    """``MappingFamily.extend``: ``extend_along`` with the genericity
+    leaf rule."""
+
     def test_nested_extension(self):
-        fam = {"int": h_int()}
-        rel = extend_family(set_of(set_of(INT)), fam, REL)
+        rel = MappingFamily({"int": h_int()}).extend(set_of(set_of(INT)), REL)
         assert rel.holds(cvset(cvset(1)), cvset(cvset(10)))
 
     def test_bool_forced_identity(self):
         bad = Mapping({(True, False)}, BOOL, BOOL)
-        rel = extend_family(set_of(BOOL), {"bool": bad}, REL)
-        # The bool mapping is ignored; identity is used.
+        with pytest.raises(ValueError):
+            MappingFamily({"bool": bad})
+        rel = MappingFamily({"int": h_int()}).extend(set_of(BOOL), REL)
+        # bool always takes identity on {True, False}.
+        assert isinstance(rel.inner, IdentityRel)
+        assert rel.inner.carrier == {True, False}
         assert rel.holds(cvset(True), cvset(True))
         assert not rel.holds(cvset(True), cvset(False))
 
     def test_unmapped_base_type_identity(self):
-        rel = extend_family(set_of(STR), {"int": h_int()}, REL)
+        rel = MappingFamily({"int": h_int()}).extend(set_of(STR), REL)
         assert rel.holds(cvset("a"), cvset("a"))
         assert not rel.holds(cvset("a"), cvset("b"))
 
     def test_type_variable_rejected(self):
         with pytest.raises(TypeError_):
-            extend_family(set_of(tvar("X")), {}, REL)
+            MappingFamily({}).extend(set_of(tvar("X")), REL)
+
+    def test_forall_rejected(self):
+        with pytest.raises(TypeError_):
+            MappingFamily({"int": h_int()}).extend(forall("X", tvar("X")), REL)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(TypeError_):
-            extend_family(set_of(INT), {}, "weird")
+            MappingFamily({}).extend(set_of(INT), "weird")
 
     def test_mixed_types(self):
         t = set_of(Product((INT, list_of(INT))))
-        rel = extend_family(t, {"int": h_int()}, REL)
+        rel = MappingFamily({"int": h_int()}).extend(t, REL)
         assert rel.holds(
             cvset(tup(1, cvlist(2, 3))), cvset(tup(10, cvlist(11, 12)))
         )
@@ -202,34 +212,14 @@ class TestExtendFamily:
 class TestExtendAlong:
     def test_variables_take_assigned_relations(self):
         t = set_of(tvar("X"))
-        rel = extend_along(t, {"X": h_int()}, REL)
+        rel = extend_along(t, lambda node: h_int(), REL)
         assert rel.holds(cvset(1), cvset(10))
-
-    def test_unassigned_variable_rejected(self):
-        with pytest.raises(TypeError_):
-            extend_along(set_of(tvar("X")), {}, REL)
 
     def test_independent_variables(self):
         # zip-style: same domain, different relations per variable.
         h1 = Mapping({(1, 10)}, INT, INT)
         h2 = Mapping({(1, 99)}, INT, INT)
         t = Product((tvar("X"), tvar("Y")))
-        rel = extend_along(t, {"X": h1, "Y": h2}, REL)
+        rel = extend_along(t, lambda node: {"X": h1, "Y": h2}[node.name], REL)
         assert rel.holds(tup(1, 1), tup(10, 99))
         assert not rel.holds(tup(1, 1), tup(99, 10))
-
-    def test_mixed_mode_labeling(self):
-        h = Mapping({(1, 10), (2, 10)}, INT, INT)
-        t = set_of(set_of(tvar("X")))
-        # Outer set strong, inner rel (pre-order indices 0 and 1).
-        rel = extend_along(
-            t, {"X": h}, REL, node_modes={0: STRONG, 1: REL}
-        )
-        inner_rel_pair = (cvset(cvset(1)), cvset(cvset(10)))
-        assert rel.holds(*inner_rel_pair) in (True, False)  # decidable
-
-    def test_forall_rejected(self):
-        from repro.types.ast import forall
-
-        with pytest.raises(TypeError_):
-            extend_along(forall("X", tvar("X")), {"X": h_int()}, REL)

@@ -75,7 +75,9 @@ class TestClassify:
     def test_classifies_every_catalog_row(self, name, capsys):
         assert main(["classify", name, "--trials", "2"]) == 0
         out = capsys.readouterr().out
-        assert out.startswith("classification of ")
+        # The trailing space keeps ``sigma-hat`` from passing for
+        # ``sigma-hat[1=2]``, the query's own name.
+        assert out.startswith(f"classification of {name} ")
         assert "tightest strong class" in out
 
     def test_has_no_jobs_option(self, capsys):
