@@ -8,8 +8,7 @@
     python -m repro classify sigma-eq         # classify an operation
     python -m repro optimize "pi[1](employees - students)"
     python -m repro explain "pi[1](employees - students)" [--mode M]
-    python -m repro fuzz --seeds 200 [--jobs N]    # differential fuzz
-    python -m repro chaos --seeds 200         # fuzz under injected faults
+    python -m repro fuzz --seeds 200 [--jobs N]    # differential fuzz, faults too
     python -m repro recover state/ [--json]   # replay a WAL directory
     python -m repro writeup [path]            # regenerate EXPERIMENTS.md
 
@@ -26,6 +25,12 @@ tree; ``explain --wal DIR`` and ``optimize --wal DIR`` run their plan
 against a recovered database instead of the demo HR one.  All three
 refuse a directory that does not exist (exit 1), although the library's
 ``recover()`` treats one as an empty database.
+
+``fuzz`` checks the compiled engine against the reference interpreter
+on random plans (:mod:`repro.engine.fuzz`); its ``faults`` and
+``recovery`` scenarios do so under injected faults and at every crash
+point of a write-ahead log, and ``--scenarios`` picks scenarios by
+name.
 
 ``classify`` accepts the row names of E-TABLE1's operation catalog
 (:data:`repro.genericity.catalog.PAPER_TABLE`); ``optimize`` runs the
@@ -281,18 +286,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from .robustness import run_chaos
-
-    report = run_chaos(
-        args.seeds,
-        base_seed=args.base_seed,
-        crash_every=args.crash_every,
-    )
-    print(report.summary())
-    return 0 if report.ok else 1
-
-
 def _cmd_recover(args: argparse.Namespace) -> int:
     import json
 
@@ -411,19 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard seeds across worker processes (same report)",
     )
     fuzz_parser.set_defaults(fn=_cmd_fuzz)
-
-    chaos_parser = sub.add_parser(
-        "chaos",
-        help="run the fuzz matrix under injected faults (degradation "
-        "must absorb every fault with zero divergences)",
-    )
-    chaos_parser.add_argument("--seeds", type=_positive_int, default=50)
-    chaos_parser.add_argument("--base-seed", type=int, default=0)
-    chaos_parser.add_argument(
-        "--crash-every", type=_non_negative_int, default=25,
-        help="run the worker-crash scenario every Nth seed (0 disables)",
-    )
-    chaos_parser.set_defaults(fn=_cmd_chaos)
 
     recover_parser = sub.add_parser(
         "recover",

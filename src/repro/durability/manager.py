@@ -20,7 +20,8 @@ ignores it — the mutation atomically never happened.  A crash between
 step 2 and step 3 (the injected ``apply`` fault) is the opposite
 promise: the log already committed, so recovery replays the mutation
 the in-memory process never finished.  Both directions are
-differentially checked by the ``recovery`` chaos scenario.
+differentially checked by the ``recovery`` scenario of the fuzz
+harness (:mod:`repro.engine.fuzz`).
 
 Validation stays ahead of logging: the Database only calls the
 ``log_*`` hooks after its own checks passed (arity, declared keys), so

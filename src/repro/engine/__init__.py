@@ -1,4 +1,8 @@
-"""In-memory database engine, physical execution layer and workloads."""
+"""In-memory database engine, physical execution layer and workloads.
+
+The differential fuzz harness is :mod:`repro.engine.fuzz`; importing
+the engine does not load it.
+"""
 
 from .database import Database, SchemaError
 from .exec import (
@@ -8,7 +12,6 @@ from .exec import (
     relation_fingerprint,
     semantic_cache_key,
 )
-from .fuzz import Divergence, FuzzReport, run_fuzz
 from .serialize import (
     database_from_json,
     database_to_json,

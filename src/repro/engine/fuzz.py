@@ -21,8 +21,6 @@ plans; this harness hammers it with generated ones:
   that invalidation keeps its cache honest: after every mutation the
   plan runs in both executor modes and each answer must match the
   reference on the new contents;
-* **durability** — a WAL-attached database recovered after its
-  mutations must equal the live one;
 * **compiled** — the plan compiler hammered directly: a rerun reusing
   its code object, aliased predicates sharing one cache, nested
   databases, a live database cold and warm, and the deep-chain
@@ -32,8 +30,22 @@ plans; this harness hammers it with generated ones:
   zero), each span tree's work must sum to the executor's ledger
   total, and on plans without shared subtrees the two span trees must
   agree node-for-node on labels, work and shape.  Trace checks also
-  exercise the metrics registry, whose totals ``run_fuzz(jobs=N)``
-  merges across worker processes.
+  bump a metrics counter, whose total ``run_fuzz(jobs=N)`` merges
+  across worker processes;
+* **faults** — the degradation guarantee: random plans on a live
+  database under seeded operator, cache and compile faults
+  (:mod:`repro.robustness.faults`).  Whatever fires, ``Database.run``
+  must answer exactly as ``run_reference`` does, falling back from
+  the compiled executor to the reference and dropping every tampered
+  cache entry at its seal; an exception escaping ``run`` or
+  ``insert`` is a divergence too;
+* **recovery** — the crash-recovery guarantee: a create/replace/insert
+  script runs on a WAL-attached database under seeded ``durability``
+  faults (torn appends, bit flips, failed fsyncs, a crash between
+  commit and apply).  The log is then cut at every record boundary,
+  at sampled byte offsets and once after a bit flip, and each cut must
+  recover to a committed prefix of the script; when no fault fired,
+  the whole log must recover to the live database itself.
 
 Every generated plan is executed in up to three modes — ``cold``
 (``execute_compiled`` with no result cache), ``fresh`` (a new
@@ -44,11 +56,12 @@ result cache are shared across plans) — and each run is compared
 against the reference.  Any mismatch is recorded as a :class:`Divergence`.
 
 Seeds are independent by construction: every scenario derives its rng
-as ``derive_rng(base_seed, i, scenario)``, so seed ``i`` plays the same
-plans regardless of how many seeds run or which process runs it.  That
-is what lets ``run_fuzz(jobs=N)`` shard seeds across worker processes
-(:func:`repro.parallel.parallel_map`) and still merge a byte-identical
-report.
+as ``derive_rng(base_seed, i, scenario)`` and draws everything from it,
+fault rates and injector seeds included, so seed ``i`` plays the same
+plans under the same faults regardless of how many seeds run or which
+process runs it.  That is what lets ``run_fuzz(jobs=N)`` shard seeds
+across worker processes (:func:`repro.parallel.parallel_map`) and
+still merge a byte-identical report.
 
 Entry points: :func:`run_fuzz` (library) and ``python -m repro fuzz
 --seeds N [--jobs N]`` (CLI, exits non-zero on divergence).
@@ -56,11 +69,22 @@ Entry points: :func:`run_fuzz` (library) and ``python -m repro fuzz
 
 from __future__ import annotations
 
+import os
 import random
+import shutil
+import tempfile
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Mapping as TMapping, Optional
 
-from ..obs.metrics import counter, observe
+from ..durability import (
+    CHECKPOINT_NAME,
+    WAL_NAME,
+    DurabilityManager,
+    database_digest,
+    recover,
+)
+from ..obs.metrics import counter
 from ..obs.trace import Span, Tracer
 from ..optimizer.plan import (
     Difference,
@@ -72,6 +96,7 @@ from ..optimizer.plan import (
     Union,
     execute_reference,
 )
+from ..robustness.faults import FaultInjector, FaultPlan, InjectedFault
 from ..types.values import CVSet, Tup, Value
 from .database import Database
 from .exec import execute_compiled
@@ -110,7 +135,9 @@ class FuzzReport:
     seeds: int = 0
     checks: int = 0
     divergences: list[Divergence] = field(default_factory=list)
-    per_scenario: dict[str, int] = field(default_factory=dict)
+    per_scenario: Counter[str] = field(default_factory=Counter)
+    #: Faults the ``faults`` and ``recovery`` scenarios fired, per site.
+    injected: Counter[str] = field(default_factory=Counter)
 
     @property
     def ok(self) -> bool:
@@ -122,6 +149,10 @@ class FuzzReport:
         ]
         for name in sorted(self.per_scenario):
             lines.append(f"  {name:10} {self.per_scenario[name]} checks")
+        fired = ", ".join(
+            f"{site}={n}" for site, n in sorted(self.injected.items())
+        )
+        lines.append(f"  faults injected: {fired or 'none'}")
         if self.ok:
             lines.append("  zero divergences")
         else:
@@ -190,22 +221,32 @@ class _Checker:
         )
 
     def _compare(self, mode: str, got, want) -> None:
-        self.report.checks += 1
-        self.report.per_scenario[self.scenario] = (
-            self.report.per_scenario.get(self.scenario, 0) + 1
-        )
         detail = _describe_mismatch(got, want)
-        if detail is not None:
-            self._record(mode, detail)
+        self._check(mode, detail is None, detail)
 
     def _check(self, mode: str, ok: bool, detail: str) -> None:
         """A non-differential predicate check (counts like a compare)."""
         self.report.checks += 1
-        self.report.per_scenario[self.scenario] = (
-            self.report.per_scenario.get(self.scenario, 0) + 1
-        )
+        self.report.per_scenario[self.scenario] += 1
         if not ok:
             self._record(mode, detail)
+
+    def escaped(self, mode: str, exc: Exception) -> None:
+        """Record an exception that escaped the engine as a divergence."""
+        self._check(mode, False, f"{type(exc).__name__} escaped: {exc}")
+
+    def attempt(self, mode: str, action: Callable[[], object]) -> object:
+        """``action()``, or ``None`` after recording the exception that
+        escaped it."""
+        try:
+            return action()
+        except Exception as exc:  # noqa: BLE001 — an escape is the finding
+            self.escaped(mode, exc)
+            return None
+
+    def tally(self, injector: FaultInjector) -> None:
+        """Add the faults ``injector`` fired to the report."""
+        self.report.injected.update(injector.injected)
 
     ALL_MODES = ("cold", "fresh", "shared")
 
@@ -271,7 +312,6 @@ class _Checker:
                 f"({tc.last.span_count()} vs {tr.last.span_count()} spans)",
             )
         counter("fuzz.trace.plans")
-        observe("fuzz.trace.spans", tc.last.span_count())
 
 
 # ----------------------------------------------------------------------
@@ -279,6 +319,18 @@ class _Checker:
 # through one seed's worth of plans.
 
 _NAMES = ("r", "s", "t")
+
+
+def _live_database(contents: TMapping[str, CVSet]) -> Database:
+    """A live :class:`Database` declaring r, s and t at arity 2 and
+    holding ``contents`` (drawn by ``random_database``): its runs go
+    through the result cache and the degradation chain, and its
+    mutations through any WAL attached to it."""
+    db = Database()
+    for name in _NAMES:
+        db.create(name, 2)
+        db.insert(name, contents[name])
+    return db
 
 
 def _scenario_random(rng: random.Random, check: _Checker) -> None:
@@ -376,16 +428,7 @@ def _scenario_deep(rng: random.Random, check: _Checker) -> None:
 
 def _scenario_mutation(rng: random.Random, check: _Checker) -> None:
     """A live database mutated mid-sweep; its own cache must stay honest."""
-    db = Database()
-    for name in _NAMES:
-        db.create(name, 2)
-        db.insert(
-            name,
-            {
-                (rng.randrange(5), rng.randrange(5))
-                for _ in range(rng.randint(0, 8))
-            },
-        )
+    db = _live_database(random_database(rng, _NAMES))
     for _ in range(3):
         plan = random_plan(rng, _NAMES, depth=rng.randint(1, 3))
         check._compare("db-warmup", db.run(plan), db.run_reference(plan))
@@ -405,72 +448,6 @@ def _scenario_mutation(rng: random.Random, check: _Checker) -> None:
         for mode in ("compiled", "reference"):
             check._compare(
                 f"db-mutated-{mode}", db.run(plan, mode=mode), want
-            )
-
-
-def _scenario_durability(rng: random.Random, check: _Checker) -> None:
-    """Crash-recovery differential: a WAL-attached database, mutated
-    and (maybe) checkpointed, must recover to the live database's
-    exact contents, fingerprints and generation — and a plan run on
-    the recovered database must match the live reference answer."""
-    import tempfile
-
-    from ..durability import DurabilityManager, recover
-    from .serialize import database_to_json
-
-    with tempfile.TemporaryDirectory() as directory:
-        live = Database(cache_capacity=16)
-        live.durability = DurabilityManager(
-            directory,
-            fsync=False,
-            checkpoint_every=rng.choice((None, 2)),
-        )
-        for name in _NAMES:
-            live.create(name, 2)
-            live.insert(
-                name,
-                {
-                    (rng.randrange(6), rng.randrange(6))
-                    for _ in range(rng.randint(1, 6))
-                },
-            )
-        for _ in range(rng.randint(1, 3)):
-            victim = rng.choice(_NAMES)
-            if rng.random() < 0.8:
-                live.insert(
-                    victim,
-                    [(rng.randrange(6), rng.randrange(6))
-                     for _ in range(rng.randint(1, 3))],
-                )
-            else:
-                live[victim] = CVSet(
-                    Tup((rng.randrange(6), rng.randrange(6)))
-                    for _ in range(rng.randint(0, 5))
-                )
-        recovered, _report = recover(directory)
-        check._check(
-            "recover-content",
-            database_to_json(recovered) == database_to_json(live),
-            "recovered contents differ from the live database",
-        )
-        check._check(
-            "recover-generation",
-            recovered._generation == live._generation,
-            f"recovered generation {recovered._generation} != "
-            f"live {live._generation}",
-        )
-        check._check(
-            "recover-fingerprints",
-            all(
-                recovered.fingerprint(name) == live.fingerprint(name)
-                for name in live.relations
-            ),
-            "recovered fingerprints differ from the live database",
-        )
-        for _ in range(2):
-            plan = random_plan(rng, _NAMES, depth=rng.randint(1, 3))
-            check._compare(
-                "recover-plan", recovered.run(plan), live.run_reference(plan)
             )
 
 
@@ -510,16 +487,7 @@ def _scenario_compiled(rng: random.Random, check: _Checker) -> None:
         modes=("cold", "shared"),
     )
     # Live database: compiled cold and warm.
-    live = Database()
-    for name in _NAMES:
-        live.create(name, 2)
-        live.insert(
-            name,
-            {
-                (rng.randrange(5), rng.randrange(5))
-                for _ in range(rng.randint(0, 8))
-            },
-        )
+    live = _live_database(random_database(rng, _NAMES))
     for _ in range(2):
         plan = random_plan(rng, _NAMES, depth=rng.randint(1, 3))
         want = live.run_reference(plan)
@@ -536,15 +504,200 @@ def _scenario_compiled(rng: random.Random, check: _Checker) -> None:
     check.check(plan, db, modes=("cold",))
 
 
+#: Per-site fault rates the ``faults`` and ``recovery`` scenarios draw
+#: from.  Zero keeps the disabled path honest; 1.0 sends every compiled
+#: run down to the reference; the middle rates exercise partial
+#: fallbacks and corruption amid cache hits.
+_RATES = (0.0, 0.1, 0.35, 1.0)
+_MODES = ("compiled", "reference")
+
+
+def _scenario_faults(rng: random.Random, check: _Checker) -> None:
+    """Random plans on a live database under operator, cache and
+    compile faults.
+
+    Each plan runs in both executor modes without the result cache,
+    then twice through it, so a tampered entry must be dropped at its
+    seal instead of served.  An insert, with the injector still
+    attached, then invalidates the cached answers that read its
+    relation, and the first plan runs twice more.  The oracle is
+    ``run_reference`` with the injector detached.
+    """
+    db = _live_database(random_database(rng, _NAMES))
+    plans = [
+        random_plan(rng, _NAMES, depth=rng.randint(2, 4))
+        for _ in range(rng.randint(1, 3))
+    ]
+    injector = FaultInjector(FaultPlan(
+        seed=rng.randrange(2**31),
+        operator_rate=rng.choice(_RATES),
+        cache_rate=rng.choice(_RATES),
+        compile_rate=rng.choice(_RATES),
+    ))
+
+    def run(plan: Plan, mode: str, use_cache: bool) -> None:
+        db.fault_injector = None
+        want = db.run_reference(plan)
+        db.fault_injector = injector
+        step = f"faults-{mode}" + ("-cached" if use_cache else "")
+        got = check.attempt(
+            step, lambda: db.run(plan, mode=mode, use_cache=use_cache)
+        )
+        if got is not None:
+            check._compare(step, got, want)
+
+    for plan in plans:
+        for mode in _MODES:
+            run(plan, mode, use_cache=False)
+        run(plan, "compiled", use_cache=True)
+        run(plan, rng.choice(_MODES), use_cache=True)
+    victim = rng.choice(_NAMES)
+    rows = [(rng.randrange(6), rng.randrange(6))
+            for _ in range(rng.randint(1, 3))]
+    check.attempt("faults-insert", lambda: db.insert(victim, rows))
+    run(plans[0], "compiled", use_cache=True)
+    run(plans[0], rng.choice(_MODES), use_cache=True)
+    check.tally(injector)
+
+
+def _mutation_script(rng: random.Random) -> list[tuple]:
+    """A short create/replace/insert script, drawn up front so that the
+    in-process run and the WAL-attached run apply the same mutations."""
+    ops: list[tuple] = []
+    for i in range(rng.randint(3, 6)):
+        kind = rng.randrange(6)
+        if kind == 0:
+            ops.append(("create", f"u{i}", 2))
+        elif kind == 1:
+            ops.append((
+                "replace", rng.choice(_NAMES),
+                [(rng.randrange(5), rng.randrange(5))
+                 for _ in range(rng.randint(1, 3))],
+            ))
+        else:
+            ops.append((
+                "insert", rng.choice(_NAMES),
+                [(rng.randrange(9), rng.randrange(9))
+                 for _ in range(rng.randint(1, 3))],
+            ))
+    return ops
+
+
+def _apply_op(db: Database, op: tuple) -> None:
+    kind, name, arg = op
+    if kind == "create":
+        db.create(name, arg)
+    elif kind == "insert":
+        db.insert(name, arg)
+    else:
+        db[name] = CVSet(Tup(row) for row in arg)
+
+
+def _scenario_recovery(rng: random.Random, check: _Checker) -> None:
+    """Every crash point of a WAL recovers to a committed prefix.
+
+    A mutation script runs on a WAL-attached database under a drawn
+    ``durability`` fault rate; an injected crash ends it.  The log is
+    cut at every record boundary (the empty and the whole log
+    included), at up to six sampled byte offsets, and once after a
+    bit flip that the record CRC must catch.  Each cut must recover to
+    the :func:`~repro.durability.database_digest` (contents,
+    generation, fingerprints) of some prefix of the script applied in
+    process.  When no fault fired, the whole log must recover to the
+    live database itself, and a plan on it must answer as the live
+    database's reference does.
+    """
+    contents = random_database(rng, _NAMES)
+    ops = _mutation_script(rng)
+    shadow = _live_database(contents)
+    golden = {database_digest(shadow)}
+    for op in ops:
+        _apply_op(shadow, op)
+        golden.add(database_digest(shadow))
+    injector = FaultInjector(FaultPlan(
+        seed=rng.randrange(2**31), durability_rate=rng.choice(_RATES)
+    ))
+    with tempfile.TemporaryDirectory() as workdir:
+        state = os.path.join(workdir, "state")
+        live = _live_database(contents)
+        # Attaching after the build checkpoints the base: the base is
+        # the snapshot and the script is the log.
+        live.durability = DurabilityManager(
+            state,
+            fsync=False,
+            checkpoint_every=rng.choice((None, None, 2)),
+            fault_injector=injector,
+        )
+        for op in ops:
+            try:
+                _apply_op(live, op)
+            except InjectedFault:
+                break  # the simulated crash: the process is gone
+            except Exception as exc:  # noqa: BLE001 — an escape is the finding
+                check.escaped("recover-script", exc)
+                break
+        check.tally(injector)
+        with open(os.path.join(state, WAL_NAME), "rb") as handle:
+            data = handle.read()
+        crash = os.path.join(workdir, "crash")
+        os.makedirs(crash)
+        checkpoint = os.path.join(state, CHECKPOINT_NAME)
+        if os.path.exists(checkpoint):
+            shutil.copy(checkpoint, crash)
+
+        def recover_cut(mode: str, cut: bytes, where: str):
+            with open(os.path.join(crash, WAL_NAME), "wb") as handle:
+                handle.write(cut)
+            recovered = check.attempt(mode, lambda: recover(crash)[0])
+            if recovered is not None:
+                check._check(
+                    mode,
+                    database_digest(recovered) in golden,
+                    f"{where} recovers to no committed prefix "
+                    f"(generation {recovered._generation})",
+                )
+            return recovered
+
+        offsets = {0, len(data)}
+        offsets.update(i + 1 for i, byte in enumerate(data) if byte == 0x0A)
+        if data:
+            offsets.update(rng.sample(range(len(data)), min(6, len(data))))
+        for offset in sorted(offsets):  # the last cut is the whole log
+            whole = recover_cut(
+                "recover-cut", data[:offset], f"cut at byte {offset}"
+            )
+        if data:
+            flip_at = rng.randrange(len(data))
+            if data[flip_at] != 0x0A:  # keep the framing, break the CRC
+                flipped = bytearray(data)
+                flipped[flip_at] ^= 0x20
+                recover_cut(
+                    "recover-bitflip", bytes(flipped),
+                    f"bit flip at byte {flip_at}",
+                )
+        if injector.injected or whole is None:
+            return
+        check._check(
+            "recover-whole",
+            database_digest(whole) == database_digest(live),
+            "the whole log recovers to another database than the live one",
+        )
+        plan = random_plan(rng, _NAMES, depth=rng.randint(1, 3))
+        check._compare(
+            "recover-plan", whole.run(plan), live.run_reference(plan)
+        )
+
+
 SCENARIOS: dict[str, Callable[[random.Random, _Checker], None]] = {
     "random": _scenario_random,
     "nested": _scenario_nested,
     "atoms": _scenario_atoms,
     "alias": _scenario_alias,
     "mutation": _scenario_mutation,
-    "durability": _scenario_durability,
     "compiled": _scenario_compiled,
     "trace": _scenario_trace,
+    "faults": _scenario_faults,
+    "recovery": _scenario_recovery,
     "deep": _scenario_deep,
 }
 
@@ -586,8 +739,8 @@ def _merge_reports(parts: list[FuzzReport]) -> FuzzReport:
         merged.seeds += part.seeds
         merged.checks += part.checks
         merged.divergences.extend(part.divergences)
-        for name, n in part.per_scenario.items():
-            merged.per_scenario[name] = merged.per_scenario.get(name, 0) + n
+        merged.per_scenario.update(part.per_scenario)
+        merged.injected.update(part.injected)
     return merged
 
 

@@ -17,6 +17,7 @@ from ..genericity.hierarchy import GenericitySpec
 from ..genericity.static_analysis import ClassBound, analyze_plan
 from ..genericity.witnesses import find_counterexamples
 from ..mappings.extensions import REL, STRONG
+from ..optimizer.constraints import Catalog, RelationInfo
 from ..optimizer.plan import (
     Difference,
     Intersect,
@@ -25,10 +26,10 @@ from ..optimizer.plan import (
     Product as PlanProduct,
     Project,
     Scan,
-    Select,
     Union,
     execute,
 )
+from ..optimizer.schema_infer import plan_type
 from ..types.ast import Product, SetType, TypeVar
 from ..types.values import Tup, Value
 from .report import ExperimentResult
@@ -53,35 +54,12 @@ def plan_as_query(plan: Plan, relations: Sequence[str], arity: int = 2) -> Query
     input_type = (
         Product(tuple(rel_type for _ in names)) if len(names) > 1 else rel_type
     )
-    # Output arity is not statically tracked; a single-variable set of
-    # tuples covers every plan in this experiment (output columns all
-    # range over the same abstract domain).
-    out_arity = _output_arity(plan, arity)
-    output_type = SetType(Product(tuple(x for _ in range(out_arity))))
+    # The output columns all range over the same abstract domain.
+    catalog = Catalog(RelationInfo(name, arity) for name in names)
     return Query(
         name=f"plan[{plan}]", fn=fn, input_type=input_type,
-        output_type=output_type,
+        output_type=plan_type(plan, catalog),
     )
-
-
-def _output_arity(plan: Plan, base_arity: int) -> int:
-    if isinstance(plan, Scan):
-        return base_arity
-    if isinstance(plan, Project):
-        return len(plan.columns)
-    if isinstance(plan, (Union, Difference, Intersect)):
-        return _output_arity(plan.left, base_arity)
-    if isinstance(plan, PlanProduct):
-        return _output_arity(plan.left, base_arity) + _output_arity(
-            plan.right, base_arity
-        )
-    if isinstance(plan, Join):
-        return _output_arity(plan.left, base_arity) + _output_arity(
-            plan.right, base_arity
-        )
-    if isinstance(plan, Select):
-        return _output_arity(plan.child, base_arity)
-    return base_arity
 
 
 _SPECS = {

@@ -19,7 +19,6 @@ from .setfuncs import (
 )
 from .transfer import (
     TransferReport,
-    check_list_to_set_transfer,
     lemma_4_6_part1,
     lemma_4_6_part2,
     lift_to_lists,

@@ -6,6 +6,10 @@
   *constructively* by :func:`lists_witness`.
 * **Lemma 4.11 / Theorem 4.13**: for an LtoS type, list-side
   relatedness of analogous values transfers to set-side relatedness.
+  E-4.13 (:func:`repro.experiments.section4.thm_4_13`) checks the
+  transfer on append/union over random ``H``; :func:`lift_to_lists`
+  builds the related list values of Lemma 4.9 that the proof goes
+  through.
 * **Corollary 4.15** becomes the :func:`transfer_parametricity`
   pipeline: given a list value of LtoS type and an analogous set value,
   certify the set value parametric at the related set type.
@@ -17,11 +21,11 @@ them over both the paper's witnesses and randomized instance families.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..mappings.extensions import ListRel, SetRelExt
 from ..mappings.mapping import Budget, Rel
-from ..lambda2.parametricity import ParametricityReport, logical_relation
+from ..lambda2.parametricity import ParametricityReport
 from ..types.ast import FuncType, ListType, Type, strip_foralls
 from ..types.values import CVList, CVSet, Value
 from .analogy import analogous
@@ -32,7 +36,6 @@ __all__ = [
     "lemma_4_6_part2",
     "lists_witness",
     "lift_to_lists",
-    "check_list_to_set_transfer",
     "transfer_parametricity",
     "TransferReport",
 ]
@@ -171,36 +174,6 @@ def lemma_4_6_part2(h: Rel, s1: CVSet, s2: CVSet) -> bool:
         CVSet(l1) == s1
         and CVSet(l2) == s2
         and ListRel(h).holds(l1, l2)
-    )
-
-
-def check_list_to_set_transfer(
-    f_list: Callable[[Value], Value],
-    f_set: Callable[[Value], Value],
-    body_list_type: FuncType,
-    h: Rel,
-    set_inputs: Sequence[tuple[Value, Value]],
-    budget: Optional[Budget] = None,
-) -> bool:
-    """The heart of Lemma 4.11, on one quantifier instance ``H``.
-
-    Given analogous functions and set-side inputs related by the set
-    relation, checks that the set-side *outputs* are related — going
-    through the list side: lift each related set pair to related lists
-    (Lemma 4.9 via :func:`lists_witness`), apply ``f_list``, and use
-    analogy to land back on the set side.
-    """
-    # Build the set-side relation at the result type with H substituted
-    # for every type variable.
-    from ..types.ast import free_type_vars
-
-    variables = free_type_vars(body_list_type)
-    var_rels = {name: h for name in variables}
-    result_set_rel = logical_relation(
-        to_set_type(body_list_type.result), var_rels=var_rels
-    )
-    return all(
-        result_set_rel.holds(f_set(s1), f_set(s2), budget) for s1, s2 in set_inputs
     )
 
 

@@ -9,7 +9,7 @@ computes those carriers, bounded by a :class:`Budget`.
 
 A *carrier* of a relation side is the finite universe of values that
 side ranges over: the declared domain for base mappings, all bounded
-lists/sets/tuples over component carriers for extensions, and all
+lists/sets/bags/tuples over component carriers for extensions, and all
 finite (dict-backed) functions for function relations.
 """
 
@@ -18,12 +18,19 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-from ..types.values import CVList, CVSet, Tup, Value
-from .extensions import ListRel, ProductRel, SetRelExt, SetStrongExt
+from ..types.values import CVBag, CVList, CVSet, Tup, Value
+from .extensions import (
+    BagRelExt,
+    BagStrongExt,
+    ListRel,
+    ProductRel,
+    SetRelExt,
+    SetStrongExt,
+)
 from .function_maps import FuncRel
 from .mapping import Budget, IdentityRel, Mapping, Rel, Unenumerable
 
-__all__ = ["carrier", "DictFunction", "enumerate_function_pairs"]
+__all__ = ["carrier", "DictFunction", "enumerate_pairs"]
 
 _DEFAULT = Budget()
 
@@ -93,6 +100,15 @@ def carrier(rel: Rel, side: str, budget: Budget | None = None) -> list[Value]:
                 if len(out) > b.max_pairs:
                     raise Unenumerable("set carrier exceeds budget")
         return out
+    if isinstance(rel, (BagRelExt, BagStrongExt)):
+        inner = carrier(rel.inner, side, b)
+        out = []
+        for size in range(b.max_set_size + 1):
+            for combo in itertools.combinations_with_replacement(inner, size):
+                out.append(CVBag(combo))
+                if len(out) > b.max_pairs:
+                    raise Unenumerable("bag carrier exceeds budget")
+        return out
     if isinstance(rel, FuncRel):
         args = carrier(rel.arg_rel, side, b)
         results = carrier(rel.result_rel, side, b)
@@ -116,17 +132,18 @@ def carrier(rel: Rel, side: str, budget: Budget | None = None) -> list[Value]:
     return seen
 
 
-def enumerate_function_pairs(
-    rel: FuncRel, budget: Budget | None = None
+def enumerate_pairs(
+    rel: Rel, budget: Budget | None = None
 ) -> Iterator[tuple[Value, Value]]:
-    """All pairs ``(f, f')`` related by ``K -> K'`` between the finite
-    carriers — the ``pairs`` protocol for function relations."""
+    """All pairs related by ``rel`` between its finite carriers — the
+    ``pairs`` protocol for function and bag relations, whose related
+    pairs are found by filtering rather than built directly."""
     b = budget or _DEFAULT
     lefts = carrier(rel, "left", b)
     rights = carrier(rel, "right", b)
     if len(lefts) * len(rights) > b.max_pairs:
-        raise Unenumerable("function pair enumeration exceeds budget")
-    for f in lefts:
-        for g in rights:
-            if rel.holds(f, g, b):
-                yield f, g
+        raise Unenumerable("pair enumeration exceeds budget")
+    for x in lefts:
+        for y in rights:
+            if rel.holds(x, y, b):
+                yield x, y

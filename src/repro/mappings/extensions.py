@@ -532,6 +532,12 @@ class BagRelExt(Rel):
             return False
         return _rel_holds(self.inner, self._leaves, x.support(), y.support())
 
+    def pairs(self, budget: Optional[Budget] = None) -> Iterator[tuple[Value, Value]]:
+        """The bounded carriers, filtered by ``holds``."""
+        from .carriers import enumerate_pairs  # carriers imports this module
+
+        return enumerate_pairs(self, budget)
+
 
 class BagStrongExt(Rel):
     """Support-based ``strong`` extension to bags with multiplicity
@@ -552,6 +558,12 @@ class BagStrongExt(Rel):
         ):
             return False
         return len(x) == len(y)
+
+    def pairs(self, budget: Optional[Budget] = None) -> Iterator[tuple[Value, Value]]:
+        """The bounded carriers, filtered by ``holds``."""
+        from .carriers import enumerate_pairs  # carriers imports this module
+
+        return enumerate_pairs(self, budget)
 
 
 def extend_along(

@@ -59,11 +59,11 @@ class FuncRel(Rel):
 
         Needed when a function type occurs in argument position — e.g.
         the predicate argument of the paper's ``sigma``; delegated to
-        :func:`repro.mappings.carriers.enumerate_function_pairs`.
+        :func:`repro.mappings.carriers.enumerate_pairs`.
         """
-        from .carriers import enumerate_function_pairs
+        from .carriers import enumerate_pairs
 
-        return enumerate_function_pairs(self, budget)
+        return enumerate_pairs(self, budget)
 
 
 class PolyValue:

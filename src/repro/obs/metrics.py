@@ -1,236 +1,84 @@
-"""Process-wide metrics: counters, gauges, deterministic histograms.
+"""Process-wide metrics: named counters.
 
 A :class:`MetricsRegistry` is a plain in-process aggregation point —
-no background threads, no clocks, no I/O.  Three instrument kinds:
-
-* **counters** — monotonically increasing integers (``counter``);
-* **gauges** — last-written values, merged by ``max`` so the merge is
-  order-insensitive (``gauge``);
-* **histograms** — fixed bucket boundaries declared at first
-  observation (``observe``), so the rendered output is deterministic:
-  the same observations always land in the same buckets, regardless of
-  process, ordering, or sharding.
+no background threads, no clocks, no I/O.  Its one instrument is the
+**counter**, a monotonically increasing integer (``counter``).
 
 Snapshots are plain nested dicts with sorted keys — picklable across
 process boundaries and byte-comparable after ``json.dumps``.  The
 parallel harness (:func:`repro.parallel.parallel_map` with
 ``merge_metrics=True``) ships each worker chunk's snapshot *delta*
 back to the parent and folds it into the parent's registry, so counter
-and histogram totals are identical between ``jobs=1`` and ``jobs=N``
-runs (sums commute; gauges merge by ``max``).
+totals are identical between ``jobs=1`` and ``jobs=N`` runs (sums
+commute).
 
-``REGISTRY`` is the process-wide default; the module-level
-``counter``/``gauge``/``observe`` helpers write to it.
+``REGISTRY`` is the process-wide default; the module-level ``counter``
+helper writes to it.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Sequence
-
 __all__ = [
-    "DEFAULT_BUCKETS",
     "MetricsRegistry",
     "REGISTRY",
     "counter",
-    "gauge",
-    "observe",
     "snapshot_delta",
 ]
 
-#: Default histogram boundaries: a 1-2.5-5 ladder wide enough for row
-#: counts, work units and span counts.  An implicit overflow bucket
-#: catches everything above the last boundary.
-DEFAULT_BUCKETS: tuple[float, ...] = (
-    1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000,
-)
-
-
-def _bucket_labels(boundaries: Sequence[float]) -> list[str]:
-    return [f"le_{b:g}" for b in boundaries] + ["inf"]
-
 
 class MetricsRegistry:
-    """Counters, gauges and fixed-bucket histograms, mergeable."""
+    """Named counters, mergeable."""
 
     def __init__(self) -> None:
         self._counters: dict[str, int] = {}
-        self._gauges: dict[str, float] = {}
-        #: name -> (boundaries, per-bucket counts incl. overflow,
-        #: observation count, observation sum)
-        self._histograms: dict[str, dict] = {}
-
-    # ------------------------------------------------------------------
-    # Instruments.
 
     def counter(self, name: str, amount: int = 1) -> int:
         value = self._counters.get(name, 0) + amount
         self._counters[name] = value
         return value
 
-    def gauge(self, name: str, value: float) -> None:
-        self._gauges[name] = value
-
-    def observe(
-        self,
-        name: str,
-        value: float,
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> None:
-        hist = self._histograms.get(name)
-        if hist is None:
-            boundaries = tuple(buckets)
-            if tuple(sorted(boundaries)) != boundaries or not boundaries:
-                raise ValueError(
-                    f"histogram buckets must be non-empty and sorted, "
-                    f"got {boundaries!r}"
-                )
-            hist = {
-                "boundaries": boundaries,
-                "counts": [0] * (len(boundaries) + 1),
-                "count": 0,
-                "sum": 0,
-            }
-            self._histograms[name] = hist
-        elif hist["boundaries"] != tuple(buckets):
-            raise ValueError(
-                f"histogram {name!r} already registered with boundaries "
-                f"{hist['boundaries']!r}"
-            )
-        hist["counts"][bisect_left(hist["boundaries"], value)] += 1
-        hist["count"] += 1
-        hist["sum"] += value
-
-    # ------------------------------------------------------------------
-    # Snapshots and merging.
-
     def snapshot(self) -> dict:
-        """Deterministic plain-dict view: sorted names, labeled buckets."""
-        histograms = {}
-        for name in sorted(self._histograms):
-            hist = self._histograms[name]
-            histograms[name] = {
-                "boundaries": list(hist["boundaries"]),
-                "buckets": dict(
-                    zip(_bucket_labels(hist["boundaries"]), hist["counts"])
-                ),
-                "count": hist["count"],
-                "sum": hist["sum"],
-            }
+        """Deterministic plain-dict view: ``{"counters": {name: total}}``
+        with sorted names."""
         return {
             "counters": {n: self._counters[n] for n in sorted(self._counters)},
-            "gauges": {n: self._gauges[n] for n in sorted(self._gauges)},
-            "histograms": histograms,
         }
 
     def merge(self, snapshot: dict) -> None:
-        """Fold another registry's snapshot (or delta) into this one.
-
-        Counters and histogram cells add; gauges merge by ``max`` so
-        the result is independent of merge order.  Histogram boundary
-        mismatches raise — merging buckets that mean different things
-        would silently corrupt the distribution.
-        """
+        """Fold another registry's snapshot (or delta) into this one:
+        counters add, so the result is independent of merge order."""
         for name, amount in snapshot.get("counters", {}).items():
             self.counter(name, amount)
-        for name, value in snapshot.get("gauges", {}).items():
-            if name not in self._gauges or value > self._gauges[name]:
-                self._gauges[name] = value
-        for name, incoming in snapshot.get("histograms", {}).items():
-            boundaries = tuple(incoming["boundaries"])
-            hist = self._histograms.get(name)
-            if hist is None:
-                hist = {
-                    "boundaries": boundaries,
-                    "counts": [0] * (len(boundaries) + 1),
-                    "count": 0,
-                    "sum": 0,
-                }
-                self._histograms[name] = hist
-            elif hist["boundaries"] != boundaries:
-                raise ValueError(
-                    f"cannot merge histogram {name!r}: boundaries differ"
-                )
-            labels = _bucket_labels(boundaries)
-            for i, label in enumerate(labels):
-                hist["counts"][i] += incoming["buckets"][label]
-            hist["count"] += incoming["count"]
-            hist["sum"] += incoming["sum"]
 
     def clear(self) -> None:
         self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
 
     def render(self) -> str:
         """Human-readable dump (deterministic line order)."""
-        snap = self.snapshot()
-        lines = []
-        for name, value in snap["counters"].items():
-            lines.append(f"counter   {name} = {value}")
-        for name, value in snap["gauges"].items():
-            lines.append(f"gauge     {name} = {value}")
-        for name, hist in snap["histograms"].items():
-            cells = " ".join(
-                f"{label}:{n}" for label, n in hist["buckets"].items() if n
-            )
-            lines.append(
-                f"histogram {name} count={hist['count']} "
-                f"sum={hist['sum']} {cells}"
-            )
-        return "\n".join(lines)
+        return "\n".join(
+            f"counter   {name} = {value}"
+            for name, value in self.snapshot()["counters"].items()
+        )
 
     def __repr__(self) -> str:
-        return (
-            f"MetricsRegistry(counters={len(self._counters)}, "
-            f"gauges={len(self._gauges)}, "
-            f"histograms={len(self._histograms)})"
-        )
+        return f"MetricsRegistry(counters={len(self._counters)})"
 
 
 def snapshot_delta(after: dict, before: dict) -> dict:
     """What happened between two snapshots of the *same* registry.
 
-    Counters and histogram cells subtract (empty results dropped);
-    gauges keep their ``after`` values.  The worker side of
-    ``parallel_map(merge_metrics=True)`` ships deltas, not absolutes,
-    so a reused worker process never double-reports earlier chunks.
+    Counters subtract, and counters that did not move are dropped.
+    The worker side of ``parallel_map(merge_metrics=True)`` ships
+    deltas, not absolutes, so a reused worker process never
+    double-reports earlier chunks.
     """
+    prior = before.get("counters", {})
     counters = {}
     for name, value in after.get("counters", {}).items():
-        diff = value - before.get("counters", {}).get(name, 0)
+        diff = value - prior.get(name, 0)
         if diff:
             counters[name] = diff
-    histograms = {}
-    for name, hist in after.get("histograms", {}).items():
-        prior = before.get("histograms", {}).get(name)
-        if prior is None:
-            delta_count = hist["count"]
-            buckets = dict(hist["buckets"])
-            delta_sum = hist["sum"]
-        elif tuple(prior["boundaries"]) != tuple(hist["boundaries"]):
-            raise ValueError(
-                f"cannot diff histogram {name!r}: boundaries differ"
-            )
-        else:
-            delta_count = hist["count"] - prior["count"]
-            buckets = {
-                label: n - prior["buckets"][label]
-                for label, n in hist["buckets"].items()
-            }
-            delta_sum = hist["sum"] - prior["sum"]
-        if delta_count:
-            histograms[name] = {
-                "boundaries": list(hist["boundaries"]),
-                "buckets": buckets,
-                "count": delta_count,
-                "sum": delta_sum,
-            }
-    return {
-        "counters": counters,
-        "gauges": dict(after.get("gauges", {})),
-        "histograms": histograms,
-    }
+    return {"counters": counters}
 
 
 #: The process-wide default registry.
@@ -239,13 +87,3 @@ REGISTRY = MetricsRegistry()
 
 def counter(name: str, amount: int = 1) -> int:
     return REGISTRY.counter(name, amount)
-
-
-def gauge(name: str, value: float) -> None:
-    REGISTRY.gauge(name, value)
-
-
-def observe(
-    name: str, value: float, buckets: Sequence[float] = DEFAULT_BUCKETS
-) -> None:
-    REGISTRY.observe(name, value, buckets)

@@ -111,10 +111,10 @@ def parallel_map(
 
     ``merge_metrics=True`` additionally folds each worker chunk's
     :data:`repro.obs.metrics.REGISTRY` activity into the parent
-    process's registry, merged in chunk order — counter and histogram
-    totals come out identical to the serial run's (sums commute;
-    gauges merge by ``max``).  On the serial path the worker already
-    writes to the parent registry, so the flag is a no-op.
+    process's registry, merged in chunk order — counter totals come
+    out identical to the serial run's (sums commute).  On the serial
+    path the worker already writes to the parent registry, so the flag
+    is a no-op.
 
     A chunk whose worker process *dies* (``BrokenProcessPool``) is
     resubmitted to a fresh pool up to ``max_chunk_retries`` times, then
@@ -123,8 +123,9 @@ def parallel_map(
     fallbacks bump the ``robustness.parallel.*`` metrics counters.
     ``chunk_fault`` (a picklable ``fault(chunk_index, attempt)``
     callable, e.g. :class:`~repro.robustness.faults.WorkerCrash`) runs
-    in the worker before each chunk — the chaos hook that makes crash
-    recovery testable.  The parent's serial fallback never invokes it.
+    in the worker before each chunk — the fault hook that makes crash
+    recovery testable (``tests/parallel/test_runner.py``).  The
+    parent's serial fallback never invokes it.
     """
     work = list(items)
     if jobs <= 1 or len(work) <= 1:

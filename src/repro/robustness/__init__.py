@@ -1,13 +1,15 @@
 """Fault injection and graceful degradation.
 
-``faults`` supplies the deterministic adversary (seeded fault plans,
-the injector threaded through the executors / plan cache / parallel
-harness); ``chaos`` runs the differential fuzz matrix under injected
-faults and asserts the engine degrades instead of diverging.  See
+``faults`` supplies the deterministic adversary: seeded fault plans,
+the injector threaded through the compiled executor, the plan cache
+and the write-ahead log, and the worker-crash hook of the parallel
+harness.  The ``faults`` and ``recovery`` scenarios of the
+differential fuzz harness (:mod:`repro.engine.fuzz`) run random
+plans and mutation scripts under them and check that the engine
+degrades and recovers instead of diverging.  See
 ``docs/ROBUSTNESS.md``.
 """
 
-from .chaos import ChaosReport, run_chaos
 from .faults import (
     FAULT_SITES,
     FaultInjector,
@@ -18,10 +20,8 @@ from .faults import (
 
 __all__ = [
     "FAULT_SITES",
-    "ChaosReport",
     "FaultInjector",
     "FaultPlan",
     "InjectedFault",
     "WorkerCrash",
-    "run_chaos",
 ]

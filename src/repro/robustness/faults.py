@@ -5,9 +5,9 @@ The engine's core invariant is executor parity (value, work, ledger)
 between the compiled path and the reference interpreter.  This module
 supplies the *adversary* for that invariant: a
 seeded, reproducible source of component failures threaded through the
-compiled executor, the :class:`~repro.engine.exec.cache.PlanCache`,
-the write-ahead log, and the parallel harness via optional hooks.  Five
-fault sites:
+compiled executor, the :class:`~repro.engine.exec.cache.PlanCache`
+and the write-ahead log via optional hooks.  Four fault sites, each
+drawn at its :class:`FaultPlan` rate:
 
 * ``"operator"`` — the compiled plan raises mid-execution (drawn once
   per compiled run);
@@ -16,10 +16,6 @@ fault sites:
   the model of a poisoned/bit-flipped entry);
 * ``"compile"`` — plan lowering fails (drawn before ``compile_plan``,
   once per compiled run);
-* ``"worker"`` — a parallel worker process dies hard
-  (:class:`WorkerCrash` is the picklable ``chunk_fault`` hook for
-  :func:`repro.parallel.parallel_map`; it kills the process with
-  ``os._exit``, producing a real ``BrokenProcessPool``);
 * ``"durability"`` — the write-ahead log misbehaves: an append is torn
   mid-record (a crash during the write — only a byte prefix reaches
   disk), a full record is silently bit-flipped in place (media
@@ -30,10 +26,16 @@ fault sites:
   :meth:`FaultInjector.tamper_wal_line` and
   :mod:`repro.durability.wal`.
 
+A fifth failure, a parallel worker process dying hard, has no
+:class:`FaultPlan` rate: :class:`WorkerCrash` is the picklable
+``chunk_fault`` hook for :func:`repro.parallel.parallel_map`, with its
+own seed and rate; it kills the process with ``os._exit``, producing a
+real ``BrokenProcessPool``.
+
 Determinism: every draw comes from one ``random.Random`` seeded from
 the plan, in execution order.  Executor traversal order is itself
 deterministic, so a given (seed, rates, workload) injects the same
-faults at the same sites on every run — a chaos failure always
+faults at the same sites on every run — a failing fuzz seed always
 reproduces.  ``FaultInjector.injected`` counts what actually fired, per
 site, so harnesses can assert that degradation events line up with
 injections.
@@ -58,14 +60,14 @@ __all__ = [
 ]
 
 #: Fault sites an injector understands, in documentation order.
-FAULT_SITES = ("operator", "cache", "compile", "worker", "durability")
+FAULT_SITES = ("operator", "cache", "compile", "durability")
 
 
 class InjectedFault(RuntimeError):
     """An exception raised *on purpose* by a :class:`FaultInjector`.
 
     Carries the site and label it fired at, so degradation records and
-    chaos reports can say exactly which injection a fallback answered.
+    fuzz reports can say exactly which injection a fallback answered.
     """
 
     def __init__(self, site: str, label: str = "") -> None:
@@ -93,7 +95,6 @@ class FaultPlan:
     operator_rate: float = 0.0
     cache_rate: float = 0.0
     compile_rate: float = 0.0
-    worker_rate: float = 0.0
     durability_rate: float = 0.0
 
     def rate_for(self, site: str) -> float:
@@ -118,11 +119,9 @@ class FaultInjector:
         self.plan = plan
         self._rng = random.Random(_derive_seed("fault-injector", plan.seed))
         self.injected: dict[str, int] = {}
-        self.draws = 0
 
     def _fire(self, site: str) -> bool:
         rate = self.plan.rate_for(site)
-        self.draws += 1
         if rate <= 0.0:
             return False
         if self._rng.random() >= rate:
@@ -202,9 +201,6 @@ class FaultInjector:
         i = self._rng.randrange(body)
         flipped = bytes([line[i] ^ 0x40])
         return line[:i] + flipped + line[i + 1 :], None
-
-    def total_injected(self) -> int:
-        return sum(self.injected.values())
 
     def __repr__(self) -> str:
         return (

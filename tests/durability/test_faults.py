@@ -190,4 +190,3 @@ class TestCrashWindows:
         with pytest.raises(InjectedFault):
             db.create("r", 1)
         assert injector.injected.get("durability", 0) >= 1
-        assert injector.total_injected() == sum(injector.injected.values())

@@ -176,6 +176,23 @@ class TestTheorem44:
         )
         assert not report.parametric
 
+    def test_bag_identity_parametric(self):
+        # A bag argument's related pairs come from its bounded carriers.
+        report = check_parametricity(
+            poly(lambda b: b), parse_type("forall X. {|X|} -> {|X|}"),
+            "id",
+        )
+        assert report.parametric
+
+    def test_bag_size_not_rel_parametric(self):
+        # The rel extension relates bags by their supports, so it
+        # relates bags of different sizes.
+        report = check_parametricity(
+            poly(len), parse_type("forall X. {|X|} -> int"), "len"
+        )
+        assert not report.parametric
+        assert report.violation is not None
+
     def test_report_repr(self, prelude):
         report = check_parametricity(
             prelude.value("id"), prelude.type_of("id"), "id"

@@ -159,6 +159,21 @@ class TestFuzz:
         )
         assert captured.out == ""
 
+    def test_fault_scenarios_smoke(self, capsys):
+        argv = ["fuzz", "--seeds", "4", "--scenarios", "faults", "recovery"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "faults injected: " in out
+        assert "zero divergences" in out
+
+    def test_chaos_is_not_a_command(self, capsys):
+        # Its fault matrix and crash-point recovery check are the
+        # ``faults`` and ``recovery`` scenarios of ``fuzz``.
+        with pytest.raises(SystemExit) as exit_:
+            main(["chaos", "--seeds", "2"])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'chaos'" in capsys.readouterr().err
+
 
 class TestClosedStdout:
     @pytest.mark.parametrize("argv", [
@@ -178,13 +193,6 @@ class TestClosedStdout:
         child.stderr.close()
         assert child.wait() == 1
         assert "Traceback" not in err
-
-
-class TestChaos:
-    def test_chaos_smoke_exits_clean(self, capsys):
-        assert main(["chaos", "--seeds", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "divergences" in out
 
 
 class TestWriteup:
@@ -233,7 +241,6 @@ class TestCountOptions:
         ["classify", "union", "--trials", "0"],
         ["classify", "union", "--trials", "-3"],
         ["fuzz", "--seeds", "0"],
-        ["chaos", "--seeds", "0"],
         ["optimize", "pi[1](employees)", "--size", "0"],
         ["explain", "pi[1](employees)", "--size", "-1"],
         ["run", "E-2.2", "--jobs", "-3"],
@@ -255,7 +262,6 @@ class TestCountOptions:
         ["optimize", "pi[1](employees)", "--size", "5", "--show-rows", "-1"],
         ["explain", "pi[1](employees)", "--warm", "-2"],
         ["fuzz", "--seeds", "1", "--deep-every", "-1"],
-        ["chaos", "--seeds", "1", "--crash-every", "-1"],
     ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
     def test_negative_row_or_warm_count_exits_2(self, argv, capsys):
         # A negative count has no meaning: sliced as rows[:-1],
