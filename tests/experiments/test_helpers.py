@@ -2,11 +2,14 @@
 
 import random
 
+import pytest
 
 from repro.experiments.orders import monotone_family, select_less_than
 from repro.experiments.static_check import plan_as_query
 from repro.mappings.extensions import REL
-from repro.optimizer.plan import Difference, Project, Scan, Union
+from repro.optimizer.constraints import Catalog, RelationInfo
+from repro.optimizer.plan import Difference, MapNode, Project, Scan, Union
+from repro.optimizer.schema_infer import SchemaInferenceError, plan_type
 from repro.types.values import Tup, cvset, tup
 
 
@@ -47,6 +50,21 @@ class TestPlanAsQuery:
         query = plan_as_query(plan, ("R", "S"))
         assert isinstance(query.output_type, SetType)
         assert len(query.output_type.element.components) == 1
+
+    def test_output_type_is_schema_inferred(self):
+        # A map passes its child's arity through, as schema inference
+        # does: one column here, not the base relation's two.
+        plan = MapNode("f", lambda t: t, Project((0,), Scan("R")))
+        query = plan_as_query(plan, ("R",))
+        assert query.output_type == plan_type(
+            plan, Catalog([RelationInfo("R", 2)])
+        )
+        assert len(query.output_type.element.components) == 1
+
+    def test_inconsistent_arities_rejected(self):
+        plan = Union(Project((0,), Scan("R")), Scan("S"))
+        with pytest.raises(SchemaInferenceError, match="arities 1 != 2"):
+            plan_as_query(plan, ("R", "S"))
 
     def test_plan_query_classifiable(self):
         from repro.genericity.classify import classify
