@@ -19,7 +19,7 @@ activity, wall time) for one executor mode
 ``--warm N`` pre-runs the plan N times so cache hits show up.
 
 ``recover`` rebuilds a database from a write-ahead-logged durability
-directory (checkpoint + committed WAL suffix; see
+directory (checkpoint + WAL suffix; see
 :mod:`repro.durability`) and prints the recovery report with its span
 tree; ``explain --wal DIR`` and ``optimize --wal DIR`` run their plan
 against a recovered database instead of the demo HR one.  All three
@@ -29,8 +29,8 @@ refuse a directory that does not exist (exit 1), although the library's
 ``fuzz`` checks the compiled engine against the reference interpreter
 on random plans (:mod:`repro.engine.fuzz`); its ``faults`` and
 ``recovery`` scenarios do so under injected faults and at every crash
-point of a write-ahead log, and ``--scenarios`` picks scenarios by
-name.
+point of a write-ahead log.  Seed ``i`` plays the ``i % n``-th of the
+``n`` scenarios, all ten by default or those ``--scenarios`` names.
 
 ``classify`` accepts the row names of E-TABLE1's operation catalog
 (:data:`repro.genericity.catalog.PAPER_TABLE`); ``optimize`` runs the
@@ -78,9 +78,9 @@ def _positive_int(text: str) -> int:
 
 
 def _non_negative_int(text: str) -> int:
-    """argparse type of a count where 0 means none: a negative row,
-    warm-up or scenario-period count has no meaning (``--show-rows -1``
-    would slice off the last row, ``--deep-every -1`` would mean 0)."""
+    """argparse type of a count where 0 means none: a negative row or
+    warm-up count has no meaning (``--show-rows -1`` would slice off
+    the last row)."""
     return _int_at_least(text, 0)
 
 
@@ -278,7 +278,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     report = run_fuzz(
         args.seeds,
         base_seed=args.base_seed,
-        deep_every=args.deep_every,
         scenarios=scenarios,
         jobs=args.jobs,
     )
@@ -392,12 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_parser.add_argument("--seeds", type=_positive_int, default=50)
     fuzz_parser.add_argument("--base-seed", type=int, default=0)
     fuzz_parser.add_argument(
-        "--deep-every", type=_non_negative_int, default=10,
-        help="run the deep-chain scenario every Nth seed (0 disables)",
-    )
-    fuzz_parser.add_argument(
         "--scenarios", nargs="*", default=None,
-        help="restrict to named scenarios (default: all)",
+        help="rotate the seeds through these scenarios (default: all)",
     )
     fuzz_parser.add_argument(
         "--jobs", type=_positive_int, default=1,

@@ -2,11 +2,12 @@
 
 The mutation surface of :class:`~repro.engine.database.Database`
 (``create``, ``insert``, ``db[name] = ...``) logs each mutation to an
-append-only JSONL WAL *before* applying it (data record, fsync, commit
-marker, fsync, apply); :func:`recover` rebuilds the database from the
-last checkpoint plus the committed log suffix, dropping torn tails and
-anything past a CRC failure, so any crash point yields a prefix of the
-committed mutation sequence.  See ``docs/ROBUSTNESS.md`` ("Durability
+append-only JSONL WAL *before* applying it (one CRC-checked record,
+one fsync, then apply; a failed write is truncated away);
+:func:`recover` rebuilds the database from the last checkpoint plus
+the log suffix, dropping torn tails and anything past a CRC failure,
+so any crash point yields a prefix of the committed mutation
+sequence.  See ``docs/ROBUSTNESS.md`` ("Durability
 and crash recovery") and ``tests/durability``.
 
 Quick start::
@@ -14,7 +15,7 @@ Quick start::
     from repro.durability import DurabilityManager, recover
 
     db.durability = DurabilityManager("state/", checkpoint_every=100)
-    db.insert("r", rows)          # logged, committed, then applied
+    db.insert("r", rows)          # logged, synced, then applied
     ...
     db2, report = recover("state/")   # after a crash
 """
@@ -39,7 +40,6 @@ from .wal import (
     WalRecord,
     WalScan,
     WriteAheadLog,
-    committed_records,
     decode_line,
     encode_record,
     scan_wal,
@@ -56,7 +56,6 @@ __all__ = [
     "WalScan",
     "WriteAheadLog",
     "apply_record",
-    "committed_records",
     "database_digest",
     "decode_line",
     "encode_record",

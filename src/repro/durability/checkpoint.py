@@ -11,7 +11,7 @@ flush + fsync, ``os.replace``), so a crash mid-checkpoint leaves the
 previous checkpoint intact, never a truncated one.
 
 ``lsn`` is the last log record the snapshot already contains: recovery
-replays only committed records *past* it.  Publication order is
+replays only records *past* it.  Publication order is
 checkpoint first, log reset second; a crash between the two leaves a
 stale WAL whose records all carry ``lsn <= L`` and are filtered out,
 so the window is harmless by construction.

@@ -6,26 +6,25 @@ Attach one to a database and every mutation becomes crash-durable::
 
 The write protocol, per mutation (WAL is the source of truth):
 
-1. append the data record, ``sync`` — the mutation's bytes are on disk
-   but *not yet committed*: a crash here loses nothing the caller was
-   promised;
-2. append the commit marker, ``sync`` — the mutation is now durable:
-   recovery will replay it even if the process dies this instant;
-3. apply in memory (the Database method body runs).
+1. :meth:`WriteAheadLog.commit` appends one CRC-checked record and
+   syncs it once — the mutation is now durable: recovery will replay
+   it even if the process dies this instant;
+2. apply in memory (the Database method body runs).
 
-A failure in step 1 or 2 (a real I/O error or an injected ``fsync``
-fault) aborts *before* any in-memory state changed: the caller sees
-the exception, the half-logged record stays uncommitted, and recovery
-ignores it — the mutation atomically never happened.  A crash between
-step 2 and step 3 (the injected ``apply`` fault) is the opposite
-promise: the log already committed, so recovery replays the mutation
-the in-memory process never finished.  Both directions are
-differentially checked by the ``recovery`` scenario of the fuzz
-harness (:mod:`repro.engine.fuzz`).
+A failure in step 1 (a real I/O error, a short write, or an injected
+torn write or ``fsync`` fault) truncates the log back to where the
+record began and aborts *before* any in-memory state changed: the
+caller sees the exception, no byte of the record is left, and the
+next mutation logs after the last committed one — the mutation
+atomically never happened.  A crash between step 1 and step 2 (the
+injected ``apply`` fault) is the opposite promise: the record is
+durable, so recovery replays the mutation the in-memory process never
+finished.  Both directions are differentially checked by the
+``recovery`` scenario of the fuzz harness (:mod:`repro.engine.fuzz`).
 
 Validation stays ahead of logging: the Database only calls the
 ``log_*`` hooks after its own checks passed (arity, declared keys), so
-a committed record is always replayable.
+a logged record is always replayable.
 
 Checkpoints: ``checkpoint_every=N`` publishes a snapshot after every
 ``N`` applied mutations and resets the log; ``checkpoint(db)`` does it
@@ -37,7 +36,7 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-from ..engine.serialize import value_to_json
+from ..engine.serialize import relation_schema_to_json, value_to_json
 from ..obs.metrics import counter
 from .checkpoint import write_checkpoint
 from .wal import WAL_NAME, WriteAheadLog
@@ -81,10 +80,7 @@ class DurabilityManager:
     # Logging hooks (called by Database, after validation, before apply).
 
     def _log(self, kind: str, payload: dict, generation: int) -> int:
-        lsn = self.wal.append(kind, payload, generation)
-        self.wal.sync()
-        self.wal.commit(lsn, generation)
-        self.wal.sync()
+        lsn = self.wal.commit(kind, payload, generation)
         counter("robustness.wal.records_committed")
         injector = self.wal.fault_injector
         if injector is not None:
@@ -94,18 +90,11 @@ class DurabilityManager:
             injector.maybe_raise("durability", f"apply:{kind}")
         return lsn
 
-    def log_create(
-        self, name: str, arity: int, keys, shared_keys, generation: int
-    ) -> int:
-        payload = {
-            "name": name,
-            "arity": arity,
-            "keys": [list(k) for k in keys],
-            "shared_keys": [
-                {"columns": list(cols), "group": group}
-                for cols, group in shared_keys.items()
-            ],
-        }
+    def log_create(self, info, generation: int) -> int:
+        """Log a relation declaration (a
+        :class:`~repro.optimizer.constraints.RelationInfo`) in the
+        schema shape checkpoints use."""
+        payload = {"name": info.name, **relation_schema_to_json(info)}
         return self._log("create", payload, generation)
 
     def log_insert(self, name: str, rows, generation: int) -> int:

@@ -1,4 +1,4 @@
-"""Crash recovery: checkpoint + committed WAL replay.
+"""Crash recovery: checkpoint + WAL replay.
 
 :func:`recover` rebuilds a database from a durability directory in
 three phases, each its own span on the ``recover`` span tree:
@@ -7,9 +7,9 @@ three phases, each its own span on the ``recover`` span tree:
    empty), restoring the snapshot's recorded generation;
 2. **scan** — decode the WAL's longest trustworthy prefix
    (:func:`~repro.durability.wal.scan_wal`), dropping a torn tail or
-   anything after a CRC failure, then keep only records whose commit
-   marker made it into that prefix;
-3. **replay** — apply the committed records past the checkpoint's LSN
+   anything after a CRC failure; every record in that prefix is a
+   committed mutation;
+3. **replay** — apply the records past the checkpoint's LSN
    through the ordinary Database mutation methods, verifying after
    each one that the rebuilt generation matches the logged one.
 
@@ -19,8 +19,8 @@ in-process: the same index, atom, weight, width and distinct
 maintenance runs and the same fingerprints emerge.
 
 Counters (``robustness.wal.*``) make every recovery auditable:
-replayed / skipped-stale / dropped-uncommitted record counts, torn
-tails and corrupt records dropped, checkpoints loaded.
+replayed and skipped-stale record counts, torn tails and corrupt
+records dropped, checkpoints loaded.
 """
 
 from __future__ import annotations
@@ -31,11 +31,15 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..engine.database import Database
-from ..engine.serialize import database_to_json, value_from_json
+from ..engine.serialize import (
+    database_to_json,
+    declare_relation_from_json,
+    value_from_json,
+)
 from ..obs.metrics import counter
 from ..obs.trace import Span, Tracer
 from .checkpoint import load_checkpoint
-from .wal import WAL_NAME, WalError, WalRecord, committed_records, scan_wal
+from .wal import WAL_NAME, WalError, WalRecord, scan_wal
 
 __all__ = [
     "RecoveryReport",
@@ -56,7 +60,6 @@ class RecoveryReport:
     records_scanned: int = 0
     replayed: int = 0
     skipped_stale: int = 0
-    dropped_uncommitted: int = 0
     torn_tail: bool = False
     corrupt: bool = False
     scan_error: Optional[str] = None
@@ -73,8 +76,7 @@ class RecoveryReport:
                 else "none"
             ),
             f"  wal: {self.records_scanned} record(s) scanned, "
-            f"{self.replayed} replayed, {self.skipped_stale} stale, "
-            f"{self.dropped_uncommitted} uncommitted dropped",
+            f"{self.replayed} replayed, {self.skipped_stale} stale",
         ]
         if self.torn_tail or self.corrupt:
             lines.append(f"  tail dropped: {self.scan_error}")
@@ -97,7 +99,6 @@ class RecoveryReport:
             "records_scanned": self.records_scanned,
             "replayed": self.replayed,
             "skipped_stale": self.skipped_stale,
-            "dropped_uncommitted": self.dropped_uncommitted,
             "torn_tail": self.torn_tail,
             "corrupt": self.corrupt,
             "scan_error": self.scan_error,
@@ -117,7 +118,7 @@ def database_digest(db: Database) -> tuple:
 
 
 def apply_record(db: Database, record: WalRecord) -> None:
-    """Apply one committed record through the public mutation surface.
+    """Apply one logged record through the public mutation surface.
 
     Raises :class:`~repro.durability.wal.WalError` when a payload that
     passed its CRC still does not describe a replayable mutation — by
@@ -128,15 +129,7 @@ def apply_record(db: Database, record: WalRecord) -> None:
     try:
         name = payload["name"]
         if record.kind == "create":
-            db.create(
-                name,
-                payload["arity"],
-                keys=[tuple(k) for k in payload["keys"]],
-                shared_keys={
-                    tuple(entry["columns"]): entry["group"]
-                    for entry in payload["shared_keys"]
-                },
-            )
+            declare_relation_from_json(db, name, payload)
         elif record.kind == "insert":
             rows = [value_from_json(row) for row in payload["rows"]]
             db.insert(name, [tuple(t) for t in rows])
@@ -164,7 +157,7 @@ def replay_records(
     *,
     after_lsn: int = 0,
 ) -> tuple[int, int]:
-    """Apply committed ``records`` with ``lsn > after_lsn`` to ``db``.
+    """Apply ``records`` with ``lsn > after_lsn`` to ``db``.
 
     Returns ``(replayed, skipped_stale)``.  The LSN filter is what
     makes a stale WAL (crash between checkpoint publication and log
@@ -211,27 +204,19 @@ def recover(
     else:
         data = b""
     scan = scan_wal(data)
-    committed, uncommitted = committed_records(scan.records)
     report.records_scanned = len(scan.records)
     report.torn_tail = scan.torn_tail
     report.corrupt = scan.corrupt
     report.scan_error = scan.error
-    report.dropped_uncommitted = uncommitted
     scan_span.rows = len(scan.records)
-    scan_span.meta = {
-        "bytes": len(data),
-        "clean_bytes": scan.clean_length,
-        "committed": len(committed),
-    }
+    scan_span.meta = {"bytes": len(data), "clean_bytes": scan.clean_length}
     if scan.torn_tail:
         counter("robustness.wal.torn_tail_dropped")
     if scan.corrupt:
         counter("robustness.wal.corrupt_record_dropped")
-    if uncommitted:
-        counter("robustness.wal.uncommitted_dropped", uncommitted)
 
     replayed, skipped = replay_records(
-        db, committed, after_lsn=checkpoint_lsn
+        db, scan.records, after_lsn=checkpoint_lsn
     )
     report.replayed = replayed
     report.skipped_stale = skipped

@@ -1,4 +1,4 @@
-"""The write-ahead log: append-only JSONL of mutation records.
+"""The write-ahead log: append-only JSONL, one record per mutation.
 
 Record format — one JSON object per line, sorted keys, no whitespace::
 
@@ -8,9 +8,8 @@ Record format — one JSON object per line, sorted keys, no whitespace::
   reused across checkpoints (so a stale WAL left by a crash between
   checkpoint publication and log reset is filtered by lsn, not guessed
   at);
-* ``kind`` — ``"create"`` / ``"insert"`` / ``"replace"`` for data
-  records, ``"commit"`` for the marker that makes a data record
-  durable (``payload = {"of": lsn}``);
+* ``kind`` — ``"create"`` / ``"insert"`` / ``"replace"``, mirroring
+  the Database mutation surface;
 * ``gen`` — the database generation the mutation produces when
   applied, so replay can verify it rebuilt the *exact* state;
 * ``crc`` — ``zlib.crc32`` over the canonical JSON of the other four
@@ -18,14 +17,16 @@ Record format — one JSON object per line, sorted keys, no whitespace::
   write, bit rot, truncation mid-line — fails the check and ends the
   readable prefix.
 
-The durability contract lives in :func:`scan_wal`'s shape: decoding
-stops at the *first* bad line (torn tail, CRC mismatch, malformed
-JSON) and everything from there on is dropped.  Combined with the
-commit-marker rule — a data record counts only once its commit marker
-is also inside the readable prefix — recovery of *any* byte prefix of
-a WAL yields a prefix of the committed mutation sequence, never a
-partial mutation and never a reordering.  ``tests/durability``
-exercises literally every byte offset.
+A record validates itself, so it needs no commit marker:
+:meth:`WriteAheadLog.commit` appends it and syncs once, and on any
+failure truncates the log back to where the record began.  Every
+record inside the readable prefix is therefore a committed mutation.
+:func:`scan_wal` stops at the *first* bad line (torn tail, CRC
+mismatch, malformed JSON) and drops everything from there on, so
+recovery of *any* byte prefix of a WAL yields a prefix of the
+committed mutation sequence, never a partial mutation and never a
+reordering.  ``tests/durability`` exercises literally every byte
+offset.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "WalRecord",
     "WalScan",
     "WriteAheadLog",
-    "committed_records",
     "decode_line",
     "encode_record",
     "scan_wal",
@@ -52,9 +52,8 @@ __all__ = [
 #: File name of the log inside a durability directory.
 WAL_NAME = "wal.jsonl"
 
-#: Data record kinds (mirroring the Database mutation surface) plus
-#: the commit marker.
-RECORD_KINDS = ("create", "insert", "replace", "commit")
+#: Record kinds, mirroring the Database mutation surface.
+RECORD_KINDS = ("create", "insert", "replace")
 
 
 class WalError(Exception):
@@ -179,43 +178,22 @@ def scan_wal(data: bytes) -> WalScan:
     )
 
 
-def committed_records(
-    records: tuple[WalRecord, ...]
-) -> tuple[list[WalRecord], int]:
-    """Data records whose commit marker is inside the scanned prefix.
-
-    Returns ``(committed, uncommitted_count)``.  Committed records are
-    ordered by their commit markers, which for this engine's
-    single-writer log is also data-record order — a record logged but
-    never committed (crash between the data append and the commit
-    append) is simply dropped, exactly the atomicity the caller was
-    promised when the mutation raised instead of returning.
-    """
-    pending: dict[int, WalRecord] = {}
-    committed: list[WalRecord] = []
-    for record in records:
-        if record.kind == "commit":
-            target = pending.pop(record.payload.get("of"), None)
-            if target is not None:
-                committed.append(target)
-        else:
-            pending[record.lsn] = record
-    return committed, len(pending)
-
-
 class WriteAheadLog:
-    """Append-side of the log: one file handle, monotonic LSNs.
+    """Append-side of the log: one unbuffered file handle, monotonic
+    LSNs.
 
     ``fsync=False`` trades durability-against-power-loss for speed
-    (tests and benchmarks); the write ordering and the record format
-    are identical, so every crash-consistency property still holds.
+    (tests and benchmarks); the write ordering, the rollback and the
+    record format are identical, so every crash-consistency property
+    still holds.
 
     ``fault_injector`` (a
     :class:`~repro.robustness.faults.FaultInjector`) arms the
-    ``durability`` site: appends may be torn mid-record or corrupted
-    in place (:meth:`FaultInjector.tamper_wal_line`), and ``sync`` may
-    fail.  All injection happens *below* the commit protocol, so the
-    recovery guarantees are exercised, not bypassed.
+    ``durability`` site inside :meth:`commit`: a record may be torn
+    mid-write or bit-flipped in place
+    (:meth:`FaultInjector.tamper_wal_line`), and the sync may fail.
+    The injection happens inside the region a failure rolls back, so
+    the recovery guarantees are exercised, not bypassed.
     """
 
     def __init__(
@@ -230,60 +208,69 @@ class WriteAheadLog:
                 data = handle.read()
             scan = scan_wal(data)
             if scan.clean_length < len(data):
-                # Drop the torn/corrupt tail *before* appending: new
-                # records concatenated onto torn bytes would be
-                # unreadable (the scan stops at the bad line), turning
-                # one lost uncommitted record into lost committed ones.
+                # Drop the torn/corrupt tail *before* appending: a
+                # process killed mid-write runs no rollback, and new
+                # records concatenated onto its bytes would be
+                # unreadable (the scan stops at the bad line).
                 with open(self.path, "r+b") as handle:
                     handle.truncate(scan.clean_length)
             if scan.records:
                 next_lsn = max(r.lsn for r in scan.records) + 1
         self._next_lsn = next_lsn
-        self._handle = open(self.path, "ab")
+        self._handle = self._open()
+
+    def _open(self):
+        # Unbuffered: a record is in the file or nowhere, never held in
+        # a buffer that a later write or close could flush.
+        return open(self.path, "ab", buffering=0)
 
     @property
     def last_lsn(self) -> int:
-        """The highest LSN ever handed out (0 before the first)."""
+        """The highest LSN committed so far (0 before the first)."""
         return self._next_lsn - 1
 
-    def append(self, kind: str, payload: dict, generation: int) -> int:
-        """Append one record; returns its LSN.
+    def commit(self, kind: str, payload: dict, generation: int) -> int:
+        """Append one record and sync it; returns its LSN.
 
-        Under an armed ``durability`` fault site the written bytes may
-        be a torn prefix (the injector then raises — the model of a
-        crash mid-append) or a silently bit-flipped full record (the
-        model of media corruption; the CRC catches it at scan time).
+        Any failure — the write or the sync raising, a short write, or
+        an injected torn write — truncates the log back to its length
+        before the record and re-raises, so an aborted mutation leaves
+        no byte behind and its LSN is handed out again.  If the
+        truncate fails too, its error is raised and the log is closed:
+        the file now ends in bytes of unknown length, and every later
+        commit raises instead of appending after them.  An injected bit
+        flip is written silently (the model of media corruption), and
+        the CRC catches it at scan time.
         """
         lsn = self._next_lsn
         line = encode_record(WalRecord(lsn, kind, generation, payload))
-        crash_label = None
-        if self.fault_injector is not None:
-            line, crash_label = self.fault_injector.tamper_wal_line(line)
+        start = self._handle.seek(0, os.SEEK_END)
+        try:
+            crash_label = None
+            if self.fault_injector is not None:
+                line, crash_label = self.fault_injector.tamper_wal_line(line)
+            written = self._handle.write(line)
+            if crash_label is not None:
+                from ..robustness.faults import InjectedFault
+
+                raise InjectedFault("durability", crash_label)
+            if written != len(line):
+                raise OSError(
+                    f"short write: {written} of {len(line)} bytes"
+                )
+            if self.fault_injector is not None:
+                self.fault_injector.maybe_raise("durability", "fsync")
+            if self.fsync_enabled:
+                os.fsync(self._handle.fileno())
+        except BaseException:
+            try:
+                os.ftruncate(self._handle.fileno(), start)
+            except BaseException:
+                self._handle.close()
+                raise
+            raise
         self._next_lsn += 1
-        self._handle.write(line)
-        if crash_label is not None:
-            from ..robustness.faults import InjectedFault
-
-            self._handle.flush()
-            raise InjectedFault("durability", crash_label)
         return lsn
-
-    def commit(self, lsn: int, generation: int) -> int:
-        """Append the commit marker for ``lsn``."""
-        return self.append("commit", {"of": lsn}, generation)
-
-    def sync(self) -> None:
-        """Flush (and fsync, unless disabled) the log file.
-
-        The armed ``durability`` site can fail the sync — callers must
-        abort the mutation, leaving an uncommitted (hence recovery-
-        invisible) record behind.
-        """
-        if self.fault_injector is not None:
-            self.fault_injector.maybe_raise("durability", "fsync")
-        self._handle.flush()
-        if self.fsync_enabled:
-            os.fsync(self._handle.fileno())
 
     def reset(self) -> None:
         """Empty the log (after a durable checkpoint).  LSNs stay
@@ -292,7 +279,7 @@ class WriteAheadLog:
         self._handle.close()
         with open(self.path, "wb"):
             pass
-        self._handle = open(self.path, "ab")
+        self._handle = self._open()
 
     def close(self) -> None:
         self._handle.close()

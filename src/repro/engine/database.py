@@ -89,7 +89,7 @@ class Database:
         self._fault_injector = None
         #: Optional :class:`~repro.durability.DurabilityManager`; see
         #: the ``durability`` property.  When attached, every mutation
-        #: is written (and committed) to the write-ahead log *before*
+        #: is written (and synced) to the write-ahead log *before*
         #: it takes effect in memory.
         self._durability = None
 
@@ -137,10 +137,7 @@ class Database:
             # Log-before-apply; ``create`` does not bump the mutation
             # generation, so the logged post-apply generation is the
             # current one.
-            self._durability.log_create(
-                name, info.arity, info.keys, info.shared_keys,
-                self._generation,
-            )
+            self._durability.log_create(info, self._generation)
         self.catalog.add(info)
         if name not in self.relations:
             self.relations[name] = CVSet()

@@ -41,11 +41,13 @@ plans; this harness hammers it with generated ones:
   ``insert`` is a divergence too;
 * **recovery** — the crash-recovery guarantee: a create/replace/insert
   script runs on a WAL-attached database under seeded ``durability``
-  faults (torn appends, bit flips, failed fsyncs, a crash between
-  commit and apply).  The log is then cut at every record boundary,
-  at sampled byte offsets and once after a bit flip, and each cut must
-  recover to a committed prefix of the script; when no fault fired,
-  the whole log must recover to the live database itself.
+  faults (torn writes, bit flips, failed fsyncs, a crash between
+  commit and apply), carrying on after every failed mutation.  The
+  log is then cut at every record boundary, at sampled byte offsets
+  and once after a bit flip, and each cut must recover to a prefix of
+  the mutations that took effect.  Unless a bit flip or the crash
+  between commit and apply fired, the whole log must recover to the
+  live database itself.
 
 Every generated plan is executed in up to three modes — ``cold``
 (``execute_compiled`` with no result cache), ``fresh`` (a new
@@ -55,13 +57,16 @@ cache, then a result-cache miss, then a hit) and ``shared`` (one
 result cache are shared across plans) — and each run is compared
 against the reference.  Any mismatch is recorded as a :class:`Divergence`.
 
-Seeds are independent by construction: every scenario derives its rng
-as ``derive_rng(base_seed, i, scenario)`` and draws everything from it,
-fault rates and injector seeds included, so seed ``i`` plays the same
-plans under the same faults regardless of how many seeds run or which
-process runs it.  That is what lets ``run_fuzz(jobs=N)`` shard seeds
-across worker processes (:func:`repro.parallel.parallel_map`) and
-still merge a byte-identical report.
+Seed ``i`` plays the ``i % n``-th of the ``n`` scenarios a run names
+(all of :data:`SCENARIOS` in order by default, so 500 seeds give each
+of the ten 50).  Seeds are independent by construction: every scenario
+derives its rng as ``derive_rng(base_seed, i, scenario)`` and draws
+everything from it, fault rates and injector seeds included, so seed
+``i`` plays the same plans under the same faults regardless of how
+many seeds run or which process runs it.  That is what lets
+``run_fuzz(jobs=N)`` shard seeds across worker processes
+(:func:`repro.parallel.parallel_map`) and still merge a byte-identical
+report.
 
 Entry points: :func:`run_fuzz` (library) and ``python -m repro fuzz
 --seeds N [--jobs N]`` (CLI, exits non-zero on divergence).
@@ -597,23 +602,22 @@ def _scenario_recovery(rng: random.Random, check: _Checker) -> None:
     """Every crash point of a WAL recovers to a committed prefix.
 
     A mutation script runs on a WAL-attached database under a drawn
-    ``durability`` fault rate; an injected crash ends it.  The log is
-    cut at every record boundary (the empty and the whole log
-    included), at up to six sampled byte offsets, and once after a
-    bit flip that the record CRC must catch.  Each cut must recover to
-    the :func:`~repro.durability.database_digest` (contents,
-    generation, fingerprints) of some prefix of the script applied in
-    process.  When no fault fired, the whole log must recover to the
-    live database itself, and a plan on it must answer as the live
+    ``durability`` fault rate.  A mutation that raises an injected
+    fault never happened, and the script goes on to the next one; only
+    the ``apply:`` crash (the record is durable, the in-memory apply
+    never ran) ends it.  The log is cut at every record boundary (the
+    empty and the whole log included), at up to six sampled byte
+    offsets, and once after a bit flip that the record CRC must catch.
+    Each cut must recover to the :func:`~repro.durability.database_digest`
+    (contents, generation, fingerprints) of some prefix of the
+    mutations that took effect (those that returned, plus an
+    ``apply:``-crashed one) applied in process.  Unless a bit flip or
+    the ``apply:`` crash fired, the whole log must recover to the live
+    database itself, and a plan on it must answer as the live
     database's reference does.
     """
     contents = random_database(rng, _NAMES)
     ops = _mutation_script(rng)
-    shadow = _live_database(contents)
-    golden = {database_digest(shadow)}
-    for op in ops:
-        _apply_op(shadow, op)
-        golden.add(database_digest(shadow))
     injector = FaultInjector(FaultPlan(
         seed=rng.randrange(2**31), durability_rate=rng.choice(_RATES)
     ))
@@ -628,15 +632,27 @@ def _scenario_recovery(rng: random.Random, check: _Checker) -> None:
             checkpoint_every=rng.choice((None, None, 2)),
             fault_injector=injector,
         )
+        took_effect = []
+        rolled_back = 0
         for op in ops:
             try:
                 _apply_op(live, op)
-            except InjectedFault:
-                break  # the simulated crash: the process is gone
+            except InjectedFault as fault:
+                if fault.label.startswith("apply:"):
+                    took_effect.append(op)
+                    break  # the simulated crash: the process is gone
+                rolled_back += 1  # the mutation never happened
             except Exception as exc:  # noqa: BLE001 — an escape is the finding
                 check.escaped("recover-script", exc)
                 break
+            else:
+                took_effect.append(op)
         check.tally(injector)
+        shadow = _live_database(contents)
+        golden = {database_digest(shadow)}
+        for op in took_effect:
+            _apply_op(shadow, op)
+            golden.add(database_digest(shadow))
         with open(os.path.join(state, WAL_NAME), "rb") as handle:
             data = handle.read()
         crash = os.path.join(workdir, "crash")
@@ -675,7 +691,9 @@ def _scenario_recovery(rng: random.Random, check: _Checker) -> None:
                     "recover-bitflip", bytes(flipped),
                     f"bit flip at byte {flip_at}",
                 )
-        if injector.injected or whole is None:
+        # A fault that aborted no mutation was a bit flip or the apply
+        # crash; without one, the whole log holds the live database.
+        if whole is None or injector.injected.get("durability", 0) > rolled_back:
             return
         check._check(
             "recover-whole",
@@ -702,33 +720,19 @@ SCENARIOS: dict[str, Callable[[random.Random, _Checker], None]] = {
 }
 
 
-def _seed_scenarios(
-    i: int, active: tuple[str, ...], deep_every: int
-) -> list[str]:
-    """Which scenarios seed ``i`` plays (cheap rotation + periodic deep)."""
-    cheap = [name for name in active if name != "deep"]
-    names: list[str] = []
-    if cheap:
-        names.append(cheap[i % len(cheap)])
-    if "deep" in active and deep_every > 0 and i % deep_every == 0:
-        names.append("deep")
-    return names
-
-
-def _fuzz_one_seed(
-    task: tuple[int, int, tuple[str, ...], int]
-) -> FuzzReport:
-    """Run one seed's scenarios into a single-seed report.
+def _fuzz_one_seed(task: tuple[int, int, tuple[str, ...]]) -> FuzzReport:
+    """Run seed ``i``'s scenario into a single-seed report.
 
     Top-level (picklable) so :func:`repro.parallel.parallel_map` can
     ship it to worker processes; the rng is derived from the task alone,
     so the result is identical wherever it runs.
     """
-    base_seed, i, active, deep_every = task
+    base_seed, i, active = task
+    name = active[i % len(active)]
     report = FuzzReport(seeds=1)
-    for name in _seed_scenarios(i, active, deep_every):
-        rng = derive_rng(base_seed, i, name)
-        SCENARIOS[name](rng, _Checker(report, base_seed + i, name))
+    SCENARIOS[name](
+        derive_rng(base_seed, i, name), _Checker(report, base_seed + i, name)
+    )
     return report
 
 
@@ -748,26 +752,27 @@ def run_fuzz(
     seeds: int,
     *,
     base_seed: int = 0,
-    deep_every: int = 10,
     scenarios: Optional[tuple[str, ...]] = None,
     jobs: int = 1,
 ) -> FuzzReport:
     """Run ``seeds`` differential fuzz iterations.
 
-    Each seed cycles through the cheap scenarios; the expensive ``deep``
-    scenario runs every ``deep_every``-th seed.  ``scenarios`` restricts
-    the set (by name) when given.  Determinism: seed ``i`` always plays
-    the same plans against the same databases, independent of the
-    overall count and of ``jobs`` — with ``jobs > 1`` the seeds are
-    sharded across worker processes and the per-seed reports merged in
-    seed order, so the report (and its rendered summary) is identical
-    to the serial run's.
+    Seed ``i`` plays ``scenarios[i % len(scenarios)]``; ``scenarios``
+    (by name) defaults to all of :data:`SCENARIOS`, and an empty tuple
+    or an unknown name raises ``ValueError``.  Determinism: given the
+    scenarios, seed ``i`` always plays the same plans against the same
+    databases, independent of the overall count and of ``jobs`` — with
+    ``jobs > 1`` the seeds are sharded across worker processes and the
+    per-seed reports merged in seed order, so the report (and its
+    rendered summary) is identical to the serial run's.
     """
     active = tuple(scenarios) if scenarios is not None else tuple(SCENARIOS)
+    if not active:
+        raise ValueError("no scenario to run")
     unknown = [name for name in active if name not in SCENARIOS]
     if unknown:
         raise ValueError(f"unknown scenario(s): {', '.join(unknown)}")
-    tasks = [(base_seed, i, active, deep_every) for i in range(seeds)]
+    tasks = [(base_seed, i, active) for i in range(seeds)]
     if jobs > 1:
         from ..parallel import parallel_map
 

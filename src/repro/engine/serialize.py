@@ -13,12 +13,17 @@ encoded as tagged nodes::
 
 A :class:`~repro.engine.database.Database` serializes to a dict of
 relations plus its schema catalog, enabling save/load of experiment
-workloads.
+workloads.  Each relation's schema entry is
+``{"arity": A, "keys": [[c, ...], ...], "shared_keys": [{"columns":
+[c, ...], "group": G}, ...]}``, written by
+:func:`relation_schema_to_json` and read back by
+:func:`declare_relation_from_json`; checkpoints and the write-ahead
+log's ``create`` records use the same pair.
 
 Error contract: every malformed input — undecodable JSON, an unknown
 value tag, a bag entry that is not a ``[value, count]`` pair, a schema
-whose arity is missing or non-integral, a row violating its declared
-arity or key — raises :class:`SerializeError`, never a bare
+whose arity is missing or non-integral or whose key names a column
+outside it, a row violating its declared arity or key — raises :class:`SerializeError`, never a bare
 ``KeyError``/``TypeError``/``ValueError``.  Callers get one exception
 type to catch for "these bytes are not a database".
 
@@ -37,6 +42,7 @@ import tempfile
 from typing import Any
 
 from ..types.values import CVBag, CVList, CVSet, Tup, Value, is_atom
+from ..optimizer.constraints import RelationInfo
 from .database import Database, SchemaError
 
 __all__ = [
@@ -44,6 +50,8 @@ __all__ = [
     "value_from_json",
     "database_to_json",
     "database_from_json",
+    "declare_relation_from_json",
+    "relation_schema_to_json",
     "save_database",
     "load_database",
     "atomic_write_text",
@@ -121,55 +129,62 @@ def value_from_json(data: Any) -> Value:
     raise SerializeError(f"malformed value payload: {data!r}")
 
 
+def relation_schema_to_json(info: RelationInfo) -> dict:
+    """Encode one relation's declared schema (arity, keys, shared
+    keys)."""
+    return {
+        "arity": info.arity,
+        "keys": [list(k) for k in info.keys],
+        "shared_keys": [
+            {"columns": list(cols), "group": group}
+            for cols, group in info.shared_keys.items()
+        ],
+    }
+
+
+def declare_relation_from_json(db: Database, name: str, entry: Any) -> None:
+    """Decode a :func:`relation_schema_to_json` entry and declare it on
+    ``db`` as relation ``name``.  Other keys of ``entry`` are ignored."""
+    if not isinstance(entry, dict):
+        raise SerializeError(f"malformed schema for {name!r}: {entry!r}")
+    try:
+        arity = entry["arity"]
+    except KeyError:
+        raise SerializeError(
+            f"schema for {name!r} is missing its arity"
+        ) from None
+    if not isinstance(arity, int) or isinstance(arity, bool) or arity < 0:
+        raise SerializeError(
+            f"schema arity for {name!r} must be a non-negative int, "
+            f"got {arity!r}"
+        )
+    try:
+        keys = [tuple(k) for k in entry.get("keys", [])]
+        shared_keys = {
+            tuple(item["columns"]): item["group"]
+            for item in entry.get("shared_keys", [])
+        }
+    except (KeyError, TypeError) as exc:
+        raise SerializeError(
+            f"malformed schema for {name!r}: {exc!r}"
+        ) from None
+    try:
+        db.create(name, arity, keys=keys, shared_keys=shared_keys)
+    except SchemaError as exc:
+        raise SerializeError(f"invalid schema for {name!r}: {exc}") from None
+
+
 def database_to_json(db: Database) -> dict:
     """Encode relations + schema catalog."""
     relations = {
         name: [value_to_json(t) for t in sorted(rel, key=repr)]
         for name, rel in db.relations.items()
     }
-    schema = {}
-    for name, info in db.catalog.relations.items():
-        schema[name] = {
-            "arity": info.arity,
-            "keys": [list(k) for k in info.keys],
-            "shared_keys": [
-                {"columns": list(cols), "group": group}
-                for cols, group in info.shared_keys.items()
-            ],
-        }
+    schema = {
+        name: relation_schema_to_json(info)
+        for name, info in db.catalog.relations.items()
+    }
     return {"relations": relations, "schema": schema}
-
-
-def _schema_from_json(db: Database, schema: Any) -> None:
-    if not isinstance(schema, dict):
-        raise SerializeError(
-            f"schema must be an object, got {type(schema).__name__}"
-        )
-    for name, info in schema.items():
-        if not isinstance(info, dict):
-            raise SerializeError(f"malformed schema for {name!r}: {info!r}")
-        try:
-            arity = info["arity"]
-        except KeyError:
-            raise SerializeError(
-                f"schema for {name!r} is missing its arity"
-            ) from None
-        if not isinstance(arity, int) or isinstance(arity, bool) or arity < 0:
-            raise SerializeError(
-                f"schema arity for {name!r} must be a non-negative int, "
-                f"got {arity!r}"
-            )
-        try:
-            keys = [tuple(k) for k in info.get("keys", [])]
-            shared_keys = {
-                tuple(entry["columns"]): entry["group"]
-                for entry in info.get("shared_keys", [])
-            }
-        except (KeyError, TypeError) as exc:
-            raise SerializeError(
-                f"malformed schema for {name!r}: {exc!r}"
-            ) from None
-        db.create(name, arity, keys=keys, shared_keys=shared_keys)
 
 
 def database_from_json(data: Any) -> Database:
@@ -186,7 +201,13 @@ def database_from_json(data: Any) -> Database:
             f"got {type(data).__name__}"
         )
     db = Database()
-    _schema_from_json(db, data.get("schema", {}))
+    schema = data.get("schema", {})
+    if not isinstance(schema, dict):
+        raise SerializeError(
+            f"schema must be an object, got {type(schema).__name__}"
+        )
+    for name, entry in schema.items():
+        declare_relation_from_json(db, name, entry)
     relations = data.get("relations", {})
     if not isinstance(relations, dict):
         raise SerializeError(

@@ -16,14 +16,15 @@ drawn at its :class:`FaultPlan` rate:
   the model of a poisoned/bit-flipped entry);
 * ``"compile"`` — plan lowering fails (drawn before ``compile_plan``,
   once per compiled run);
-* ``"durability"`` — the write-ahead log misbehaves: an append is torn
-  mid-record (a crash during the write — only a byte prefix reaches
-  disk), a full record is silently bit-flipped in place (media
-  corruption the per-record CRC must catch at scan time), an fsync
-  fails (the mutation must abort *before* any in-memory change), or
-  the process "dies" between the commit marker and the in-memory
-  apply (recovery must replay the committed record).  See
-  :meth:`FaultInjector.tamper_wal_line` and
+* ``"durability"`` — the write-ahead log misbehaves inside
+  ``WriteAheadLog.commit``: a record is torn mid-write (only a byte
+  prefix reaches the file) or its sync fails, and either way the log
+  must roll back to its length before the record and the mutation
+  must abort *before* any in-memory change; a full record is silently
+  bit-flipped in place (media corruption the per-record CRC must
+  catch at scan time); or the process "dies" between the commit and
+  the in-memory apply (recovery must replay the committed record).
+  See :meth:`FaultInjector.tamper_wal_line` and
   :mod:`repro.durability.wal`.
 
 A fifth failure, a parallel worker process dying hard, has no
@@ -174,11 +175,12 @@ class FaultInjector:
         chosen by the seeded rng:
 
         * **truncate-at-byte-k** — only a prefix of the record reaches
-          disk and the writer "crashes" (``crash_label`` is set; the
-          WAL raises :class:`InjectedFault` after writing).  Recovery
-          must drop the torn tail;
+          the file and the write fails (``crash_label`` is set; the
+          WAL raises :class:`InjectedFault` after writing).  The WAL
+          must roll the torn bytes back before the error reaches the
+          caller;
         * **torn record** — a prefix plus garbage bytes, no
-          terminating newline, then the crash.  Same requirement,
+          terminating newline, then the failure.  Same requirement,
           nastier bytes;
         * **bit flip** — a full-length record with one byte flipped,
           written *silently* (no crash, the writer carries on).  The

@@ -1,15 +1,18 @@
-"""The ``durability`` fault site: torn appends, bit flips, failed
+"""The ``durability`` fault site: torn writes, bit flips, failed
 fsyncs, and the crash window between commit and apply.
 
 Each test pins one direction of the atomicity contract:
 
-* a fault *before* the commit marker → the mutation never happened
-  (caller saw an exception, recovery sees an uncommitted record);
-* a fault *after* the commit marker → the mutation durably happened
+* a fault *inside* the commit → the mutation never happened (the
+  caller saw an exception, the log was rolled back, and the next
+  mutation commits and recovers as if it were the first attempt);
+* a fault *after* the commit → the mutation durably happened
   (recovery replays what the in-memory process never finished).
 """
 
 from __future__ import annotations
+
+import os
 
 import pytest
 
@@ -95,52 +98,92 @@ class TestSite:
 
 
 class _LabelFault:
-    """Minimal injector firing only at one ``maybe_raise`` label —
-    unit-test precision the seeded injector trades away."""
+    """Minimal injector firing once, at the ``nth`` ``maybe_raise``
+    label that starts with ``label_prefix`` — unit-test precision the
+    seeded injector trades away."""
 
-    def __init__(self, label_prefix: str) -> None:
+    def __init__(self, label_prefix: str, nth: int = 1) -> None:
         self.label_prefix = label_prefix
-        self.fired = 0
+        self.nth = nth
+        self.seen = 0
 
     def tamper_wal_line(self, line):
         return line, None
 
     def maybe_raise(self, site: str, label: str = "") -> None:
         if label.startswith(self.label_prefix):
-            self.fired += 1
-            raise InjectedFault(site, label)
+            self.seen += 1
+            if self.seen == self.nth:
+                raise InjectedFault(site, label)
+
+
+def _durable_db(state, fsync: bool = False) -> Database:
+    """A WAL-attached database holding ``r = {(1,)}``."""
+    db = Database()
+    db.durability = DurabilityManager(state, fsync=fsync)
+    db.create("r", 1)
+    db.insert("r", [(1,)])
+    return db
+
+
+def _insert_each(db: Database, rows, error) -> list:
+    """Insert each row on its own; return the rows whose insert raised
+    ``error``, each of which must have left the database unchanged."""
+    failed = []
+    for row in rows:
+        before = database_digest(db)
+        try:
+            db.insert("r", [(row,)])
+        except error:
+            assert database_digest(db) == before
+            failed.append(row)
+    return failed
 
 
 class TestCrashWindows:
-    def test_failed_fsync_aborts_before_apply(self, tmp_path):
-        state = tmp_path / "state"
-        db = Database()
-        db.durability = DurabilityManager(state, fsync=False)
-        db.create("r", 1)
-        db.insert("r", [(1,)])
-        before = database_digest(db)
+    """A fault inside a commit aborts its mutation, and the mutations
+    after it commit and recover; a crash after the commit replays.  In
+    the two sync tests, the second sync after the fault is armed is the
+    second insert's: one sync per mutation."""
 
-        db.durability.fault_injector = _LabelFault("fsync")
-        with pytest.raises(InjectedFault, match="fsync"):
-            db.insert("r", [(2,)])
-        # Atomically never happened: no in-memory change...
-        assert database_digest(db) == before
-        assert db["r"] == cvset(tup(1))
-        # ... and recovery agrees (the half-logged record is dropped).
-        # Close first: the failed sync left the record in the stdio
-        # buffer, and a real crash could land it on disk anyway.
+    def test_failed_os_fsync_rolls_back_and_later_inserts_recover(
+        self, tmp_path, monkeypatch
+    ):
+        state = tmp_path / "state"
+        db = _durable_db(state, fsync=True)
+        real_fsync = os.fsync
+        calls = []
+
+        def fsync(fd):
+            calls.append(fd)
+            if len(calls) == 2:
+                raise OSError(5, "Input/output error")
+            real_fsync(fd)
+
+        monkeypatch.setattr("os.fsync", fsync)
+        failed = _insert_each(db, (2, 3, 4), OSError)
         db.durability.close()
-        recovered, report = recover(state)
-        assert database_digest(recovered) == before
-        assert report.dropped_uncommitted == 1
+        recovered, _report = recover(state)
+        assert database_digest(recovered) == database_digest(db)
+        assert failed == [3]
+        assert recovered["r"] == cvset(tup(1), tup(2), tup(4))
+
+    def test_injected_fsync_fault_rolls_back_and_later_inserts_recover(
+        self, tmp_path
+    ):
+        state = tmp_path / "state"
+        db = _durable_db(state)
+        fault = _LabelFault("fsync", nth=2)
+        db.durability.fault_injector = fault
+        failed = _insert_each(db, (2, 3, 4), InjectedFault)
+        db.durability.close()
+        recovered, _report = recover(state)
+        assert database_digest(recovered) == database_digest(db)
+        assert failed == [3] and fault.seen == 3
 
     def test_crash_between_commit_and_apply_replays(self, tmp_path):
         state = tmp_path / "state"
-        db = Database()
-        db.durability = DurabilityManager(state, fsync=False)
-        db.create("r", 1)
-        db.insert("r", [(1,)])
-
+        db = _durable_db(state)
         db.durability.fault_injector = _LabelFault("apply:")
         with pytest.raises(InjectedFault, match="apply:insert"):
             db.insert("r", [(2,)])
@@ -148,17 +191,18 @@ class TestCrashWindows:
         assert db["r"] == cvset(tup(1))
         # ... but the log committed first, so recovery must finish the
         # mutation the crash interrupted.
+        db.durability.close()
         recovered, report = recover(state)
         assert recovered["r"] == cvset(tup(1), tup(2))
         assert report.replayed == 3  # create + both inserts
 
-    def test_torn_append_crashes_writer_and_recovery_drops_it(
+    def test_torn_write_rolls_back_and_the_next_commit_reads(
         self, tmp_path
     ):
         path = tmp_path / "wal.jsonl"
         wal = WriteAheadLog(path, fsync=False)
-        lsn = wal.append("insert", {"name": "r", "rows": []}, 1)
-        wal.commit(lsn, 1)
+        wal.commit("insert", {"name": "r", "rows": []}, 1)
+        before = path.read_bytes()
 
         class _TearNext:
             def tamper_wal_line(self, line):
@@ -169,17 +213,16 @@ class TestCrashWindows:
 
         wal.fault_injector = _TearNext()
         with pytest.raises(InjectedFault, match="torn-write"):
-            wal.append("insert", {"name": "r", "rows": [{"t": [9]}]}, 2)
+            wal.commit("insert", {"name": "r", "rows": [{"t": [9]}]}, 2)
+        assert path.read_bytes() == before
+        wal.fault_injector = None
+        assert wal.commit("insert", {"name": "r", "rows": [{"t": [8]}]}, 2) == 2
         wal.close()
-
-        data = path.read_bytes()
-        scan = scan_wal(data)
-        assert scan.torn_tail
-        assert [r.lsn for r in scan.records] == [1, 2]
-        # Reopening (the restart after the crash) truncates the tear.
-        reopened = WriteAheadLog(path, fsync=False)
-        reopened.close()
-        assert scan_wal(path.read_bytes()).torn_tail is False
+        scan = scan_wal(path.read_bytes())
+        assert not scan.torn_tail and not scan.corrupt
+        assert [(r.lsn, r.payload["rows"]) for r in scan.records] == [
+            (1, []), (2, [{"t": [8]}]),
+        ]
 
     def test_injected_counts_surface_in_injector(self, tmp_path):
         injector = FaultInjector(FaultPlan(seed=3, durability_rate=1.0))

@@ -66,7 +66,6 @@ class TestRecoverEndToEnd:
             == "person-ids"
         )
         assert report.replayed == 6
-        assert report.dropped_uncommitted == 0
         assert not report.torn_tail and not report.corrupt
 
     def test_checkpoint_bounds_replay(self, state):
@@ -112,23 +111,23 @@ class TestRecoverEndToEnd:
         assert database_digest(recovered) == database_digest(live)
         assert report.checkpoint_loaded
 
-    def test_uncommitted_record_dropped(self, state):
+    def test_torn_tail_dropped(self, state):
+        # A process killed mid-write runs no rollback: the log ends in
+        # part of a record, which recovery drops.
         live = durable_db(state)
         live.create("r", 1)
         live.insert("r", [(1,)])
-        before = database_digest(live)
-        # A data record whose commit marker never made it: the model
-        # of a crash between the two appends.
-        live.durability.wal.append(
-            "insert", {"name": "r", "rows": [{"t": [2]}]},
-            live._generation + 1,
-        )
-        live.durability.wal.sync()
         live.durability.close()
+        with open(os.path.join(state, WAL_NAME), "ab") as handle:
+            handle.write(b'{"crc":1,"gen":2,"kind":"ins')
+        before = REGISTRY.snapshot()
 
         recovered, report = recover(state)
-        assert database_digest(recovered) == before
-        assert report.dropped_uncommitted == 1
+        assert database_digest(recovered) == database_digest(live)
+        assert report.torn_tail and not report.corrupt
+        assert "tail dropped: torn tail" in report.summary()
+        delta = snapshot_delta(REGISTRY.snapshot(), before)["counters"]
+        assert delta["robustness.wal.torn_tail_dropped"] == 1
 
     def test_stale_wal_after_checkpoint_race_is_filtered(self, state):
         # Crash between checkpoint publication and WAL reset: every

@@ -1,5 +1,5 @@
-"""WAL unit tests: record format, scan prefix rule, commit markers,
-append-side LSN discipline.
+"""WAL unit tests: record format, scan prefix rule, the one-record
+commit with its rollback, append-side LSN discipline.
 
 The crash-shaped end-to-end properties (every byte prefix, injected
 faults) live in ``test_property.py`` and ``test_faults.py``; this file
@@ -9,6 +9,7 @@ pins the building blocks those properties are made of.
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -18,7 +19,6 @@ from repro.durability import (
     WalRecord,
     WalScan,
     WriteAheadLog,
-    committed_records,
     decode_line,
     encode_record,
     scan_wal,
@@ -96,8 +96,8 @@ class TestScan:
         return b"".join(encode_record(r) for r in records)
 
     def test_clean_log(self):
-        recs = (record(lsn=1), record(lsn=2, kind="commit",
-                                      payload={"of": 1}))
+        recs = (record(lsn=1), record(lsn=2, kind="create",
+                                      payload={"name": "s"}))
         scan = scan_wal(self._lines(*recs))
         assert scan.records == recs
         assert scan.clean_length == len(self._lines(*recs))
@@ -149,102 +149,74 @@ class TestScan:
             assert not scan.torn_tail and not scan.corrupt
 
 
-class TestCommittedRecords:
-    def test_uncommitted_dropped(self):
-        recs = (
-            record(lsn=1),
-            record(lsn=2, kind="commit", payload={"of": 1}),
-            record(lsn=3),  # logged, never committed
-        )
-        committed, uncommitted = committed_records(recs)
-        assert [r.lsn for r in committed] == [1]
-        assert uncommitted == 1
-
-    def test_commit_order_is_data_order(self):
-        recs = (
-            record(lsn=1),
-            record(lsn=2, kind="commit", payload={"of": 1}),
-            record(lsn=3),
-            record(lsn=4, kind="commit", payload={"of": 3}),
-        )
-        committed, uncommitted = committed_records(recs)
-        assert [r.lsn for r in committed] == [1, 3]
-        assert uncommitted == 0
-
-    def test_dangling_commit_marker_ignored(self):
-        # A commit whose data record fell off the readable prefix
-        # (stale WAL, checkpoint reset race) commits nothing.
-        recs = (record(lsn=9, kind="commit", payload={"of": 7}),)
-        committed, uncommitted = committed_records(recs)
-        assert committed == [] and uncommitted == 0
-
-
 class TestWriteAheadLog:
-    def test_lsns_monotonic_and_commit_payload(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal.jsonl", fsync=False)
+    def test_one_record_per_commit(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        wal = WriteAheadLog(path, fsync=False)
         assert wal.last_lsn == 0
-        lsn = wal.append("insert", {"name": "r", "rows": []}, 1)
-        commit_lsn = wal.commit(lsn, 1)
-        assert (lsn, commit_lsn) == (1, 2)
+        assert wal.commit("insert", {"name": "r", "rows": []}, 1) == 1
+        # Unbuffered: the record is in the file before any close.
+        assert scan_wal(path.read_bytes()).records == (
+            WalRecord(1, "insert", 1, {"name": "r", "rows": []}),
+        )
+        assert wal.commit("replace", {"name": "r", "value": {"s": []}}, 2) == 2
         assert wal.last_lsn == 2
-        wal.sync()
         wal.close()
-        scan = scan_wal((tmp_path / "wal.jsonl").read_bytes())
-        assert [r.lsn for r in scan.records] == [1, 2]
-        assert scan.records[1].payload == {"of": 1}
+        scan = scan_wal(path.read_bytes())
+        assert [(r.lsn, r.kind) for r in scan.records] == [
+            (1, "insert"), (2, "replace"),
+        ]
 
     def test_reopen_resumes_lsn(self, tmp_path):
         path = tmp_path / "wal.jsonl"
         wal = WriteAheadLog(path, fsync=False)
-        wal.append("create", {"name": "r"}, 0)
+        wal.commit("create", {"name": "r"}, 0)
         wal.close()
         again = WriteAheadLog(path, fsync=False)
-        assert again.append("insert", {"name": "r", "rows": []}, 1) == 2
+        assert again.commit("insert", {"name": "r", "rows": []}, 1) == 2
         again.close()
 
     def test_reopen_truncates_torn_tail(self, tmp_path):
+        # A process killed mid-write runs no rollback; the reopen does
+        # the truncation instead.
         path = tmp_path / "wal.jsonl"
         wal = WriteAheadLog(path, fsync=False)
-        lsn = wal.append("insert", {"name": "r", "rows": []}, 1)
-        wal.commit(lsn, 1)
+        wal.commit("insert", {"name": "r", "rows": []}, 1)
         wal.close()
         clean = path.read_bytes()
         with open(path, "ab") as handle:
             handle.write(b'{"half a rec')  # crash artifact
         again = WriteAheadLog(path, fsync=False)
-        # The torn bytes are gone *before* the next append, so the new
+        # The torn bytes are gone *before* the next commit, so the new
         # record is readable instead of being glued onto garbage.
-        next_lsn = again.append("insert", {"name": "r", "rows": []}, 2)
-        assert next_lsn == 3
-        again.sync()
+        next_lsn = again.commit("insert", {"name": "r", "rows": []}, 2)
+        assert next_lsn == 2
         again.close()
         data = path.read_bytes()
         assert data.startswith(clean)
         scan = scan_wal(data)
-        assert [r.lsn for r in scan.records] == [1, 2, 3]
+        assert [r.lsn for r in scan.records] == [1, 2]
         assert not scan.torn_tail and not scan.corrupt
 
     def test_reset_empties_file_but_keeps_lsn_monotonic(self, tmp_path):
         path = tmp_path / "wal.jsonl"
         wal = WriteAheadLog(path, fsync=False)
-        wal.append("insert", {"name": "r", "rows": []}, 1)
+        wal.commit("insert", {"name": "r", "rows": []}, 1)
         wal.reset()
         assert path.read_bytes() == b""
-        assert wal.append("insert", {"name": "r", "rows": []}, 2) == 2
+        assert wal.commit("insert", {"name": "r", "rows": []}, 2) == 2
         wal.close()
 
-    def test_fsync_enabled_by_default(self, tmp_path, monkeypatch):
-        import os as os_module
-
+    def test_one_fsync_per_commit_by_default(self, tmp_path, monkeypatch):
         synced = []
-        real_fsync = os_module.fsync
+        real_fsync = os.fsync
         monkeypatch.setattr(
             "os.fsync", lambda fd: (synced.append(fd), real_fsync(fd))[1]
         )
         wal = WriteAheadLog(tmp_path / "wal.jsonl")
-        wal.append("create", {"name": "r"}, 0)
-        wal.sync()
-        assert synced
+        wal.commit("create", {"name": "r"}, 0)
+        wal.commit("insert", {"name": "r", "rows": []}, 1)
+        assert len(synced) == 2
         wal.close()
 
     def test_fsync_disabled_skips_os_fsync(self, tmp_path, monkeypatch):
@@ -253,6 +225,71 @@ class TestWriteAheadLog:
             lambda fd: (_ for _ in ()).throw(AssertionError("fsynced")),
         )
         wal = WriteAheadLog(tmp_path / "wal.jsonl", fsync=False)
-        wal.append("create", {"name": "r"}, 0)
-        wal.sync()
+        wal.commit("create", {"name": "r"}, 0)
         wal.close()
+
+
+def _failing_fsync(fd):
+    raise OSError(5, "Input/output error")
+
+
+class TestRollback:
+    """A commit that fails leaves no byte behind, and its LSN is handed
+    out again."""
+
+    def _log(self, tmp_path, **kwargs):
+        wal = WriteAheadLog(tmp_path / "wal.jsonl", **kwargs)
+        wal.commit("insert", {"name": "r", "rows": []}, 1)
+        return wal, (tmp_path / "wal.jsonl").read_bytes()
+
+    def test_failed_fsync_truncates_the_record(self, tmp_path, monkeypatch):
+        wal, before = self._log(tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr("os.fsync", _failing_fsync)
+            with pytest.raises(OSError, match="Input/output error"):
+                wal.commit("insert", {"name": "r", "rows": [{"t": [1]}]}, 2)
+        assert (tmp_path / "wal.jsonl").read_bytes() == before
+        assert wal.last_lsn == 1
+        assert wal.commit("insert", {"name": "r", "rows": [{"t": [2]}]}, 2) == 2
+        wal.close()
+        scan = scan_wal((tmp_path / "wal.jsonl").read_bytes())
+        assert [r.payload["rows"] for r in scan.records] == [[], [{"t": [2]}]]
+
+    def test_short_write_truncates_the_record(self, tmp_path):
+        wal, before = self._log(tmp_path, fsync=False)
+
+        class _ShortWrites:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def write(self, line):
+                return self.handle.write(line[: len(line) // 2])
+
+            def __getattr__(self, name):
+                return getattr(self.handle, name)
+
+        wal._handle = _ShortWrites(wal._handle)
+        with pytest.raises(OSError, match="short write"):
+            wal.commit("insert", {"name": "r", "rows": [{"t": [1]}]}, 2)
+        assert (tmp_path / "wal.jsonl").read_bytes() == before
+        wal.close()
+
+    def test_failed_truncate_closes_the_log(self, tmp_path, monkeypatch):
+        wal, before = self._log(tmp_path)
+        monkeypatch.setattr("os.fsync", _failing_fsync)
+
+        def ftruncate(fd, length):
+            raise OSError("no truncate")
+
+        monkeypatch.setattr("os.ftruncate", ftruncate)
+        with pytest.raises(OSError, match="no truncate") as raised:
+            wal.commit("insert", {"name": "r", "rows": [{"t": [1]}]}, 2)
+        assert "Input/output error" in str(raised.value.__context__)
+        after = (tmp_path / "wal.jsonl").read_bytes()
+        assert after.startswith(before) and after != before
+        monkeypatch.undo()
+        # The log ends in bytes of unknown length: nothing more is
+        # appended after them.
+        with pytest.raises(ValueError, match="closed file"):
+            wal.commit("insert", {"name": "r", "rows": [{"t": [2]}]}, 2)
+        assert (tmp_path / "wal.jsonl").read_bytes() == after

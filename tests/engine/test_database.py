@@ -4,6 +4,7 @@ import pytest
 
 from repro.durability import WAL_NAME, DurabilityManager, WalError, recover
 from repro.engine.database import Database, SchemaError
+from repro.optimizer.constraints import RelationInfo
 from repro.optimizer.plan import Project, Scan
 from repro.types.values import CVSet, cvset, tup
 
@@ -147,7 +148,7 @@ class TestSchemaValidation:
         never take a row."""
         state = tmp_path / "state"
         manager = DurabilityManager(state, fsync=False)
-        manager.log_create("r", 2, [(5,)], {}, 0)
+        manager.log_create(RelationInfo("r", 2, ((5,),)), 0)
         manager.close()
         with pytest.raises(WalError, match="column outside"):
             recover(state)

@@ -3,7 +3,10 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+
+import pytest
 
 from repro.cli import main
 from repro.engine.database import Database
@@ -15,7 +18,7 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 
 class TestRunFuzz:
     def test_small_run_has_zero_divergences(self):
-        report = run_fuzz(12, deep_every=12)
+        report = run_fuzz(12)
         assert report.ok, report.summary()
         assert report.seeds == 12
         assert report.checks > 0
@@ -23,8 +26,9 @@ class TestRunFuzz:
         assert set(report.per_scenario) == set(SCENARIOS)
 
     def test_deterministic_across_runs(self):
-        a = run_fuzz(18, base_seed=3, deep_every=0)
-        b = run_fuzz(18, base_seed=3, deep_every=0)
+        cheap = tuple(name for name in SCENARIOS if name != "deep")
+        a = run_fuzz(18, base_seed=3, scenarios=cheap)
+        b = run_fuzz(18, base_seed=3, scenarios=cheap)
         assert a.injected, "no fault fired: the comparison is vacuous"
         assert a.checks == b.checks
         assert a.per_scenario == b.per_scenario
@@ -49,12 +53,22 @@ class TestRunFuzz:
     def test_scenario_filter_and_validation(self):
         report = run_fuzz(4, scenarios=("alias", "atoms"))
         assert set(report.per_scenario) <= {"alias", "atoms"}
-        try:
+        with pytest.raises(ValueError, match="nope"):
             run_fuzz(1, scenarios=("nope",))
-        except ValueError as error:
-            assert "nope" in str(error)
-        else:
-            raise AssertionError("unknown scenario accepted")
+        # A run that names no scenario would check nothing.
+        with pytest.raises(ValueError, match="no scenario"):
+            run_fuzz(3, scenarios=())
+
+    def test_seeds_rotate_through_the_scenarios(self, monkeypatch):
+        played = []
+        for name in SCENARIOS:
+            monkeypatch.setitem(
+                SCENARIOS, name,
+                lambda rng, check, name=name: played.append(name),
+            )
+        run_fuzz(500)
+        assert played[:10] == list(SCENARIOS)
+        assert Counter(played) == {name: 50 for name in SCENARIOS}
 
 
 class TestFaults:
@@ -135,6 +149,18 @@ class TestRecovery:
             "recover-cut", "recover-bitflip", "recover-whole",
         }
 
+    def test_a_log_without_rollback_diverges(self, monkeypatch):
+        # A failed commit leaves its bytes behind: a failed sync's record
+        # replays a mutation that never happened, and a torn write ends
+        # the readable log before the mutations after it.
+        monkeypatch.setattr("os.ftruncate", lambda fd, length: None)
+        report = run_fuzz(30, scenarios=("recovery",))
+        assert not report.ok
+        assert {d.mode for d in report.divergences} <= {
+            "recover-cut", "recover-bitflip", "recover-whole",
+            "recover-plan",
+        }
+
     def test_an_escaping_recover_is_a_divergence(self, monkeypatch):
         import repro.engine.fuzz as fuzz
 
@@ -184,6 +210,8 @@ class TestImport:
 
 class TestCli:
     def test_fuzz_subcommand_smoke(self, capsys):
-        assert main(["fuzz", "--seeds", "5", "--deep-every", "5"]) == 0
+        assert main(["fuzz", "--seeds", "5", "--scenarios", "deep"]) == 0
         out = capsys.readouterr().out
+        # Every seed plays deep: cold and shared, two checks each.
+        assert "fuzz: 5 seeds, 10 differential checks" in out
         assert "zero divergences" in out

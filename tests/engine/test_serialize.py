@@ -11,7 +11,9 @@ from repro.engine.serialize import (
     SerializeError,
     database_from_json,
     database_to_json,
+    declare_relation_from_json,
     load_database,
+    relation_schema_to_json,
     save_database,
     value_from_json,
     value_to_json,
@@ -165,6 +167,31 @@ NODE_TYPE_PLANS = (
 )
 
 
+class TestSchemaCodec:
+    def test_one_entry_shape_for_checkpoints_and_create_records(
+        self, tmp_path
+    ):
+        from repro.durability import WAL_NAME, DurabilityManager, scan_wal
+
+        db = Database()
+        db.durability = DurabilityManager(tmp_path, fsync=False)
+        db.create("people", 2, keys=[(0,)], shared_keys={(0,): "ids"})
+        info = db.catalog["people"]
+        entry = relation_schema_to_json(info)
+        assert entry == {
+            "arity": 2,
+            "keys": [[0]],
+            "shared_keys": [{"columns": [0], "group": "ids"}],
+        }
+        assert database_to_json(db)["schema"]["people"] == entry
+        (record,) = scan_wal((tmp_path / WAL_NAME).read_bytes()).records
+        assert record.payload == {"name": "people", **entry}
+        db.durability.close()
+        fresh = Database()
+        declare_relation_from_json(fresh, "people", record.payload)
+        assert fresh.catalog["people"] == info
+
+
 class TestDatabaseRoundtripProperty:
     def test_plan_list_covers_every_node_type(self):
         """Completeness guard: a new ``Plan`` subclass must be added
@@ -234,6 +261,9 @@ MALFORMED_DATABASE_PAYLOADS = (
     {"schema": {"r": {"arity": 2, "keys": 5}}},            # keys not a list
     {"schema": {"r": {"arity": 2,
                       "shared_keys": [{"columns": [0]}]}}},  # group missing
+    {"schema": {"r": {"arity": 2, "keys": [[5]]}}},        # key outside the arity
+    {"schema": {"r": {"arity": 2, "shared_keys": [
+        {"columns": [-1], "group": "g"}]}}},               # shared key outside it
     {"relations": "r"},                                    # relations not a dict
     {"relations": {"r": {"t": [1]}}},                      # rows not a list
     {"schema": {"r": {"arity": 2}},

@@ -261,12 +261,10 @@ class TestCountOptions:
     @pytest.mark.parametrize("argv", [
         ["optimize", "pi[1](employees)", "--size", "5", "--show-rows", "-1"],
         ["explain", "pi[1](employees)", "--warm", "-2"],
-        ["fuzz", "--seeds", "1", "--deep-every", "-1"],
     ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
     def test_negative_row_or_warm_count_exits_2(self, argv, capsys):
         # A negative count has no meaning: sliced as rows[:-1],
-        # ``--show-rows -1`` would print all rows but the last, and a
-        # negative ``--*-every`` period would silently mean 0.
+        # ``--show-rows -1`` would print all rows but the last.
         with pytest.raises(SystemExit) as exit_:
             main(argv)
         assert exit_.value.code == 2
@@ -365,6 +363,24 @@ class TestRecover:
             f"{argv[0]} failed: malformed checkpoint"
         )
         assert captured.out == ""
+
+    def test_checkpoint_with_an_impossible_schema_fails(
+        self, tmp_path, capsys
+    ):
+        from repro.durability import CHECKPOINT_NAME
+
+        state = tmp_path / "state"
+        state.mkdir()
+        (state / CHECKPOINT_NAME).write_text(
+            '{"format": 1, "lsn": 0, "generation": 0, "database": '
+            '{"schema": {"r": {"arity": 2, "keys": [[5]]}}}}'
+        )
+        assert main(["recover", str(state)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "recover failed: invalid schema for 'r': key (5,) of r has a "
+            "column outside range(2)\n"
+        )
 
     def test_explain_wal_runs_against_recovered_db(self, tmp_path, capsys):
         state = self._seed_state(tmp_path)
