@@ -24,7 +24,10 @@ directory (checkpoint + WAL suffix; see
 tree; ``explain --wal DIR`` and ``optimize --wal DIR`` run their plan
 against a recovered database instead of the demo HR one.  All three
 refuse a directory that does not exist (exit 1), although the library's
-``recover()`` treats one as an empty database.
+``recover()`` treats one as an empty database, and print ``<command>
+failed: …`` and exit 1 when the checkpoint is malformed or the log
+cannot be replayed.  ``recover --dump FILE`` that cannot write FILE
+fails the same way.
 
 ``fuzz`` checks the compiled engine against the reference interpreter
 on random plans (:mod:`repro.engine.fuzz`); its ``faults`` and
@@ -34,10 +37,12 @@ point of a write-ahead log.  Seed ``i`` plays the ``i % n``-th of the
 
 ``classify`` accepts the row names of E-TABLE1's operation catalog
 (:data:`repro.genericity.catalog.PAPER_TABLE`); ``optimize`` runs the
-rewriter against the demo HR catalog and prints the trace with its
-genericity/parametricity justifications.  ``run --jobs N`` and ``fuzz
---jobs N`` shard independent work units across ``N`` worker processes
-(:mod:`repro.parallel`) with output byte-identical to the serial run.
+rewriter against the demo HR catalog, prints the trace with its
+genericity/parametricity justifications, runs the original and the
+rewritten plan, and keeps the rewrite unless it measured more work.
+``run --jobs N`` and ``fuzz --jobs N`` shard independent work units
+across ``N`` worker processes (:mod:`repro.parallel`) with output
+byte-identical to the serial run.
 
 Performance is measured by the benchmark of record,
 ``python3 benchmarks/e2e/run.py``, described by ``BENCHMARK.json``.
@@ -93,7 +98,7 @@ def _recover_directory(directory: str, command: str):
     from the command line that is almost surely a mistyped path, so
     the commands refuse one here.
     """
-    from .durability import recover
+    from .durability import WalError, recover
     from .engine.serialize import SerializeError
 
     if not os.path.isdir(directory):
@@ -102,7 +107,7 @@ def _recover_directory(directory: str, command: str):
         return None
     try:
         return recover(directory)
-    except (OSError, SerializeError) as error:
+    except (OSError, SerializeError, WalError) as error:
         print(f"{command} failed: {error}", file=sys.stderr)
         return None
 
@@ -167,7 +172,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     from .engine.workload import hr_database
-    from .optimizer.cost import Stats, choose_plan
     from .optimizer.parser import PlanParseError, parse_plan
     from .optimizer.rewriter import Rewriter
 
@@ -195,15 +199,18 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         print(f"schema error: {error}", file=sys.stderr)
         return 2
     rewriter = Rewriter(db.catalog)
-    stats = Stats.from_database(db)
-    chosen, before, after = choose_plan(plan, db.catalog, stats, rewriter)
+    rewritten = rewriter.optimize(plan)
     print(f"original : {plan}")
-    print(f"rewritten: {rewriter.optimize(plan)}")
+    print(f"rewritten: {rewritten}")
     for line in rewriter.explain():
         print(f"  applied: {line}")
-    print(f"estimated work: {before.work:.0f} -> {after.work:.0f}")
+    before = db.run(plan)
+    after = db.run(rewritten)
+    print(f"measured work: {before.work} -> {after.work}")
+    chosen, result = (
+        (rewritten, after) if after.work <= before.work else (plan, before)
+    )
     print(f"chosen   : {chosen}")
-    result = db.run(chosen)
     print(f"answer ({len(result.value)} rows, measured work {result.work})")
     if args.show_rows:
         for row in sorted(result.value, key=repr)[: args.show_rows]:
@@ -294,13 +301,18 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     if recovered is None:
         return 1
     db, report = recovered
+    if args.dump:
+        try:
+            save_database(db, args.dump)
+        except OSError as error:
+            print(f"recover failed: cannot write {args.dump}: "
+                  f"{error.strerror or error}", file=sys.stderr)
+            return 1
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
         print(report.render())
-    if args.dump:
-        save_database(db, args.dump)
-        if not args.json:
+        if args.dump:
             print(f"recovered snapshot written to {args.dump}")
     return 0
 

@@ -28,7 +28,10 @@ a logged record is always replayable.
 
 Checkpoints: ``checkpoint_every=N`` publishes a snapshot after every
 ``N`` applied mutations and resets the log; ``checkpoint(db)`` does it
-on demand.  Replay cost is bounded by the checkpoint interval.
+on demand.  Replay cost is bounded by the checkpoint interval.  A
+policy checkpoint that fails is counted and retried after the next
+mutation, not raised from the mutation that triggered it; an
+on-demand ``checkpoint(db)`` raises.
 """
 
 from __future__ import annotations
@@ -117,13 +120,23 @@ class DurabilityManager:
 
     def mutation_applied(self, db) -> None:
         """Called by the Database after a logged mutation took effect
-        in memory; drives the ``checkpoint_every`` policy."""
+        in memory; drives the ``checkpoint_every`` policy.
+
+        The mutation is already durable and applied, so a policy
+        checkpoint that fails with an ``OSError`` does not fail it:
+        the failure is counted (``robustness.wal.checkpoints_failed``)
+        and the next mutation tries again.  Until one succeeds,
+        recovery replays every record since the last published
+        snapshot."""
         self._since_checkpoint += 1
         if (
             self.checkpoint_every
             and self._since_checkpoint >= self.checkpoint_every
         ):
-            self.checkpoint(db)
+            try:
+                self.checkpoint(db)
+            except OSError:
+                counter("robustness.wal.checkpoints_failed")
 
     def checkpoint(self, db) -> str:
         """Publish a snapshot, then reset the log.

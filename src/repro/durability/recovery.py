@@ -15,8 +15,8 @@ three phases, each its own span on the ``recover`` span tree:
 
 Replaying through the public mutation surface is what makes the
 result *byte-identical* to a database that applied the mutations
-in-process: the same index, atom, weight, width and distinct
-maintenance runs and the same fingerprints emerge.
+in-process: the same key-index, weight and width maintenance runs and
+the same fingerprints emerge.
 
 Counters (``robustness.wal.*``) make every recovery auditable:
 replayed and skipped-stale record counts, torn tails and corrupt

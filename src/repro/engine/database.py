@@ -29,6 +29,7 @@ from ..optimizer.plan import (
     Plan,
     Scan,
     execute_reference,
+    node_label,
     tuple_weight,
 )
 from ..types.signatures import Signature, standard_signature
@@ -37,7 +38,6 @@ from .exec import (
     CacheEntry,
     PlanCache,
     execute_compiled,
-    node_label,
     relation_fingerprint,
     semantic_cache_key,
 )
@@ -79,8 +79,6 @@ class Database:
         #: lets the compiled executor compute intermediate weights as
         #: ``count * width`` instead of per-tuple sums.
         self._widths: dict[str, Optional[int]] = {}
-        #: ``name -> {column -> distinct count}`` for the cost model.
-        self._distincts: dict[str, dict[int, int]] = {}
         #: Bumped on every mutation; the write-ahead log records it and
         #: recovery restores it.
         self._generation = 0
@@ -202,7 +200,6 @@ class Database:
             # widthless forever).  Otherwise a differing cached width
             # means the relation is genuinely mixed-width.
             self._widths[name] = info.arity if not current else None
-        self._distincts.pop(name, None)
         self._generation += 1
         self.plan_cache.invalidate(name)
         if self._durability is not None:
@@ -223,7 +220,7 @@ class Database:
                 )
 
     # ------------------------------------------------------------------
-    # Physical state: key indexes, fingerprints, cached statistics.
+    # Physical state: key indexes, fingerprints, cached weights and widths.
 
     def _key_index(
         self, name: str, key_cols: tuple[int, ...]
@@ -291,29 +288,9 @@ class Database:
         ``(scan weight, uniform width)`` for one relation."""
         return (self.relation_weight(name), self.relation_width(name))
 
-    def column_distincts(self, name: str) -> dict[int, int]:
-        """Cached per-column distinct value counts of one relation
-        (atom elements contribute nothing — they have no columns).
-        Computed in one pass on first use and dropped whenever the
-        relation changes."""
-        cached = self._distincts.get(name)
-        if cached is None:
-            columns: dict[int, set] = {}
-            for t in self.relations.get(name, _EMPTY):
-                try:
-                    items = tuple(t)
-                except TypeError:
-                    continue
-                for i, v in enumerate(items):
-                    columns.setdefault(i, set()).add(v)
-            cached = {i: len(vals) for i, vals in columns.items()}
-            self._distincts[name] = cached
-        return cached
-
     def _invalidate_relation(self, name: str) -> None:
         self._weights.pop(name, None)
         self._widths.pop(name, None)
-        self._distincts.pop(name, None)
         self._key_indexes.pop(name, None)
         self._generation += 1
         self.plan_cache.invalidate(name)
@@ -371,14 +348,16 @@ class Database:
         an immediate checkpoint: the WAL replays over the last
         snapshot (or an empty database), so pre-attach state that only
         exists in memory would otherwise be unrecoverable — replay
-        would hit inserts into relations the base never created."""
+        would hit inserts into relations the base never created.  The
+        checkpoint is published before the manager is attached, so an
+        attach whose checkpoint fails raises and attaches nothing."""
         return self._durability
 
     @durability.setter
     def durability(self, manager) -> None:
-        self._durability = manager
         if manager is not None and self.relations:
             manager.checkpoint(self)
+        self._durability = manager
 
     def _restore_generation(self, generation: int) -> None:
         """Pin the mutation generation to a recovered value.

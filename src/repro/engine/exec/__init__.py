@@ -4,8 +4,7 @@ result cache.
 See ``docs/EXECUTION.md`` for the two executors (compiled and
 reference), the cache keying and invalidation rules (including the
 callable registry that enforces the predicate-name invariant), the
-depth rule, and how work accounting maps onto the Section 4.4 cost
-model.
+depth rule, and the work ledger both executors share.
 """
 
 from .cache import CacheEntry, PlanCache, entry_seal
@@ -22,7 +21,6 @@ from .fingerprint import (
     relation_fingerprint,
     semantic_cache_key,
 )
-from .operators import node_label
 
 __all__ = [
     "CacheEntry",
@@ -37,5 +35,4 @@ __all__ = [
     "callable_identity",
     "relation_fingerprint",
     "semantic_cache_key",
-    "node_label",
 ]

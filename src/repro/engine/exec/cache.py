@@ -16,8 +16,8 @@ transparently key apart and both get correct answers.
 
 Cached entries store the answer **and** the work ledger the executors
 produced, so a cache hit reports costs as if the plan had run: the
-Section 4.4 cost model (``optimizer/cost.py``, the E-OPT experiments)
-keeps its meaning regardless of cache state.
+measured work that E-OPT-COST and ``repro optimize`` compare keeps its
+meaning regardless of cache state.
 """
 
 from __future__ import annotations

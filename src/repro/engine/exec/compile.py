@@ -88,11 +88,11 @@ from ...optimizer.plan import (
     Select,
     Union,
     execute_reference,
+    node_label,
     tuple_weight,
 )
 from ...types.values import CVSet, Tup
 from .fingerprint import annotate_plan
-from .operators import node_label
 
 __all__ = [
     "CompiledPlan",

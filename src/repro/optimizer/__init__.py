@@ -23,7 +23,6 @@ from .plan import (
     execute_reference,
     tuple_weight,
 )
-from .cost import Estimate, Stats, choose_plan, estimate
 from .parser import PlanParseError, parse_plan
 from .schema_infer import (
     SchemaInferenceError,

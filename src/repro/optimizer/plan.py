@@ -1,8 +1,10 @@
 """Logical query plans.
 
 A small algebraic plan IR over named relations, with an interpreter
-that *counts work* (tuples consumed per operator) so the optimization
-experiments can report measured cost reductions, not just estimates.
+that *counts work* (tuples consumed per operator).  Its per-node work
+ledger, labelled by :func:`node_label`, is the engine's one account of
+cost: the optimization experiments and ``repro optimize`` compare
+plans by it.
 
 Plans are immutable; rewrites build new trees.
 """
@@ -28,6 +30,7 @@ __all__ = [
     "Join",
     "MapNode",
     "ExecutionResult",
+    "node_label",
     "execute",
     "execute_reference",
     "tuple_weight",
@@ -326,60 +329,74 @@ class ExecutionResult:
     per_node: list[tuple[str, int]] = field(default_factory=list)
 
 
+def node_label(node: Plan) -> str:
+    """The ledger label of ``node``: every executor logs one
+    ``(node_label(node), work)`` entry per plan-node occurrence, and
+    tracing spans, cache-hit spans and fault labels name the node the
+    same way."""
+    if isinstance(node, Scan):
+        return str(node)
+    if isinstance(node, Project):
+        return f"pi{node.columns}"
+    if isinstance(node, Select):
+        return f"sigma[{node.predicate_name}]"
+    if isinstance(node, MapNode):
+        return f"map[{node.fn_name}]"
+    if isinstance(node, Union):
+        return "union"
+    if isinstance(node, Difference):
+        return "difference"
+    if isinstance(node, Intersect):
+        return "intersect"
+    if isinstance(node, Product):
+        return "product"
+    if isinstance(node, Join):
+        return f"join{node.on}"
+    raise TypeError(f"unknown plan node: {node!r}")
+
+
 def _eval_node(
     node: Plan,
     inputs: Sequence[tuple[CVSet, int]],
     db: TMapping[str, CVSet],
     log: list[tuple[str, int]],
 ) -> tuple[CVSet, int]:
-    """Evaluate one node given its children's (value, cost) results."""
+    """Evaluate one node given its children's (value, cost) results,
+    logging its ``(node_label(node), work)`` ledger entry."""
     if isinstance(node, Scan):
-        relation = db.get(node.relation, CVSet())
-        log.append((str(node), 0))
-        return relation, 0
-    if isinstance(node, Project):
-        (child, cost) = inputs[0]
+        value, work = db.get(node.relation, CVSet()), 0
+    elif isinstance(node, Project):
+        ((child, _),) = inputs
+        value = CVSet(t.project(node.columns) for t in child)
         work = _weight(child)
-        log.append((f"pi{node.columns}", work))
-        return (
-            CVSet(t.project(node.columns) for t in child),
-            cost + work,
-        )
-    if isinstance(node, Select):
-        (child, cost) = inputs[0]
+    elif isinstance(node, Select):
+        ((child, _),) = inputs
+        value = CVSet(t for t in child if node.predicate(t))
         work = _weight(child)
-        log.append((f"sigma[{node.predicate_name}]", work))
-        return CVSet(t for t in child if node.predicate(t)), cost + work
-    if isinstance(node, MapNode):
-        (child, cost) = inputs[0]
+    elif isinstance(node, MapNode):
+        ((child, _),) = inputs
+        value = CVSet(node.fn(t) for t in child)
         work = _weight(child)
-        log.append((f"map[{node.fn_name}]", work))
-        return CVSet(node.fn(t) for t in child), cost + work
-    if isinstance(node, Union):
-        (left, lcost), (right, rcost) = inputs
+    elif isinstance(node, Union):
+        (left, _), (right, _) = inputs
+        value = left.union(right)
         work = _weight(left) + _weight(right)
-        log.append(("union", work))
-        return left.union(right), lcost + rcost + work
-    if isinstance(node, Difference):
-        (left, lcost), (right, rcost) = inputs
+    elif isinstance(node, Difference):
+        (left, _), (right, _) = inputs
+        value = left.difference(right)
         work = _weight(left) + _weight(right)
-        log.append(("difference", work))
-        return left.difference(right), lcost + rcost + work
-    if isinstance(node, Intersect):
-        (left, lcost), (right, rcost) = inputs
+    elif isinstance(node, Intersect):
+        (left, _), (right, _) = inputs
+        value = left.intersection(right)
         work = _weight(left) + _weight(right)
-        log.append(("intersect", work))
-        return left.intersection(right), lcost + rcost + work
-    if isinstance(node, Product):
-        (left, lcost), (right, rcost) = inputs
-        work = len(left) * _weight(right) + _weight(left)
-        log.append(("product", work))
-        out = CVSet(
+    elif isinstance(node, Product):
+        (left, _), (right, _) = inputs
+        value = CVSet(
             Tup(tuple(a) + tuple(b)) for a in left for b in right
         )
-        return out, lcost + rcost + work
-    if isinstance(node, Join):
-        (left, lcost), (right, rcost) = inputs
+        work = len(left) * _weight(right) + _weight(left)
+    elif isinstance(node, Join):
+        (left, _), (right, _) = inputs
         # Hash join on the first join column pair.
         work = _weight(left) + _weight(right)
         out = set()
@@ -398,9 +415,11 @@ def _eval_node(
             out = {
                 Tup(tuple(a) + tuple(b)) for a in left for b in right
             }
-        log.append((f"join{node.on}", work))
-        return CVSet(out), lcost + rcost + work
-    raise TypeError(f"unknown plan node: {node!r}")
+        value = CVSet(out)
+    else:
+        raise TypeError(f"unknown plan node: {node!r}")
+    log.append((node_label(node), work))
+    return value, sum(cost for _, cost in inputs) + work
 
 
 def execute(
