@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.exec import execute_compiled
 from repro.optimizer.plan import (
     Difference,
     Intersect,
@@ -14,6 +15,7 @@ from repro.optimizer.plan import (
     Select,
     Union,
     execute,
+    node_label,
 )
 from repro.types.values import CVSet, Tup, cvset, tup
 
@@ -107,6 +109,50 @@ class TestWorkAccounting:
         names = [name for name, _ in result.per_node]
         assert "union" in names
         assert any(name.startswith("pi") for name in names)
+
+
+#: One plan per node kind over ``DB`` with the ledger entry its root
+#: logs, ``(node_label(plan), work)``.
+LEDGER_ROOTS = {
+    "scan": (Scan("R"), "R", 0),
+    "project": (Project((1,), Scan("R")), "pi(1,)", 6),
+    "select": (
+        Select("first>1", lambda t: t[0] > 1, Scan("R")),
+        "sigma[first>1]", 6,
+    ),
+    "map": (
+        MapNode("swap", lambda t: Tup((t[1], t[0])), Scan("S")),
+        "map[swap]", 4,
+    ),
+    "union": (Union(Scan("R"), Scan("S")), "union", 10),
+    "difference": (Difference(Scan("R"), Scan("S")), "difference", 10),
+    "intersect": (Intersect(Scan("R"), Scan("S")), "intersect", 10),
+    # Each left row pays for the whole right side: 2 x 4 + 4.
+    "product": (Product(Scan("S"), Scan("S")), "product", 12),
+    # Both inputs (6 + 4), plus one per index hit (3).
+    "join": (Join(((1, 0),), Scan("R"), Scan("T")), "join((1, 0),)", 13),
+}
+
+
+class TestNodeLabel:
+    """``node_label`` is the one definition of a ledger label: the
+    reference interpreter and the compiled executor log every node
+    under it."""
+
+    @pytest.mark.parametrize("kind", LEDGER_ROOTS)
+    def test_both_executors_log_the_label(self, kind):
+        plan, label, work = LEDGER_ROOTS[kind]
+        assert node_label(plan) == label
+        reference = execute(plan, DB)
+        assert reference.per_node[-1] == (label, work)
+        assert execute_compiled(plan, DB).per_node == reference.per_node
+
+    def test_unknown_node_has_no_label(self):
+        class Rogue(Plan):
+            pass
+
+        with pytest.raises(TypeError):
+            node_label(Rogue())
 
 
 class TestStructure:
