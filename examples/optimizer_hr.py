@@ -99,8 +99,7 @@ def main() -> None:
     print("executor wall-clock (median of 5), employees=200:")
     plan = plans["pi_ssn(employees - students)"]
     reference_s = med(lambda: execute_reference(plan, db.relations))
-    # Result-cache-cold: every run lowers the plan again, and reuses
-    # the code object compiled on the first run.
+    # Result-cache-cold: every run lowers the plan again.
     compiled_s = med(lambda: db.run(plan, use_cache=False))
     db.run(plan)  # warm the result cache
     warm_s = med(lambda: db.run(plan))

@@ -275,11 +275,9 @@ class WriteAheadLog:
     def reset(self) -> None:
         """Empty the log (after a durable checkpoint).  LSNs stay
         monotonic across resets; the checkpoint's recorded LSN is the
-        filter, not file identity."""
-        self._handle.close()
-        with open(self.path, "wb"):
-            pass
-        self._handle = self._open()
+        filter, not file identity.  The open handle is truncated in
+        place, so a reset that fails leaves the log whole and open."""
+        os.ftruncate(self._handle.fileno(), 0)
 
     def close(self) -> None:
         self._handle.close()

@@ -395,19 +395,16 @@ class Database:
     ) -> ExecutionResult:
         """Execute a plan (cached by default).
 
-        ``mode="compiled"`` (the default) lowers the plan to a
-        specialized function on every run, taking its code object from
-        a memo keyed by the generated source; plans deeper than
-        :data:`~repro.engine.exec.MAX_PIPELINE_DEPTH` run on the
-        reference interpreter instead.  ``mode="reference"`` runs the
-        tuple-at-a-time interpreter.  Both return the identical
-        value/work/ledger.  See docs/EXECUTION.md.
+        ``mode="compiled"`` (the default) lowers the plan, at any
+        depth, to a list of operator closures over the current data on
+        every run.  ``mode="reference"`` runs the tuple-at-a-time
+        interpreter.  Both return the identical value/work/ledger.
+        See docs/EXECUTION.md.
 
         The result cache wraps whichever executor runs: a hit returns
         the stored answer without executing, and a miss stores the
-        root result.  ``use_cache=False`` bypasses the result cache
-        (the compiled code object is still reused).  Bare scans are
-        never cached.
+        root result.  ``use_cache=False`` bypasses the result cache.
+        Bare scans are never cached.
 
         **Graceful degradation**: if the compiled executor fails (an
         injected fault, a compile error, any unexpected exception), the

@@ -3,18 +3,12 @@ result cache.
 
 See ``docs/EXECUTION.md`` for the two executors (compiled and
 reference), the cache keying and invalidation rules (including the
-callable registry that enforces the predicate-name invariant), the
-depth rule, and the work ledger both executors share.
+callable registry that enforces the predicate-name invariant), and
+the work ledger both executors share.
 """
 
 from .cache import CacheEntry, PlanCache, entry_seal
-from .compile import (
-    MAX_PIPELINE_DEPTH,
-    CompiledPlan,
-    compile_plan,
-    execute_compiled,
-    plan_depth,
-)
+from .compile import CompiledPlan, compile_plan, execute_compiled
 from .fingerprint import (
     annotate_plan,
     callable_identity,
@@ -26,11 +20,9 @@ __all__ = [
     "CacheEntry",
     "PlanCache",
     "entry_seal",
-    "MAX_PIPELINE_DEPTH",
     "CompiledPlan",
     "compile_plan",
     "execute_compiled",
-    "plan_depth",
     "annotate_plan",
     "callable_identity",
     "relation_fingerprint",

@@ -62,8 +62,8 @@ class PlanCache:
     """LRU cache of plan results with hit/miss accounting.
 
     It holds answers, and the annotations of recently run plan objects
-    (see :meth:`annotate`); compiled programs are memoized by their
-    generated source (``repro.engine.exec.compile._code_for``).
+    (see :meth:`annotate`); compiled plans are lowered again on every
+    run and are not kept.
     ``capacity <= 0`` disables caching entirely: ``put`` is a no-op (no
     entry churn) and ``get`` always misses.
     """

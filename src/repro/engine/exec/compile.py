@@ -1,4 +1,4 @@
-"""Plan-to-closure compilation: the engine's fast path.
+"""Plan lowering: the engine's fast path.
 
 The reference interpreter walks the plan tree at execution time,
 dispatching per operator and materializing a ``CVSet`` at every node.
@@ -6,32 +6,37 @@ The paper's Section 4.4 reading is that genericity metadata makes a
 plan's behaviour uniform across instantiations, so nothing about the
 walk depends on the data — which means the walk can happen **once**,
 ahead of time.  This module lowers an annotated physical plan into a
-single specialized Python function:
+flat, postorder list of operator closures over a register list (a
+:class:`CompiledPlan`):
 
-* every operator becomes a straight-line comprehension (or a hash-probe
-  loop) in one generated code object — no per-node dispatch and no
-  interpreter stack;
-* ``Scan`` binds directly to the relation's underlying ``frozenset``
-  (bound as a default argument of the generated function, so reads are
-  local loads), and set operations compile to C-level ``|``/``-``/``&``;
-* ``Join`` compiles to a hash probe over an index built from the
-  right child when the function runs;
-* weight/ledger accounting is hoisted out of the per-tuple loop: scan
-  weights are bound constants (from the ``relation_stats`` hook when
-  given), and intermediate weights are ``len(v) * width`` arithmetic
-  whenever the tuple width is statically known;
-* repeated subtrees (CSE) execute once; later occurrences replay their
-  ledger segment with a constant-index ``_L.extend(_L[s:e])`` — every
-  ledger position is known at compile time;
-* rows the generated code builds stay plain ``tuple``s.  ``Project``,
-  ``Join`` and ``Product`` output plain rows, and a set operation over
-  two plain inputs stays plain.  A ``Tup`` is built (``_mk``) only
-  where code the engine cannot see or the caller receives the row: a
-  ``Select`` predicate or a ``MapNode`` function gets ``Tup``s (a
-  selection passes on the ones it keeps), a plain side meeting
-  ``Tup``s (a scan, a map or a selection output) in a set operation is
-  wrapped, and so is a plain answer.  A plain tuple is built and
-  hashed in C; a ``Tup`` runs ``Tup.__init__`` in Python.
+* every operator becomes one step: a closure over its column indices,
+  predicate or map function, register numbers and ledger position,
+  whose per-row loop is a comprehension (or a hash-probe loop) written
+  once in this module.  No source is generated and nothing is
+  ``compile()``d, so lowering costs the same few closures per operator
+  at every depth, and a run is one loop over the steps, with no
+  per-node dispatch and no interpreter stack;
+* ``Scan`` is a register filled when the plan is lowered, with the
+  relation's underlying ``frozenset`` and its weight (from the
+  ``relation_stats`` hook when given), so a scan costs nothing at run
+  time; set operations are C-level ``|``/``-``/``&``;
+* ``Join`` probes a hash index built from the right child when the
+  step runs;
+* weight accounting is hoisted out of the per-tuple loop: a register
+  whose width is statically known weighs ``len(v) * width``, and one
+  of unknown width sums its row lengths in C (:func:`_weight`);
+* repeated subtrees (CSE) execute once; later occurrences copy their
+  ledger segment — every ledger position is known when the plan is
+  lowered;
+* rows the steps build stay plain ``tuple``s.  ``Project``, ``Join``
+  and ``Product`` output plain rows, and a set operation over two
+  plain inputs stays plain.  A ``Tup`` is built only where code the
+  engine cannot see or the caller receives the row: a ``Select``
+  predicate or a ``MapNode`` function gets ``Tup``s (a selection
+  passes on the ones it keeps), a plain side meeting ``Tup``s (a
+  scan, a map or a selection output) in a set operation is wrapped,
+  and so is a plain answer.  A plain tuple is built and hashed in C; a
+  ``Tup`` runs ``Tup.__init__`` in Python.
 
 The contract: identical ``CVSet`` answer, identical total work,
 identical per-node postorder ledger as
@@ -41,17 +46,11 @@ bijection, projection, join, product and the set operations give the
 same rows on either side of it, and a plain row has the length, and
 so the weight, of its ``Tup``.  Which rows are plain follows from the
 plan's shape alone.  :func:`execute_compiled` lowers the plan on every
-call, against the current data.  The generated source depends on the
-plan alone: relation contents, weights and callables are bound as
-default arguments of the generated function.  So
-:func:`_code_for`, memoized by source, is the one program memo: a
-rerun, even after an insert, reuses the code object and only rebinds
-the data.  Results are not cached here:
+call, against the current data: relation contents, weights and
+callables are arguments of the steps, so there is no program memo to
+keep.  Results are not cached here:
 :meth:`~repro.engine.database.Database.run` owns the result cache,
 around whichever executor runs.
-
-Plans deeper than :data:`MAX_PIPELINE_DEPTH` run on the reference
-interpreter instead; the fallback preserves the full contract.
 
 One deliberate asymmetry with the reference: projection reads a
 ``Tup`` row's components from ``t.items`` (once per row) instead of
@@ -69,9 +68,9 @@ on any error, so it raises the reference's exception.
 
 from __future__ import annotations
 
-import functools
 import time
 from collections import Counter
+from operator import and_, attrgetter, itemgetter, or_, sub
 from typing import Mapping as TMapping, Optional
 
 from ...obs.trace import Span, Tracer
@@ -87,92 +86,171 @@ from ...optimizer.plan import (
     Scan,
     Select,
     Union,
-    execute_reference,
     node_label,
     tuple_weight,
 )
 from ...types.values import CVSet, Tup
 from .fingerprint import annotate_plan
 
-__all__ = [
-    "CompiledPlan",
-    "MAX_PIPELINE_DEPTH",
-    "compile_plan",
-    "execute_compiled",
-    "plan_depth",
-]
+__all__ = ["CompiledPlan", "compile_plan", "execute_compiled"]
 
 _EMPTY = CVSet()
 
-#: Deepest plan :func:`execute_compiled` lowers; deeper plans run on
-#: the reference interpreter.  Each operator emits a few lines into
-#: one generated function, so the generated source grows with the
-#: plan, and compiling thousand-operator sources costs more than the
-#: interpreter it replaces.  128 covers every plan the rewriter and
-#: the workloads produce short of the deliberate deep chains.
-MAX_PIPELINE_DEPTH = 128
+#: A row's components.  Not ``_items``: ``CVSet`` and ``CVList`` have
+#: that slot too, and a row that is not a ``Tup`` must raise.
+_items = attrgetter("items")
 
-def plan_depth(plan: Plan) -> int:
-    """Operator depth of a plan tree (explicit stack, any depth)."""
-    depth: dict[int, int] = {}
-    stack: list[tuple[Plan, bool]] = [(plan, False)]
-    while stack:
-        node, ready = stack.pop()
-        if ready:
-            children = node.children()
-            depth[id(node)] = 1 + max(
-                (depth[id(c)] for c in children), default=0
-            )
-            continue
-        stack.append((node, True))
-        for child in node.children():
-            stack.append((child, False))
-    return depth[id(plan)]
+_SET_OPS = {Union: or_, Difference: sub, Intersect: and_}
+_OPERATORS = (Scan, Project, Select, MapNode, Product, Join, *_SET_OPS)
 
 
 class CompiledPlan:
-    """A plan lowered to one specialized function.
+    """A plan lowered to a flat postorder list of steps.
 
-    ``run()`` returns ``(root_values, ledger)`` where ``root_values``
-    is an iterable of distinct result rows, each the value the
-    reference returns (a plain root result is wrapped in ``Tup``s on
-    the way out), and ``ledger`` is the reference-identical per-node
-    log.
+    Each step is called as ``step(registers, weights, ledger)``: it
+    reads its inputs' rows and weights from their registers, writes
+    its output register and sets its own ledger entry.  ``run()``
+    calls every step on fresh copies of the three lists and returns
+    ``(registers, ledger)``.  Every operator's register then holds its
+    distinct output rows (a root ``MapNode`` may repeat rows), and
+    ``ledger`` is the reference-identical per-node log;
+    :meth:`answer` reads the result rows, each the value the reference
+    returns (a plain root result is wrapped in ``Tup``s).
     """
 
-    __slots__ = ("run", "span_program")
+    __slots__ = (
+        "steps", "registers", "weights", "ledger", "root", "plain_root",
+        "span_program",
+    )
 
-    def __init__(self, run, span_program) -> None:
-        self.run = run
+    def __init__(
+        self, steps, registers, weights, ledger, root, plain_root,
+        span_program,
+    ) -> None:
+        self.steps = steps
+        self.registers = registers
+        self.weights = weights
+        self.ledger = ledger
+        self.root = root
+        self.plain_root = plain_root
         self.span_program = span_program
 
+    def run(self) -> tuple[list, list]:
+        registers = self.registers.copy()
+        weights = self.weights.copy()
+        ledger = self.ledger.copy()
+        for step in self.steps:
+            step(registers, weights, ledger)
+        return registers, ledger
 
-_VISIT, _COMBINE = 0, 1
-
-_SET_OP_SYMBOL = {Union: "|", Difference: "-", Intersect: "&"}
-
-
-class _Res:
-    """Compile-time state of one emitted (sub)result variable."""
-
-    __slots__ = ("var", "width", "wvar", "rows", "plain")
-
-    def __init__(self, var, width, rows=None, plain=False) -> None:
-        self.var = var
-        self.width = width
-        #: Name of the weight: a bound constant for scans, otherwise a
-        #: runtime variable emitted on demand.
-        self.wvar = None
-        self.rows = rows  # known only for scans
-        #: True when the rows are plain ``tuple``s built by the
-        #: generated code (always a set of them); False when they are
-        #: values a scan, a map function or ``_mk`` supplied.
-        self.plain = plain
+    def answer(self, registers: list):
+        rows = registers[self.root]
+        return map(Tup, rows) if self.plain_root else rows
 
 
-def _tup_rows(res: _Res) -> str:
-    """An expression iterating ``res``'s rows as ``Tup``s."""
-    return f"map(_mk, {res.var})" if res.plain else res.var
+# ----------------------------------------------------------------------
+# Weights.  A register of known width weighs ``len(v) * width``; these
+# sum the rows of one whose width is unknown, as ``tuple_weight`` does.
+
+
+def _plain_weight(rows) -> int:
+    """Total weight of plain rows (or of ``Tup`` components), their
+    lengths summed in C; a row of no components weighs 1."""
+    lens = list(map(len, rows))
+    return sum(lens) + lens.count(0)
+
+
+def _weight(rows) -> int:
+    """Total weight of rows that need not be plain: ``Tup`` lengths are
+    read in C, and anything else (atoms, bags, mixed rows) is weighed
+    row by row with :func:`tuple_weight`."""
+    if {Tup}.issuperset(map(type, rows)):
+        return _plain_weight(map(_items, rows))
+    return sum(map(tuple_weight, rows))
+
+
+# ----------------------------------------------------------------------
+# Steps.  ``src``/``lhs``/``rhs`` are input registers, ``dst`` the
+# output register and ``pos`` the node's ledger position.
+
+
+def _project(columns, src, dst, pos, label, plain):
+    """``pi[columns]``: plain rows out, read from plain rows or from
+    ``Tup`` components."""
+    if len(columns) == 1:
+        (a,) = columns
+
+        def project(rows):
+            return {(r[a],) for r in rows}
+    elif len(columns) == 2:
+        a, b = columns
+
+        def project(rows):
+            return {(r[a], r[b]) for r in rows}
+    elif len(columns) == 3:
+        a, b, c = columns
+
+        def project(rows):
+            return {(r[a], r[b], r[c]) for r in rows}
+    elif columns:
+        project_row = itemgetter(*columns)
+
+        def project(rows):
+            return set(map(project_row, rows))
+    else:
+        # Still reads each row, so a row without components raises,
+        # as ``t.project(())`` does.
+        def project(rows):
+            return {r[:0] for r in rows}
+
+    def step(R, W, L):
+        v = R[src]
+        R[dst] = project(v if plain else map(_items, v))
+        L[pos] = (label, W[src])
+
+    return step
+
+
+def _select(predicate, src, dst, pos, label, plain, as_set):
+    """``sigma``: the ``Tup``s the predicate keeps, as a set when a set
+    operation or a CSE reader needs one."""
+    def step(R, W, L):
+        v = R[src]
+        rows = map(Tup, v) if plain else v
+        R[dst] = (
+            {t for t in rows if predicate(t)} if as_set
+            else [t for t in rows if predicate(t)]
+        )
+        L[pos] = (label, W[src])
+
+    return step
+
+
+def _map(fn, src, dst, pos, label, plain, as_list):
+    """``map``: the function's distinct outputs (a list at the root,
+    where the answer's ``CVSet`` removes repeats)."""
+    def step(R, W, L):
+        v = R[src]
+        rows = map(Tup, v) if plain else v
+        R[dst] = [fn(t) for t in rows] if as_list else {fn(t) for t in rows}
+        L[pos] = (label, W[src])
+
+    return step
+
+
+def _set_op(op, lhs, rhs, dst, pos, label, wrap_left, wrap_right):
+    """Union, difference or intersection; a plain side meeting ``Tup``s
+    is wrapped first."""
+    def step(R, W, L):
+        left, right = R[lhs], R[rhs]
+        if wrap_left:
+            left = set(map(Tup, left))
+        if wrap_right:
+            right = set(map(Tup, right))
+        R[dst] = op(left, right)
+        L[pos] = (label, W[lhs] + W[rhs])
+
+    return step
 
 
 def _as_row(e) -> tuple:
@@ -182,26 +260,114 @@ def _as_row(e) -> tuple:
     return tuple(e[i] for i in range(len(e)))
 
 
-def _emit_tuple_loop(res: _Res, row: str, emit) -> None:
-    """Emit a loop header binding ``row`` to each row of ``res`` as a
-    plain ``tuple`` (a ``Tup``'s ``items``, other rows through
-    :func:`_as_row`); the loop body follows at one indent."""
-    if res.plain:
-        emit(f"for {row} in {res.var}:")
+def _tuples(rows, plain, read=tuple):
+    """``rows`` as plain tuples: a ``Tup``'s components, any other row
+    through ``read`` (``tuple``, as the reference concatenates rows, or
+    :func:`_as_row` where it indexes them)."""
+    if plain:
+        return rows
+    return [e.items if e.__class__ is Tup else read(e) for e in rows]
+
+
+def _all_pairs(lhs, rhs, dst, pos, label, plain_left, plain_right, join):
+    """A product, or a join on no columns: every left row concatenated
+    with every right row.  The join charges one unit per pair."""
+    def step(R, W, L):
+        left, right = R[lhs], R[rhs]
+        rights = _tuples(right, plain_right)
+        R[dst] = {h + b for h in _tuples(left, plain_left) for b in rights}
+        if join:
+            work = W[lhs] + W[rhs] + len(left) * len(right)
+        else:
+            work = len(left) * W[rhs] + W[lhs]
+        L[pos] = (label, work)
+
+    return step
+
+
+def _join_one(on, lhs, rhs, dst, pos, label, plain_left, plain_right):
+    """A join on one column pair.  Work parity with the reference: one
+    unit per candidate pair sharing the column, plus both input
+    weights."""
+    ((i0, j0),) = on
+
+    def step(R, W, L):
+        index = {}
+        add = index.setdefault
+        for b in _tuples(R[rhs], plain_right, _as_row):
+            add(b[j0], []).append(b)
+        get = index.get
+        candidates = 0
+        out = set()
+        update = out.update
+        for h in _tuples(R[lhs], plain_left, _as_row):
+            matches = get(h[i0])
+            if matches:
+                candidates += len(matches)
+                update(map(h.__add__, matches))
+        R[dst] = out
+        L[pos] = (label, W[lhs] + W[rhs] + candidates)
+
+    return step
+
+
+def _join_many(on, lhs, rhs, dst, pos, label, plain_left, plain_right):
+    """A join on several column pairs: a hash probe on all of them,
+    charged like the reference's probe on the first pair alone."""
+    i0, j0 = on[0]
+    left_key = itemgetter(*(i for i, _ in on))
+    right_key = itemgetter(*(j for _, j in on))
+    right_first = itemgetter(j0)
+
+    def step(R, W, L):
+        rights = _tuples(R[rhs], plain_right, _as_row)
+        index = {}
+        add = index.setdefault
+        for b in rights:
+            add(right_key(b), []).append(b)
+        firsts = Counter(map(right_first, rights)).get
+        get = index.get
+        candidates = 0
+        out = set()
+        update = out.update
+        for h in _tuples(R[lhs], plain_left, _as_row):
+            candidates += firsts(h[i0], 0)
+            matches = get(left_key(h))
+            if matches:
+                update(map(h.__add__, matches))
+        R[dst] = out
+        L[pos] = (label, W[lhs] + W[rhs] + candidates)
+
+    return step
+
+
+def _replay(start, end, pos):
+    """A later occurrence of a shared subtree: its ledger segment again."""
+    stop = pos + end - start
+
+    def step(R, W, L):
+        L[pos:stop] = L[start:end]
+
+    return step
+
+
+def _weigh(dst, width, plain):
+    """The weight of register ``dst``, for the step that reads it."""
+    if width is not None:
+        width = max(width, 1)
+
+        def step(R, W, L):
+            W[dst] = len(R[dst]) * width
     else:
-        emit(f"for _e in {res.var}:")
-        emit(f"    {row} = _e.items if _e.__class__ is _mk else _ar(_e)")
+        weigh = _plain_weight if plain else _weight
+
+        def step(R, W, L):
+            W[dst] = weigh(R[dst])
+
+    return step
 
 
-def _emit_all_pairs(var: str, left: _Res, right: _Res, fresh, emit) -> None:
-    """Emit ``var`` = every left row concatenated with every right row,
-    as plain ``tuple``s (a product, or a join on no columns)."""
-    rows = right.var
-    if not right.plain:
-        rows = fresh("_r")
-        emit(f"{rows} = list(map(tuple, {right.var}))")
-    lefts = left.var if left.plain else f"map(tuple, {left.var})"
-    emit(f"{var} = {{h + b for h in {lefts} for b in {rows}}}")
+_VISIT, _COMBINE = 0, 1
 
 
 def compile_plan(
@@ -214,23 +380,23 @@ def compile_plan(
     """Lower ``plan`` (over the *current* contents of ``db``) to a
     :class:`CompiledPlan`.
 
-    The returned function replays the data it was lowered against —
-    scan bindings and scan weights are bound when it is built — so
-    lower the plan again after a mutation (:func:`execute_compiled`
-    lowers on every call).
+    The steps replay the data they were lowered against — scan
+    registers and scan weights are filled here — so lower the plan
+    again after a mutation (:func:`execute_compiled` lowers on every
+    call).
     """
     if info is None:
         info = annotate_plan(plan, {}, lambda name, fn: (name, id(fn)))
 
     # Occurrence counts per semantic token (CSE detection) and the set
-    # of tokens consumed by a set operation (those must compile to
-    # ``set``/``frozenset`` values, not lists).
+    # of tokens consumed by a set operation (those must be sets, not
+    # lists).
     counts: Counter = Counter()
     need_set: set[int] = set()
     walk = [plan]
     while walk:
         node = walk.pop()
-        if not isinstance(node, Plan):
+        if not isinstance(node, _OPERATORS):
             raise TypeError(f"unknown plan node: {node!r}")
         counts[info[id(node)][0]] += 1
         if isinstance(node, (Union, Difference, Intersect)):
@@ -238,74 +404,17 @@ def compile_plan(
             need_set.add(info[id(node.right)][0])
         walk.extend(node.children())
 
-    lines: list[str] = []
-    emit = lines.append
-    consts: dict[str, object] = {"_tw": tuple_weight, "_mk": Tup, "_ar": _as_row}
-    fresh_counter = [0]
-
-    def fresh(prefix: str) -> str:
-        fresh_counter[0] += 1
-        return f"{prefix}{fresh_counter[0]}"
-
-    def const(prefix: str, value) -> str:
-        name = fresh(prefix)
-        consts[name] = value
-        return name
-
-    def weight_expr(res: _Res) -> str:
-        """An expression for ``res``'s total tuple weight, hoisting the
-        per-tuple sum into O(1) arithmetic when the width is known."""
-        if res.wvar is None:
-            res.wvar = fresh("_w")
-            if res.width is not None:
-                emit(f"{res.wvar} = len({res.var}) * {max(res.width, 1)}")
-            else:
-                emit(f"{res.wvar} = sum(map(_tw, {res.var}))")
-        return res.wvar
-
-    # One shared binding (and compile-time stats) per scanned relation.
-    scan_res: dict[str, _Res] = {}
-
-    def scan_result(node: Scan) -> _Res:
-        res = scan_res.get(node.relation)
-        if res is not None:
-            return res
-        relation = db.get(node.relation, _EMPTY)
-        values = (
-            relation.frozen()
-            if isinstance(relation, CVSet)
-            else frozenset(relation)
-        )
-        stats = (
-            relation_stats(node.relation)
-            if relation_stats is not None
-            else None
-        )
-        if stats is not None:
-            weight, width = stats
-        else:
-            weight = 0
-            width = None
-            first = True
-            for t in values:
-                try:
-                    n = len(t)
-                except TypeError:
-                    n = None
-                if first:
-                    width, first = n, False
-                elif n != width:
-                    width = None
-                weight += max(n, 1) if n is not None else 1
-        res = _Res(const("_s", values), width, rows=len(values))
-        res.wvar = const("_n", weight)
-        scan_res[node.relation] = res
-        return res
-
-    pos = 0  # next ledger index — every append below is compile-time static
-    # token -> (res, ledger segment) for emitted subtrees (CSE replay).
-    done: dict[int, tuple[_Res, int, int]] = {}
-    out: list[tuple[_Res, tuple]] = []  # (result, span template)
+    # Initial register, weight and ledger contents: filled for scans,
+    # ``None`` where a step writes at run time.
+    registers: list = []
+    weights: list = []
+    ledger: list = []
+    steps: list = []
+    # A register at lowering time: (index, width or None, plain).
+    scans: dict[str, tuple] = {}
+    # token -> (register, ledger segment) of lowered subtrees (CSE).
+    done: dict[int, tuple[tuple, int, int]] = {}
+    out: list[tuple[tuple, tuple]] = []  # (register, span template)
     stack: list[tuple] = [(_VISIT, plan)]
 
     while stack:
@@ -313,244 +422,110 @@ def compile_plan(
         node = item[1]
         if item[0] == _VISIT:
             if isinstance(node, Scan):
-                res = scan_result(node)
-                emit(f"_a(({node.relation!r}, 0))")
-                out.append((res, ("scan", node.relation, pos, res.rows)))
-                pos += 1
+                name = node.relation
+                reg = scans.get(name)
+                if reg is None:
+                    relation = db.get(name, _EMPTY)
+                    values = (
+                        relation.frozen()
+                        if isinstance(relation, CVSet)
+                        else frozenset(relation)
+                    )
+                    # Without the hook the width is unknown, so the
+                    # registers computed from this scan are weighed by
+                    # ``_weight``.
+                    weight, width = (
+                        relation_stats(name)
+                        if relation_stats is not None
+                        else (_weight(values), None)
+                    )
+                    reg = scans[name] = (len(registers), width, False)
+                    registers.append(values)
+                    weights.append(weight)
+                rows = len(registers[reg[0]])
+                out.append((reg, ("scan", name, len(ledger), rows)))
+                ledger.append((name, 0))
                 continue
             token = info[id(node)][0]
             prior = done.get(token)
             if prior is not None:
-                res, seg_start, seg_end = prior
-                emit(f"_L.extend(_L[{seg_start}:{seg_end}])")
-                out.append(
-                    (res, ("cse", node_label(node), seg_start, seg_end))
-                )
-                pos += seg_end - seg_start
+                reg, start, end = prior
+                steps.append(_replay(start, end, len(ledger)))
+                ledger.extend([None] * (end - start))
+                template = ("cse", node_label(node), start, end, reg[0])
+                out.append((reg, template))
                 continue
-            stack.append((_COMBINE, node, pos))
+            stack.append((_COMBINE, node, len(ledger)))
             for child in reversed(node.children()):
                 stack.append((_VISIT, child))
             continue
 
-        # _COMBINE: children emitted; lower this operator.
-        _, node, seg_start = item
+        # _COMBINE: children lowered; lower this operator.
+        _, node, start = item
         n = len(node.children())
         inputs = out[-n:]
         del out[-n:]
         token = info[id(node)][0]
-        shared = counts[token] > 1
-        as_set = token in need_set or shared
-        is_root = node is plan
+        as_set = token in need_set or counts[token] > 1
         label = node_label(node)
-        var = fresh("_v")
-
+        dst, pos = len(registers), len(ledger)
+        (src, width, plain), _ = inputs[0]
         if isinstance(node, Project):
-            (child, child_span) = inputs[0]
-            work = weight_expr(child)
-            if node.columns:
-                body = "(%s%s)" % (
-                    ", ".join(f"r[{i}]" for i in node.columns),
-                    "," if len(node.columns) == 1 else "",
-                )
-            else:
-                # Still reads the row, so a row without components
-                # raises, as ``t.project(())`` does.
-                body = "r[:0]"
-            if child.plain:
-                rows = f"r in {child.var}"
-            else:
-                # A one-element ``for`` compiles to an assignment: each
-                # ``Tup`` row's ``items`` is read once.
-                rows = f"t in {child.var} for r in [t.items]"
-            emit(f"{var} = {{{body} for {rows}}}")
-            emit(f"_a(({label!r}, {work}))")
-            res = _Res(var, len(node.columns), plain=True)
-            template = ("op", label, pos, (child_span,))
-            pos += 1
+            step = _project(node.columns, src, dst, pos, label, plain)
+            width, plain = len(node.columns), True
         elif isinstance(node, Select):
-            (child, child_span) = inputs[0]
-            work = weight_expr(child)
-            pred = const("_p", node.predicate)
-            opener, closer = ("{", "}") if as_set else ("[", "]")
-            emit(
-                f"{var} = {opener}t for t in {_tup_rows(child)} "
-                f"if {pred}(t){closer}"
-            )
-            emit(f"_a(({label!r}, {work}))")
-            res = _Res(var, child.width)
-            template = ("op", label, pos, (child_span,))
-            pos += 1
+            step = _select(node.predicate, src, dst, pos, label, plain, as_set)
+            plain = False
         elif isinstance(node, MapNode):
-            (child, child_span) = inputs[0]
-            work = weight_expr(child)
-            fn = const("_f", node.fn)
-            opener, closer = (
-                ("[", "]") if is_root and not as_set else ("{", "}")
-            )
-            emit(
-                f"{var} = {opener}{fn}(t) for t in {_tup_rows(child)}"
-                f"{closer}"
-            )
-            emit(f"_a(({label!r}, {work}))")
-            res = _Res(var, None)
-            template = ("op", label, pos, (child_span,))
-            pos += 1
-        elif isinstance(node, (Union, Difference, Intersect)):
-            (left, left_span), (right, right_span) = inputs
-            wl, wr = weight_expr(left), weight_expr(right)
-            lv, rv = left.var, right.var
-            if left.plain != right.plain:
-                # A plain side meets a side of Tups: wrap the plain one.
-                lv, rv = (
-                    f"set({_tup_rows(side)})" if side.plain else side.var
-                    for side in (left, right)
-                )
-            emit(f"{var} = {lv} {_SET_OP_SYMBOL[type(node)]} {rv}")
-            emit(f"_a(({label!r}, {wl} + {wr}))")
-            if isinstance(node, Union):
-                width = left.width if left.width == right.width else None
-            else:
-                width = left.width
-            res = _Res(var, width, plain=left.plain and right.plain)
-            template = ("op", label, pos, (left_span, right_span))
-            pos += 1
-        elif isinstance(node, Product):
-            (left, left_span), (right, right_span) = inputs
-            wl, wr = weight_expr(left), weight_expr(right)
-            _emit_all_pairs(var, left, right, fresh, emit)
-            emit(f"_a(({label!r}, len({left.var}) * {wr} + {wl}))")
-            width = (
-                left.width + right.width
-                if left.width is not None and right.width is not None
-                else None
-            )
-            res = _Res(var, width, plain=True)
-            template = ("op", label, pos, (left_span, right_span))
-            pos += 1
-        elif isinstance(node, Join):
-            res, template, pos = _emit_join(
-                node, inputs, fresh, emit, weight_expr, var, label, pos
-            )
+            as_list = node is plan and not as_set
+            step = _map(node.fn, src, dst, pos, label, plain, as_list)
+            width, plain = None, False
         else:
-            raise TypeError(f"unknown plan node: {node!r}")
+            (rhs, right_width, right_plain), _ = inputs[1]
+            if isinstance(node, (Union, Difference, Intersect)):
+                step = _set_op(
+                    _SET_OPS[type(node)], src, rhs, dst, pos, label,
+                    plain and not right_plain, right_plain and not plain,
+                )
+                if isinstance(node, Union) and width != right_width:
+                    width = None
+                plain = plain and right_plain
+            else:
+                args = (src, rhs, dst, pos, label, plain, right_plain)
+                if isinstance(node, Product) or not node.on:
+                    step = _all_pairs(*args, isinstance(node, Join))
+                elif len(node.on) == 1:
+                    step = _join_one(node.on, *args)
+                else:
+                    step = _join_many(node.on, *args)
+                width = (
+                    width + right_width
+                    if width is not None and right_width is not None
+                    else None
+                )
+                plain = True
+        registers.append(None)
+        weights.append(None)
+        ledger.append(None)
+        steps.append(step)
+        reg = (dst, width, plain)
+        if node is not plan:
+            steps.append(_weigh(dst, width, plain))
+        done[token] = (reg, start, len(ledger))
+        children = tuple(template for _, template in inputs)
+        out.append((reg, ("op", label, pos, dst, children)))
 
-        done[token] = (res, seg_start, pos)
-        out.append((res, template))
-
-    root_res, root_template = out.pop()
-    emit(f"return {_tup_rows(root_res)}, _L")
-
-    params = ", ".join(f"{name}={name}" for name in consts)
-    body = "\n".join("    " + line for line in lines)
-    source = (
-        f"def _run({params}):\n"
-        f"    _L = []\n"
-        f"    _a = _L.append\n"
-        f"{body}\n"
+    (root, _, plain_root), root_template = out.pop()
+    return CompiledPlan(
+        steps, registers, weights, ledger, root, plain_root, root_template
     )
-    namespace = dict(consts)
-    exec(_code_for(source), namespace)
-    return CompiledPlan(namespace["_run"], root_template)
 
 
-@functools.lru_cache(maxsize=256)
-def _code_for(source: str):
-    """The code object of one generated source: the engine's only
-    program memo.  Sources carry no data (relation contents, weights
-    and callables are bound as default arguments), so a rerun of a
-    plan, after an insert too, reuses the code and only rebinds the
-    data.  256 entries, the result cache's default capacity."""
-    return compile(source, "<plan-compile>", "exec")
-
-
-def _emit_join(node, inputs, fresh, emit, weight_expr, var, label, pos):
-    """Lower one ``Join``; returns ``(res, span template, new pos)``.
-
-    The output rows are plain ``tuple``s: each is the concatenation of
-    a left and a right row.  Work parity with the reference's
-    first-column probe count: one unit per candidate pair sharing the
-    first join column, plus both input weights.
-    """
-    on = node.on
-    (left, left_span), (right, right_span) = inputs
-    wl, wr = weight_expr(left), weight_expr(right)
-    width = (
-        left.width + right.width
-        if left.width is not None and right.width is not None
-        else None
-    )
-    template = ("op", label, pos, (left_span, right_span))
-
-    if not on:
-        # Degenerate join: every pair is a candidate, one unit each.
-        _emit_all_pairs(var, left, right, fresh, emit)
-        emit(
-            f"_a(({label!r}, {wl} + {wr} + "
-            f"len({left.var}) * len({right.var})))"
-        )
-        return _Res(var, width, plain=True), template, pos + 1
-
-    i0, j0 = on[0]
-    cand = fresh("_c")
-    upd = fresh("_u")
-
-    if len(on) == 1:
-        ivar = fresh("_i")
-        sd = fresh("_d")
-        emit(f"{ivar} = {{}}")
-        emit(f"{sd} = {ivar}.setdefault")
-        emit(f"for _b in {right.var}:")
-        right_row = "_b" if right.plain else "tuple(_b)"
-        emit(f"    {sd}(_b[{j0}], []).append({right_row})")
-        get = fresh("_g")
-        emit(f"{get} = {ivar}.get")
-        emit(f"{cand} = 0")
-        emit(f"{var} = set()")
-        emit(f"{upd} = {var}.update")
-        row = "_h" if left.plain else "_t"
-        emit(f"for {row} in {left.var}:")
-        emit(f"    _b = {get}({row}[{i0}])")
-        emit("    if _b:")
-        emit(f"        {cand} += len(_b)")
-        if not left.plain:
-            emit("        _h = tuple(_t)")
-        emit(f"        {upd}(map(_h.__add__, _b))")
-        emit(f"_a(({label!r}, {wl} + {wr} + {cand}))")
-        return _Res(var, width, plain=True), template, pos + 1
-
-    left_cols = tuple(i for i, _ in on)
-    right_cols = tuple(j for _, j in on)
-    right_key = "(" + ", ".join(f"_row[{j}]" for j in right_cols) + ",)"
-    left_key = "(" + ", ".join(f"_h[{i}]" for i in left_cols) + ",)"
-    ivar = fresh("_i")
-    fvar = fresh("_fd")
-    emit(f"{ivar} = {{}}")
-    emit(f"{fvar} = {{}}")
-    _emit_tuple_loop(right, "_row", emit)
-    emit(f"    {ivar}.setdefault({right_key}, []).append(_row)")
-    emit(f"    _k = _row[{j0}]")
-    emit(f"    {fvar}[_k] = {fvar}.get(_k, 0) + 1")
-    get = fresh("_g")
-    fc = fresh("_fc")
-    emit(f"{get} = {ivar}.get")
-    emit(f"{fc} = {fvar}.get")
-    emit(f"{cand} = 0")
-    emit(f"{var} = set()")
-    emit(f"{upd} = {var}.update")
-    _emit_tuple_loop(left, "_h", emit)
-    emit(f"    {cand} += {fc}(_h[{i0}], 0)")
-    emit(f"    _b = {get}({left_key})")
-    emit("    if _b:")
-    emit(f"        {upd}(map(_h.__add__, _b))")
-    emit(f"_a(({label!r}, {wl} + {wr} + {cand}))")
-    return _Res(var, width, plain=True), template, pos + 1
-
-
-def _build_spans(template: tuple, log: list) -> Span:
-    """Instantiate the compile-time span program against one run's
-    ledger.  Each ledger entry's work lands on exactly one span, so the
-    tree's total work equals the execution total by construction."""
+def _build_spans(template: tuple, log: list, registers: list) -> Span:
+    """Instantiate the span program against one run's ledger and
+    registers.  Each ledger entry's work lands on exactly one span, so
+    the tree's total work equals the execution total by construction;
+    each span's rows are its register's row count."""
     out: list[Span] = []
     stack: list[tuple[tuple, bool]] = [(template, False)]
     while stack:
@@ -558,7 +533,7 @@ def _build_spans(template: tuple, log: list) -> Span:
         kind = t[0]
         if kind == "op" and not ready:
             stack.append((t, True))
-            for child in reversed(t[3]):
+            for child in reversed(t[4]):
                 stack.append((child, False))
             continue
         if kind == "scan":
@@ -571,11 +546,13 @@ def _build_spans(template: tuple, log: list) -> Span:
             span = Span(t[1])
             span.cache = "cse"
             span.work = sum(w for _, w in log[t[2] : t[3]])
+            span.rows = len(registers[t[4]])
             out.append(span)
             continue
-        _, spanlabel, idx, children = t
+        _, spanlabel, idx, reg, children = t
         span = Span(spanlabel)
         span.work = log[idx][1]
+        span.rows = len(registers[reg])
         count = len(children)
         if count:
             span.children = out[-count:]
@@ -598,20 +575,14 @@ def execute_compiled(
     Returns an :class:`ExecutionResult` identical (value, work,
     per-node ledger) to :func:`repro.optimizer.plan.execute_reference`.
 
-    Every call lowers the plan against the current ``db``; the code
-    object comes from the source-keyed :func:`_code_for` memo.
-    ``info`` is the plan's annotation when the caller already has it
-    (:meth:`~repro.engine.database.Database.run` annotates once for
-    its result cache and CSE both).  Plans deeper than
-    :data:`MAX_PIPELINE_DEPTH` run on the reference interpreter.
+    Every call lowers the plan against the current ``db``, at any
+    depth.  ``info`` is the plan's annotation when the caller already
+    has it (:meth:`~repro.engine.database.Database.run` annotates once
+    for its result cache and CSE both).
 
     ``fault_injector`` draws a seeded ``"compile"`` fault before plan
-    lowering and an ``"operator"`` fault before the compiled function
-    runs.
+    lowering and an ``"operator"`` fault before the steps run.
     """
-    if plan_depth(plan) > MAX_PIPELINE_DEPTH:
-        return execute_reference(plan, db, tracer=tracer)
-
     if fault_injector is not None:
         fault_injector.maybe_raise("compile", node_label(plan))
     compiled = compile_plan(
@@ -621,13 +592,13 @@ def execute_compiled(
     if fault_injector is not None:
         fault_injector.maybe_raise("operator", node_label(plan))
     start = time.perf_counter() if tracer is not None else 0.0
-    values, log = compiled.run()
-    value = CVSet(values)
+    registers, log = compiled.run()
+    value = CVSet(compiled.answer(registers))
     elapsed = time.perf_counter() - start if tracer is not None else 0.0
     work_total = sum(w for _, w in log)
 
     if tracer is not None:
-        root_span = _build_spans(compiled.span_program, log)
+        root_span = _build_spans(compiled.span_program, log, registers)
         root_span.rows = len(value)
         root_span.wall_s = elapsed
         tracer.record(root_span)

@@ -13,25 +13,25 @@ plans; this harness hammers it with generated ones:
 * **alias** — one ``predicate_name`` bound to *different* closures
   across (and within) plans sharing a cache — the cache-poisoning
   repro, generalized;
-* **deep** — unary chains hundreds to thousands of operators deep,
-  past :data:`~repro.engine.exec.MAX_PIPELINE_DEPTH`, so they run on
-  the reference interpreter and are cached at the root;
+* **deep** — unary chains 600 to 1,500 operators deep, lowered and
+  run by the compiled executor like any other plan, cold and through
+  a shared result cache;
 * **mutation** — a live :class:`~repro.engine.database.Database`
   mutated between runs (inserts and wholesale replacement), checking
   that invalidation keeps its cache honest: after every mutation the
   plan runs in both executor modes and each answer must match the
   reference on the new contents;
-* **compiled** — the plan compiler hammered directly: a rerun reusing
-  its code object, aliased predicates sharing one cache, nested
-  databases, a live database cold and warm, and the deep-chain
-  fallback to the reference;
+* **compiled** — the plan compiler hammered directly: a rerun lowering
+  the plan again, aliased predicates sharing one cache, nested
+  databases, a live database cold and warm, and a chain a few hundred
+  operators deep;
 * **trace** — every plan run traced on the reference and the compiled
   executor: results must still match the reference (observer effect
   zero), each span tree's work must sum to the executor's ledger
   total, and on plans without shared subtrees the two span trees must
-  agree node-for-node on labels, work and shape.  Trace checks also
-  bump a metrics counter, whose total ``run_fuzz(jobs=N)`` merges
-  across worker processes;
+  agree node-for-node on labels, rows, work and shape.  Trace checks
+  also bump a metrics counter, whose total ``run_fuzz(jobs=N)``
+  merges across worker processes;
 * **faults** — the degradation guarantee: random plans on a live
   database under seeded operator, cache and compile faults
   (:mod:`repro.robustness.faults`).  Whatever fires, ``Database.run``
@@ -90,7 +90,7 @@ from ..durability import (
     recover,
 )
 from ..obs.metrics import counter
-from ..obs.trace import Span, Tracer
+from ..obs.trace import Tracer
 from ..optimizer.plan import (
     Difference,
     Intersect,
@@ -200,16 +200,6 @@ def _load(db: Database, relations: TMapping[str, CVSet]) -> Database:
     return db
 
 
-def _span_shape(root: Span) -> tuple:
-    """Preorder ``(label, work, cache, child count)`` per span: what
-    the compiled and reference span trees share (compiled interior
-    spans carry no row counts)."""
-    return tuple(
-        (span.label, span.work, span.cache, len(span.children))
-        for span in root.walk()
-    )
-
-
 class _Checker:
     """Runs one plan through the execution modes, recording divergences."""
 
@@ -284,7 +274,7 @@ class _Checker:
         tracer has no observer effect on results), every span tree's
         work must sum to its executor's ledger total, and where the
         compiled run served no subtree from its CSE memo the two trees
-        must agree node-for-node on labels, work and shape.
+        must agree node-for-node on labels, rows, work and shape.
         """
         reference = execute_reference(plan, db)
         tr, tc = Tracer(), Tracer()
@@ -312,7 +302,7 @@ class _Checker:
         if all(span.cache != "cse" for span in tc.last.walk()):
             self._check(
                 "trace-structure",
-                _span_shape(tc.last) == _span_shape(tr.last),
+                tc.last.structure() == tr.last.structure(),
                 "compiled and reference span trees disagree "
                 f"({tc.last.span_count()} vs {tr.last.span_count()} spans)",
             )
@@ -457,13 +447,13 @@ def _scenario_mutation(rng: random.Random, check: _Checker) -> None:
 
 
 def _scenario_compiled(rng: random.Random, check: _Checker) -> None:
-    """Plan-compiler hammering: code reuse, aliasing, nesting, a live
-    database, and the deep-chain fallback."""
+    """Plan-compiler hammering: reruns, aliasing, nesting, a live
+    database, and a deep chain."""
     db = random_database(rng, _NAMES)
     for _ in range(2):
         plan = random_plan(rng, _NAMES, depth=rng.randint(1, 4))
         reference = execute_reference(plan, db)
-        # Second run reuses the code object — same contract.
+        # A second run lowers the plan again — same contract.
         check._compare("compiled-cold", execute_compiled(plan, db), reference)
         check._compare("compiled-warm", execute_compiled(plan, db), reference)
     ndb = random_nested_database(rng, _NAMES)
@@ -474,7 +464,7 @@ def _scenario_compiled(rng: random.Random, check: _Checker) -> None:
     )
     # One predicate name over different closures against one shared
     # cache: each closure must get its own answer, from the result
-    # cache and from a shared code object alike.
+    # cache and from the steps lowered for each run alike.
     base = Scan(rng.choice(_NAMES))
     k1, k2 = rng.sample(range(-1, 7), 2)
     for k in (k1, k2):
@@ -504,7 +494,7 @@ def _scenario_compiled(rng: random.Random, check: _Checker) -> None:
         check._compare(
             "db-compiled-warm", live.run(plan, mode="compiled"), want
         )
-    # Past MAX_PIPELINE_DEPTH the compiler falls back to the reference.
+    # A chain hundreds of operators deep lowers like a shallow plan.
     plan = deep_chain_plan(rng, rng.choice(_NAMES), rng.randint(200, 400))
     check.check(plan, db, modes=("cold",))
 

@@ -23,9 +23,9 @@ and the ``trace`` fuzz scenario:
 
 Wall-time attribution is best-effort and executor-specific: the
 reference interpreter reports per-operator compute time (children
-excluded); the compiled executor runs the whole plan as one generated
-function, so only its root span carries wall time.  Use ``work`` for
-cross-executor comparisons; ``wall_s`` for profiling one executor.
+excluded); the compiled executor times its steps as one run, so only
+its root span carries wall time.  Use ``work`` for cross-executor
+comparisons; ``wall_s`` for profiling one executor.
 
 All tree walks are explicit-stack: span trees mirror plan trees, which
 can be thousands of levels deep.
@@ -42,13 +42,12 @@ class Span:
     """One plan-node occurrence in one traced execution.
 
     ``rows`` is the number of *distinct* tuples the node produced
-    (``None`` when unknowable, e.g. an interior node of a compiled
-    run, whose generated function does not count them).  ``work`` is
-    exactly the node's ledger charge; for a cache/CSE-served span it
-    is the whole subtree's as-if work, so summing ``work`` over any
-    span tree reproduces the execution's total work.  ``cache`` is
-    ``None`` (not applicable), ``"hit"``, ``"miss"``, or ``"cse"``
-    (served by the in-plan subtree memo).
+    (``None`` when unknowable; both executors count it at every plan
+    node).  ``work`` is exactly the node's ledger charge; for a
+    cache/CSE-served span it is the whole subtree's as-if work, so
+    summing ``work`` over any span tree reproduces the execution's
+    total work.  ``cache`` is ``None`` (not applicable), ``"hit"``,
+    ``"miss"``, or ``"cse"`` (served by the in-plan subtree memo).
     """
 
     __slots__ = ("label", "work", "rows", "wall_s", "cache", "children",

@@ -162,6 +162,33 @@ class TestRecoverEndToEnd:
         assert database_digest(recovered) == database_digest(live)
         assert report.checkpoint_loaded and report.replayed == 1
 
+    def test_failed_log_reset_keeps_the_log_open(self, state, monkeypatch):
+        # The checkpoint publishes, then emptying the log fails: the
+        # records stay in the log, covered by the snapshot's LSN, and
+        # later inserts append to the same open handle.
+        live = durable_db(state, checkpoint_every=2)
+        live.create("r", 1)
+        truncate = os.ftruncate
+        failures = []
+
+        def fail_once(fd, length):
+            if not failures:
+                failures.append(length)
+                raise OSError(28, "No space left on device")
+            truncate(fd, length)
+
+        monkeypatch.setattr("os.ftruncate", fail_once)
+        before = REGISTRY.snapshot()
+        live.insert("r", [(1,)])  # second mutation: its reset fails
+        delta = snapshot_delta(REGISTRY.snapshot(), before)["counters"]
+        assert failures == [0]
+        assert delta["robustness.wal.checkpoints_failed"] == 1
+        live.insert("r", [(2,)])
+        live.insert("r", [(3,)])
+        assert live["r"] == cvset(tup(1), tup(2), tup(3))
+        recovered, _ = recover(state)
+        assert database_digest(recovered) == database_digest(live)
+
     def test_failed_policy_checkpoint_keeps_the_last_snapshot(
         self, state, monkeypatch
     ):

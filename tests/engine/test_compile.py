@@ -1,27 +1,21 @@
-"""Plan-compiler parity and program-memo tests.
+"""Plan-compiler parity and lowering tests.
 
 ``execute_compiled`` carries the engine's contract — identical
 ``CVSet`` answer, identical total work, identical per-node ledger as the
-reference interpreter — while lowering the plan to one generated
-function.  On top of parity, these tests pin how programs are reused:
-every run lowers the plan against the current data, ``compile()`` runs
-once per distinct generated source (the ``_code_for`` memo), the
-deep-plan fallback compiles nothing, and ``Database.run``'s result
-cache serves both executors.
+reference interpreter — while lowering the plan to a list of operator
+closures.  On top of parity, these tests pin how plans are lowered:
+every run lowers the plan against the current data without generating
+or compiling any source, weights are summed in C, and
+``Database.run``'s result cache serves both executors.
 """
 
+import builtins
 import random
 
+import repro.engine.exec.compile as compile_module
 from repro.engine.database import Database
-from repro.engine.exec import (
-    MAX_PIPELINE_DEPTH,
-    compile_plan,
-    execute_compiled,
-    plan_depth,
-)
-from repro.engine.exec.compile import _code_for
+from repro.engine.exec import compile_plan, execute_compiled
 from repro.engine.workload import (
-    deep_chain_plan,
     random_atom_database,
     random_nested_database,
     random_plan,
@@ -122,27 +116,6 @@ class TestCompiledEquivalence:
         assert_equivalent(plan, db, execute_compiled(plan, db))
 
 
-class TestDeepPlanFallback:
-    def test_deep_chain_falls_back_to_reference(self, compile_calls):
-        rng = random.Random(73)
-        plan = deep_chain_plan(rng, "r", 5000)
-        assert plan_depth(plan) > MAX_PIPELINE_DEPTH
-        db = {"r": CVSet({Tup((1, 2)), Tup((3, 4))})}
-        result = execute_compiled(plan, db)
-        assert_equivalent(plan, db, result)
-        # The fallback must not have compiled anything.
-        assert compile_calls == []
-
-    def test_boundary_depth_still_compiles(self, compile_calls):
-        plan = Scan("r")
-        for _ in range(MAX_PIPELINE_DEPTH - 1):
-            plan = Select("true", lambda t: True, plan)
-        assert plan_depth(plan) == MAX_PIPELINE_DEPTH
-        db = {"r": CVSet({Tup((1,)), Tup((2,))})}
-        assert_equivalent(plan, db, execute_compiled(plan, db))
-        assert compile_calls == [plan]
-
-
 class TestArtifactLifecycle:
     def test_database_insert_invalidates_artifact(self):
         """A compiled plan replays the scan binding it was lowered
@@ -165,20 +138,14 @@ class TestArtifactLifecycle:
         db = {"r": CVSet({Tup((1, 2))})}
         compiled = compile_plan(Project((0,), Scan("r")), db)
         db["r"] = CVSet({Tup((7, 8))})
-        values, _ = compiled.run()
-        assert CVSet(values) == CVSet({Tup((1,))})
+        registers, _ = compiled.run()
+        assert CVSet(compiled.answer(registers)) == CVSet({Tup((1,))})
 
 
-def _threshold(k):
-    return lambda t: t.items[0] < k
-
-
-class TestCodeMemo:
-    """``_code_for`` is the engine's only program memo: a generated
-    source depends on the plan alone, so ``compile()`` runs once per
-    distinct plan however often the plan reruns and however the data
-    changes in between.  The memo is process-wide, so each test clears
-    it first."""
+class TestNoCodeGeneration:
+    """Plans lower to prebuilt closures: no run generates or compiles
+    Python source, however often a plan reruns and whatever the data
+    does in between."""
 
     def _db(self):
         db = Database()
@@ -208,14 +175,21 @@ class TestCodeMemo:
             ),
         ]
 
-    def test_compile_runs_once_per_distinct_plan(self):
-        """Gate: N plans, each run in 3 rounds with inserts into both
-        relations it reads after every run, make exactly N ``compile()``
-        calls.  A source that carried data (an inlined weight, a hoisted
-        row list) would compile again after each insert."""
+    def test_no_compile_or_exec_call(self, monkeypatch, compile_calls):
+        """Gate: 12 plans, each run in 3 rounds with inserts into both
+        relations it reads after every run, are lowered 36 times and
+        make no ``compile()`` or ``exec()`` call."""
         db = self._db()
         plans = self._plans()
-        _code_for.cache_clear()
+        calls = []
+        for name in ("compile", "exec"):
+            real = getattr(builtins, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(builtins, name, counting)
         fresh = 100
         for _ in range(3):
             for plan in plans:
@@ -223,33 +197,8 @@ class TestCodeMemo:
                 db.insert("r", [(fresh, fresh % 3)])
                 db.insert("s", [(fresh % 3, fresh)])
                 fresh += 1
-        assert _code_for.cache_info().misses == len(plans)
-
-    def test_insert_then_rerun_reuses_the_code_object(self):
-        db = self._db()
-        plan = Project((0,), Join(((1, 0),), Scan("r"), Scan("s")))
-        _code_for.cache_clear()
-        db.run(plan)
-        db.insert("r", [(50, 2)])
-        result = db.run(plan)
-        info = _code_for.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-        assert Tup((50,)) in result.value
-        assert_equivalent(plan, db, result)
-
-    def test_aliased_predicates_share_one_code_object(self):
-        """One predicate name over two closures: one source, one
-        ``compile()``, and each closure's own answer."""
-        db = self._db()
-        low = Select("cut", _threshold(2), Scan("r"))
-        high = Select("cut", _threshold(4), Scan("r"))
-        _code_for.cache_clear()
-        a = db.run(low)
-        b = db.run(high)
-        assert _code_for.cache_info().misses == 1
-        assert_equivalent(low, db, a)
-        assert_equivalent(high, db, b)
-        assert a.value != b.value
+        assert calls == []
+        assert len(compile_calls) == 3 * len(plans)
 
 
 def _count_tup_builds(monkeypatch):
@@ -274,16 +223,19 @@ class TestTupBudget:
     row.  Counts are deterministic: they must repeat exactly under any
     ``PYTHONHASHSEED``."""
 
+    def _seeded_plans(self, db):
+        rng = random.Random("tup-budget")
+        return [
+            random_plan(rng, sorted(db.relations), base_arity=3, depth=3)
+            for _ in range(40)
+        ]
+
     def test_tup_builds_on_a_seeded_plan_set(self, hr_db, monkeypatch):
         """40 seeded random plans over the HR database build exactly
         this many ``Tup``s.  One ``Tup`` per output row of every
         operator would make 23,982."""
         db = hr_db()
-        rng = random.Random("tup-budget")
-        plans = [
-            random_plan(rng, sorted(db.relations), base_arity=3, depth=3)
-            for _ in range(40)
-        ]
+        plans = self._seeded_plans(db)
         builds = _count_tup_builds(monkeypatch)
         results = [execute_compiled(plan, db.relations) for plan in plans]
         count = builds[0]
@@ -291,6 +243,28 @@ class TestTupBudget:
         for plan, result in zip(plans, results):
             assert_equivalent(plan, db, result)
         assert count == 3_940
+
+    def test_weights_are_summed_in_c(self, hr_db, monkeypatch):
+        """The same plans weigh every input of unknown width (the map
+        outputs) from row lengths read in C: no per-row
+        ``tuple_weight`` call, which would make 765, and the same total
+        work as the reference."""
+        db = hr_db()
+        plans = self._seeded_plans(db)
+        calls = [0]
+        weigh = compile_module.tuple_weight
+
+        def counting(t):
+            calls[0] += 1
+            return weigh(t)
+
+        monkeypatch.setattr(compile_module, "tuple_weight", counting)
+        results = [execute_compiled(plan, db.relations) for plan in plans]
+        monkeypatch.undo()
+        for plan, result in zip(plans, results):
+            assert_equivalent(plan, db, result)
+        assert calls[0] == 0
+        assert sum(result.work for result in results) == 69_424
 
     def test_one_tup_per_answer_row(self, hr_db, monkeypatch):
         """Projections, joins, products and set operations over
@@ -392,17 +366,17 @@ class TestDatabaseCompiledRun:
         result = db.run(plan, use_cache=False, mode="compiled")
         assert_equivalent(plan, db.relations, result)
 
-    def test_use_cache_false_still_memoizes_the_program(self):
-        """``use_cache=False`` disables the *result* cache only; the
-        second run takes its code object from ``_code_for``."""
+    def test_use_cache_false_lowers_every_run(self, compile_calls):
+        """``use_cache=False`` bypasses the result cache: every run
+        lowers the plan and nothing is stored."""
         db = Database()
         db.create("r", 2)
         db.insert("r", [(i, i) for i in range(4)])
         plan = Project((0,), Scan("r"))
-        db.run(plan, use_cache=False, mode="compiled")
-        misses = _code_for.cache_info().misses
-        db.run(plan, use_cache=False, mode="compiled")
-        assert _code_for.cache_info().misses == misses
+        for _ in range(2):
+            result = db.run(plan, use_cache=False, mode="compiled")
+            assert_equivalent(plan, db, result)
+        assert compile_calls == [plan, plan]
         assert db.plan_cache.stats()["puts"] == 0
 
     def test_stats_survive_mutation(self):

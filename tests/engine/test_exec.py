@@ -12,11 +12,7 @@ import random
 import pytest
 
 from repro.engine.database import Database
-from repro.engine.exec import (
-    MAX_PIPELINE_DEPTH,
-    PlanCache,
-    execute_compiled,
-)
+from repro.engine.exec import PlanCache, execute_compiled
 from repro.engine.workload import deep_chain_plan
 from repro.optimizer.plan import (
     Difference,
@@ -523,20 +519,22 @@ class TestDeepPlans:
         assert hash(plan) == hash(other)
         assert plan == other
 
-    def test_too_deep_plan_runs_on_reference_cached_and_invalidated(
-        self, compile_calls
+    @pytest.mark.parametrize("depth", [129, 600, 2000])
+    def test_deep_chain_runs_compiled_cached_and_invalidated(
+        self, compile_calls, depth
     ):
-        """Past ``MAX_PIPELINE_DEPTH`` the compiled mode runs the
-        reference interpreter (nothing is compiled), the root result is
-        still cached, and an insert invalidates it: the next run misses,
-        recomputes on the reference and is stored again."""
+        """A chain of any depth is lowered like a shallow plan: each
+        miss compiles it, the root result is cached, and an insert
+        invalidates it, so the next run misses, compiles again and is
+        stored again."""
         db = _live({"r": [(i, i + 1) for i in range(8)]}, arity=2)
-        plan = self._chain(MAX_PIPELINE_DEPTH + 20)
+        plan = self._chain(depth)
         cold = db.run(plan)
-        assert compile_calls == []
+        assert compile_calls == [plan]
         assert len(db.plan_cache) == 1
         warm = db.run(plan)
         assert db.plan_cache.hits == 1
+        assert compile_calls == [plan]
         assert_equivalent(plan, db, cold, warm)
         db.insert("r", [(20, 21), (21, 20)])
         assert db.plan_cache.invalidations == 1
@@ -546,5 +544,5 @@ class TestDeepPlans:
         assert db.plan_cache.misses == 2
         assert db.plan_cache.puts == 2
         assert len(db.plan_cache) == 1
-        assert compile_calls == []
+        assert compile_calls == [plan, plan]
         assert_equivalent(plan, db, recomputed)

@@ -67,16 +67,6 @@ def _live(relations) -> Database:
     return db
 
 
-def _shape(root: Span) -> tuple:
-    """Preorder ``(label, work, cache, child count)`` per span: the
-    structure compiled and reference trees share (compiled interior
-    spans carry no row counts)."""
-    return tuple(
-        (span.label, span.work, span.cache, len(span.children))
-        for span in root.walk()
-    )
-
-
 class TestWorkConservation:
     """Span works sum exactly to the executor's ledger total."""
 
@@ -164,7 +154,7 @@ class TestCrossExecutorAgreement:
         execute_reference(plan, db, tracer=tr)
         assert tc.last.total_work() == tr.last.total_work()
         if all(span.cache != "cse" for span in tc.last.walk()):
-            assert _shape(tc.last) == _shape(tr.last)
+            assert tc.last.structure() == tr.last.structure()
 
     def test_reference_matches_compiled_without_cse(self):
         """On a plan with no repeated subtrees, the compiled tree —
@@ -180,8 +170,8 @@ class TestCrossExecutorAgreement:
         execute_reference(plan, db, tracer=tr)
         execute_compiled(plan, db, tracer=tc)
         _live(db).run(plan, use_cache=False, tracer=td)
-        assert _shape(tc.last) == _shape(tr.last)
-        assert _shape(td.last) == _shape(tr.last)
+        assert tc.last.structure() == tr.last.structure()
+        assert td.last.structure() == tr.last.structure()
 
     def test_deep_chain_structures_match_without_recursion(self):
         rng = derive_rng(2024, 0, "structure-deep")
@@ -189,7 +179,7 @@ class TestCrossExecutorAgreement:
         plan = deep_chain_plan(rng, "r", 900)
         tr, td = Tracer(), Tracer()
         rr = execute_reference(plan, db, tracer=tr)
-        # Too deep to compile: Database.run traces the reference run.
+        # Database.run lowers and traces the chain like any other plan.
         rd = _live(db).run(plan, tracer=td)
         assert rr.value == rd.value
         assert tr.last.structure() == td.last.structure()
