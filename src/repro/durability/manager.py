@@ -145,6 +145,11 @@ class DurabilityManager:
         crash before the reset leaves a WAL whose records are all
         covered by the snapshot's LSN and skipped on replay.
         """
+        injector = self.wal.fault_injector
+        if injector is not None:
+            from ..robustness.faults import InjectedIOFault
+
+            injector.maybe_raise("durability", "checkpoint", InjectedIOFault)
         path = write_checkpoint(self.directory, db, lsn=self.wal.last_lsn)
         self.wal.reset()
         self._since_checkpoint = 0

@@ -276,7 +276,13 @@ class WriteAheadLog:
         """Empty the log (after a durable checkpoint).  LSNs stay
         monotonic across resets; the checkpoint's recorded LSN is the
         filter, not file identity.  The open handle is truncated in
-        place, so a reset that fails leaves the log whole and open."""
+        place, so a reset that fails leaves the log whole and open.
+        The ``durability`` fault site fires before the truncate (label
+        ``reset``), as an ``OSError``."""
+        if self.fault_injector is not None:
+            from ..robustness.faults import InjectedIOFault
+
+            self.fault_injector.maybe_raise("durability", "reset", InjectedIOFault)
         os.ftruncate(self._handle.fileno(), 0)
 
     def close(self) -> None:

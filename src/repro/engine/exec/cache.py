@@ -59,7 +59,20 @@ def entry_seal(value: CVSet, work: int, entries: tuple) -> int:
 
 
 class PlanCache:
-    """LRU cache of plan results with hit/miss accounting.
+    """LRU cache of plan results, with work-weighted admission and
+    hit/miss accounting.
+
+    Keys are ``(semantic token, relation fingerprints)`` (see
+    :func:`~repro.engine.exec.fingerprint.semantic_cache_key`).  Every
+    :meth:`get` counts one lookup of its key's token; the counts halve
+    every ``10 * capacity`` lookups, so they follow what is hot now.  A
+    :meth:`put` of a new key into a full cache evicts the least
+    recently used entry only if ``count(new) * new.work >=
+    count(victim) * victim.work``; otherwise it stores nothing and
+    counts the refusal in ``refused``.  Ties admit, so a cache nobody
+    looked up is plain LRU, and one that never fills never refuses.
+    Counts are per token, not per key: a key's fingerprints change with
+    every insert, its token does not.
 
     It holds answers, and the annotations of recently run plan objects
     (see :meth:`annotate`); compiled plans are lowered again on every
@@ -89,10 +102,17 @@ class PlanCache:
         #: :meth:`annotate`).  The stored plan keeps its ``id`` from
         #: being reused while the entry lives.
         self._annotations: OrderedDict = OrderedDict()
+        #: Semantic token -> lookups, halved every ``10 * capacity``
+        #: lookups (``_window`` counts them); the admission weight.
+        self._counts: dict = {}
+        self._window = 0
         self.hits = 0
         self.misses = 0
         self.puts = 0
         self.evictions = 0
+        #: Puts that stored nothing: the newcomer weighed less than the
+        #: entry it would have evicted.
+        self.refused = 0
         self.invalidations = 0
         #: Entries dropped because their contents no longer matched
         #: their seal (see :func:`entry_seal`).
@@ -150,7 +170,21 @@ class PlanCache:
     # ------------------------------------------------------------------
     # Storage.
 
+    def _count(self, token) -> None:
+        """Count one lookup of ``token``; every ``10 * capacity``
+        lookups, halve all counts and forget those that reach 0."""
+        counts = self._counts
+        counts[token] = counts.get(token, 0) + 1
+        self._window += 1
+        if self._window >= 10 * self.capacity:
+            self._window = 0
+            self._counts = {t: n >> 1 for t, n in counts.items() if n > 1}
+
     def get(self, key) -> Optional[CacheEntry]:
+        if self.capacity <= 0:
+            self.misses += 1
+            return None
+        self._count(key[0])
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
@@ -186,9 +220,20 @@ class PlanCache:
                 keys.discard(key)
 
     def put(self, key, entry: CacheEntry) -> None:
-        """Store ``entry`` under ``key``."""
+        """Store ``entry`` under ``key``, unless the cache is full, the
+        key is new, and the entry weighs less than the least recently
+        used one (see the class docstring)."""
         if self.capacity <= 0:
             return
+        if key not in self._entries and len(self._entries) >= self.capacity:
+            victim_key, victim = next(iter(self._entries.items()))
+            counts = self._counts
+            if (
+                counts.get(key[0], 0) * entry.work
+                < counts.get(victim_key[0], 0) * victim.work
+            ):
+                self.refused += 1
+                return
         self.puts += 1
         if entry.seal is None:
             entry = CacheEntry(
@@ -230,6 +275,9 @@ class PlanCache:
             self._aliases.clear()
             self._identity_memo.clear()
             self._annotations.clear()
+            # Tokens are reissued once the intern table is gone.
+            self._counts.clear()
+            self._window = 0
             return
         for key in self._by_relation.pop(relation, ()):
             entry = self._entries.pop(key, None)
@@ -250,6 +298,7 @@ class PlanCache:
         self.misses = 0
         self.puts = 0
         self.evictions = 0
+        self.refused = 0
         self.invalidations = 0
         self.corruptions = 0
 
@@ -265,6 +314,7 @@ class PlanCache:
             "hit_rate": self.hit_rate,
             "puts": self.puts,
             "evictions": self.evictions,
+            "refused": self.refused,
             "invalidations": self.invalidations,
             "corruptions": self.corruptions,
             # Always 0: inserts invalidate, nothing patches entries in

@@ -42,12 +42,13 @@ plans; this harness hammers it with generated ones:
 * **recovery** — the crash-recovery guarantee: a create/replace/insert
   script runs on a WAL-attached database under seeded ``durability``
   faults (torn writes, bit flips, failed fsyncs, a crash between
-  commit and apply), carrying on after every failed mutation.  The
-  log is then cut at every record boundary, at sampled byte offsets
-  and once after a bit flip, and each cut must recover to a prefix of
-  the mutations that took effect.  Unless a bit flip or the crash
-  between commit and apply fired, the whole log must recover to the
-  live database itself.
+  commit and apply, failed checkpoints and log resets), carrying on
+  after every failed mutation.  The log is then cut at every record
+  boundary, at sampled byte offsets and once after a bit flip, and
+  each cut must recover to a prefix of the mutations that took
+  effect.  Unless the log holds a bit flip or the crash between
+  commit and apply fired, the whole log must recover to the live
+  database itself.
 
 Every generated plan is executed in up to three modes — ``cold``
 (``execute_compiled`` with no result cache), ``fresh`` (a new
@@ -56,6 +57,9 @@ cache, then a result-cache miss, then a hit) and ``shared`` (one
 ``Database`` for the whole scenario, so its callable registry and
 result cache are shared across plans) — and each run is compared
 against the reference.  Any mismatch is recorded as a :class:`Divergence`.
+The shared database's cache holds :data:`SHARED_CAPACITY` entries, so
+its puts evict and its admission policy refuses under the check; the
+report counts both.
 
 Seed ``i`` plays the ``i % n``-th of the ``n`` scenarios a run names
 (all of :data:`SCENARIOS` in order by default, so 500 seeds give each
@@ -88,6 +92,7 @@ from ..durability import (
     DurabilityManager,
     database_digest,
     recover,
+    scan_wal,
 )
 from ..obs.metrics import counter
 from ..obs.trace import Tracer
@@ -116,6 +121,11 @@ from .workload import (
 
 __all__ = ["Divergence", "FuzzReport", "run_fuzz", "SCENARIOS"]
 
+#: Result-cache capacity of the ``shared`` mode's database.  A seed
+#: stores a handful of answers there, so a default cache never fills;
+#: at 2, 500 seeds evict 242 entries and refuse 56 puts.
+SHARED_CAPACITY = 2
+
 
 @dataclass(frozen=True)
 class Divergence:
@@ -143,6 +153,8 @@ class FuzzReport:
     per_scenario: Counter[str] = field(default_factory=Counter)
     #: Faults the ``faults`` and ``recovery`` scenarios fired, per site.
     injected: Counter[str] = field(default_factory=Counter)
+    #: Evictions and refused puts of the ``shared`` mode's result cache.
+    cache: Counter[str] = field(default_factory=Counter)
 
     @property
     def ok(self) -> bool:
@@ -158,6 +170,10 @@ class FuzzReport:
             f"{site}={n}" for site, n in sorted(self.injected.items())
         )
         lines.append(f"  faults injected: {fired or 'none'}")
+        lines.append(
+            f"  shared cache: evictions={self.cache['evictions']}, "
+            f"refused={self.cache['refused']}"
+        )
         if self.ok:
             lines.append("  zero divergences")
         else:
@@ -208,7 +224,7 @@ class _Checker:
         self.seed = seed
         self.scenario = scenario
         #: The scenario-wide database of the ``shared`` mode.
-        self.shared = Database()
+        self.shared = Database(cache_capacity=SHARED_CAPACITY)
 
     def _record(self, mode: str, detail: str) -> None:
         self.report.divergences.append(
@@ -595,16 +611,19 @@ def _scenario_recovery(rng: random.Random, check: _Checker) -> None:
     ``durability`` fault rate.  A mutation that raises an injected
     fault never happened, and the script goes on to the next one; only
     the ``apply:`` crash (the record is durable, the in-memory apply
-    never ran) ends it.  The log is cut at every record boundary (the
+    never ran) ends it.  A policy checkpoint that fails at the
+    ``checkpoint`` or ``reset`` label fails no mutation: the next one
+    retries it.  The log is cut at every record boundary (the
     empty and the whole log included), at up to six sampled byte
     offsets, and once after a bit flip that the record CRC must catch.
     Each cut must recover to the :func:`~repro.durability.database_digest`
     (contents, generation, fingerprints) of some prefix of the
     mutations that took effect (those that returned, plus an
-    ``apply:``-crashed one) applied in process.  Unless a bit flip or
-    the ``apply:`` crash fired, the whole log must recover to the live
-    database itself, and a plan on it must answer as the live
-    database's reference does.
+    ``apply:``-crashed one) applied in process.  Unless the ``apply:``
+    crash fired or the log holds a bit flip (its readable prefix ends
+    early), the whole log must recover to the live database itself,
+    and a plan on it must answer as the live database's reference
+    does.
     """
     contents = random_database(rng, _NAMES)
     ops = _mutation_script(rng)
@@ -615,23 +634,23 @@ def _scenario_recovery(rng: random.Random, check: _Checker) -> None:
         state = os.path.join(workdir, "state")
         live = _live_database(contents)
         # Attaching after the build checkpoints the base: the base is
-        # the snapshot and the script is the log.
+        # the snapshot and the script is the log.  The injector is
+        # armed after that checkpoint, which no fault may fail.
         live.durability = DurabilityManager(
-            state,
-            fsync=False,
-            checkpoint_every=rng.choice((None, None, 2)),
-            fault_injector=injector,
+            state, fsync=False, checkpoint_every=rng.choice((None, None, 2))
         )
+        live.durability.fault_injector = injector
         took_effect = []
-        rolled_back = 0
+        crashed = False
         for op in ops:
             try:
                 _apply_op(live, op)
             except InjectedFault as fault:
                 if fault.label.startswith("apply:"):
                     took_effect.append(op)
+                    crashed = True
                     break  # the simulated crash: the process is gone
-                rolled_back += 1  # the mutation never happened
+                # Otherwise the mutation never happened.
             except Exception as exc:  # noqa: BLE001 — an escape is the finding
                 check.escaped("recover-script", exc)
                 break
@@ -681,9 +700,10 @@ def _scenario_recovery(rng: random.Random, check: _Checker) -> None:
                     "recover-bitflip", bytes(flipped),
                     f"bit flip at byte {flip_at}",
                 )
-        # A fault that aborted no mutation was a bit flip or the apply
-        # crash; without one, the whole log holds the live database.
-        if whole is None or injector.injected.get("durability", 0) > rolled_back:
+        # The apply crash replays a mutation the live database never
+        # made, and a bit flip still in the log ends its readable
+        # prefix early; otherwise the whole log holds the live database.
+        if whole is None or crashed or scan_wal(data).corrupt:
             return
         check._check(
             "recover-whole",
@@ -720,9 +740,10 @@ def _fuzz_one_seed(task: tuple[int, int, tuple[str, ...]]) -> FuzzReport:
     base_seed, i, active = task
     name = active[i % len(active)]
     report = FuzzReport(seeds=1)
-    SCENARIOS[name](
-        derive_rng(base_seed, i, name), _Checker(report, base_seed + i, name)
-    )
+    check = _Checker(report, base_seed + i, name)
+    SCENARIOS[name](derive_rng(base_seed, i, name), check)
+    stats = check.shared.plan_cache.stats()
+    report.cache.update(evictions=stats["evictions"], refused=stats["refused"])
     return report
 
 
@@ -735,6 +756,7 @@ def _merge_reports(parts: list[FuzzReport]) -> FuzzReport:
         merged.divergences.extend(part.divergences)
         merged.per_scenario.update(part.per_scenario)
         merged.injected.update(part.injected)
+        merged.cache.update(part.cache)
     return merged
 
 

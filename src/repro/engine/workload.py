@@ -182,11 +182,12 @@ _PREDICATES_WIDE = dict(
 
 
 def _map_swap(t: Tup) -> Tup:
-    return Tup(tuple(t)[::-1])
+    return Tup(t.items[::-1])
 
 
 def _map_dup_first(t: Tup) -> Tup:
-    return Tup((t[0],) + tuple(t))
+    items = t.items
+    return Tup((items[0],) + items)
 
 
 def _map_first_only(t: Tup) -> Tup:

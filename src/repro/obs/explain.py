@@ -105,7 +105,8 @@ class ExplainReport:
             header += (
                 f" cache[hits={self.cache_stats['hits']}"
                 f" misses={self.cache_stats['misses']}"
-                f" puts={self.cache_stats['puts']}]"
+                f" puts={self.cache_stats['puts']}"
+                f" refused={self.cache_stats['refused']}]"
             )
         if self.degraded:
             for event in self.degraded:
@@ -122,10 +123,10 @@ def explain(plan, db, mode: str = "compiled", *, use_cache: bool = True,
 
     ``db`` is a relation mapping or a ``Database``.  A ``Database``
     runs the plan through ``Database.run(plan, mode=mode)``; with
-    ``use_cache`` the report carries the get/put/evict counter delta
-    of its plan cache.  A plain mapping has no cache and no compiler
-    state, so it runs on the reference interpreter and the report says
-    ``mode="reference"``.  Pass your own ``tracer`` to keep the raw
+    ``use_cache`` the report carries the delta of its plan cache's
+    hits, misses, puts, refused puts and evictions.  A plain mapping
+    has no cache and no compiler state, so it runs on the reference
+    interpreter and the report says ``mode="reference"``.  Pass your own ``tracer`` to keep the raw
     span for further inspection.
     """
     if mode not in MODES:
@@ -152,7 +153,7 @@ def explain(plan, db, mode: str = "compiled", *, use_cache: bool = True,
         after = cache.stats()
         cache_stats = {
             key: after[key] - before[key]
-            for key in ("hits", "misses", "puts", "evictions")
+            for key in ("hits", "misses", "puts", "refused", "evictions")
         }
         cache_stats["entries"] = after["entries"]
     return ExplainReport(

@@ -15,6 +15,7 @@ from .faults import (
     FaultInjector,
     FaultPlan,
     InjectedFault,
+    InjectedIOFault,
     WorkerCrash,
 )
 
@@ -23,5 +24,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "InjectedFault",
+    "InjectedIOFault",
     "WorkerCrash",
 ]

@@ -25,7 +25,11 @@ drawn at its :class:`FaultPlan` rate:
   catch at scan time); or the process "dies" between the commit and
   the in-memory apply (recovery must replay the committed record).
   See :meth:`FaultInjector.tamper_wal_line` and
-  :mod:`repro.durability.wal`.
+  :mod:`repro.durability.wal`.  The site also fires before a
+  checkpoint publishes its snapshot (label ``checkpoint``) and before
+  the log reset that follows it (``reset``), as an
+  :class:`InjectedIOFault`: an ``OSError``, like the disk errors the
+  checkpoint policy counts and retries.
 
 A fifth failure, a parallel worker process dying hard, has no
 :class:`FaultPlan` rate: :class:`WorkerCrash` is the picklable
@@ -57,6 +61,7 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "InjectedFault",
+    "InjectedIOFault",
     "WorkerCrash",
 ]
 
@@ -78,6 +83,11 @@ class InjectedFault(RuntimeError):
         if label:
             detail += f" at {label}"
         super().__init__(detail)
+
+
+class InjectedIOFault(InjectedFault, OSError):
+    """An :class:`InjectedFault` that is also an ``OSError``: a failed
+    disk operation, raised where callers handle real I/O errors."""
 
 
 def _derive_seed(*parts) -> int:
@@ -130,10 +140,13 @@ class FaultInjector:
         self.injected[site] = self.injected.get(site, 0) + 1
         return True
 
-    def maybe_raise(self, site: str, label: str = "") -> None:
-        """Raise :class:`InjectedFault` at ``site``'s configured rate."""
+    def maybe_raise(
+        self, site: str, label: str = "", error: type = InjectedFault
+    ) -> None:
+        """Raise ``error(site, label)``, an :class:`InjectedFault`, at
+        ``site``'s configured rate."""
         if self._fire(site):
-            raise InjectedFault(site, label)
+            raise error(site, label)
 
     def tamper_entry(self, entry):
         """Return ``entry`` or a corrupted copy of it (``cache`` site).

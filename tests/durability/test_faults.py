@@ -1,5 +1,6 @@
 """The ``durability`` fault site: torn writes, bit flips, failed
-fsyncs, and the crash window between commit and apply.
+fsyncs, the crash window between commit and apply, and failed
+checkpoints and log resets.
 
 Each test pins one direction of the atomicity contract:
 
@@ -7,7 +8,9 @@ Each test pins one direction of the atomicity contract:
   caller saw an exception, the log was rolled back, and the next
   mutation commits and recovers as if it were the first attempt);
 * a fault *after* the commit → the mutation durably happened
-  (recovery replays what the in-memory process never finished).
+  (recovery replays what the in-memory process never finished);
+* a fault in the checkpoint a mutation triggers → the mutation still
+  happened, and the next mutation retries the checkpoint.
 """
 
 from __future__ import annotations
@@ -26,11 +29,13 @@ from repro.durability import (
     WalRecord,
 )
 from repro.engine.database import Database
+from repro.obs.metrics import REGISTRY, snapshot_delta
 from repro.robustness.faults import (
     FAULT_SITES,
     FaultInjector,
     FaultPlan,
     InjectedFault,
+    InjectedIOFault,
 )
 from repro.types.values import cvset, tup
 
@@ -110,11 +115,13 @@ class _LabelFault:
     def tamper_wal_line(self, line):
         return line, None
 
-    def maybe_raise(self, site: str, label: str = "") -> None:
+    def maybe_raise(
+        self, site: str, label: str = "", error: type = InjectedFault
+    ) -> None:
         if label.startswith(self.label_prefix):
             self.seen += 1
             if self.seen == self.nth:
-                raise InjectedFault(site, label)
+                raise error(site, label)
 
 
 def _durable_db(state, fsync: bool = False) -> Database:
@@ -233,3 +240,59 @@ class TestCrashWindows:
         with pytest.raises(InjectedFault):
             db.create("r", 1)
         assert injector.injected.get("durability", 0) >= 1
+
+
+class TestCheckpointFaults:
+    """The site fires before a checkpoint publishes its snapshot
+    (``checkpoint``) and before the log reset after it (``reset``), as
+    an ``OSError``: a policy checkpoint that fails there is counted and
+    retried, and its mutation stands."""
+
+    @pytest.mark.parametrize("label", ["checkpoint", "reset"])
+    def test_failed_policy_checkpoint_leaves_its_mutation_applied(
+        self, tmp_path, label
+    ):
+        state = tmp_path / "state"
+        db = Database()
+        db.durability = DurabilityManager(
+            state, fsync=False, checkpoint_every=2
+        )
+        fault = _LabelFault(label)
+        db.durability.fault_injector = fault
+        db.create("r", 1)
+        before = REGISTRY.snapshot()
+        db.insert("r", [(1,)])  # second mutation: its checkpoint fails
+        delta = snapshot_delta(REGISTRY.snapshot(), before)["counters"]
+        assert delta["robustness.wal.checkpoints_failed"] == 1
+        assert fault.seen == 1 and db["r"] == cvset(tup(1))
+        recovered, report = recover(state)
+        assert database_digest(recovered) == database_digest(db)
+        # A failed reset comes after the snapshot landed; the records
+        # left in the log are all covered by its LSN.
+        assert report.checkpoint_loaded == (label == "reset")
+        db.insert("r", [(2,)])  # retries the checkpoint, which lands
+        recovered, report = recover(state)
+        assert database_digest(recovered) == database_digest(db)
+        assert report.checkpoint_loaded and report.replayed == 0
+
+    @pytest.mark.parametrize("label", ["checkpoint", "reset"])
+    def test_the_fault_is_an_os_error(self, tmp_path, label):
+        db = _durable_db(tmp_path / "state")
+        db.durability.fault_injector = _LabelFault(label)
+        with pytest.raises(InjectedIOFault, match=label) as raised:
+            db.durability.checkpoint(db)  # a direct call raises
+        assert isinstance(raised.value, OSError)
+        assert raised.value.site == "durability"
+
+    def test_seeded_injector_fires_at_both_labels(self, tmp_path):
+        injector = FaultInjector(FaultPlan(seed=0, durability_rate=1.0))
+        wal = WriteAheadLog(tmp_path / "wal.jsonl", fsync=False)
+        wal.fault_injector = injector
+        with pytest.raises(InjectedIOFault, match="reset"):
+            wal.reset()
+        wal.close()
+        db = _durable_db(tmp_path / "state")
+        db.durability.fault_injector = injector
+        with pytest.raises(InjectedIOFault, match="checkpoint"):
+            db.durability.checkpoint(db)
+        assert injector.injected == {"durability": 2}

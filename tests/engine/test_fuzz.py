@@ -12,6 +12,7 @@ from repro.cli import main
 from repro.engine.database import Database
 from repro.engine.fuzz import SCENARIOS, Divergence, run_fuzz
 from repro.obs.metrics import REGISTRY
+from repro.robustness.faults import FaultInjector, InjectedFault
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -34,6 +35,18 @@ class TestRunFuzz:
         assert a.per_scenario == b.per_scenario
         assert a.injected == b.injected
         assert a.summary() == b.summary()
+
+    def test_the_shared_cache_evicts_and_refuses(self):
+        """The ``shared`` mode's cache is small enough that its puts
+        evict and its admission refuses, under the differential check."""
+        report = run_fuzz(20, scenarios=("random", "alias"))
+        assert report.ok, report.summary()
+        assert report.cache["evictions"] > 0
+        assert report.cache["refused"] > 0
+        assert (
+            f"shared cache: evictions={report.cache['evictions']}, "
+            f"refused={report.cache['refused']}"
+        ) in report.summary()
 
     def test_base_seed_changes_the_fault_matrix(self):
         a = run_fuzz(5, base_seed=0, scenarios=("faults",))
@@ -128,6 +141,37 @@ class TestFaults:
 class TestRecovery:
     """The crash-recovery guarantee: every cut of a WAL recovers to a
     committed prefix of its mutation script."""
+
+    def test_whole_log_check_runs_when_only_checkpoints_failed(
+        self, monkeypatch
+    ):
+        """A failed checkpoint or log reset fails no mutation, so the
+        whole log must still recover to the live database."""
+        import repro.engine.fuzz as fuzz
+
+        class CheckpointFaults(FaultInjector):
+            """Fires at its drawn rate, but only at the two labels."""
+
+            def tamper_wal_line(self, line):
+                return line, None
+
+            def maybe_raise(self, site, label="", error=InjectedFault):
+                if label in ("checkpoint", "reset"):
+                    super().maybe_raise(site, label, error)
+
+        checked = Counter()
+        check = fuzz._Checker._check
+
+        def checking(self, mode, ok, detail):
+            checked[mode] += 1
+            check(self, mode, ok, detail)
+
+        monkeypatch.setattr(fuzz, "FaultInjector", CheckpointFaults)
+        monkeypatch.setattr(fuzz._Checker, "_check", checking)
+        report = run_fuzz(30, scenarios=("recovery",))
+        assert report.ok, report.summary()
+        assert report.injected["durability"] > 0
+        assert checked["recover-whole"] == 30
 
     def test_recovery_scenario_runs_every_seed(self):
         report = run_fuzz(4, scenarios=("recovery",))

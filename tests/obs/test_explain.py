@@ -10,6 +10,7 @@ import random
 import pytest
 
 from repro.cli import main
+from repro.engine.exec import PlanCache
 from repro.engine.workload import hr_database
 from repro.obs import (
     MODES,
@@ -75,6 +76,18 @@ class TestExplain:
         assert warm.cache_stats["puts"] == 0
         assert warm.root.cache == "hit"
         assert warm.rows == cold.rows and warm.work == cold.work
+
+    def test_a_refused_put_shows_in_the_delta_and_header(self, plan, db):
+        db.plan_cache = PlanCache(capacity=1)
+        hot = parse_plan("pi[1](employees U students)")
+        for _ in range(10):
+            db.run(hot)  # stored, then looked up 9 times more
+        report = explain(plan, db, mode="compiled")
+        assert report.cache_stats == {
+            "hits": 0, "misses": 1, "puts": 0, "refused": 1,
+            "evictions": 0, "entries": 1,
+        }
+        assert " puts=0 refused=1]" in report.render(wall=False)
 
     def test_use_cache_false_never_touches_the_database_cache(
         self, plan, db
