@@ -7,11 +7,11 @@ support-based bag extensions of :mod:`repro.mappings.extensions`:
 
 * additive union, monus (bag difference), min-intersection;
 * duplicate elimination ``delta : {|t|} -> {t}``;
-* bag projection / selection / map (multiplicity preserving);
+* bag projection (multiplicity preserving);
 * ``bag_count`` — multiplicity lookup, the bag analogue of membership.
 
 Genericity expectations (verified by experiment E-BAGS): operations that
-only rearrange elements (additive union, map, projection) are fully
+only rearrange elements (additive union, projection) are fully
 generic like their set counterparts; monus and min-intersection need
 equality on multiplicities and are generic only w.r.t. injective
 mappings; duplicate elimination is fully generic under the rel bag
@@ -22,7 +22,7 @@ one (mass is not preserved).
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..types.ast import BagType, Product, SetType, TypeVar
 from ..types.values import CVBag, CVSet, Value
@@ -34,9 +34,6 @@ __all__ = [
     "bag_min_intersection",
     "duplicate_elim",
     "bag_projection",
-    "bag_select_eq",
-    "bag_map",
-    "bag_of_set",
 ]
 
 
@@ -132,51 +129,4 @@ def bag_projection(indices: Sequence[int], arity: int) -> Query:
         fn=fn,
         input_type=BagType(Product(variables)),
         output_type=BagType(Product(tuple(variables[i] for i in indices))),
-    )
-
-
-def bag_select_eq(i: int, j: int, arity: int) -> Query:
-    """Bag selection on ``$i = $j``, keeping multiplicities."""
-    variables = list(TypeVar(f"X{k + 1}") for k in range(arity))
-    variables[j] = variables[i]
-
-    def fn(b: Value) -> Value:
-        return CVBag(t for t in b if t[i] == t[j])
-
-    t = BagType(Product(tuple(variables)))
-    return Query(
-        name=f"bag_sigma[{i + 1}={j + 1}]",
-        fn=fn,
-        input_type=t,
-        output_type=t,
-        uses_equality=True,
-    )
-
-
-def bag_map(f: Callable[[Value], Value], name: str, elem_in, elem_out) -> Query:
-    """``map(f)`` over bags — multiplicities of images add up."""
-
-    def fn(b: Value) -> Value:
-        return CVBag(f(v) for v in b)
-
-    return Query(
-        name=f"bag_map({name})",
-        fn=fn,
-        input_type=BagType(elem_in),
-        output_type=BagType(elem_out),
-    )
-
-
-def bag_of_set() -> Query:
-    """Embed a set as a bag of multiplicity-1 elements."""
-    x = TypeVar("X")
-
-    def fn(s: Value) -> Value:
-        return CVBag(s)
-
-    return Query(
-        name="bag_of_set",
-        fn=fn,
-        input_type=SetType(x),
-        output_type=BagType(x),
     )

@@ -1,22 +1,20 @@
-"""Fixpoint and while operations.
+"""The inflationary fixpoint operation.
 
 The abstract defers the fixpoint/while results to the full paper but
 announces them ("In the full paper we present results about *fixpoint*
 and *while* operations", Section 3.2).  We implement the standard
-inflationary fixpoint and a while-loop constructor so the experiments
-can probe their genericity empirically: an inflationary fixpoint of a
-fully generic body stays fully generic (closure under composition and
-union, Prop 3.1, applied omega times on finite instances).
+inflationary fixpoint so the experiments can probe its genericity
+empirically: an inflationary fixpoint of a fully generic body stays
+fully generic (closure under composition and union, Prop 3.1, applied
+omega times on finite instances).
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 from ..types.values import Value
 from .query import Query
 
-__all__ = ["inflationary_fixpoint", "while_query", "transitive_closure"]
+__all__ = ["inflationary_fixpoint", "transitive_closure"]
 
 #: Safety bound — on finite instances every inflationary fixpoint
 #: converges well before this.
@@ -43,37 +41,6 @@ def inflationary_fixpoint(body: Query, name: str | None = None) -> Query:
         output_type=body.input_type,
         uses_equality=body.uses_equality,
         notes="inflationary fixpoint",
-    )
-
-
-def while_query(
-    condition: Callable[[Value], bool],
-    body: Query,
-    name: str | None = None,
-) -> Query:
-    """``while condition(R): R := body(R)`` — the while operation.
-
-    Unlike the inflationary fixpoint this need not be monotone; the
-    iteration bound guards non-termination on adversarial bodies."""
-
-    def fn(r: Value) -> Value:
-        current = r
-        for _ in range(_MAX_ITERATIONS):
-            if not condition(current):
-                return current
-            next_value = body.fn(current)
-            if next_value == current:
-                return current
-            current = next_value
-        raise RuntimeError(f"while({body.name}) did not converge")
-
-    return Query(
-        name=name or f"while({body.name})",
-        fn=fn,
-        input_type=body.input_type,
-        output_type=body.input_type,
-        uses_equality=body.uses_equality,
-        notes="while loop",
     )
 
 

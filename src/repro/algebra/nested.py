@@ -2,8 +2,8 @@
 
 The paper's Section 4 works over nested sets; these operators supply the
 nested side of the catalog: powerset (the language of [1, 4, 5] the
-paper says its L-to-S types cover), nest/unnest, set-map, singleton and
-flatten (the monad structure of the monadic algebra of [5]), plus the
+paper says its L-to-S types cover), unnest, singleton and flatten (the
+monad structure of the monadic algebra of [5]), plus the
 ``nest parity`` query of Proposition 4.16 — the paper's example of a
 query that is *fully generic but not parametric*.
 """
@@ -11,21 +11,17 @@ query that is *fully generic but not parametric*.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Sequence
 
-from ..types.ast import BOOL, Product, SetType, Type, TypeVar
-from ..types.values import CVSet, Tup, Value, is_atom, value_depth
+from ..types.ast import BOOL, Product, SetType, TypeVar
+from ..types.values import CVSet, Tup, Value, value_depth
 from .query import Query
 
 __all__ = [
     "powerset",
-    "nest",
     "unnest",
     "singleton",
     "flatten",
-    "set_map",
     "nest_parity",
-    "deep_flatten",
 ]
 
 
@@ -49,34 +45,6 @@ def powerset() -> Query:
         fn=fn,
         input_type=SetType(x),
         output_type=SetType(SetType(x)),
-    )
-
-
-def nest(group_by: Sequence[int], collect: Sequence[int], arity: int) -> Query:
-    """``nu`` — group tuples by the ``group_by`` columns, collecting the
-    ``collect`` columns into an inner set.  Uses equality on the grouped
-    columns."""
-    group_by = tuple(group_by)
-    collect = tuple(collect)
-    variables = tuple(TypeVar(f"X{i + 1}") for i in range(arity))
-
-    def fn(r: Value) -> Value:
-        groups: dict[Value, set] = {}
-        for t in r:
-            key = t.project(group_by)
-            groups.setdefault(key, set()).add(t.project(collect))
-        return CVSet(
-            Tup(tuple(key) + (CVSet(members),)) for key, members in groups.items()
-        )
-
-    inner = Product(tuple(variables[i] for i in collect))
-    outer = tuple(variables[i] for i in group_by) + (SetType(inner),)
-    return Query(
-        name=f"nest[{group_by}|{collect}]",
-        fn=fn,
-        input_type=SetType(Product(variables)),
-        output_type=SetType(Product(outer)),
-        uses_equality=True,
     )
 
 
@@ -136,20 +104,6 @@ def flatten() -> Query:
     )
 
 
-def set_map(f: Callable[[Value], Value], name: str, elem_in: Type, elem_out: Type) -> Query:
-    """``map(f)`` over sets of arbitrary element type."""
-
-    def fn(r: Value) -> Value:
-        return CVSet(f(x) for x in r)
-
-    return Query(
-        name=f"map({name})",
-        fn=fn,
-        input_type=SetType(elem_in),
-        output_type=SetType(elem_out),
-    )
-
-
 def nest_parity() -> Query:
     """``np`` of Proposition 4.16: true iff the nesting depth is even.
 
@@ -168,27 +122,4 @@ def nest_parity() -> Query:
         input_type=SetType(x),  # nominal; np is untyped/structural
         output_type=BOOL,
         notes="structural query: fully generic, not parametric (Prop 4.16)",
-    )
-
-
-def deep_flatten() -> Query:
-    """Flatten arbitrarily nested sets to the set of their atoms.
-
-    Another structure-inspecting (hence non-parametric) query, used in
-    the genericity-vs-parametricity experiments."""
-
-    def atoms(v: Value) -> set:
-        if is_atom(v):
-            return {v}
-        out: set = set()
-        for item in v:
-            out |= atoms(item)
-        return out
-
-    x = TypeVar("X")
-    return Query(
-        name="deep_flatten",
-        fn=lambda v: CVSet(atoms(v)),
-        input_type=SetType(x),
-        output_type=SetType(x),
     )

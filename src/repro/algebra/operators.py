@@ -5,16 +5,15 @@ genericity.  This module implements each operation the paper mentions as
 a typed :class:`~repro.algebra.query.Query` so the genericity machinery
 can test it:
 
-* the fully generic core: projection, cross product, union, identity,
-  the empty query Ø̂ (Prop 3.1 / Cor 3.2);
+* the fully generic core: projection, cross product, union, identity
+  (Prop 3.1 / Cor 3.2);
 * equality-using operations: selection ``sigma $i=$j``, intersection,
-  difference, natural join, ``R o R`` composition (Example 2.2's Q1);
+  difference, ``R o R`` composition (Example 2.2's Q1);
 * Chandra's variant ``sigma-hat`` which uses equality in the query but
   eliminates it from the output (Prop 3.6);
-* constant-using operations: ``sigma $i=c``, insert-constant (Section
-  2.4/4.3);
-* domain-sensitive operations: active domain, `eq_adom`` (Prop 3.5),
-  complement (Section 3.3), ``even`` (Lemma 2.12).
+* the constant-using selection ``sigma $i=c`` (Section 2.4);
+* domain-sensitive operations: ``eq_adom`` (Prop 3.5), complement
+  (Section 3.3), ``even`` (Lemma 2.12).
 
 Relations are sets of tuples: ``CVSet`` of ``Tup``.  A *database* input
 for a binary operator is the pair ``Tup((R, S))``.
@@ -23,7 +22,7 @@ for a binary operator is the pair ``Tup((R, S))``.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ..types.ast import (
     BOOL,
@@ -34,32 +33,23 @@ from ..types.ast import (
     TypeVar,
 )
 from ..types.values import CVSet, Tup, Value, atoms_of
-from .query import Query, constant_query
+from .query import Query
 
 __all__ = [
     "projection",
-    "projection_out",
     "select_eq",
     "hat_select_eq",
     "select_const",
-    "select_pred",
     "union_op",
     "intersection_op",
     "difference_op",
     "cross_op",
     "self_cross",
     "self_compose",
-    "natural_join",
-    "map_query",
     "eq_adom",
     "even_query",
     "identity_query",
-    "empty_query",
-    "active_domain",
-    "adom_complement",
     "full_complement",
-    "ins_const",
-    "rename_query",
 ]
 
 
@@ -86,14 +76,6 @@ def projection(indices: Sequence[int], arity: int) -> Query:
         input_type=SetType(Product(all_vars)),
         output_type=SetType(Product(tuple(all_vars[i] for i in indices))),
     )
-
-
-def projection_out(j: int, arity: int) -> Query:
-    """Projection *out of* column ``j`` — the ``pi_{\\hat j}`` of Prop 3.6."""
-    keep = [i for i in range(arity) if i != j]
-    q = projection(keep, arity)
-    q.name = f"pi[-{j + 1}]"
-    return q
 
 
 def select_eq(i: int, j: int, arity: int) -> Query:
@@ -154,22 +136,6 @@ def select_const(i: int, c: Value, arity: int, base: BaseType) -> Query:
         uses_equality=True,
         notes=f"mentions constant {c!r}",
     )
-
-
-def select_pred(
-    predicate: Callable[[Value], bool],
-    name: str,
-    element_type: Type,
-) -> Query:
-    """``sigma_p`` over set elements, p applied to the whole element.
-
-    Generic w.r.t. mappings preserving ``p`` (Section 4.3)."""
-
-    def fn(r: Value) -> Value:
-        return CVSet(x for x in r if predicate(x))
-
-    t = SetType(element_type)
-    return Query(name=f"sigma[{name}]", fn=fn, input_type=t, output_type=t)
 
 
 def union_op() -> Query:
@@ -278,48 +244,6 @@ def self_compose() -> Query:
     )
 
 
-def natural_join(arity_left: int, arity_right: int, on: Sequence[tuple[int, int]]) -> Query:
-    """Equi-join of two relations on column pairs ``on``; equality-using."""
-    on = tuple(on)
-
-    def fn(pair: Value) -> Value:
-        r, s = pair
-        out = set()
-        for t in r:
-            for u in s:
-                if all(t[i] == u[j] for i, j in on):
-                    out.add(Tup(tuple(t) + tuple(u)))
-        return CVSet(out)
-
-    left_vars = tuple(TypeVar(f"X{i + 1}") for i in range(arity_left))
-    right_vars = list(TypeVar(f"Y{i + 1}") for i in range(arity_right))
-    for i, j in on:
-        right_vars[j] = left_vars[i]
-    return Query(
-        name=f"join[{on}]",
-        fn=fn,
-        input_type=Product(
-            (SetType(Product(left_vars)), SetType(Product(tuple(right_vars))))
-        ),
-        output_type=SetType(Product(left_vars + tuple(right_vars))),
-        uses_equality=True,
-    )
-
-
-def map_query(f: Callable[[Value], Value], name: str, element_in: Type, element_out: Type) -> Query:
-    """``map(f)`` over a set — the closure constructor of Prop 3.1."""
-
-    def fn(r: Value) -> Value:
-        return CVSet(f(x) for x in r)
-
-    return Query(
-        name=f"map({name})",
-        fn=fn,
-        input_type=SetType(element_in),
-        output_type=SetType(element_out),
-    )
-
-
 def eq_adom() -> Query:
     """``eq_adom(d)`` — the equality relation over the active domain
     (Prop 3.5: rel-fully generic, *not* strong-fully generic)."""
@@ -365,52 +289,6 @@ def identity_query(t: Optional[Type] = None) -> Query:
     return Query(name="id", fn=lambda v: v, input_type=t, output_type=t)
 
 
-def empty_query(t: Optional[Type] = None) -> Query:
-    """The paper's Ø̂, returning the empty relation on any input."""
-    t = t if t is not None else SetType(TypeVar("X"))
-    return constant_query("empty", CVSet(), t, SetType(TypeVar("Y")))
-
-
-def active_domain(arity: int) -> Query:
-    """``adom`` — all atoms appearing in the relation, as a unary set."""
-
-    def fn(r: Value) -> Value:
-        out = set()
-        for t in r:
-            out |= set(atoms_of(t))
-        return CVSet(out)
-
-    return Query(
-        name="adom",
-        fn=fn,
-        input_type=_single_var_rel(arity),
-        output_type=SetType(TypeVar("X")),
-        uses_equality=True,
-    )
-
-
-def adom_complement(arity: int) -> Query:
-    """Complement w.r.t. the active domain: ``adom^arity - R``.
-
-    Prop 3.6 notes strong classes are closed under this complement."""
-
-    def fn(r: Value) -> Value:
-        adom = set()
-        for t in r:
-            adom |= set(atoms_of(t))
-        universe = {Tup(c) for c in itertools.product(sorted(adom, key=repr), repeat=arity)}
-        return CVSet(universe - set(r))
-
-    t = _single_var_rel(arity)
-    return Query(
-        name="adom_complement",
-        fn=fn,
-        input_type=t,
-        output_type=t,
-        uses_equality=True,
-    )
-
-
 def full_complement(universe: Iterable[Value], arity: int) -> Query:
     """Complement w.r.t. an explicit finite full domain (Section 3.3).
 
@@ -431,29 +309,3 @@ def full_complement(universe: Iterable[Value], arity: int) -> Query:
         uses_equality=True,
         notes="full-domain semantics; domain dependent",
     )
-
-
-def ins_const(c: Value, base: BaseType) -> Query:
-    """``ins_c(R) = R union {c}`` (Section 4.3) — generic w.r.t. mappings
-    that (regularly) preserve ``c``."""
-
-    def fn(r: Value) -> Value:
-        return r.add(c)
-
-    t = SetType(base)
-    return Query(
-        name=f"ins[{c!r}]",
-        fn=fn,
-        input_type=t,
-        output_type=t,
-        notes=f"mentions constant {c!r}; needs only regular preservation",
-    )
-
-
-def rename_query(permutation: Sequence[int], arity: int) -> Query:
-    """Column permutation ``rho`` — fully generic."""
-    permutation = tuple(permutation)
-    q = projection(permutation, arity)
-    q.name = f"rho[{permutation}]"
-    return q
-

@@ -20,7 +20,7 @@ from typing import Callable
 from ..types.ast import Product, Type, TypeVar, substitute
 from ..types.values import Tup, Value
 
-__all__ = ["Query", "compose", "pair_query", "constant_query"]
+__all__ = ["Query", "compose", "pair_query"]
 
 
 @dataclass
@@ -132,11 +132,3 @@ def pair_query(first: Query, second: Query) -> Query:
         output_type=Product((first.output_type, second.output_type)),
         uses_equality=first.uses_equality or second.uses_equality,
     )
-
-
-def constant_query(name: str, value: Value, input_type: Type, output_type: Type) -> Query:
-    """The constant query returning ``value`` on every input.
-
-    ``empty`` (the paper's Ø̂) is ``constant_query("empty", CVSet(), ...)``.
-    """
-    return Query(name=name, fn=lambda _v: value, input_type=input_type, output_type=output_type)

@@ -22,13 +22,11 @@ from .serialize import (
 )
 from .workload import (
     hr_database,
-    layered_graph,
     paper_h_pairs,
     paper_r1,
     paper_r2,
     paper_r3,
     random_database,
-    random_graph,
     random_plan,
 )
 

@@ -6,7 +6,9 @@ per-node postorder ledger — for every plan over every database, in
 every cache state.  The property tests pin that contract on curated
 plans; this harness hammers it with generated ones:
 
-* **random** — random plans over random tuple databases;
+* **random** — random plans over random tuple databases, plus one
+  join on two or three column pairs (``random_plan`` keeps joins to
+  one pair);
 * **nested** — the same plans over databases whose components are
   nested complex values (tuples, sets, lists);
 * **atoms** — set-operation trees over relations of bare atoms;
@@ -58,8 +60,11 @@ cache, then a result-cache miss, then a hit) and ``shared`` (one
 result cache are shared across plans) — and each run is compared
 against the reference.  Any mismatch is recorded as a :class:`Divergence`.
 The shared database's cache holds :data:`SHARED_CAPACITY` entries, so
-its puts evict and its admission policy refuses under the check; the
-report counts both.
+its puts evict and its admission policy refuses under the check.  After
+a seed's plans, each plan run in the ``shared`` mode runs there again
+on its own data (``shared-warm``), so answers the cache serves after
+those evictions and refusals are checked too; the report counts the
+shared cache's hits, evictions and refusals.
 
 Seed ``i`` plays the ``i % n``-th of the ``n`` scenarios a run names
 (all of :data:`SCENARIOS` in order by default, so 500 seeds give each
@@ -98,7 +103,9 @@ from ..obs.metrics import counter
 from ..obs.trace import Tracer
 from ..optimizer.plan import (
     Difference,
+    ExecutionResult,
     Intersect,
+    Join,
     MapNode,
     Plan,
     Scan,
@@ -123,7 +130,8 @@ __all__ = ["Divergence", "FuzzReport", "run_fuzz", "SCENARIOS"]
 
 #: Result-cache capacity of the ``shared`` mode's database.  A seed
 #: stores a handful of answers there, so a default cache never fills;
-#: at 2, 500 seeds evict 242 entries and refuse 56 puts.
+#: at 2, 500 seeds (warm reruns included) evict 525 entries and
+#: refuse 373 puts.
 SHARED_CAPACITY = 2
 
 
@@ -153,7 +161,8 @@ class FuzzReport:
     per_scenario: Counter[str] = field(default_factory=Counter)
     #: Faults the ``faults`` and ``recovery`` scenarios fired, per site.
     injected: Counter[str] = field(default_factory=Counter)
-    #: Evictions and refused puts of the ``shared`` mode's result cache.
+    #: Hits, evictions and refused puts of the ``shared`` mode's
+    #: result cache.
     cache: Counter[str] = field(default_factory=Counter)
 
     @property
@@ -171,7 +180,8 @@ class FuzzReport:
         )
         lines.append(f"  faults injected: {fired or 'none'}")
         lines.append(
-            f"  shared cache: evictions={self.cache['evictions']}, "
+            f"  shared cache: hits={self.cache['hits']}, "
+            f"evictions={self.cache['evictions']}, "
             f"refused={self.cache['refused']}"
         )
         if self.ok:
@@ -223,8 +233,12 @@ class _Checker:
         self.report = report
         self.seed = seed
         self.scenario = scenario
-        #: The scenario-wide database of the ``shared`` mode.
+        #: The scenario-wide database of the ``shared`` mode, and the
+        #: (plan, data, reference) of each run there, for ``rerun_shared``.
         self.shared = Database(cache_capacity=SHARED_CAPACITY)
+        self.shared_runs: list[
+            tuple[Plan, TMapping[str, CVSet], ExecutionResult]
+        ] = []
 
     def _record(self, mode: str, detail: str) -> None:
         self.report.divergences.append(
@@ -281,6 +295,15 @@ class _Checker:
         if "shared" in modes:
             self._compare(
                 "shared", _load(self.shared, db).run(plan), reference
+            )
+            self.shared_runs.append((plan, db, reference))
+
+    def rerun_shared(self) -> None:
+        """Run every ``shared``-mode plan again on the shared database,
+        each on its own data, so the cache is read back."""
+        for plan, db, reference in self.shared_runs:
+            self._compare(
+                "shared-warm", _load(self.shared, db).run(plan), reference
             )
 
     def check_trace(self, plan: Plan, db: TMapping[str, CVSet]) -> None:
@@ -348,6 +371,14 @@ def _scenario_random(rng: random.Random, check: _Checker) -> None:
     db = random_database(rng, _NAMES)
     for _ in range(3):
         check.check(random_plan(rng, _NAMES, depth=rng.randint(1, 4)), db)
+    # A join keyed on several columns, which random_plan never draws.
+    on = tuple(rng.sample([(i, j) for i in range(2) for j in range(2)],
+                          rng.randint(2, 3)))
+    left, right = (
+        random_plan(rng, _NAMES, depth=rng.randint(0, 2), arity=2)
+        for _ in range(2)
+    )
+    check.check(Join(on, left, right), db)
 
 
 def _scenario_nested(rng: random.Random, check: _Checker) -> None:
@@ -742,8 +773,13 @@ def _fuzz_one_seed(task: tuple[int, int, tuple[str, ...]]) -> FuzzReport:
     report = FuzzReport(seeds=1)
     check = _Checker(report, base_seed + i, name)
     SCENARIOS[name](derive_rng(base_seed, i, name), check)
+    check.rerun_shared()
     stats = check.shared.plan_cache.stats()
-    report.cache.update(evictions=stats["evictions"], refused=stats["refused"])
+    report.cache.update(
+        hits=stats["hits"],
+        evictions=stats["evictions"],
+        refused=stats["refused"],
+    )
     return report
 
 

@@ -3,10 +3,8 @@
 The paper has no datasets; these generators build the instance families
 its claims are exercised on:
 
-* random graph relations (binary) for composition/transitive-closure
-  queries (Example 2.2's Q1 is graph composition);
-* layered graphs like the paper's ``r1`` (bipartite-ish chains that have
-  interesting homomorphic collapses);
+* the relations ``r1``, ``r2``, ``r3`` and the mapping ``h`` of
+  Example 2.2;
 * keyed "employees/students" relations sharing a social-security-style
   key, the Section 4.4 optimization scenario;
 * random databases for optimizer equivalence verification.
@@ -34,8 +32,6 @@ from .database import Database
 
 __all__ = [
     "derive_rng",
-    "random_graph",
-    "layered_graph",
     "paper_r1",
     "paper_r2",
     "paper_r3",
@@ -61,34 +57,6 @@ def derive_rng(*parts: object) -> random.Random:
     ``random.Random("0/3/deep")`` exactly.
     """
     return random.Random("/".join(str(p) for p in parts))
-
-
-def random_graph(
-    rng: random.Random, nodes: int, edges: int, labels: Optional[Sequence[Value]] = None
-) -> CVSet:
-    """A random directed graph as a binary relation."""
-    labels = list(labels) if labels is not None else list(range(nodes))
-    out = set()
-    attempts = 0
-    while len(out) < min(edges, nodes * nodes) and attempts < 20 * edges:
-        a, b = rng.choice(labels), rng.choice(labels)
-        out.add(Tup((a, b)))
-        attempts += 1
-    return CVSet(out)
-
-
-def layered_graph(rng: random.Random, layers: int, width: int) -> CVSet:
-    """A layered DAG: edges only between consecutive layers.
-
-    Collapsing each layer to a point is a homomorphism, making these
-    instances rich in Example 2.2-style structure."""
-    out = set()
-    for layer in range(layers - 1):
-        for i in range(width):
-            for j in range(width):
-                if rng.random() < 0.6:
-                    out.add(Tup((f"n{layer}_{i}", f"n{layer + 1}_{j}")))
-    return CVSet(out)
 
 
 def paper_r1() -> CVSet:
@@ -204,10 +172,13 @@ def random_plan(
 ) -> Plan:
     """A random logical plan over the named base relations.
 
-    Exercises every node type — including multi-pair and empty-``on``
-    joins, non-injective maps, and duplicated-column projections — while
+    Exercises every node type — including empty-``on`` joins,
+    non-injective maps, and duplicated-column projections — while
     tracking arities so union-compatible operators get matching inputs.
-    Used by the executor-equivalence property tests and benchmarks.
+    A join gets at most as many column pairs as its narrower input has
+    columns, so at the default target arity (1 to 3) it joins on zero
+    or one pair.  Used by the executor-equivalence property tests and
+    benchmarks.
     """
     target = arity if arity is not None else rng.randint(1, 3)
 

@@ -7,10 +7,11 @@ the pure calculus:
 
     ChurchList X  =  forall R. (X -> R -> R) -> R -> R
 
-with ``nil``, ``cons``, ``append`` and ``foldr`` all definable as pure
-terms — type-checked against their declared polymorphic types — and
+with ``nil``, ``cons`` and ``append`` definable as pure terms —
+type-checked against their declared polymorphic types — and
 round-tripping conversions to the native list values, so the encodings
-can be tested against the prelude implementations.
+can be tested against the prelude implementations.  ``foldr`` needs no
+term of its own: folding a Church list is type application.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "church_nil",
     "church_cons",
     "church_append",
-    "church_foldr_use",
     "encode_list",
     "decode_list",
     "church_prelude_terms",
@@ -98,24 +98,6 @@ def church_append() -> Term:
         ),
     )
     return tlam("X", lam("l1", t_list, lam("l2", t_list, body)))
-
-
-def church_foldr_use(result: Type) -> Term:
-    """``/\\X. \\l. \\c. \\n. l[result] c n`` — the eliminator *is* the
-    encoding: folding a Church list is type application."""
-    t_list = church_list_type(_X)
-    return tlam(
-        "X",
-        lam(
-            "l",
-            t_list,
-            lam(
-                "c",
-                func(_X, result, result),
-                lam("n", result, app(tapp(Var("l"), result), Var("c"), Var("n"))),
-            ),
-        ),
-    )
 
 
 def church_prelude_terms() -> dict[str, tuple[Term, Type]]:

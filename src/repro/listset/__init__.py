@@ -3,18 +3,14 @@
 from .analogy import (
     AnalogyError,
     analogous,
-    deep_fromset,
     deep_toset,
-    induced_set_function,
     toset,
 )
 from .setfuncs import (
     cardinality,
     poly,
-    set_difference,
     set_filter,
     set_ins,
-    set_map_fn,
     set_union,
 )
 from .transfer import (
@@ -26,11 +22,9 @@ from .transfer import (
     transfer_parametricity,
 )
 from .typeclasses import (
-    classify_type,
     is_l_to_s,
     is_ltos,
     is_s_to_l,
-    to_list_type,
     to_set_type,
 )
 

@@ -21,7 +21,7 @@ set), which the experiments demonstrate.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..types.ast import (
     BaseType,
@@ -38,9 +38,7 @@ from ..types.values import CVList, CVSet, Tup, Value
 __all__ = [
     "toset",
     "deep_toset",
-    "deep_fromset",
     "analogous",
-    "induced_set_function",
     "AnalogyError",
 ]
 
@@ -74,32 +72,6 @@ def deep_toset(v: Value, t_list: Type) -> Value:
             raise AnalogyError(f"expected a set at {t_list}, got {v!r}")
         return CVSet(deep_toset(item, t_list.element) for item in v)
     raise AnalogyError(f"deep_toset undefined at type {t_list}")
-
-
-def deep_fromset(v: Value, t_list: Type) -> Value:
-    """A canonical section of ``deep_toset``: rebuild a list value from
-    a set value by ordering elements deterministically (sorted repr).
-
-    Any list value with ``deep_toset`` equal to ``v`` would do; the
-    deterministic choice keeps experiments reproducible."""
-    if isinstance(t_list, (BaseType, TypeVar)):
-        return v
-    if isinstance(t_list, Product):
-        if not isinstance(v, Tup):
-            raise AnalogyError(f"expected a tuple at {t_list}, got {v!r}")
-        return Tup(
-            deep_fromset(item, ct) for item, ct in zip(v, t_list.components)
-        )
-    if isinstance(t_list, ListType):
-        if not isinstance(v, CVSet):
-            raise AnalogyError(f"expected a set at {t_list}, got {v!r}")
-        items = [deep_fromset(item, t_list.element) for item in v]
-        return CVList(sorted(items, key=repr))
-    if isinstance(t_list, SetType):
-        if not isinstance(v, CVSet):
-            raise AnalogyError(f"expected a set at {t_list}, got {v!r}")
-        return CVSet(deep_fromset(item, t_list.element) for item in v)
-    raise AnalogyError(f"deep_fromset undefined at type {t_list}")
 
 
 def analogous(
@@ -152,25 +124,3 @@ def analogous(
             "instantiate polymorphic values before checking analogy"
         )
     raise AnalogyError(f"analogy undefined at type {t_list}")
-
-
-def induced_set_function(
-    f_list: Callable[[Value], Value],
-    t_list: FuncType,
-) -> Callable[[Value], Value]:
-    """The candidate set function analogous to ``f_list``:
-    ``deep_toset . f_list . deep_fromset``.
-
-    Well defined (independent of the section) exactly when an analogous
-    set function exists; :func:`analogous` with samples validates that.
-    For ``count`` the construction yields *cardinality*, which fails the
-    validation — the paper's point that not every list function has a
-    set analogue."""
-    if not isinstance(t_list, FuncType):
-        raise AnalogyError("induced_set_function needs a function type")
-
-    def f_set(v: Value) -> Value:
-        list_input = deep_fromset(v, t_list.arg)
-        return deep_toset(f_list(list_input), t_list.result)
-
-    return f_set

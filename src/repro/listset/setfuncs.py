@@ -17,9 +17,7 @@ from ..types.values import CVSet, Tup, Value
 __all__ = [
     "set_union",
     "set_filter",
-    "set_map_fn",
     "set_ins",
-    "set_difference",
     "cardinality",
     "poly",
 ]
@@ -47,15 +45,6 @@ def set_filter(predicate: Callable[[Value], bool]) -> Callable[[CVSet], CVSet]:
     return apply
 
 
-def set_map_fn(f: Callable[[Value], Value]) -> Callable[[CVSet], CVSet]:
-    """``map : forall X. forall Y. (X -> Y) -> {X} -> {Y}``."""
-
-    def apply(s: CVSet) -> CVSet:
-        return CVSet(f(x) for x in s)
-
-    return apply
-
-
 def set_ins(c: Value) -> Callable[[CVSet], CVSet]:
     """``ins : forall X. X -> {X} -> {X}`` (Section 4.3)."""
 
@@ -63,12 +52,6 @@ def set_ins(c: Value) -> Callable[[CVSet], CVSet]:
         return s.add(c)
 
     return apply
-
-
-def set_difference(pair: Tup) -> CVSet:
-    """``- : forall X=. {X=} * {X=} -> {X=}`` — needs equality."""
-    left, right = pair
-    return left.difference(right)
 
 
 def cardinality(s: CVSet) -> int:

@@ -6,9 +6,8 @@
   ``T1`` is s-to-l; no universal quantifiers.
 * **LtoS** (Def 4.12): ``forall X1...Xn. T`` with ``T`` l-to-s.
 
-Also provides the *related type* translation ``T^list <-> T^set``
-(Section 4.2): replacing every list constructor by the set constructor
-and vice versa.
+Also provides the *related type* translation ``T^list -> T^set``
+(Section 4.2): replacing every list constructor by the set constructor.
 """
 
 from __future__ import annotations
@@ -29,8 +28,6 @@ __all__ = [
     "is_l_to_s",
     "is_ltos",
     "to_set_type",
-    "to_list_type",
-    "classify_type",
 ]
 
 
@@ -113,31 +110,3 @@ def to_set_type(t: Type) -> Type:
     if isinstance(t, ForAll):
         return ForAll(t.var, to_set_type(t.body), t.requires_eq)
     return t
-
-
-def to_list_type(t: Type) -> Type:
-    """Replace every set constructor by the list constructor: T^list."""
-    if isinstance(t, SetType):
-        return ListType(to_list_type(t.element))
-    if isinstance(t, ListType):
-        return ListType(to_list_type(t.element))
-    if isinstance(t, BagType):
-        return BagType(to_list_type(t.element))
-    if isinstance(t, Product):
-        return Product(tuple(to_list_type(c) for c in t.components))
-    if isinstance(t, FuncType):
-        return FuncType(to_list_type(t.arg), to_list_type(t.result))
-    if isinstance(t, ForAll):
-        return ForAll(t.var, to_list_type(t.body), t.requires_eq)
-    return t
-
-
-def classify_type(t: Type) -> dict[str, bool]:
-    """Classification summary used by the Example 4.14 experiment."""
-    _binders, body = strip_foralls(t)
-    return {
-        "s_to_l": is_s_to_l(t),
-        "l_to_s": is_l_to_s(t),
-        "ltos": is_ltos(t),
-        "body_l_to_s": is_l_to_s(body),
-    }

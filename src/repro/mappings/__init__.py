@@ -26,7 +26,6 @@ from .generators import (
     all_mappings_between,
     random_bijective_mapping,
     random_domain,
-    random_family,
     random_functional_mapping,
     random_injective_mapping,
     random_mapping,
@@ -42,9 +41,6 @@ from .mapping import (
     Mapping,
     Rel,
     Unenumerable,
-    identity_on,
-    mapping_from_function,
-    mapping_from_pairs,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -96,16 +96,6 @@ class MappingFamily:
             {name: m.inverse() for name, m in self.mappings.items()}
         )
 
-    def compose(self, other: "MappingFamily") -> "MappingFamily":
-        """Member-wise relational composition (Prop 2.8(iii))."""
-        return MappingFamily(
-            {
-                name: m.compose(other.mappings[name])
-                for name, m in self.mappings.items()
-                if name in other.mappings
-            }
-        )
-
     # -- class membership tests -------------------------------------------
 
     def is_functional(self) -> bool:
@@ -122,16 +112,6 @@ class MappingFamily:
 
     def is_bijective(self) -> bool:
         return all(m.is_bijective() for m in self.mappings.values())
-
-    def preserves(self, spec: ConstantSpec) -> bool:
-        """Does this family (strictly) preserve the given constant?"""
-        mapping = self.mappings.get(spec.base.name)
-        if mapping is None:
-            # Identity on that base type preserves every constant.
-            return True
-        if spec.strict:
-            return strictly_preserves_constant(mapping, spec.value)
-        return preserves_constant(mapping, spec.value)
 
     def __repr__(self) -> str:
         names = ", ".join(sorted(self.mappings))

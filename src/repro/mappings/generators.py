@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 import string
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..types.ast import (
     BOOL,
@@ -31,7 +31,6 @@ from ..types.ast import (
     TypeError_,
 )
 from ..types.values import CVBag, CVList, CVSet, Tup, Value
-from .families import MappingFamily
 from .mapping import Mapping
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
     "random_bijective_mapping",
     "random_total_surjective_mapping",
     "random_mapping_in_class",
-    "random_family",
     "random_value",
     "random_relation_value",
     "all_mappings_between",
@@ -215,25 +213,6 @@ def random_mapping_in_class(
     if cls == "bijective":
         return random_bijective_mapping(rng, left, right, source, target)
     raise ValueError(f"unknown mapping class: {cls!r}")
-
-
-def random_family(
-    rng: random.Random,
-    cls: str,
-    base_types: Iterable[BaseType] = (INT,),
-    domain_size: int = 4,
-    codomain_size: Optional[int] = None,
-) -> MappingFamily:
-    """A random mapping family with one member per base type."""
-    codomain_size = codomain_size if codomain_size is not None else domain_size
-    mappings = {}
-    for i, base in enumerate(base_types):
-        left = random_domain(rng, domain_size, base, offset=0)
-        right = random_domain(rng, codomain_size, base, offset=100 + 100 * i)
-        mappings[base.name] = random_mapping_in_class(
-            rng, cls, left, right, base, base
-        )
-    return MappingFamily(mappings)
 
 
 def all_mappings_between(

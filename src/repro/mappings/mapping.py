@@ -32,9 +32,6 @@ __all__ = [
     "ConstantGraphRel",
     "Budget",
     "Unenumerable",
-    "identity_on",
-    "mapping_from_function",
-    "mapping_from_pairs",
 ]
 
 
@@ -263,34 +260,6 @@ class Mapping(Rel):
             target_domain=self.source_domain,
         )
 
-    def restrict(self, left: Iterable[Value]) -> "Mapping":
-        """Restrict the mapping to pairs whose left element is in ``left``."""
-        keep = set(left)
-        return Mapping(
-            {(x, y) for x, y in self._pairs if x in keep},
-            self.source,
-            self.target,
-        )
-
-    def union(self, other: "Mapping") -> "Mapping":
-        """Union of two mappings of the same type."""
-        return Mapping(
-            self._pairs | other._pairs,
-            self.source,
-            self.target,
-            source_domain=self.source_domain | other.source_domain,
-            target_domain=self.target_domain | other.target_domain,
-        )
-
-    def apply(self, x: Value) -> Value:
-        """Apply a *functional* mapping to ``x``; raises otherwise."""
-        ys = self._images.get(x)
-        if ys is None:
-            raise KeyError(f"{x!r} not in mapping domain")
-        if len(ys) != 1:
-            raise ValueError(f"mapping not functional at {x!r}: {sorted(ys, key=repr)}")
-        return next(iter(ys))
-
 
 class IdentityRel(Rel):
     """The identity mapping on a type, optionally with a finite carrier.
@@ -357,33 +326,3 @@ class ConstantGraphRel(Rel):
 
     def pairs(self, budget=None):
         return ((x, self.fn(x)) for x in self.carrier)
-
-
-def identity_on(t: Type, carrier: Optional[Iterable[Value]] = None) -> IdentityRel:
-    """Identity mapping on type ``t``."""
-    return IdentityRel(t, carrier)
-
-
-def mapping_from_function(
-    fn: Callable[[Value], Value],
-    domain: Iterable[Value],
-    source: Type,
-    target: Type,
-    target_domain: Optional[Iterable[Value]] = None,
-) -> Mapping:
-    """The finite graph of ``fn`` restricted to ``domain`` as a Mapping."""
-    domain = list(domain)
-    return Mapping(
-        {(x, fn(x)) for x in domain},
-        source,
-        target,
-        source_domain=domain,
-        target_domain=target_domain,
-    )
-
-
-def mapping_from_pairs(
-    pairs: Iterable[tuple[Value, Value]], source: Type, target: Type
-) -> Mapping:
-    """Convenience constructor mirroring the paper's set-of-pairs style."""
-    return Mapping(pairs, source, target)

@@ -28,7 +28,6 @@ from .schema_infer import (
     SchemaInferenceError,
     infer_arity,
     plan_type,
-    validate_plan,
 )
 from .rewriter import Rewriter, RewriteTrace, verify_equivalence
 from .rules import DEFAULT_RULES, RewriteRule

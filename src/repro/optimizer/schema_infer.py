@@ -26,7 +26,7 @@ from .plan import (
     Union,
 )
 
-__all__ = ["SchemaInferenceError", "infer_arity", "plan_type", "validate_plan"]
+__all__ = ["SchemaInferenceError", "infer_arity", "plan_type"]
 
 
 class SchemaInferenceError(Exception):
@@ -88,12 +88,3 @@ def plan_type(plan: Plan, catalog: Catalog) -> Type:
     arity = infer_arity(plan, catalog)
     x = TypeVar("X")
     return SetType(Product(tuple(x for _ in range(arity))))
-
-
-def validate_plan(plan: Plan, catalog: Catalog) -> bool:
-    """True iff the plan is schema-consistent."""
-    try:
-        infer_arity(plan, catalog)
-        return True
-    except SchemaInferenceError:
-        return False

@@ -23,15 +23,11 @@ from .ast import (
     TypeError_,
     TypeVar,
     alpha_equal,
-    associated_types,
     bag_of,
-    constructor_depth,
     contains_constructor,
     forall,
     free_type_vars,
     func,
-    is_complex_value_type,
-    is_monomorphic,
     list_of,
     product,
     set_of,
@@ -41,8 +37,8 @@ from .ast import (
     tvar,
 )
 from .parser import ParseError, parse_type
-from .signatures import ABSTRACT, Interpreted, Signature, standard_signature, uninterpreted_signature
-from .typecheck import EMPTY, check_value, infer_value_type, join_types
+from .signatures import Interpreted, Signature, standard_signature
+from .typecheck import check_value
 from .values import (
     CVBag,
     CVList,
@@ -55,11 +51,9 @@ from .values import (
     cvlist,
     cvset,
     is_atom,
-    is_value,
     map_atoms,
     tup,
     value_depth,
-    value_size,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

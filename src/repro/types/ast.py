@@ -6,8 +6,7 @@ This module implements the type languages of the paper:
   leaves are base types and whose internal nodes are the constructors
   ``x`` (product), ``{}`` (set), ``{||}`` (bag) and ``<>`` (list).
 * **Definition 2.7** — type *expressions*: the same trees but with type
-  variables at (some of) the leaves, together with substitution and the
-  notion of *associated types*.
+  variables at (some of) the leaves, together with substitution.
 * **Definition 4.1** — 2nd-order types: the constructors above extended
   with ``->`` (function space) and ``forall X.`` (universal
   quantification), as in System F.
@@ -52,14 +51,10 @@ __all__ = [
     "free_type_vars",
     "substitute",
     "alpha_equal",
-    "is_monomorphic",
-    "is_complex_value_type",
     "contains_constructor",
-    "associated_types",
     "strip_foralls",
     "rename_bound",
     "subtypes",
-    "constructor_depth",
     "TypeError_",
 ]
 
@@ -359,36 +354,6 @@ def alpha_equal(a: Type, b: Type) -> bool:
     return rename_bound(a) == rename_bound(b)
 
 
-def is_monomorphic(t: Type) -> bool:
-    """True if ``t`` contains no type variables and no quantifiers."""
-    if isinstance(t, (TypeVar, ForAll)):
-        return False
-    if isinstance(t, BaseType):
-        return True
-    if isinstance(t, Product):
-        return all(is_monomorphic(c) for c in t.components)
-    if isinstance(t, (SetType, BagType, ListType)):
-        return is_monomorphic(t.element)
-    if isinstance(t, FuncType):
-        return is_monomorphic(t.arg) and is_monomorphic(t.result)
-    raise TypeError_(f"unknown type node: {t!r}")
-
-
-def is_complex_value_type(t: Type) -> bool:
-    """True if ``t`` is a complex value type in the sense of Def 2.1.
-
-    Complex value types use only base types, products, sets, bags and
-    lists — no variables, arrows or quantifiers.
-    """
-    if isinstance(t, BaseType):
-        return True
-    if isinstance(t, Product):
-        return all(is_complex_value_type(c) for c in t.components)
-    if isinstance(t, (SetType, BagType, ListType)):
-        return is_complex_value_type(t.element)
-    return False
-
-
 def contains_constructor(t: Type, constructor: type) -> bool:
     """True if any node of ``t`` is an instance of ``constructor``."""
     return any(isinstance(node, constructor) for node in subtypes(t))
@@ -407,38 +372,6 @@ def subtypes(t: Type) -> Iterator[Type]:
         yield from subtypes(t.result)
     elif isinstance(t, ForAll):
         yield from subtypes(t.body)
-
-
-def constructor_depth(t: Type) -> int:
-    """Maximum nesting depth of bulk constructors (sets/bags/lists)."""
-    if isinstance(t, (SetType, BagType, ListType)):
-        return 1 + constructor_depth(t.element)
-    if isinstance(t, Product):
-        return max((constructor_depth(c) for c in t.components), default=0)
-    if isinstance(t, FuncType):
-        return max(constructor_depth(t.arg), constructor_depth(t.result))
-    if isinstance(t, ForAll):
-        return constructor_depth(t.body)
-    return 0
-
-
-def associated_types(
-    template: Type,
-    first: Mapping[str, Type],
-    second: Mapping[str, Type],
-) -> tuple[Type, Type]:
-    """Build the *associated types* of Definition 2.7.
-
-    Given a type expression ``template`` with free variables and two
-    substitutions of base types for those variables, return the pair
-    ``(T(d/X), T(d'/X))``.
-    """
-    missing = free_type_vars(template) - set(first) - set(second)
-    if free_type_vars(template) - set(first):
-        raise TypeError_(f"first substitution misses variables: {sorted(free_type_vars(template) - set(first))}")
-    if free_type_vars(template) - set(second):
-        raise TypeError_(f"second substitution misses variables: {sorted(missing)}")
-    return substitute(template, first), substitute(template, second)
 
 
 def strip_foralls(t: Type) -> tuple[tuple[tuple[str, bool], ...], Type]:

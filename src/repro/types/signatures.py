@@ -11,7 +11,7 @@ here: it carries callables alongside their declared types.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from .ast import BOOL, FLOAT, INT, STR, BaseType, FuncType, Type, TypeError_
 from .values import Value
@@ -20,14 +20,7 @@ __all__ = [
     "Interpreted",
     "Signature",
     "standard_signature",
-    "uninterpreted_signature",
-    "ABSTRACT",
 ]
-
-#: The classical "abstract domain of uninterpreted elements".  Its
-#: members are plain strings by convention; only equality is available
-#: at the metalevel, and even that is *not* part of the signature.
-ABSTRACT = BaseType("dom")
 
 
 @dataclass(frozen=True)
@@ -79,12 +72,6 @@ class Signature:
         # The paper requires Sigma to contain bool.
         self.base_types.setdefault("bool", BOOL)
 
-    def add_base_type(self, name: str) -> BaseType:
-        """Declare (or return the existing) base type ``name``."""
-        if name not in self.base_types:
-            self.base_types[name] = BaseType(name)
-        return self.base_types[name]
-
     def add_symbol(
         self,
         name: str,
@@ -132,18 +119,4 @@ def standard_signature() -> Signature:
     sig.add_symbol("not", (BOOL,), BOOL, lambda x: not x)
     sig.add_symbol("and", (BOOL, BOOL), BOOL, lambda x, y: x and y)
     sig.add_symbol("or", (BOOL, BOOL), BOOL, lambda x, y: x or y)
-    return sig
-
-
-def uninterpreted_signature(extra_domains: Optional[Iterable[str]] = None) -> Signature:
-    """The classical relational setting: abstract domains, no symbols.
-
-    This is the world of [2, 7] where data values are uninterpreted and
-    queries must be invariant under renaming.  ``extra_domains`` adds
-    further abstract base types beyond the default ``dom``.
-    """
-    sig = Signature()
-    sig.base_types[ABSTRACT.name] = ABSTRACT
-    for name in extra_domains or ():
-        sig.add_base_type(name)
     return sig

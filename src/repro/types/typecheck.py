@@ -1,9 +1,7 @@
 """Checking complex values against complex value types.
 
 ``check_value(v, t)`` decides ``v : t`` for monomorphic complex value
-types (Definition 2.1).  ``infer_value_type`` computes a best-effort
-type for a value — empty collections are typed with a bottom element
-type that unifies with anything (:data:`EMPTY`).
+types (Definition 2.1).
 """
 
 from __future__ import annotations
@@ -25,10 +23,7 @@ from .ast import (
 )
 from .values import CVBag, CVList, CVSet, Tup, Value, is_atom
 
-__all__ = ["check_value", "infer_value_type", "join_types", "EMPTY", "atom_type"]
-
-#: Bottom element type used for empty collections during inference.
-EMPTY = BaseType("_empty_")
+__all__ = ["check_value", "atom_type"]
 
 
 def atom_type(v: Value) -> BaseType:
@@ -77,59 +72,3 @@ def check_value(v: Value, t: Type, custom_domains: Optional[dict] = None) -> boo
             check_value(item, t.element, custom_domains) for item in v
         )
     return False
-
-
-def join_types(a: Type, b: Type) -> Type:
-    """Least upper bound of two inferred types, treating EMPTY as bottom.
-
-    Raises :class:`TypeError_` when the types are incompatible.
-    """
-    if a == EMPTY:
-        return b
-    if b == EMPTY:
-        return a
-    if a == b:
-        return a
-    if isinstance(a, SetType) and isinstance(b, SetType):
-        return SetType(join_types(a.element, b.element))
-    if isinstance(a, BagType) and isinstance(b, BagType):
-        return BagType(join_types(a.element, b.element))
-    if isinstance(a, ListType) and isinstance(b, ListType):
-        return ListType(join_types(a.element, b.element))
-    if (
-        isinstance(a, Product)
-        and isinstance(b, Product)
-        and len(a.components) == len(b.components)
-    ):
-        return Product(
-            tuple(join_types(x, y) for x, y in zip(a.components, b.components))
-        )
-    raise TypeError_(f"incompatible value types: {a} vs {b}")
-
-
-def infer_value_type(v: Value) -> Type:
-    """Infer the (monomorphic) type of a complex value.
-
-    Heterogeneous collections raise :class:`TypeError_`; empty
-    collections get element type :data:`EMPTY`.
-    """
-    if is_atom(v):
-        return atom_type(v)
-    if isinstance(v, Tup):
-        return Product(tuple(infer_value_type(item) for item in v))
-    if isinstance(v, CVSet):
-        element = EMPTY
-        for item in v:
-            element = join_types(element, infer_value_type(item))
-        return SetType(element)
-    if isinstance(v, CVBag):
-        element = EMPTY
-        for item in v.support():
-            element = join_types(element, infer_value_type(item))
-        return BagType(element)
-    if isinstance(v, CVList):
-        element = EMPTY
-        for item in v:
-            element = join_types(element, infer_value_type(item))
-        return ListType(element)
-    raise TypeError_(f"not a complex value: {v!r}")

@@ -39,10 +39,8 @@ __all__ = [
     "cvbag",
     "cvlist",
     "is_atom",
-    "is_value",
     "atoms_of",
     "value_depth",
-    "value_size",
     "map_atoms",
     "ValueError_",
 ]
@@ -58,19 +56,6 @@ class ValueError_(Exception):
 def is_atom(v: Value) -> bool:
     """True if ``v`` is an atomic (base-domain) value."""
     return isinstance(v, (bool, int, str, float))
-
-
-def is_value(v: Value) -> bool:
-    """True if ``v`` is a well-formed complex value."""
-    if is_atom(v):
-        return True
-    if isinstance(v, Tup):
-        return all(is_value(item) for item in v)
-    if isinstance(v, (CVSet, CVList)):
-        return all(is_value(item) for item in v)
-    if isinstance(v, CVBag):
-        return all(is_value(item) for item in v.support())
-    return False
 
 
 class Tup:
@@ -348,15 +333,6 @@ def value_depth(v: Value) -> int:
         return 1 + inner
     inner = max((value_depth(item) for item in v), default=0)
     return 1 + inner
-
-
-def value_size(v: Value) -> int:
-    """Total number of nodes in the value tree (atoms count 1)."""
-    if is_atom(v):
-        return 1
-    if isinstance(v, CVBag):
-        return 1 + sum(value_size(item) * v.count(item) for item in v.support())
-    return 1 + sum(value_size(item) for item in v)
 
 
 def map_atoms(v: Value, f) -> Value:

@@ -10,8 +10,9 @@ import pytest
 
 from repro.cli import main
 from repro.engine.database import Database
-from repro.engine.fuzz import SCENARIOS, Divergence, run_fuzz
+from repro.engine.fuzz import SCENARIOS, Divergence, _Checker, run_fuzz
 from repro.obs.metrics import REGISTRY
+from repro.optimizer.plan import Join
 from repro.robustness.faults import FaultInjector, InjectedFault
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -38,15 +39,34 @@ class TestRunFuzz:
 
     def test_the_shared_cache_evicts_and_refuses(self):
         """The ``shared`` mode's cache is small enough that its puts
-        evict and its admission refuses, under the differential check."""
+        evict and its admission refuses, and the warm reruns read it
+        back, under the differential check."""
         report = run_fuzz(20, scenarios=("random", "alias"))
         assert report.ok, report.summary()
+        assert report.cache["hits"] > 0
         assert report.cache["evictions"] > 0
         assert report.cache["refused"] > 0
         assert (
-            f"shared cache: evictions={report.cache['evictions']}, "
+            f"shared cache: hits={report.cache['hits']}, "
+            f"evictions={report.cache['evictions']}, "
             f"refused={report.cache['refused']}"
         ) in report.summary()
+
+    def test_random_scenario_checks_a_multi_column_join(self, monkeypatch):
+        """``random_plan`` joins on at most one column pair, so the
+        ``random`` scenario adds a join on two or three pairs."""
+        checked = []
+        check = _Checker.check
+
+        def spy(self, plan, db, **kwargs):
+            checked.append(plan)
+            return check(self, plan, db, **kwargs)
+
+        monkeypatch.setattr(_Checker, "check", spy)
+        report = run_fuzz(4, scenarios=("random",))
+        assert report.ok, report.summary()
+        joins = [p for p in checked if isinstance(p, Join) and len(p.on) >= 2]
+        assert len(joins) == 4
 
     def test_base_seed_changes_the_fault_matrix(self):
         a = run_fuzz(5, base_seed=0, scenarios=("faults",))
@@ -256,6 +276,7 @@ class TestCli:
     def test_fuzz_subcommand_smoke(self, capsys):
         assert main(["fuzz", "--seeds", "5", "--scenarios", "deep"]) == 0
         out = capsys.readouterr().out
-        # Every seed plays deep: cold and shared, two checks each.
-        assert "fuzz: 5 seeds, 10 differential checks" in out
+        # Every seed plays deep: cold, shared and shared-warm, three
+        # checks each.
+        assert "fuzz: 5 seeds, 15 differential checks" in out
         assert "zero divergences" in out

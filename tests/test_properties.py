@@ -10,11 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algebra.fixpoint import transitive_closure
 from repro.algebra.operators import projection
-from repro.listset.analogy import deep_fromset, deep_toset
 from repro.listset.transfer import lemma_4_6_part1, lemma_4_6_part2
 from repro.mappings.extensions import ListRel, SetRelExt, SetStrongExt
 from repro.mappings.mapping import Mapping
-from repro.types.ast import INT, list_of
+from repro.types.ast import INT
 from repro.types.values import CVList, CVSet, Tup, map_atoms
 
 # ---------------------------------------------------------------------------
@@ -147,13 +146,6 @@ class TestListSetTransferLaws:
         s2 = CVSet(y for _, y in chosen)
         if SetRelExt(h).holds(s1, s2):
             assert lemma_4_6_part2(h, s1, s2)
-
-    @given(st.frozensets(st.frozensets(atoms, max_size=3).map(CVSet), max_size=3).map(CVSet))
-    @settings(max_examples=60)
-    def test_fromset_is_section_of_toset(self, s):
-        t = list_of(list_of(INT))
-        l = deep_fromset(s, t)
-        assert deep_toset(l, t) == s
 
 
 # ---------------------------------------------------------------------------

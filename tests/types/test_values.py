@@ -18,11 +18,9 @@ from repro.types.values import (
     cvlist,
     cvset,
     is_atom,
-    is_value,
     map_atoms,
     tup,
     value_depth,
-    value_size,
 )
 
 
@@ -135,13 +133,6 @@ class TestPredicates:
         assert not is_atom(tup(1))
         assert not is_atom(cvset())
 
-    def test_is_value_accepts_nesting(self):
-        assert is_value(cvset(tup(1, cvlist("a"))))
-
-    def test_is_value_rejects_raw_containers(self):
-        assert not is_value([1, 2])
-        assert not is_value({1, 2})
-
 
 class TestStructuralHelpers:
     def test_atoms_of(self):
@@ -158,11 +149,6 @@ class TestStructuralHelpers:
         assert value_depth(cvset(cvset(1))) == 2
         assert value_depth(tup(cvset(cvset(1)), cvset(2))) == 2
         assert value_depth(cvset()) == 1
-
-    def test_value_size(self):
-        assert value_size(5) == 1
-        assert value_size(cvset(1, 2)) == 3
-        assert value_size(cvbag(1, 1)) == 3
 
     def test_map_atoms_preserves_structure(self):
         v = cvset(tup(1, cvlist(2, 3)))
