@@ -74,7 +74,6 @@ class Database:
         #: Scoped per relation so insert-time maintenance touches only
         #: the inserted relation's indexes, not every live index.
         self._key_indexes: dict[str, dict[tuple[int, ...], dict]] = {}
-        self._weights: dict[str, int] = {}
         #: ``name -> uniform element len`` (or None when mixed/atoms);
         #: lets the compiled executor compute intermediate weights as
         #: ``count * width`` instead of per-tuple sums.
@@ -189,8 +188,6 @@ class Database:
         for cols, index in self._key_indexes.get(name, {}).items():
             for t in new_rows:
                 index[tuple(t[i] for i in cols)] = t
-        if name in self._weights:
-            self._weights[name] += sum(tuple_weight(t) for t in new_rows)
         cached_width = self._widths.get(name, info.arity)
         if cached_width != info.arity:
             # Inserted rows all have the declared arity.  If the
@@ -220,7 +217,7 @@ class Database:
                 )
 
     # ------------------------------------------------------------------
-    # Physical state: key indexes, fingerprints, cached weights and widths.
+    # Physical state: key indexes, fingerprints, weights and cached widths.
 
     def _key_index(
         self, name: str, key_cols: tuple[int, ...]
@@ -252,16 +249,6 @@ class Database:
         """O(1) content fingerprint of one relation."""
         return relation_fingerprint(self.relations.get(name))
 
-    def relation_weight(self, name: str) -> int:
-        """Cached width-weighted size (work units to scan the relation)."""
-        weight = self._weights.get(name)
-        if weight is None:
-            weight = sum(
-                tuple_weight(t) for t in self.relations.get(name, _EMPTY)
-            )
-            self._weights[name] = weight
-        return weight
-
     def relation_width(self, name: str) -> Optional[int]:
         """Cached uniform element length of a relation, or ``None`` when
         elements are mixed-width or atoms (computed once, maintained on
@@ -284,12 +271,17 @@ class Database:
         return width
 
     def relation_stats(self, name: str) -> tuple[int, Optional[int]]:
-        """The compiled executor's ``relation_stats`` hook: cached
-        ``(scan weight, uniform width)`` for one relation."""
-        return (self.relation_weight(name), self.relation_width(name))
+        """The compiled executor's ``relation_stats`` hook: ``(scan
+        weight, uniform width)`` for one relation.  A relation of known
+        width weighs ``len * max(width, 1)``, as :func:`tuple_weight`
+        weighs each row; one of unknown width sums its rows."""
+        width = self.relation_width(name)
+        relation = self.relations.get(name, _EMPTY)
+        if width is None:
+            return (sum(map(tuple_weight, relation)), None)
+        return (len(relation) * max(width, 1), width)
 
     def _invalidate_relation(self, name: str) -> None:
-        self._weights.pop(name, None)
         self._widths.pop(name, None)
         self._key_indexes.pop(name, None)
         self._generation += 1

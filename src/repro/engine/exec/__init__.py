@@ -2,16 +2,15 @@
 result cache.
 
 See ``docs/EXECUTION.md`` for the two executors (compiled and
-reference), the cache keying and invalidation rules (including the
-callable registry that enforces the predicate-name invariant), and
-the work ledger both executors share.
+reference), the cache keying and invalidation rules (callables are
+keyed by object, relations by content fingerprint), and the work
+ledger both executors share.
 """
 
 from .cache import CacheEntry, PlanCache, entry_seal
 from .compile import CompiledPlan, compile_plan, execute_compiled
 from .fingerprint import (
     annotate_plan,
-    callable_identity,
     relation_fingerprint,
     semantic_cache_key,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "compile_plan",
     "execute_compiled",
     "annotate_plan",
-    "callable_identity",
     "relation_fingerprint",
     "semantic_cache_key",
 ]

@@ -1,18 +1,13 @@
 """Semantically-keyed plan-result cache with per-relation invalidation.
 
 Entries are keyed by :func:`~repro.engine.exec.fingerprint.semantic_cache_key`
-— an interned **semantic token** (structural plan identity *plus* a
-per-cache disambiguator for every named callable) and the fingerprints
-of every base relation the plan reads — so a stale or aliased entry can
-never be *returned*: a mutated relation changes its fingerprint, and a
-``predicate_name``/``fn_name`` rebound to a different callable changes
-its token.  Per-relation invalidation and the LRU cap exist to bound
-*space* and keep the table dense with live entries.
-
-The callable registry enforces what used to be an unenforced "standing
-invariant" (a name identifies its semantics): each distinct callable
-bound to a name gets its own alias ordinal, so aliased plans
-transparently key apart and both get correct answers.
+— an interned **semantic token** (structural plan identity *plus* the
+callable objects the plan carries) and the fingerprints of every base
+relation the plan reads — so a stale or aliased entry can never be
+*returned*: a mutated relation changes its fingerprint, and a
+``predicate_name``/``fn_name`` bound to a different callable object
+changes its token.  Per-relation invalidation and the LRU cap exist to
+bound *space* and keep the table dense with live entries.
 
 Cached entries store the answer **and** the work ledger the executors
 produced, so a cache hit reports costs as if the plan had run: the
@@ -24,11 +19,11 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from ...optimizer.plan import Plan
 from ...types.values import CVSet
-from .fingerprint import annotate_plan, callable_identity
+from .fingerprint import annotate_plan
 
 __all__ = ["CacheEntry", "PlanCache", "entry_seal"]
 
@@ -84,19 +79,8 @@ class PlanCache:
     def __init__(self, capacity: int = 256) -> None:
         self.capacity = capacity
         self._entries: OrderedDict = OrderedDict()
-        self._by_relation: dict[str, set] = {}
         #: Interning state for semantic tokens (see ``annotate_plan``).
         self._intern: dict = {}
-        #: name -> callable identity -> alias ordinal.  Identity tokens
-        #: hold strong references, so a freed callable's ``id`` can
-        #: never be recycled into a stale ordinal.
-        self._aliases: dict[str, dict] = {}
-        #: ``id(fn) -> (fn, identity)``.  Identity is computed once per
-        #: callable *object*: closures may capture mutable state (e.g. a
-        #: ``nonlocal`` counter), and re-deriving the identity after such
-        #: state drifts would silently retire warm entries.  The stored
-        #: ``fn`` keeps the object alive so its ``id`` is never reused.
-        self._identity_memo: dict[int, tuple[Callable, object]] = {}
         #: ``id(plan) -> (plan, info)`` for the last ``capacity`` plan
         #: objects annotated, least recently used first (see
         #: :meth:`annotate`).  The stored plan keeps its ``id`` from
@@ -129,38 +113,23 @@ class PlanCache:
     # ------------------------------------------------------------------
     # Semantic keys.
 
-    def _tag(self, name: str, fn: Callable) -> tuple[str, int]:
-        """The alias ordinal of ``fn`` under ``name`` in this cache."""
-        memoized = self._identity_memo.get(id(fn))
-        if memoized is None:
-            identity = callable_identity(fn)
-            self._identity_memo[id(fn)] = (fn, identity)
-        else:
-            identity = memoized[1]
-        bindings = self._aliases.setdefault(name, {})
-        ordinal = bindings.get(identity)
-        if ordinal is None:
-            ordinal = len(bindings)
-            bindings[identity] = ordinal
-        return (name, ordinal)
-
     def annotate(self, plan: Plan) -> dict[int, tuple[int, frozenset]]:
         """Semantic token + base relations for every subtree of ``plan``
         (``id(node) -> (token, relations)``), interned against this
-        cache's registry so tokens are stable across executions.
+        cache's intern table so tokens are stable across executions.
 
-        A token reads the plan and the registry, never the data, so the
-        walk runs once per plan object: the ``info`` of the last
+        A token reads the plan and its callables, never the data, so
+        the walk runs once per plan object: the ``info`` of the last
         ``capacity`` plan objects is kept by identity and returned
         again (the same dict; treat it as read-only).  Inserts leave it
-        alone; ``invalidate(None)``/``clear()`` drop it with the
-        registry.  With ``capacity <= 0`` every call walks."""
+        alone; ``invalidate(None)``/``clear()`` drop it with the intern
+        table.  With ``capacity <= 0`` every call walks."""
         memo = self._annotations
         entry = memo.get(id(plan))
         if entry is not None and entry[0] is plan:
             memo.move_to_end(id(plan))
             return entry[1]
-        info = annotate_plan(plan, self._intern, self._tag)
+        info = annotate_plan(plan, self._intern)
         if self.capacity > 0:
             memo[id(plan)] = (plan, info)
             if len(memo) > self.capacity:
@@ -199,7 +168,7 @@ class PlanCache:
             # drop the stored entry and report a miss, so the caller
             # recomputes and re-puts a clean one.
             self.corruptions += 1
-            self._discard(key)
+            del self._entries[key]
             self.misses += 1
             from ...obs.metrics import counter
 
@@ -208,16 +177,6 @@ class PlanCache:
         self._entries.move_to_end(key)
         self.hits += 1
         return entry
-
-    def _discard(self, key) -> None:
-        """Drop one entry and its relation back-pointers (no counters)."""
-        entry = self._entries.pop(key, None)
-        if entry is None:
-            return
-        for name in entry.relations:
-            keys = self._by_relation.get(name)
-            if keys is not None:
-                keys.discard(key)
 
     def put(self, key, entry: CacheEntry) -> None:
         """Store ``entry`` under ``key``, unless the cache is full, the
@@ -243,52 +202,36 @@ class PlanCache:
                 entry.relations,
                 entry_seal(entry.value, entry.work, entry.entries),
             )
-        old = self._entries.pop(key, None)
-        if old is not None:
-            # Re-put refreshes the entry (and its LRU position); drop
-            # relation back-pointers the new entry no longer needs.
-            for name in old.relations - entry.relations:
-                keys = self._by_relation.get(name)
-                if keys is not None:
-                    keys.discard(key)
+        # Re-put refreshes the entry and its LRU position.
+        self._entries.pop(key, None)
         self._entries[key] = entry
-        for name in entry.relations:
-            self._by_relation.setdefault(name, set()).add(key)
         while len(self._entries) > self.capacity:
-            evicted_key, evicted = self._entries.popitem(last=False)
+            self._entries.popitem(last=False)
             self.evictions += 1
-            for name in evicted.relations:
-                keys = self._by_relation.get(name)
-                if keys is not None:
-                    keys.discard(evicted_key)
 
     def invalidate(self, relation: Optional[str] = None) -> None:
         """Drop every entry reading ``relation`` (or everything).
 
+        One pass over the at most ``capacity`` entries.
         ``invalidations`` counts dropped *entries*, not calls — an
-        invalidate that touches nothing is free and counts nothing."""
+        invalidate that touches nothing counts nothing."""
         if relation is None:
             self.invalidations += len(self._entries)
             self._entries.clear()
-            self._by_relation.clear()
             self._intern.clear()
-            self._aliases.clear()
-            self._identity_memo.clear()
             self._annotations.clear()
             # Tokens are reissued once the intern table is gone.
             self._counts.clear()
             self._window = 0
             return
-        for key in self._by_relation.pop(relation, ()):
-            entry = self._entries.pop(key, None)
-            if entry is None:
-                continue
-            self.invalidations += 1
-            for name in entry.relations:
-                if name != relation:
-                    keys = self._by_relation.get(name)
-                    if keys is not None:
-                        keys.discard(key)
+        stale = [
+            key
+            for key, entry in self._entries.items()
+            if relation in entry.relations
+        ]
+        for key in stale:
+            del self._entries[key]
+        self.invalidations += len(stale)
 
     def clear(self) -> None:
         self.invalidate(None)

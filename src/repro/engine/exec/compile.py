@@ -386,7 +386,7 @@ def compile_plan(
     call).
     """
     if info is None:
-        info = annotate_plan(plan, {}, lambda name, fn: (name, id(fn)))
+        info = annotate_plan(plan, {})
 
     # Occurrence counts per semantic token (CSE detection) and the set
     # of tokens consumed by a set operation (those must be sets, not

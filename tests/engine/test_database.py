@@ -243,9 +243,9 @@ class TestIncrementalMaintenance:
         assert db.fingerprint("people") != before
 
     def test_relation_weight_incremental(self, db):
-        assert db.relation_weight("people") == 4
+        assert db.relation_stats("people")[0] == 4
         db.insert("people", [(3, "cyd")])
-        assert db.relation_weight("people") == 6
+        assert db.relation_stats("people")[0] == 6
 
 
 class TestIndexScoping:
@@ -317,8 +317,8 @@ class TestWidthSeeding:
 
 class TestWholesaleReplacement:
     """``db[name] = ...`` must drop every memo keyed on the relation:
-    weights, widths, key indexes and cached results; a compiled run
-    reads the new contents."""
+    widths (which weigh it), key indexes and cached results; a compiled
+    run reads the new contents."""
 
     def _plan(self):
         return Project((0,), Scan("people"))
@@ -329,9 +329,9 @@ class TestWholesaleReplacement:
         assert db.relation_width("people") == 3
 
     def test_weights_recomputed_from_new_contents(self, db):
-        assert db.relation_weight("people") == 4
+        assert db.relation_stats("people")[0] == 4
         db["people"] = cvset(tup(1, 2, 3))
-        assert db.relation_weight("people") == 3
+        assert db.relation_stats("people")[0] == 3
 
     def test_result_cache_invalidated_across_generations(self, db):
         plan = self._plan()
