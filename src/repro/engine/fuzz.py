@@ -12,9 +12,9 @@ plans; this harness hammers it with generated ones:
 * **nested** — the same plans over databases whose components are
   nested complex values (tuples, sets, lists);
 * **atoms** — set-operation trees over relations of bare atoms;
-* **alias** — one ``predicate_name`` bound to *different* closures
-  across (and within) plans sharing a cache — the cache-poisoning
-  repro, generalized;
+* **alias** — one ``predicate_name`` bound to *different* closures,
+  and to bound methods of different instances, across (and within)
+  plans sharing a cache — the cache-poisoning repro, generalized;
 * **deep** — unary chains 600 to 1,500 operators deep, lowered and
   run by the compiled executor like any other plan, cold and through
   a shared result cache;
@@ -56,7 +56,7 @@ Every generated plan is executed in up to three modes — ``cold``
 (``execute_compiled`` with no result cache), ``fresh`` (a new
 ``Database`` holding the same relations: compiled without the result
 cache, then a result-cache miss, then a hit) and ``shared`` (one
-``Database`` for the whole scenario, so its callable registry and
+``Database`` for the whole scenario, so its semantic tokens and
 result cache are shared across plans) — and each run is compared
 against the reference.  Any mismatch is recorded as a :class:`Divergence`.
 The shared database's cache holds :data:`SHARED_CAPACITY` entries, so
@@ -130,8 +130,8 @@ __all__ = ["Divergence", "FuzzReport", "run_fuzz", "SCENARIOS"]
 
 #: Result-cache capacity of the ``shared`` mode's database.  A seed
 #: stores a handful of answers there, so a default cache never fills;
-#: at 2, 500 seeds (warm reruns included) evict 525 entries and
-#: refuse 373 puts.
+#: at 2, 500 seeds (warm reruns included) evict 565 entries and
+#: refuse 494 puts.
 SHARED_CAPACITY = 2
 
 
@@ -430,8 +430,23 @@ def _threshold_pred(k: int) -> Callable[[Value], bool]:
     return pred
 
 
+class _AtLeast:
+    """A predicate held by an instance: ``keep`` methods of two
+    instances share their function and differ only in ``k``."""
+
+    def __init__(self, k: int) -> None:
+        self.k = k
+
+    def keep(self, t: Value) -> bool:
+        try:
+            return t[0] >= self.k
+        except TypeError:
+            return False
+
+
 def _scenario_alias(rng: random.Random, check: _Checker) -> None:
-    """Adversarial name aliasing: one name, many closures, one cache."""
+    """Adversarial name aliasing: one name, many closures or bound
+    methods, one cache."""
     db = random_database(rng, _NAMES)
     base = Scan(rng.choice(_NAMES))
     thresholds = rng.sample(range(-1, 7), rng.randint(2, 4))
@@ -449,6 +464,15 @@ def _scenario_alias(rng: random.Random, check: _Checker) -> None:
         ),
         db,
     )
+    # Bound methods of two instances: equal code, different answers,
+    # through one shared cache and through one plan's CSE.
+    low, high = (
+        Select("keep", _AtLeast(k).keep, base)
+        for k in sorted(rng.sample(range(-1, 7), 2))
+    )
+    for plan in (low, high):
+        check.check(plan, db, modes=("shared",))
+    check.check(Difference(low, high), db, modes=("fresh",))
 
 
 def _scenario_trace(rng: random.Random, check: _Checker) -> None:

@@ -103,10 +103,18 @@ def analyze_plan(plan: Plan) -> Profile:
 
     The profile of a node is its operator profile met with its
     children's — closure under composition (Prop 3.1 for the fully
-    generic side, Prop 3.6 for the strong side)."""
-    profile = PROFILE_TABLE.get(type(plan))
-    if profile is None:
-        raise TypeError(f"no genericity profile for {type(plan).__name__}")
-    for child in plan.children():
-        profile = profile.meet(analyze_plan(child))
+    generic side, Prop 3.6 for the strong side).  The meet is
+    associative, so the plan's profile is the meet over all its nodes,
+    taken on an explicit stack: plans of any depth are analyzed."""
+    profile = FULLY_GENERIC
+    stack = [plan]
+    while stack:
+        node = stack.pop()
+        node_profile = PROFILE_TABLE.get(type(node))
+        if node_profile is None:
+            raise TypeError(
+                f"no genericity profile for {type(node).__name__}"
+            )
+        profile = profile.meet(node_profile)
+        stack.extend(reversed(node.children()))
     return profile

@@ -15,10 +15,14 @@ int subclass; we always test ``bool`` first).
 
 All four classes are slotted and store their hash when they are built,
 so hashing a value, which every set insert and lookup does, reads one
-int.  A stored hash depends on ``PYTHONHASHSEED`` (through ``str``
-atoms and the class tags), so a value pickles as its constructor call
-and rebuilds its hash in the process that loads it: a worker process
-started with another seed still finds it in its sets.
+int.  ``CVSet``, ``CVBag`` and ``CVList`` mix an integer class tag into
+their hash, so a value built from ``int``, ``bool`` and ``float`` atoms
+hashes, and a set of such values iterates, the same under every
+``PYTHONHASHSEED``; the genericity searches draw from int domains, so
+their results do not depend on the seed.  ``str`` atoms still hash per
+seed, so a value pickles as its constructor call and rebuilds its hash
+in the process that loads it: a worker process started with another
+seed still finds it in its sets.
 """
 
 from __future__ import annotations
@@ -120,7 +124,7 @@ class CVSet:
 
     def __init__(self, items: Iterable[Value] = ()) -> None:
         self._items = frozenset(items)
-        self._hash = hash(("CVSet", self._items))
+        self._hash = hash((0x5E7, self._items))
 
     def __iter__(self) -> Iterator[Value]:
         return iter(self._items)
@@ -181,7 +185,7 @@ class CVBag:
         self._dict = dict(counts)
         self._len = sum(counts.values())
         self._counts = frozenset(counts.items())
-        self._hash = hash(("CVBag", self._counts))
+        self._hash = hash((0xBA9, self._counts))
 
     def __iter__(self) -> Iterator[Value]:
         for v, n in self._dict.items():
@@ -227,7 +231,7 @@ class CVList:
 
     def __init__(self, items: Iterable[Value] = ()) -> None:
         self._items = tuple(items)
-        self._hash = hash(("CVList", self._items))
+        self._hash = hash((0x115, self._items))
 
     def __iter__(self) -> Iterator[Value]:
         return iter(self._items)

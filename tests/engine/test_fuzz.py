@@ -83,6 +83,41 @@ class TestRunFuzz:
         assert not report.ok
         assert "DIVERGENCE" in report.summary()
 
+    def test_alias_scenario_catches_methods_keyed_by_their_function(
+        self, monkeypatch
+    ):
+        # Intern a bound method by its function alone, as matching a
+        # callable by its code did: methods of two instances then share
+        # one cache entry and one CSE register.
+        import repro.engine.exec.cache as cache
+
+        annotate = cache.annotate_plan
+
+        class ByFunction:
+            def __init__(self, table):
+                self.table = table
+
+            def _key(self, key):
+                kind, scalar, fn, children = key
+                return (kind, scalar, getattr(fn, "__func__", fn), children)
+
+            def get(self, key):
+                return self.table.get(self._key(key))
+
+            def __len__(self):
+                return len(self.table)
+
+            def __setitem__(self, key, token):
+                self.table[self._key(key)] = token
+
+        monkeypatch.setattr(
+            cache, "annotate_plan",
+            lambda plan, table: annotate(plan, ByFunction(table)),
+        )
+        report = run_fuzz(20, scenarios=("alias",))
+        modes = {d.mode for d in report.divergences}
+        assert {"shared", "fresh-compile", "fresh-cold"} <= modes
+
     def test_scenario_filter_and_validation(self):
         report = run_fuzz(4, scenarios=("alias", "atoms"))
         assert set(report.per_scenario) <= {"alias", "atoms"}

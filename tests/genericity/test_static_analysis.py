@@ -1,6 +1,10 @@
 """Tests for the static genericity analyzer."""
 
+import random
+
 import pytest
+
+from repro.engine.workload import deep_chain_plan
 
 from repro.genericity.static_analysis import (
     ClassBound,
@@ -80,6 +84,21 @@ class TestAnalyzePlan:
 
         with pytest.raises(TypeError):
             analyze_plan(Rogue())
+
+
+class TestDeepPlans:
+    def test_chain_5000_deep(self):
+        # Deeper than the recursion limit: the meet is taken on an
+        # explicit stack.  The random chain holds selections and maps,
+        # which guarantee nothing.
+        plan = deep_chain_plan(random.Random(0), "R", 5000, base_arity=3)
+        assert analyze_plan(plan) == Profile(ClassBound.NONE, ClassBound.NONE)
+        chain = Scan("R")
+        for _ in range(5000):
+            chain = Project((0,), chain)
+        assert analyze_plan(Difference(chain, Scan("S"))) == Profile(
+            ClassBound.INJECTIVE, ClassBound.ALL
+        )
 
 
 class TestSoundnessSpotCheck:

@@ -207,6 +207,16 @@ class TestCli:
         assert "├─" in out or "└─" in out
         assert "employees" in out and "students" in out
 
+    def test_default_output_shows_the_compiled_tree(self, capsys):
+        # The reference report bypasses the result cache, so the
+        # compiled run lowers the plan instead of hitting its entry.
+        assert main(["explain", "--size", "40"]) == 0
+        out = capsys.readouterr().out
+        compiled = out.split("EXPLAIN ANALYZE (mode=compiled)")[1]
+        spans = [line for line in compiled.splitlines() if "  [rows=" in line]
+        assert len(spans) > 1
+        assert "cache=hit" not in out
+
     def test_explain_json_single_mode(self, capsys):
         assert main([
             "explain", PLAN_TEXT, "--mode", "compiled", "--json",

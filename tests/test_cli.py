@@ -165,6 +165,14 @@ class TestOptimize:
         assert main(["optimize", "pi[0]("]) == 2
         assert "parse error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["optimize", "explain"])
+    def test_too_deeply_nested_plan_is_a_parse_error(self, command, capsys):
+        text = "pi[1](" * 2000 + "employees" + ")" * 2000
+        assert main([command, text, "--size", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "parse error: plan nested too deeply\n"
+        assert captured.out == ""
+
     def test_show_rows(self, capsys):
         def shown(rows):
             assert main(["optimize", "employees", "--size", "5",
