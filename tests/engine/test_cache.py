@@ -372,8 +372,8 @@ def _plan():
 
 
 class TestAnnotationMemo:
-    """A semantic token reads the plan and the callable registry, never
-    data, so each plan object is walked once until the registry goes."""
+    """A semantic token reads the plan and its callables, never data,
+    so each plan object is walked once until the intern table goes."""
 
     def test_one_walk_across_hits_misses_and_inserts(self, small_db, walks):
         plan = _plan()
@@ -399,7 +399,9 @@ class TestAnnotationMemo:
         assert small_db.plan_cache.hits == 1
 
     @pytest.mark.parametrize("drop", ["clear", "invalidate-all"])
-    def test_dropping_the_registry_walks_again(self, small_db, walks, drop):
+    def test_dropping_the_intern_table_walks_again(
+        self, small_db, walks, drop
+    ):
         plan = _plan()
         small_db.run(plan)
         if drop == "clear":
