@@ -165,7 +165,11 @@ class Project(Plan):
 
 @dataclass(frozen=True, eq=False)
 class Select(Plan):
-    """``sigma_p``; the predicate is named so rules can reason about it."""
+    """``sigma_p``; the predicate is named so rules can reason about it.
+
+    ``predicate`` must be hashable: the compiled executor and the result
+    cache key it by object (see
+    :func:`repro.engine.exec.fingerprint.annotate_plan`)."""
 
     predicate_name: str
     predicate: Callable[[Tup], bool] = field(compare=False)
@@ -274,7 +278,8 @@ class Join(Plan):
 @dataclass(frozen=True, eq=False)
 class MapNode(Plan):
     """``map(f)`` over tuples; ``injective`` is declared metadata the
-    rules may rely on (Section 4.4's key-based pushes)."""
+    rules may rely on (Section 4.4's key-based pushes).  ``fn`` must be
+    hashable, as ``Select.predicate`` must."""
 
     fn_name: str
     fn: Callable[[Tup], Value] = field(compare=False)
